@@ -9,9 +9,10 @@ and drives the regularization eps down a ladder within each stage,
 warm-starting throughout.
 
 Float64 puts a hard limit on the ladder: the Jacobian weights span
-(gmax/eps)^(p-2), and past roughly 10^20 the saddle solves break down.
-The default config therefore floors eps at 10^(-12/(p-2)) and switches
-MINRES to Jacobi scaling when the spread gets large. With that, the
+(gmax/eps)^(p-2), and past roughly 10^20 the Newton linear solves break
+down. The default config therefore floors eps at 10^(-12/(p-2)), and
+each Newton step is a Jacobi-preconditioned CG solve on the cotree
+edges of a spanning-tree gauge. With that, the
 whole range runs out of the box. The solution field flattens toward a
 |curl| ~ const state as p grows, the signature of the p -> infinity
 (critical-state / Bean) limit.

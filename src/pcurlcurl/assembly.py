@@ -160,7 +160,8 @@ def assemble_jacobian(u: EdgeField, p: PExponent, geom=None):
     g = curl_per_tet(u, geom)
     D = power_map_derivative(g, p)                      # (T, 3, 3)
     signed = geom.curls * mesh.tet_edge_signs[:, :, None]
-    blocks = np.einsum("t,tec,tcd,tfd->tef", geom.vols, signed, D, signed)
+    blocks = np.einsum("t,tec,tcd,tfd->tef", geom.vols, signed, D, signed,
+                       optimize=True)
     return _scatter_blocks(mesh, blocks)
 
 

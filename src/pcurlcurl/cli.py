@@ -87,7 +87,6 @@ def _solve_config(cfg):
         linear_tol=cfg["linear_tol"],
         linear_maxit=cfg["linear_maxit"] or None,
         quad_order=cfg["quad_order"],
-        precondition=cfg["precondition"],
     )
 
 

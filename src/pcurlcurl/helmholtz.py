@@ -4,7 +4,7 @@
 G^T M u0 = 0 with M the edge mass matrix. The splitting is M-orthogonal
 regardless of the exponent p of the surrounding problem — the constraint
 in the weak problem is linear, so any fixed pairing yields a valid
-complement, and the L2 one keeps saddle systems symmetric.
+complement, and the L2 one makes the projection an SPD nodal solve.
 """
 
 from __future__ import annotations

@@ -42,15 +42,6 @@ def _parse_ints(s):
     return [int(tok) for tok in str(s).split(",") if tok.strip()]
 
 
-def _parse_bool(s):
-    s = str(s).strip().lower()
-    if s in ("true", "1", "yes", "on"):
-        return True
-    if s in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 def _positive(x):
     return x > 0
 
@@ -91,7 +82,6 @@ _SOLVE = {
     "linear_maxit": (int, _positive, 0, "Krylov iteration cap (0: automatic)"),
     "line_search_max": (int, _positive, 30, "max step halvings"),
     "quad_order": (int, lambda v: v in (1, 2, 4), 4, "load quadrature order"),
-    "precondition": (_parse_bool, None, False, "Jacobi-scale saddle MINRES"),
 }
 
 _VERIFY = {

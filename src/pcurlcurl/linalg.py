@@ -2,10 +2,10 @@
 
 Sparse matrices are CSR (scipy backing store); `csr_matrix_from_coo`
 finalizes duplicate summation, drops explicit zeros and sorts column
-indices, after which matrices are treated as immutable. The Krylov loops
-(CG for SPD systems, MINRES for symmetric indefinite saddle systems) are
-written out here as plain single-threaded state machines so runs are
-reproducible bit-for-bit.
+indices, after which matrices are treated as immutable. The CG loop for
+SPD systems (optionally Jacobi-preconditioned) is written out here as a
+plain single-threaded state machine so runs are reproducible
+bit-for-bit.
 
 Everything is 64-bit: the power-law material weight spans many orders of
 magnitude near degenerate points and leaves no headroom for float32.
@@ -41,16 +41,29 @@ class LinearSolveReport:
     converged: bool
 
 
-def cg(A, b, tol=1e-10, max_iter=None, x0=None):
+def cg(A, b, tol=1e-10, max_iter=None, x0=None, diag=None):
     """Conjugate gradients for SPD (or consistent SPSD) systems.
 
     Terminates when ||Ax - b|| <= tol * ||b||. Non-convergence within
-    `max_iter` is reported via the flag, never silently.
+    `max_iter` is reported via the flag, never silently. `diag`, when
+    given, is a positive vector d and the iteration is preconditioned
+    by D^-1 (Jacobi); the stopping test stays on the unpreconditioned
+    residual. Systems that need it can be singular to working precision,
+    where late iterates drift far from earlier, better ones, so on
+    non-convergence the preconditioned solve returns the iterate with
+    the smallest residual seen. Without `diag` the plain recurrence runs
+    unchanged and returns its last iterate.
     """
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side contains non-finite entries")
     n = b.shape[0]
+    dinv = None
+    if diag is not None:
+        d = np.asarray(diag, dtype=float)
+        if d.shape != (n,) or not np.all(np.isfinite(d)) or np.any(d <= 0):
+            raise ValueError("Jacobi diagonal must be positive and finite")
+        dinv = 1.0 / d
     if max_iter is None:
         max_iter = 10 * n
     bnorm = np.linalg.norm(b)
@@ -62,110 +75,28 @@ def cg(A, b, tol=1e-10, max_iter=None, x0=None):
     res = np.linalg.norm(r)
     if res <= tol * bnorm:
         return x, LinearSolveReport(0, res / bnorm, True)
-    p = r.copy()
-    rho = r @ r
+    p = r.copy() if dinv is None else dinv * r
+    rho = r @ p
+    best = None if dinv is None else (res, x.copy())
     for k in range(1, max_iter + 1):
         Ap = A @ p
         alpha = rho / (p @ Ap)
         x += alpha * p
         r -= alpha * Ap
-        rho_new = r @ r
-        res = np.sqrt(rho_new)
+        if dinv is None:
+            z = r
+            rho_new = r @ r
+            res = np.sqrt(rho_new)
+        else:
+            z = dinv * r
+            rho_new = r @ z
+            res = np.sqrt(r @ r)
         if res <= tol * bnorm:
             return x, LinearSolveReport(k, res / bnorm, True)
-        p = r + (rho_new / rho) * p
+        if best is not None and res < best[0]:
+            best = (res, x.copy())
+        p = z + (rho_new / rho) * p
         rho = rho_new
+    if best is not None:
+        res, x = best
     return x, LinearSolveReport(max_iter, res / bnorm, False)
-
-
-def minres(A, b, tol=1e-10, max_iter=None, diag_precond=None):
-    """MINRES for symmetric (possibly indefinite) systems.
-
-    Lanczos + Givens recurrence; converges on ||Ax - b|| <= tol * ||b||.
-    `diag_precond`, when given, is a positive vector d and the iteration
-    runs on the symmetrically scaled system D^-1/2 A D^-1/2 (Jacobi-style
-    preconditioning that keeps symmetry).
-    """
-    b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side contains non-finite entries")
-    n = b.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
-
-    if diag_precond is not None:
-        d = np.asarray(diag_precond, dtype=float)
-        if np.any(d <= 0) or not np.all(np.isfinite(d)):
-            raise ValueError("diagonal preconditioner must be positive and finite")
-        s = 1.0 / np.sqrt(d)
-        As = sp.diags_array(s) @ A @ sp.diags_array(s) if sp.issparse(A) \
-            else s[:, None] * A * s[None, :]
-        xs, rep = minres(As, s * b, tol=tol, max_iter=max_iter)
-        return s * xs, rep
-
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n), LinearSolveReport(0, 0.0, True)
-
-    x = np.zeros(n)
-    v_old = np.zeros(n)
-    v = b / bnorm
-    w = np.zeros(n)
-    w_old = np.zeros(n)
-    gamma = bnorm          # gamma_j
-    eta = bnorm
-    s_old, s_cur = 0.0, 0.0
-    c_old, c_cur = 1.0, 1.0
-    k = 0
-    # On badly conditioned systems long Lanczos runs lose orthogonality
-    # and late iterates can drift away from earlier, better ones; keep
-    # the best iterate measured by the *true* residual, checked cheaply
-    # at a fixed stride.
-    check_every = 64
-    best_x = np.zeros(n)
-    best_res = bnorm
-
-    def true_residual(vec):
-        return np.linalg.norm(b - A @ vec)
-
-    for k in range(1, max_iter + 1):
-        # Lanczos step
-        z = A @ v - gamma * v_old
-        alpha = v @ z
-        z -= alpha * v
-        gamma_new = np.linalg.norm(z)
-
-        # Givens QR of the tridiagonal factor
-        a0 = c_cur * alpha - c_old * s_cur * gamma
-        a1 = np.hypot(a0, gamma_new)
-        a2 = s_cur * alpha + c_old * c_cur * gamma
-        a3 = s_old * gamma
-        c_new = a0 / a1
-        s_new = gamma_new / a1
-
-        w_new = (v - a3 * w_old - a2 * w) / a1
-        x += (c_new * eta) * w_new
-        eta = -s_new * eta
-        resid = abs(eta)
-
-        if resid <= tol * bnorm or k % check_every == 0:
-            tr = true_residual(x)
-            if tr < best_res:
-                best_res = tr
-                best_x = x.copy()
-            if tr <= tol * bnorm:
-                return x, LinearSolveReport(k, tr / bnorm, True)
-        if gamma_new == 0.0:  # invariant subspace exhausted
-            break
-
-        v_old, v = v, z / gamma_new
-        w_old, w = w, w_new
-        gamma = gamma_new
-        s_old, s_cur = s_cur, s_new
-        c_old, c_cur = c_cur, c_new
-
-    tr = true_residual(x)
-    if tr < best_res:
-        best_res = tr
-        best_x = x
-    return best_x, LinearSolveReport(k, best_res / bnorm, best_res <= tol * bnorm)

@@ -1,23 +1,31 @@
-"""Damped Newton on the mixed saddle formulation, with p/eps continuation.
+"""Damped Newton in a tree-cotree gauge, with p/eps continuation.
 
-The discrete problem at each continuation stage: find (u, phi) with
+The discrete problem at each continuation stage: find u with
 
-    (power(curl u), curl v) + (G phi, v)_M = (S, v)   for all free-edge v,
-    (u, G psi)_M = 0                                  for all interior psi.
+    (power(curl u), curl v) = (S, v)   for all free-edge v,
+    (u, G psi)_M = 0                   for all interior psi.
 
-Newton linearizes the first block; the constraint is linear, so once an
-iterate is feasible every Newton step stays feasible (up to the linear
-solver tolerance) and a plain backtracking line search on the energy
+The energy
 
     J(u) = (1/p) int (eps^2 + |curl u|^2)^(p/2) - (S, u)
 
-guarantees descent. Large p is reached by geometric continuation in p,
-and within each p stage the regularization eps is driven down a fixed
-schedule; the reported answer is the one at the smallest eps.
+and its gradient, the residual, cannot see gradients G phi once the load
+is Helmholtz-projected (its discarded gradient part is reported), so the
+divergence constraint only picks one representative of each curl. Newton
+therefore works in a gauge: a spanning tree of the interior vertices,
+with the boundary merged into one ground node, has one edge per interior
+vertex, and fixing the step to zero on those edges removes exactly the
+gradients. On the remaining cotree edges the Jacobian is SPD for eps > 0
+and each step is one Jacobi-preconditioned CG solve. The step differs
+from the constrained Newton step only by a gradient, so a plain
+backtracking line search on J guarantees descent, and every accepted
+iterate is Helmholtz-projected to restore the constraint.
 
-Loads are Helmholtz-projected before solving (their discarded gradient
-part is reported) so that the multiplier vanishes at convergence for
-compatible loads.
+Large p is reached by geometric continuation in p, and within each p
+stage the regularization eps is driven down a fixed schedule; the
+reported answer is the one at the smallest eps. The nodal multiplier is
+recovered once at the end from the gradient part of the final residual;
+it vanishes for compatible loads.
 """
 
 from __future__ import annotations
@@ -26,13 +34,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import whitney
 from .assembly import (EdgeField, NodalField, PExponent, assemble_jacobian,
                        assemble_load, assemble_residual, curl_per_tet)
 from .helmholtz import DivFreeProjector
-from .linalg import cg, minres
+from .linalg import cg
 from .mesh import Mesh
 
 
@@ -67,10 +74,9 @@ class SolveConfig:
     linear_tol: float = 1e-11
     linear_maxit: int = None
     quad_order: int = 4              # for analytic load assembly
-    precondition: bool = False       # force Jacobi scaling in MINRES
     # Cap on the decades spanned by the power-law weights (gmax/eps)^(p-2)
-    # within one stage. Approaching ~10^20 the saddle solves break down
-    # in float64 even with Jacobi scaling, so for large p the eps ladder
+    # within one stage. Approaching ~10^20 the Newton linear solves break
+    # down in float64 even with Jacobi scaling, so for large p the eps ladder
     # is floored at 10^(-cap/(p-2)); for p up to ~20 the floor sits well
     # below the active curl scale and the computed fields are unaffected.
     eps_spread_decades: float = 12.0
@@ -100,7 +106,7 @@ class StageRecord:
     p: float
     eps: float
     newton_iterations: int
-    final_residual: float            # relative KKT residual
+    final_residual: float            # relative KKT residual (r, G^T M u)
     energy_history: list = field(default_factory=list)
     constraint_history: list = field(default_factory=list)
 
@@ -155,7 +161,6 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
     geom = whitney.cell_geometry(mesh)
     proj = DivFreeProjector(mesh, geom)
     free = mesh.free_edges()
-    nfree = free.size
     nint = mesh.interior_vertices().size
 
     if isinstance(S, EdgeField):
@@ -164,7 +169,8 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
         load = assemble_load(S, mesh, quad_order=config.quad_order, geom=geom)
 
     # Remove the load component that pairs with gradients: it cannot be
-    # balanced by the curl term and would only load the multiplier.
+    # balanced by the curl term, and without it the energy is invariant
+    # under u -> u + G phi, which is what makes the tree gauge exact.
     B = proj.GtM[:, free].tocsr()                       # (nint, nfree)
     Gfree = proj.G[free].tocsr()                        # (nfree, nint)
     report = SolveReport()
@@ -181,8 +187,8 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
     else:
         u0, _ = proj.project(initial_guess.zero_boundary(), tol=config.linear_tol)
         u = u0
-    phi = np.zeros(nint)
 
+    cotree = np.setdiff1d(np.arange(free.size), _spanning_tree(mesh))
     load_scale = float(np.linalg.norm(load))
     curl_scale = 1.0
 
@@ -199,9 +205,8 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
             eps_list = [rel * curl_scale for rel in dedup]
         for eps in eps_list:
             pexp = PExponent(p=p_val, eps=eps)
-            stage = _newton_stage(mesh, geom, proj, B, free, u, phi, load,
-                                  load_scale, pexp, config)
-            u, phi, rec = stage
+            u, r1, rec = _newton_stage(mesh, geom, proj, B, free, cotree, u,
+                                       load, load_scale, pexp, config)
             report.stages.append(rec)
         # Scale subsequent regularizations by the current solution size.
         g = curl_per_tet(u, geom)
@@ -209,25 +214,67 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
         if mx > 0:
             curl_scale = mx
 
+    # The multiplier balances the gradient part of the final residual:
+    # B^T phi = -r1 tested against gradients gives G^T M G phi = -G^T r1.
+    phi, cg_rep = cg(proj.GtMG, -(Gfree.T @ r1), tol=config.linear_tol)
+    if not cg_rep.converged:
+        raise SolverError("multiplier CG failed")
     multiplier = np.zeros(mesh.num_vertices)
     multiplier[mesh.interior_vertices()] = phi
     report.wall_time = time.perf_counter() - t0
     return u, NodalField(mesh, multiplier), report
 
 
-def _newton_stage(mesh, geom, proj, B, free, u, phi, load, load_scale,
-                  pexp, config):
-    """Run damped Newton at fixed (p, eps); returns updated (u, phi, record)."""
-    nfree = free.size
-    nint = B.shape[0]
-    maxit = config.linear_maxit or 20 * (nfree + nint)
+def _spanning_tree(mesh: Mesh):
+    """Free-edge positions of a BFS spanning tree of the interior vertices.
 
-    def kkt(u_field, phi_vec):
-        r1 = assemble_residual(u_field, load, pexp, geom) + B.T @ phi_vec
+    All boundary vertices are merged into one ground node, the root, so
+    the tree has exactly one edge per interior vertex: the edge through
+    which the search first reached it. A gradient of interior potentials
+    is determined by its tree entries, so zeroing them fixes the gauge.
+    Deterministic for a fixed mesh.
+    """
+    free = mesh.free_edges()
+    interior = mesh.interior_vertices()
+    ground = interior.size
+    node = np.full(mesh.num_vertices, ground)
+    node[interior] = np.arange(ground)
+    ends = node[mesh.edges[free]]                       # (nfree, 2)
+    src = np.concatenate([ends[:, 0], ends[:, 1]])
+    dst = np.concatenate([ends[:, 1], ends[:, 0]])
+    eid = np.tile(np.arange(free.size), 2)
+    order = np.argsort(src, kind="stable")
+    dst, eid = dst[order], eid[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=ground + 1))])
+
+    seen = np.zeros(ground + 1, dtype=bool)
+    seen[ground] = True
+    frontier = np.array([ground])
+    tree = []
+    while frontier.size:
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        slots = offsets + np.arange(counts.sum())
+        nbr, via = dst[slots], eid[slots]
+        new = ~seen[nbr]
+        frontier, first = np.unique(nbr[new], return_index=True)
+        seen[frontier] = True
+        tree.append(via[new][first])
+    return np.sort(np.concatenate(tree))
+
+
+def _newton_stage(mesh, geom, proj, B, free, cotree, u, load, load_scale,
+                  pexp, config):
+    """Run damped Newton at fixed (p, eps); returns (u, residual, record)."""
+    maxit = config.linear_maxit or 20 * cotree.size
+
+    def kkt(u_field):
+        r1 = assemble_residual(u_field, load, pexp, geom)
         r2 = B @ u_field.coeffs[free]
         return r1, r2
 
-    r1, r2 = kkt(u, phi)
+    r1, r2 = kkt(u)
     res0 = float(np.sqrt(r1 @ r1 + r2 @ r2))
     denom = max(load_scale, res0, np.finfo(float).tiny)
     rec = StageRecord(p=pexp.p, eps=pexp.eps, newton_iterations=0,
@@ -238,27 +285,26 @@ def _newton_stage(mesh, geom, proj, B, free, u, phi, load, load_scale,
     for it in range(1, config.max_newton + 1):
         if np.sqrt(r1 @ r1 + r2 @ r2) <= config.newton_tol * denom:
             break
-        A = assemble_jacobian(u, pexp, geom)
-        K = sp.block_array([[A, B.T], [B, None]]).tocsr()
-        rhs = -np.concatenate([r1, r2])
-        dp = None
-        if config.precondition or _diag_spread(A) > 1e8:
-            dp = np.concatenate([_floored(A.diagonal()),
-                                 _floored(proj.GtMG.diagonal())])
-        step, lin = minres(K, rhs, tol=config.linear_tol, max_iter=maxit,
-                           diag_precond=dp)
+        A = assemble_jacobian(u, pexp, geom)[cotree][:, cotree]
+        diag = A.diagonal()
+        if not np.all(diag > 0):
+            raise SolverError(
+                f"cotree Jacobian lost definiteness at p={pexp.p}, "
+                f"eps={pexp.eps:.2e}: smallest diagonal entry {diag.min():.3e}")
+        step, lin = cg(A, -r1[cotree], tol=config.linear_tol, max_iter=maxit,
+                       diag=diag)
         # An inexact step still makes Newton progress as long as it
         # carries real information (forcing-term argument); the line
         # search and the Newton budget catch anything worse.
         if not lin.converged and lin.relative_residual > 0.5:
             raise SolverError(
-                f"saddle MINRES stalled at p={pexp.p}, eps={pexp.eps:.2e}: "
+                f"cotree CG stalled at p={pexp.p}, eps={pexp.eps:.2e}: "
                 f"relative residual {lin.relative_residual:.3e}")
-        du = step[:nfree]
-        dphi = step[nfree:]
+        du = np.zeros(free.size)
+        du[cotree] = step
 
         J0 = rec.energy_history[-1]
-        slope = float(r1 @ du)       # directional derivative on the manifold
+        slope = float(r1 @ du)       # directional derivative of J
         # Near the minimum the true decrease ~|r|^2 drops below float64
         # rounding of J itself; the floor keeps Armijo from rejecting
         # full Newton steps it cannot measure.
@@ -269,7 +315,10 @@ def _newton_stage(mesh, geom, proj, B, free, u, phi, load, load_scale,
             trial = u.coeffs.copy()
             trial[free] += t * du
             u_try = EdgeField(mesh, trial)
-            J_try = energy(u_try, load, pexp, geom)
+            # At large p a long trial step can overflow J to inf, which
+            # rejects it like any other increase.
+            with np.errstate(over="ignore"):
+                J_try = energy(u_try, load, pexp, geom)
             if J_try <= J0 + 1e-4 * t * min(slope, 0.0) + J_floor:
                 accepted = True
                 break
@@ -279,9 +328,10 @@ def _newton_stage(mesh, geom, proj, B, free, u, phi, load, load_scale,
                 f"line search failed at p={pexp.p}, eps={pexp.eps:.2e}, "
                 f"Newton iteration {it} (energy cannot decrease)")
 
-        u = u_try
-        phi = phi + t * dphi
-        r1, r2 = kkt(u, phi)
+        # The gauged step carries a gradient; projecting it out changes
+        # neither J nor the residual and restores G^T M u = 0.
+        u, _ = proj.project(u_try, tol=config.linear_tol)
+        r1, r2 = kkt(u)
         rec.newton_iterations = it
         rec.energy_history.append(J_try)
         rec.constraint_history.append(_constraint_measure(proj, u))
@@ -292,7 +342,7 @@ def _newton_stage(mesh, geom, proj, B, free, u, phi, load, load_scale,
             f"relative residual {res / denom:.3e} after {config.max_newton} steps")
 
     rec.final_residual = float(np.sqrt(r1 @ r1 + r2 @ r2)) / denom
-    return u, phi, rec
+    return u, r1, rec
 
 
 def _energy_scale(u, load, pexp, geom):
@@ -309,18 +359,3 @@ def _constraint_measure(proj, u):
     if un == 0.0:
         return 0.0
     return proj.constraint_norm(u.coeffs) / un
-
-
-def _floored(d):
-    d = np.abs(np.asarray(d, dtype=float))
-    mx = d.max() if d.size else 1.0
-    floor = 1e-14 * mx if mx > 0 else 1.0
-    return np.maximum(d, floor)
-
-
-def _diag_spread(A):
-    d = A.diagonal()
-    pos = d[d > 0]
-    if pos.size == 0:
-        return 1.0
-    return float(pos.max() / pos.min())

@@ -462,15 +462,27 @@ def extract_scalar_potential(u: EdgeField, curl_tol=1e-12, closure_tol=1e-10):
     remaining edges, which is checked explicitly. Deterministic for a
     fixed mesh.
 
+    Curl-freeness is checked on the circulation around every tet face
+    (the signed sum of its three edge coefficients), relative to the
+    largest coefficient: the per-tet curl is that circulation over the
+    face area, so an absolute curl bound tightens like 1/h^2 on fine
+    meshes and rejects exact gradients rounded in float64.
+
     Raises:
-        ValueError: per-tet curl above curl_tol, or closure violation
-            above closure_tol (input not a gradient field).
+        ValueError: a face circulation above curl_tol times the largest
+            coefficient, or closure violation above closure_tol (input
+            not a gradient field).
     """
     mesh = u.mesh
-    g = curl_per_tet(u)
-    if np.abs(g).max(initial=0.0) > curl_tol:
+    c = u.coeffs[mesh.tet_edges] * mesh.tet_edge_signs  # along local lo -> hi
+    # faces (0,1,2), (0,1,3), (0,2,3), (1,2,3) in LOCAL_EDGES numbering
+    circ = c[:, [0, 0, 1, 3]] + c[:, [3, 4, 5, 5]] - c[:, [1, 2, 2, 4]]
+    worst = float(np.abs(circ).max(initial=0.0))
+    scale = float(np.abs(u.coeffs).max(initial=0.0))
+    if worst > curl_tol * scale:
         raise ValueError(
-            f"field is not curl-free: max per-tet curl {np.abs(g).max():.3e}")
+            f"field is not curl-free: max face circulation {worst:.3e} "
+            f"against coefficient scale {scale:.3e}")
 
     adj = [[] for _ in range(mesh.num_vertices)]
     for eid, (lo, hi) in enumerate(mesh.edges):

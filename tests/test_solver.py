@@ -1,12 +1,18 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from pcurlcurl.assembly import EdgeField, PExponent, assemble_residual, lp_norm_curl
+import pcurlcurl
+from pcurlcurl.assembly import (EdgeField, PExponent, assemble_gradient_map,
+                                assemble_jacobian, assemble_residual, lp_norm_curl)
 from pcurlcurl.helmholtz import edge_mass_matrix
 from pcurlcurl.mesh import build_box_mesh
 from pcurlcurl.mms import case_general_p, case_p2_sine
-from pcurlcurl.solver import (SolveConfig, SolverError, default_p_schedule,
-                              energy, solve)
+from pcurlcurl.solver import (SolveConfig, SolverError, _spanning_tree,
+                              default_p_schedule, energy, solve)
 from pcurlcurl.assembly import stiffness_matrix
 
 PI = np.pi
@@ -219,8 +225,8 @@ def test_incompatible_load_is_projected_and_reported():
 
 
 def test_large_p_continuation_with_defaults():
-    # engineering exponents: the eps floor and automatic Jacobi scaling
-    # keep the saddle solves inside float64 territory
+    # engineering exponents: the eps floor keeps the Jacobi-preconditioned
+    # cotree solves inside float64 territory
     mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
     case = case_general_p(50.0)
     u, _, rep = solve(mesh, case.load, SolveConfig(p_target=50.0))
@@ -255,3 +261,73 @@ def test_newton_budget_exhaustion_raises():
                       eps_schedule=[1e-4])
     with pytest.raises(SolverError):
         solve(mesh, case.load, cfg)
+
+
+@pytest.mark.parametrize("divisions", [(1, 1, 1), (2, 2, 2), (3, 3, 3),
+                                       (4, 3, 5), (6, 6, 6)])
+def test_spanning_tree_one_edge_per_interior_vertex(divisions):
+    mesh = build_box_mesh(divisions)
+    interior = mesh.interior_vertices()
+    free = mesh.free_edges()
+    tree = _spanning_tree(mesh)
+    assert tree.size == interior.size
+    assert np.all(np.diff(tree) > 0)
+    assert np.all((tree >= 0) & (tree < free.size))
+    # nint edges joining nint + 1 nodes (boundary merged into one ground
+    # node) span them iff they connect every interior vertex to ground
+    node = np.full(mesh.num_vertices, interior.size)
+    node[interior] = np.arange(interior.size)
+    root = list(range(interior.size + 1))
+
+    def find(a):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for a, b in node[mesh.edges[free[tree]]]:
+        ra, rb = find(a), find(b)
+        assert ra != rb                        # no cycle
+        root[ra] = rb
+    assert len({find(a) for a in range(interior.size + 1)}) == 1
+
+
+def test_tree_gauge_removes_exactly_the_gradient_kernel():
+    mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
+    free = mesh.free_edges()
+    tree = _spanning_tree(mesh)
+    cotree = np.setdiff1d(np.arange(free.size), tree)
+    A = assemble_jacobian(EdgeField(mesh), PExponent(2.0)).toarray()
+    G = assemble_gradient_map(mesh)[free].toarray()
+    # gradients of interior potentials are determined by their tree entries
+    assert np.linalg.matrix_rank(G[tree]) == tree.size
+    evals = np.linalg.eigvalsh(A)
+    assert np.sum(evals <= 1e-10 * evals.max()) == tree.size
+    np.linalg.cholesky(A[np.ix_(cotree, cotree)])    # SPD on the cotree
+
+
+def test_p10_counters_pinned():
+    mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
+    u, mult, rep = solve(mesh, case_general_p(10.0).load,
+                         SolveConfig(p_target=10.0))
+    assert len(rep.stages) == 8
+    assert rep.total_newton_iterations == 32
+    assert rep.final_residual <= 1e-9
+    assert max(max(s.constraint_history) for s in rep.stages) <= 1e-8
+
+
+def test_solve_leaves_scipy_sparse_linalg_unimported():
+    # scipy.sparse.linalg (also pulled in by scipy.sparse.csgraph) adds
+    # ~11 MiB of resident memory to every process that imports it
+    src = os.path.dirname(os.path.dirname(pcurlcurl.__file__))
+    code = ("import sys, numpy as np, pcurlcurl as pc\n"
+            "m = pc.build_box_mesh((2, 2, 2), extents=(np.pi,) * 3)\n"
+            "pc.solve(m, pc.case_general_p(4.0).load, pc.SolveConfig(p_target=4.0))\n"
+            "print(' '.join(sorted(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    loaded = set(out.split())
+    assert "pcurlcurl.solver" in loaded
+    assert "scipy.sparse.linalg" not in loaded
+    assert "scipy.sparse.csgraph" not in loaded

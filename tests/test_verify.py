@@ -270,6 +270,25 @@ def test_potential_roundtrip_and_normalization():
     assert np.allclose(phi.coeffs, full - full.mean(), atol=1e-12)
 
 
+def test_potential_accepts_rounded_gradient_on_fine_mesh():
+    # G psi in float64 on 32^3 has per-tet curl ~2e-12 (rounding over
+    # face area h^2), which an absolute curl bound of 1e-12 rejected
+    mesh = build_box_mesh((32, 32, 32))
+    G = assemble_gradient_map(mesh)
+    psi = np.random.default_rng(0).standard_normal(G.shape[1])
+    u = EdgeField(mesh, G @ psi)
+    phi = extract_scalar_potential(u)
+    diffs = phi.coeffs[mesh.edges[:, 1]] - phi.coeffs[mesh.edges[:, 0]]
+    assert np.abs(diffs - u.coeffs).max() <= 1e-10
+    # the check is relative: the same field scaled by 1e8 passes too,
+    # and one circulation off by 1e-9 of the scale is still caught
+    extract_scalar_potential(EdgeField(mesh, 1e8 * u.coeffs), closure_tol=1e-1)
+    bad = u.coeffs.copy()
+    bad[mesh.free_edges()[100]] += 1e-9 * np.abs(u.coeffs).max()
+    with pytest.raises(ValueError, match="not curl-free"):
+        extract_scalar_potential(EdgeField(mesh, bad))
+
+
 def test_potential_zero_field():
     mesh = build_box_mesh((2, 2, 2))
     phi = extract_scalar_potential(EdgeField(mesh))
