@@ -18,10 +18,11 @@ from .mesh import Mesh, MeshError, build_box_mesh, classify_boundary
 from .mms import ManufacturedCase, case_general_p, case_p2_sine, measure_error
 from .solver import SolveConfig, SolveReport, SolverError, energy, solve
 from .verify import (FriedrichReport, InequalityReport, check_green_formulas,
-                     check_ineq1, check_ineq2, default_smooth_pair,
-                     extract_scalar_potential, friedrich_constant)
-from .whitney import (QuadratureRule, cell_geometry, eval_basis, eval_curl,
-                      quadrature, triangle_quadrature)
+                     check_ineq1, check_ineq2, check_inequalities,
+                     default_smooth_pair, extract_scalar_potential,
+                     friedrich_constant)
+from .whitney import (QuadratureRule, cell_geometry, eval_basis, quadrature,
+                      triangle_quadrature)
 
 __version__ = "0.1.0"
 
@@ -31,12 +32,12 @@ __all__ = [
     "SolverError", "ManufacturedCase", "InequalityReport", "FriedrichReport",
     "QuadratureRule", "DivFreeProjector",
     "build_box_mesh", "classify_boundary", "cell_geometry", "quadrature",
-    "eval_basis", "eval_curl", "triangle_quadrature",
+    "eval_basis", "triangle_quadrature",
     "cg", "csr_matrix_from_coo",
     "power_map", "assemble_residual", "assemble_jacobian",
     "assemble_gradient_map", "assemble_load", "edge_interpolate",
     "lp_norm_curl", "lp_norm_field", "edge_mass_matrix", "project_div_free",
     "energy", "solve", "case_p2_sine", "case_general_p", "measure_error",
-    "check_ineq1", "check_ineq2", "friedrich_constant",
+    "check_ineq1", "check_ineq2", "check_inequalities", "friedrich_constant",
     "check_green_formulas", "default_smooth_pair", "extract_scalar_potential",
 ]

@@ -22,7 +22,7 @@ from .io import ConfigError, RunConfig, write_csv, write_summary, write_vtk
 from .mesh import build_box_mesh
 from .mms import case_general_p, case_p2_sine, measure_error
 from .solver import SolveConfig, SolverError, solve
-from .verify import (check_green_formulas, check_ineq1, check_ineq2,
+from .verify import (check_green_formulas, check_inequalities,
                      default_smooth_pair, extract_scalar_potential,
                      friedrich_constant)
 
@@ -133,31 +133,14 @@ def cmd_solve(cfg):
     return 0
 
 
-def _delta_grid(p, which):
-    if which == 1:
-        cap = min(1.0, p - 1.0)
-        vals = [0.0, 0.5 * cap, cap]
-    else:
-        cap = p - 2.0
-        vals = [0.0, 0.5 * cap, cap]
-    return sorted(set(round(v, 12) for v in vals if v >= 0.0))
-
-
 def cmd_verify(cfg):
     out = cfg.out_dir()
     cfg.echo(out)
-    n = cfg["n_samples"]
     seed = cfg["seed"]
-    rows = []
-    for p in cfg["p_grid"]:
-        for d in _delta_grid(p, 1):
-            r = check_ineq1(p, d, n, rng_seed=seed)
-            rows.append(("ineq1", r.p, r.delta, r.samples, r.worst_ratio,
-                         r.violations))
-        for d in _delta_grid(p, 2):
-            r = check_ineq2(p, d, n, rng_seed=seed)
-            rows.append(("ineq2", r.p, r.delta, r.samples, r.worst_ratio,
-                         r.violations))
+    rows = [(r.inequality, r.p, r.delta, r.samples, r.worst_ratio,
+             r.violations)
+            for r in check_inequalities(cfg["p_grid"], cfg["n_samples"],
+                                        rng_seed=seed)]
     write_csv(os.path.join(out, "inequalities.csv"),
               ("inequality", "p", "delta", "samples", "worst_ratio",
                "violations"), rows)

@@ -74,11 +74,14 @@ class SolveConfig:
     linear_tol: float = 1e-11
     linear_maxit: int = None
     quad_order: int = 4              # for analytic load assembly
-    # Cap on the decades spanned by the power-law weights (gmax/eps)^(p-2)
-    # within one stage. Approaching ~10^20 the Newton linear solves break
-    # down in float64 even with Jacobi scaling, so for large p the eps ladder
-    # is floored at 10^(-cap/(p-2)); for p up to ~20 the floor sits well
-    # below the active curl scale and the computed fields are unaffected.
+    # Floor on the eps ladder: at exponent p every relative eps is raised to
+    # at least 10^(-eps_spread_decades/(p-2)), so (gmax/eps)^(p-2) <= 10^12,
+    # gmax being the largest curl of the previous stage. That is not the
+    # spread of the weights (eps^2 + |curl u|^2)^((p-2)/2) within a stage,
+    # which is ((eps^2 + gmax^2)/eps^2)^((p-2)/2): 10^21.6 at p = 100 with
+    # the floored eps = 0.754 gmax. Nor does the floor spare moderate p: at
+    # p = 10 it is 10^-1.5, which collapses the ladder 1e-2 .. 1e-8 to one
+    # stage at eps ~ 0.03 gmax.
     eps_spread_decades: float = 12.0
 
     def __post_init__(self):

@@ -4,6 +4,11 @@ Two pointwise power-map inequalities are certified by seeded sampling
 (the constants are *estimated* as envelope suprema, not proven — but the
 ratios are scale-invariant, so sampling with adversarial families at
 mixed radii covers the asymptotic regimes where the sup is attained).
+`check_inequalities` sweeps a whole (p, delta) grid of both from one
+draw per sampling radius: the power map is evaluated once per p, in row
+blocks, and each delta costs only 1-D work. `check_ineq1`/`check_ineq2`
+are single-row calls of the same kernel, so every row of a sweep equals
+the matching single call bit for bit.
 The Friedrich constant — the best bound ||u||_Lp <= C ||curl u||_Lp over
 boundary-constrained divergence-free fields — is computed discretely:
 exactly for p = 2 via inverse iteration on the projected curl-curl
@@ -35,8 +40,13 @@ SAMPLE_FAMILIES = ("unit-ball", "log-uniform radii", "near-collinear",
                    "near-equal", "antipodal/one-sided")
 
 
+# Rows per block of the power-map evaluation in `_power_terms`.
+_BLOCK_ROWS = 2**16
+
+
 @dataclass
 class InequalityReport:
+    inequality: str                  # "ineq1" or "ineq2"
     p: float
     delta: float
     samples: int
@@ -128,20 +138,7 @@ def check_ineq1(p, delta, n_samples, rng_seed=0):
     vanishes faster than the left as eta -> xi and no finite constant
     exists.
     """
-    if not 0.0 <= delta <= min(1.0, p - 1.0):
-        raise ValueError(f"delta must lie in [0, min(1, p-1)], got {delta}")
-    rng = np.random.default_rng(rng_seed)
-    xi, eta = _sample_pairs(n_samples, rng, rexp=_radius_exponent(p))
-    lhs = np.linalg.norm(_power(xi, p) - _power(eta, p), axis=1)
-    diff = np.linalg.norm(xi - eta, axis=1)
-    tot = np.linalg.norm(xi, axis=1) + np.linalg.norm(eta, axis=1)
-    keep = (diff > 0) & (tot > 0)
-    rhs = diff[keep]**(1.0 - delta) * tot[keep]**(p - 2.0 + delta)
-    ratio = lhs[keep] / rhs
-    worst = float(np.max(ratio))
-    violations = int(np.sum(lhs[keep] > worst * rhs * (1 + 1e-12)))
-    return InequalityReport(p=p, delta=delta, samples=int(np.sum(keep)),
-                            worst_ratio=worst, violations=violations)
+    return _sweep([("ineq1", p, delta)], n_samples, rng_seed)[0]
 
 
 def check_ineq2(p, delta, n_samples, rng_seed=0):
@@ -157,22 +154,112 @@ def check_ineq2(p, delta, n_samples, rng_seed=0):
     Raises:
         AssertionError: if any sampled pairing is nonpositive.
     """
-    if p >= 2.0 and not 0.0 <= delta <= p - 2.0 + 1e-15:
+    return _sweep([("ineq2", p, delta)], n_samples, rng_seed)[0]
+
+
+def check_inequalities(p_grid, n_samples, rng_seed=0):
+    """Both inequalities over p_grid, each at the deltas of `_delta_grid`.
+
+    Returns one report per row, ordered by p and, within a p, ineq1 rows
+    before ineq2 rows, each by ascending delta. Every row equals the
+    matching `check_ineq1`/`check_ineq2` call: all rows at one sampling
+    radius share a single draw.
+
+    Raises:
+        AssertionError: if any sampled ineq2 pairing is nonpositive.
+    """
+    rows = [(inequality, p, delta) for p in p_grid
+            for inequality in ("ineq1", "ineq2")
+            for delta in _delta_grid(p, inequality)]
+    return _sweep(rows, n_samples, rng_seed)
+
+
+def _delta_grid(p, inequality):
+    """0, half the cap and the cap on delta, deduplicated and ascending."""
+    cap = min(1.0, p - 1.0) if inequality == "ineq1" else p - 2.0
+    vals = [0.0, 0.5 * cap, cap]
+    return sorted(set(round(v, 12) for v in vals if v >= 0.0))
+
+
+def _check_delta(inequality, p, delta):
+    if inequality == "ineq1":
+        if not 0.0 <= delta <= min(1.0, p - 1.0):
+            raise ValueError(
+                f"delta must lie in [0, min(1, p-1)], got {delta}")
+    elif p >= 2.0 and not 0.0 <= delta <= p - 2.0 + 1e-15:
         raise ValueError(f"delta must lie in [0, p-2], got {delta}")
-    rng = np.random.default_rng(rng_seed)
-    xi, eta = _sample_pairs(n_samples, rng, rexp=_radius_exponent(p))
-    d = xi - eta
-    pairing = np.einsum("ij,ij->i", _power(xi, p) - _power(eta, p), d)
-    diff = np.linalg.norm(d, axis=1)
+
+
+def _sweep(rows, n_samples, rng_seed):
+    """Reports for (inequality, p, delta) rows, in row order.
+
+    The p values are grouped by sampling radius, and each group is
+    evaluated on its own draw, one draw alive at a time.
+    """
+    for inequality, p, delta in rows:
+        _check_delta(inequality, p, delta)
+    groups = {}                      # radius exponent -> p -> row indices
+    for i, (_, p, _) in enumerate(rows):
+        groups.setdefault(_radius_exponent(p), {}).setdefault(p, []).append(i)
+    reports = {}
+    for rexp, by_p in groups.items():
+        reports.update(_sweep_draw(rows, by_p, n_samples, rng_seed, rexp))
+    return [reports[i] for i in range(len(rows))]
+
+
+def _sweep_draw(rows, by_p, n_samples, rng_seed, rexp):
+    """Reports, by row index, for the rows of `by_p` from one draw at rexp.
+
+    The row quantities that do not depend on p are computed once, the
+    power map once per p, and each delta costs only 1-D work.
+    """
+    xi, eta = _sample_pairs(n_samples, np.random.default_rng(rng_seed), rexp)
+    diff = np.linalg.norm(xi - eta, axis=1)
     tot = np.linalg.norm(xi, axis=1) + np.linalg.norm(eta, axis=1)
     keep = (diff > 0) & (tot > 0)
-    assert np.all(pairing[keep] > 0.0), "power-map pairing not strictly positive"
-    lhs = diff[keep]**(2.0 + delta) * tot[keep]**(p - 2.0 - delta)
-    ratio = lhs / pairing[keep]
-    worst = float(np.max(ratio))
-    violations = int(np.sum(lhs > worst * pairing[keep] * (1 + 1e-12)))
-    return InequalityReport(p=p, delta=delta, samples=int(np.sum(keep)),
-                            worst_ratio=worst, violations=violations)
+    samples = int(np.sum(keep))
+    diff, tot = diff[keep], tot[keep]
+    reports = {}
+    for p, idx in by_p.items():
+        lhs, pairing = _power_terms(xi, eta, p)
+        lhs, pairing = lhs[keep], pairing[keep]
+        if any(rows[i][0] == "ineq2" for i in idx) and \
+                not np.all(pairing > 0.0):
+            raise AssertionError(
+                f"power-map pairing not strictly positive at p = {p}: "
+                f"smallest sampled pairing {float(np.min(pairing)):.3e}")
+        for i in idx:
+            inequality, p_row, delta = rows[i]
+            if inequality == "ineq1":
+                num = lhs
+                den = diff**(1.0 - delta) * tot**(p - 2.0 + delta)
+            else:
+                num = diff**(2.0 + delta) * tot**(p - 2.0 - delta)
+                den = pairing
+            worst = float(np.max(num / den))
+            violations = int(np.sum(num > worst * den * (1 + 1e-12)))
+            reports[i] = InequalityReport(
+                inequality=inequality, p=p_row, delta=delta, samples=samples,
+                worst_ratio=worst, violations=violations)
+    return reports
+
+
+def _power_terms(xi, eta, p):
+    """|P(xi) - P(eta)| and (P(xi) - P(eta)).(xi - eta) rowwise, P = _power.
+
+    Evaluated _BLOCK_ROWS rows at a time, so no (n, 3) power-map
+    temporary is made; both are per-row reductions, so the blocking
+    does not change a bit of the result.
+    """
+    n = xi.shape[0]
+    norm = np.empty(n)
+    pairing = np.empty(n)
+    for s in range(0, n, _BLOCK_ROWS):
+        x, e = xi[s:s + _BLOCK_ROWS], eta[s:s + _BLOCK_ROWS]
+        dp = _power(x, p) - _power(e, p)
+        norm[s:s + _BLOCK_ROWS] = np.linalg.norm(dp, axis=1)
+        pairing[s:s + _BLOCK_ROWS] = np.einsum("ij,ij->i", dp, x - e)
+    return norm, pairing
 
 
 # ---------------------------------------------------------------------------

@@ -83,11 +83,6 @@ def eval_basis(geom, lam):
     return out if nq > 1 else out[:, 0]
 
 
-def eval_curl(geom):
-    """Constant curls of the 6 local edge functions, shape (T, 6, 3)."""
-    return geom.curls
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Simplex quadrature in barycentric coordinates.

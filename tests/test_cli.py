@@ -79,6 +79,22 @@ def test_verify_seeded_rerun_identical(tmp_path):
         (b / "inequalities.csv").read_bytes()
 
 
+def test_verify_csv_rows_equal_single_calls(tmp_path):
+    from pcurlcurl.verify import check_ineq1, check_ineq2
+    out = tmp_path / "v"
+    assert main(["verify", "--out_dir", str(out), "--n_samples", "3000",
+                 "--divisions", "2,2,2", "--green_levels", "2",
+                 "--p_grid", "2,50,3", "--seed", "4"]) == 0
+    rows = read_csv(out / "inequalities.csv")
+    assert len(rows) == 16
+    for row in rows:
+        check = check_ineq1 if row["inequality"] == "ineq1" else check_ineq2
+        r = check(float(row["p"]), float(row["delta"]), 3000, rng_seed=4)
+        assert (int(row["samples"]), float(row["worst_ratio"]),
+                int(row["violations"])) == \
+            (r.samples, r.worst_ratio, r.violations)
+
+
 def test_friedrich_command(tmp_path):
     out = tmp_path / "f"
     rc = main(["friedrich", "--out_dir", str(out), "--levels", "2,4,8"])

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from pcurlcurl import verify
 from pcurlcurl.assembly import EdgeField, assemble_gradient_map, curl_per_tet
 from pcurlcurl.mesh import build_box_mesh
 from pcurlcurl.verify import (check_green_formulas, check_ineq1, check_ineq2,
-                              default_smooth_pair, extract_scalar_potential,
-                              friedrich_constant, SmoothFieldPair)
+                              check_inequalities, default_smooth_pair,
+                              extract_scalar_potential, friedrich_constant,
+                              SmoothFieldPair)
 
 PI = np.pi
 
@@ -96,6 +98,78 @@ def test_delta_range_validation():
         check_ineq1(3.0, 1.5, 10)      # delta > 1 blows up as eta -> xi
     with pytest.raises(ValueError):
         check_ineq2(4.0, 2.5, 10)      # delta > p-2
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_sweep_equals_single_calls(seed):
+    # p = 50 samples at a smaller radius than the rest: a second draw
+    grid = [2, 3, 4, 6, 10, 50]
+    reps = check_inequalities(grid, 20000, rng_seed=seed)
+    assert [(r.inequality, r.p) for r in reps] == [
+        (q, p) for p in grid for q in ("ineq1", "ineq2")
+        for _ in verify._delta_grid(p, q)]
+    assert len(reps) == 4 + 6 * 5
+    for r in reps:
+        check = check_ineq1 if r.inequality == "ineq1" else check_ineq2
+        assert r == check(r.p, r.delta, 20000, rng_seed=seed)
+        assert r.violations == 0
+
+
+def test_sweep_draws_once_per_radius(monkeypatch):
+    radii = []
+    draw = verify._sample_pairs
+
+    def counting(n, rng, rexp=6.0):
+        radii.append(rexp)
+        return draw(n, rng, rexp)
+
+    monkeypatch.setattr(verify, "_sample_pairs", counting)
+    assert len(check_inequalities([2.0, 3.0, 4.0, 6.0, 10.0], 2000)) == 28
+    assert radii == [6.0]
+    radii.clear()
+    reps = check_inequalities([2.0, 50.0, 3.0], 2000)
+    assert radii == [6.0, verify._radius_exponent(50.0)] and radii[1] < 6.0
+    assert [r.p for r in reps] == [2.0] * 4 + [50.0] * 6 + [3.0] * 6
+
+
+def _unblocked(inequality, p, delta, n, seed):
+    """Both checks on full (n, 3) arrays, written out without blocking."""
+    xi, eta = verify._sample_pairs(n, np.random.default_rng(seed),
+                                   rexp=verify._radius_exponent(p))
+    dp = verify._power(xi, p) - verify._power(eta, p)
+    diff = np.linalg.norm(xi - eta, axis=1)
+    tot = np.linalg.norm(xi, axis=1) + np.linalg.norm(eta, axis=1)
+    keep = (diff > 0) & (tot > 0)
+    if inequality == "ineq1":
+        num = np.linalg.norm(dp, axis=1)[keep]
+        den = diff[keep]**(1.0 - delta) * tot[keep]**(p - 2.0 + delta)
+    else:
+        num = diff[keep]**(2.0 + delta) * tot[keep]**(p - 2.0 - delta)
+        den = np.einsum("ij,ij->i", dp, xi - eta)[keep]
+    worst = float(np.max(num / den))
+    return (int(np.sum(keep)), worst,
+            int(np.sum(num > worst * den * (1 + 1e-12))))
+
+
+@pytest.mark.parametrize("n, block", [(1000, None), (1000, 300),
+                                      (verify._BLOCK_ROWS + 5, None)])
+def test_sweep_block_boundaries(monkeypatch, n, block):
+    # fewer rows than one block, and row counts that are not a multiple
+    if block is not None:
+        monkeypatch.setattr(verify, "_BLOCK_ROWS", block)
+    for r in check_inequalities([3.0, 10.0], n, rng_seed=2):
+        assert (r.samples, r.worst_ratio, r.violations) == \
+            _unblocked(r.inequality, r.p, r.delta, n, 2)
+
+
+def test_nonmonotone_map_is_rejected(monkeypatch):
+    monkeypatch.setattr(verify, "_power", lambda v, p: -v)
+    with pytest.raises(AssertionError, match="smallest sampled pairing"):
+        check_ineq2(3.0, 0.0, 1000)
+    with pytest.raises(AssertionError, match="smallest sampled pairing"):
+        check_inequalities([3.0], 1000)
+    # the difference bound certifies no monotonicity
+    assert check_ineq1(3.0, 0.0, 1000).violations == 0
 
 
 # -- Friedrich constant ------------------------------------------------------
