@@ -12,7 +12,7 @@ constant, Green identities, scalar potentials).
 from .assembly import (EdgeField, NodalField, PExponent, assemble_gradient_map,
                        assemble_jacobian, assemble_load, assemble_residual,
                        edge_interpolate, lp_norm_curl, lp_norm_field, power_map)
-from .helmholtz import DivFreeProjector, edge_mass_matrix, project_div_free
+from .helmholtz import DivFreeProjector, edge_mass_matrix
 from .linalg import LinearSolveReport, SparseMatrix, cg, csr_matrix_from_coo
 from .mesh import Mesh, MeshError, build_box_mesh, classify_boundary
 from .mms import ManufacturedCase, case_general_p, case_p2_sine, measure_error
@@ -36,7 +36,7 @@ __all__ = [
     "cg", "csr_matrix_from_coo",
     "power_map", "assemble_residual", "assemble_jacobian",
     "assemble_gradient_map", "assemble_load", "edge_interpolate",
-    "lp_norm_curl", "lp_norm_field", "edge_mass_matrix", "project_div_free",
+    "lp_norm_curl", "lp_norm_field", "edge_mass_matrix",
     "energy", "solve", "case_p2_sine", "case_general_p", "measure_error",
     "check_ineq1", "check_ineq2", "check_inequalities", "friedrich_constant",
     "check_green_formulas", "default_smooth_pair", "extract_scalar_potential",

@@ -120,15 +120,17 @@ def power_map_derivative(g, p: PExponent):
 
 
 def curl_per_tet(u: EdgeField, geom=None):
-    """Constant curl vector of the edge field on each tet, shape (T, 3)."""
+    """Constant curl vector of the edge field on each tet, shape (T, 3).
+
+    `geom` defaults to the mesh's cached geometry.
+    """
     mesh = u.mesh
-    if geom is None:
-        geom = whitney.cell_geometry(mesh)
+    curls = (mesh.geometry if geom is None else geom).curls
     local = u.coeffs[mesh.tet_edges] * mesh.tet_edge_signs
-    return np.einsum("te,tec->tc", local, geom.curls)
+    return np.einsum("te,tec->tc", local, curls)
 
 
-def assemble_residual(u: EdgeField, load, p: PExponent, geom=None):
+def assemble_residual(u: EdgeField, load, p: PExponent):
     """Residual over free edges: power-law curl term minus the load.
 
     `load` is the assembled load vector over free edges (see
@@ -138,9 +140,8 @@ def assemble_residual(u: EdgeField, load, p: PExponent, geom=None):
     if not np.all(np.isfinite(u.coeffs)):
         raise ValueError("edge field contains non-finite coefficients")
     mesh = u.mesh
-    if geom is None:
-        geom = whitney.cell_geometry(mesh)
-    g = curl_per_tet(u, geom)
+    geom = mesh.geometry
+    g = curl_per_tet(u)
     flux = power_map(g, p) * geom.vols[:, None]
     per_edge = np.einsum("tc,tec->te", flux, geom.curls) * mesh.tet_edge_signs
     out = np.zeros(mesh.num_edges)
@@ -148,16 +149,15 @@ def assemble_residual(u: EdgeField, load, p: PExponent, geom=None):
     return out[mesh.free_edges()] - load
 
 
-def assemble_jacobian(u: EdgeField, p: PExponent, geom=None):
+def assemble_jacobian(u: EdgeField, p: PExponent):
     """Gateaux derivative of the residual, CSR over free x free edges.
 
     Symmetric positive semidefinite for p >= 2; equals the p = 2
     curl-curl stiffness matrix (independent of u) when p = 2.
     """
     mesh = u.mesh
-    if geom is None:
-        geom = whitney.cell_geometry(mesh)
-    g = curl_per_tet(u, geom)
+    geom = mesh.geometry
+    g = curl_per_tet(u)
     D = power_map_derivative(g, p)                      # (T, 3, 3)
     signed = geom.curls * mesh.tet_edge_signs[:, :, None]
     blocks = np.einsum("t,tec,tcd,tfd->tef", geom.vols, signed, D, signed,
@@ -165,10 +165,9 @@ def assemble_jacobian(u: EdgeField, p: PExponent, geom=None):
     return _scatter_blocks(mesh, blocks)
 
 
-def stiffness_matrix(mesh: Mesh, geom=None):
+def stiffness_matrix(mesh: Mesh):
     """p = 2 curl-curl stiffness over ALL edges (E x E CSR)."""
-    if geom is None:
-        geom = whitney.cell_geometry(mesh)
+    geom = mesh.geometry
     signed = geom.curls * mesh.tet_edge_signs[:, :, None]
     blocks = np.einsum("t,tec,tfc->tef", geom.vols, signed, signed)
     e = mesh.tet_edges
@@ -212,7 +211,7 @@ def assemble_gradient_map(mesh: Mesh):
                                (mesh.num_edges, interior.size))
 
 
-def assemble_load(S, mesh: Mesh, quad_order=2, geom=None):
+def assemble_load(S, mesh: Mesh, quad_order=2):
     """(S, W_i) over free edges by quadrature for an analytic S.
 
     Args:
@@ -220,8 +219,7 @@ def assemble_load(S, mesh: Mesh, quad_order=2, geom=None):
         quad_order: tet rule order (2 is exact for Whitney-polynomial
             integrands; 4 for smooth analytic loads).
     """
-    if geom is None:
-        geom = whitney.cell_geometry(mesh)
+    geom = mesh.geometry
     rule = whitney.quadrature(quad_order)
     xq = whitney.quad_points_physical(mesh, rule)       # (T, nq, 3)
     Sq = np.asarray(S(xq.reshape(-1, 3)), dtype=float).reshape(xq.shape)
@@ -251,34 +249,23 @@ def edge_interpolate(func, mesh: Mesh, n_gauss=4):
     return EdgeField(mesh, np.einsum("q,eqc,ec->e", w, vals, tang))
 
 
-def lp_norm_curl(u: EdgeField, p, geom=None):
+def lp_norm_curl(u: EdgeField, p):
     """||curl u||_Lp, exact (piecewise-constant integrand)."""
-    if geom is None:
-        geom = whitney.cell_geometry(u.mesh)
-    g = curl_per_tet(u, geom)
-    mag = np.linalg.norm(g, axis=1)
-    return float(np.sum(geom.vols * mag**p) ** (1.0 / p))
+    mag = np.linalg.norm(curl_per_tet(u), axis=1)
+    return float(np.sum(u.mesh.geometry.vols * mag**p) ** (1.0 / p))
 
 
-def lp_norm_field(u: EdgeField, p, quad_order=4, geom=None):
+def lp_norm_field(u: EdgeField, p, quad_order=4):
     """||u||_Lp by quadrature of the Whitney reconstruction."""
-    mesh = u.mesh
-    if geom is None:
-        geom = whitney.cell_geometry(mesh)
     rule = whitney.quadrature(quad_order)
-    W = whitney.eval_basis(geom, rule.points)           # (T, nq, 6, 3)
-    local = u.coeffs[mesh.tet_edges] * mesh.tet_edge_signs
-    vals = np.einsum("te,tqec->tqc", local, W)
-    mag = np.linalg.norm(vals, axis=2)
-    total = np.einsum("t,q,tq->", geom.vols, rule.weights, mag**p)
+    mag = np.linalg.norm(eval_field(u, rule), axis=2)
+    total = np.einsum("t,q,tq->", u.mesh.geometry.vols, rule.weights, mag**p)
     return float(total ** (1.0 / p))
 
 
-def eval_field(u: EdgeField, rule, geom=None):
+def eval_field(u: EdgeField, rule):
     """Whitney reconstruction of u at quadrature points, (T, nq, 3)."""
     mesh = u.mesh
-    if geom is None:
-        geom = whitney.cell_geometry(mesh)
-    W = whitney.eval_basis(geom, rule.points)
+    W = whitney.eval_basis(mesh.geometry, rule.points)
     local = u.coeffs[mesh.tet_edges] * mesh.tet_edge_signs
     return np.einsum("te,tqec->tqc", local, W)

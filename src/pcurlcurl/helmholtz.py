@@ -17,10 +17,9 @@ from .linalg import cg, csr_matrix_from_coo
 from .mesh import Mesh
 
 
-def edge_mass_matrix(mesh: Mesh, geom=None):
+def edge_mass_matrix(mesh: Mesh):
     """Edge-element mass matrix M (E x E, SPD), order-2 quadrature (exact)."""
-    if geom is None:
-        geom = whitney.cell_geometry(mesh)
+    geom = mesh.geometry
     rule = whitney.quadrature(2)
     W = whitney.eval_basis(geom, rule.points)           # (T, nq, 6, 3)
     blocks = np.einsum("q,tqec,tqfc->tef", rule.weights, W, W)
@@ -37,15 +36,20 @@ def edge_mass_matrix(mesh: Mesh, geom=None):
 class DivFreeProjector:
     """Caches M, G and G^T M G for repeated projections on one mesh."""
 
-    def __init__(self, mesh: Mesh, geom=None):
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.M = edge_mass_matrix(mesh, geom)
+        self.M = edge_mass_matrix(mesh)
         self.G = assemble_gradient_map(mesh)
         self.GtM = (self.G.T @ self.M).tocsr()
         self.GtMG = (self.GtM @ self.G).tocsr()
 
     def project(self, u: EdgeField, tol=1e-12, max_iter=None):
-        """Split u into (u0, phi) with G^T M u0 = 0 up to solver tolerance."""
+        """Split u into (u0, phi) with G^T M u0 = 0 up to solver tolerance.
+
+        A pure gradient goes wholly into phi and a divergence-free input
+        comes back unchanged, up to the CG tolerance; the curl is kept
+        exactly, since curl(G phi) = 0 holds edge by edge.
+        """
         rhs = self.GtM @ u.coeffs
         phi_int, report = cg(self.GtMG, rhs, tol=tol, max_iter=max_iter)
         if not report.converged:
@@ -60,16 +64,3 @@ class DivFreeProjector:
     def constraint_norm(self, coeffs):
         """||G^T M u||_2 for raw edge coefficients."""
         return float(np.linalg.norm(self.GtM @ coeffs))
-
-
-def project_div_free(u: EdgeField, tol=1e-12, max_iter=None, projector=None):
-    """Convenience wrapper building the operators per call.
-
-    The gradient part of the split captures pure gradient inputs exactly
-    (up to CG tolerance) and leaves already divergence-free inputs
-    untouched; curl coefficients are preserved identically since
-    curl(G phi) = 0 holds edge-exactly.
-    """
-    if projector is None:
-        projector = DivFreeProjector(u.mesh)
-    return projector.project(u, tol=tol, max_iter=max_iter)

@@ -54,8 +54,6 @@ def _nonneg(x):
 _COMMON = {
     "out_dir": (str, None, "out", "output directory"),
     "seed": (int, _nonneg, 0, "RNG seed"),
-    "threads": (int, lambda v: v == 1, 1,
-                "worker threads (only the deterministic value 1 is supported)"),
 }
 
 _MESH = {
@@ -213,11 +211,10 @@ def write_vtk(path, mesh: Mesh, u: EdgeField, name="field"):
     reconstructed by averaging each adjacent tet's evaluation at the
     vertex. Fixed formatting keeps the file bit-stable across platforms.
     """
-    geom = whitney.cell_geometry(mesh)
-    curls = curl_per_tet(u, geom)
+    curls = curl_per_tet(u)
 
     corners = np.eye(4)
-    W = whitney.eval_basis(geom, corners)               # (T, 4, 6, 3)
+    W = whitney.eval_basis(mesh.geometry, corners)      # (T, 4, 6, 3)
     local = u.coeffs[mesh.tet_edges] * mesh.tet_edge_signs
     at_corners = np.einsum("te,tqec->tqc", local, W)
 

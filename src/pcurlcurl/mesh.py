@@ -10,6 +10,7 @@ of the vertex ordering.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,8 @@ class Mesh:
         boundary_edges: sorted int array of edge indices on the box surface.
         boundary_vertices: sorted int array of vertex indices on the surface.
         box: (origin, extents) pair of float triples.
+        geometry: the whitney.CellGeometry of the tets, computed on first
+            access and cached, with read-only arrays.
 
     Instances are immutable by convention; all arrays are views into
     construction-time buffers and must not be written to.
@@ -61,6 +64,16 @@ class Mesh:
     def num_edges(self):
         return self.edges.shape[0]
 
+    @cached_property
+    def geometry(self):
+        # Lazy: a mesh used only for interpolation or output never pays
+        # for it. The arrays are shared by every caller, hence read-only.
+        from . import whitney
+        geom = whitney.cell_geometry(self)
+        for arr in (geom.vols, geom.grads, geom.curls):
+            arr.flags.writeable = False
+        return geom
+
     def interior_vertices(self):
         """Vertex indices not on the box surface, ascending."""
         mask = np.ones(self.num_vertices, dtype=bool)
@@ -72,6 +85,48 @@ class Mesh:
         mask = np.ones(self.num_edges, dtype=bool)
         mask[self.boundary_edges] = False
         return np.flatnonzero(mask)
+
+    def bfs_tree(self, node, edges, root):
+        """Breadth-first spanning tree of a graph on the mesh vertices.
+
+        Vertex v is graph node node[v] (labels 0..N-1, so a labelling can
+        merge vertices), and the arcs are the mesh edges listed in
+        `edges`. Each level visits its nodes in ascending order and each
+        node's arcs in `edges` order, lo-end arcs first; a node's tree
+        edge is the first arc that reaches it.
+
+        Returns:
+            One (via, parent, child) triple of arrays per level below
+            `root`: positions in `edges` of the level's tree edges, and
+            the nodes they leave and reach.
+        """
+        ends = node[self.edges[edges]]
+        src = np.concatenate([ends[:, 0], ends[:, 1]])
+        dst = np.concatenate([ends[:, 1], ends[:, 0]])
+        eid = np.tile(np.arange(len(edges)), 2)
+        order = np.argsort(src, kind="stable")
+        dst, eid = dst[order], eid[order]
+        nnode = int(node.max(initial=root)) + 1
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=nnode))])
+
+        seen = np.zeros(nnode, dtype=bool)
+        seen[root] = True
+        frontier = np.array([root])
+        levels = []
+        while True:
+            starts = indptr[frontier]
+            counts = indptr[frontier + 1] - starts
+            offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+            slots = offsets + np.arange(counts.sum())
+            nbr, via = dst[slots], eid[slots]
+            parent = np.repeat(frontier, counts)
+            new = ~seen[nbr]
+            child, first = np.unique(nbr[new], return_index=True)
+            if not child.size:
+                return levels
+            seen[child] = True
+            levels.append((via[new][first], parent[new][first], child))
+            frontier = child
 
     # -- construction helpers ---------------------------------------------
 

@@ -103,21 +103,19 @@ def case_general_p(p):
                                   "the curl (handled by the explicit limit)")
 
 
-def measure_error(u_h: EdgeField, case: ManufacturedCase, quad_order=4,
-                  geom=None):
+def measure_error(u_h: EdgeField, case: ManufacturedCase, quad_order=4):
     """(||u_h - u*||_L2, ||curl u_h - curl u*||_Lp) by quadrature."""
     mesh = u_h.mesh
-    if geom is None:
-        geom = whitney.cell_geometry(mesh)
+    geom = mesh.geometry
     rule = whitney.quadrature(quad_order)
     xq = whitney.quad_points_physical(mesh, rule)
 
-    vals = eval_field(u_h, rule, geom)
+    vals = eval_field(u_h, rule)
     exact = np.asarray(case.u_exact(xq.reshape(-1, 3))).reshape(xq.shape)
     diff = np.linalg.norm(vals - exact, axis=2)
     l2 = np.sqrt(np.einsum("t,q,tq->", geom.vols, rule.weights, diff**2))
 
-    g_h = curl_per_tet(u_h, geom)                       # (T, 3), constant
+    g_h = curl_per_tet(u_h)                             # (T, 3), constant
     gex = np.asarray(case.curl_exact(xq.reshape(-1, 3))).reshape(xq.shape)
     cdiff = np.linalg.norm(g_h[:, None, :] - gex, axis=2)
     p = case.p

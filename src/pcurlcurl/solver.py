@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import whitney
 from .assembly import (EdgeField, NodalField, PExponent, assemble_jacobian,
                        assemble_load, assemble_residual, curl_per_tet)
 from .helmholtz import DivFreeProjector
@@ -129,19 +128,22 @@ class SolveReport:
         return sum(s.newton_iterations for s in self.stages)
 
 
-def energy(u: EdgeField, load, p: PExponent, geom=None):
+def energy(u: EdgeField, load, p: PExponent):
     """J(u) = (1/p) int (eps^2 + |curl u|^2)^(p/2) - load . u_free.
 
     Uses the same regularized integrand as the residual, so its Gateaux
     derivative is exactly assemble_residual.
     """
-    mesh = u.mesh
-    if geom is None:
-        geom = whitney.cell_geometry(mesh)
-    g = curl_per_tet(u, geom)
+    bulk, pairing = _energy_terms(u, load, p)
+    return float(bulk - pairing)
+
+
+def _energy_terms(u, load, p):
+    """The two terms of the energy: the bulk integral and the load pairing."""
+    g = curl_per_tet(u)
     msq = p.eps**2 + np.sum(g * g, axis=1)
-    bulk = np.sum(geom.vols * np.power(msq, 0.5 * p.p)) / p.p
-    return float(bulk - load @ u.coeffs[mesh.free_edges()])
+    bulk = np.sum(u.mesh.geometry.vols * np.power(msq, 0.5 * p.p)) / p.p
+    return bulk, load @ u.coeffs[u.mesh.free_edges()]
 
 
 def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
@@ -161,15 +163,14 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
     t0 = time.perf_counter()
     if config is None:
         config = SolveConfig()
-    geom = whitney.cell_geometry(mesh)
-    proj = DivFreeProjector(mesh, geom)
+    proj = DivFreeProjector(mesh)
     free = mesh.free_edges()
     nint = mesh.interior_vertices().size
 
     if isinstance(S, EdgeField):
         load = (proj.M @ S.coeffs)[free]
     else:
-        load = assemble_load(S, mesh, quad_order=config.quad_order, geom=geom)
+        load = assemble_load(S, mesh, quad_order=config.quad_order)
 
     # Remove the load component that pairs with gradients: it cannot be
     # balanced by the curl term, and without it the energy is invariant
@@ -208,11 +209,11 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
             eps_list = [rel * curl_scale for rel in dedup]
         for eps in eps_list:
             pexp = PExponent(p=p_val, eps=eps)
-            u, r1, rec = _newton_stage(mesh, geom, proj, B, free, cotree, u,
-                                       load, load_scale, pexp, config)
+            u, r1, rec = _newton_stage(proj, B, free, cotree, u, load,
+                                       load_scale, pexp, config)
             report.stages.append(rec)
         # Scale subsequent regularizations by the current solution size.
-        g = curl_per_tet(u, geom)
+        g = curl_per_tet(u)
         mx = float(np.max(np.linalg.norm(g, axis=1))) if g.size else 0.0
         if mx > 0:
             curl_scale = mx
@@ -242,38 +243,19 @@ def _spanning_tree(mesh: Mesh):
     ground = interior.size
     node = np.full(mesh.num_vertices, ground)
     node[interior] = np.arange(ground)
-    ends = node[mesh.edges[free]]                       # (nfree, 2)
-    src = np.concatenate([ends[:, 0], ends[:, 1]])
-    dst = np.concatenate([ends[:, 1], ends[:, 0]])
-    eid = np.tile(np.arange(free.size), 2)
-    order = np.argsort(src, kind="stable")
-    dst, eid = dst[order], eid[order]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=ground + 1))])
-
-    seen = np.zeros(ground + 1, dtype=bool)
-    seen[ground] = True
-    frontier = np.array([ground])
-    tree = []
-    while frontier.size:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
-        slots = offsets + np.arange(counts.sum())
-        nbr, via = dst[slots], eid[slots]
-        new = ~seen[nbr]
-        frontier, first = np.unique(nbr[new], return_index=True)
-        seen[frontier] = True
-        tree.append(via[new][first])
-    return np.sort(np.concatenate(tree))
+    on_tree = np.zeros(free.size, dtype=bool)
+    for via, _, _ in mesh.bfs_tree(node, free, ground):
+        on_tree[via] = True
+    return np.flatnonzero(on_tree)
 
 
-def _newton_stage(mesh, geom, proj, B, free, cotree, u, load, load_scale,
-                  pexp, config):
+def _newton_stage(proj, B, free, cotree, u, load, load_scale, pexp, config):
     """Run damped Newton at fixed (p, eps); returns (u, residual, record)."""
+    mesh = u.mesh
     maxit = config.linear_maxit or 20 * cotree.size
 
     def kkt(u_field):
-        r1 = assemble_residual(u_field, load, pexp, geom)
+        r1 = assemble_residual(u_field, load, pexp)
         r2 = B @ u_field.coeffs[free]
         return r1, r2
 
@@ -282,13 +264,13 @@ def _newton_stage(mesh, geom, proj, B, free, cotree, u, load, load_scale,
     denom = max(load_scale, res0, np.finfo(float).tiny)
     rec = StageRecord(p=pexp.p, eps=pexp.eps, newton_iterations=0,
                       final_residual=res0 / denom)
-    rec.energy_history.append(energy(u, load, pexp, geom))
+    rec.energy_history.append(energy(u, load, pexp))
     rec.constraint_history.append(_constraint_measure(proj, u))
 
     for it in range(1, config.max_newton + 1):
         if np.sqrt(r1 @ r1 + r2 @ r2) <= config.newton_tol * denom:
             break
-        A = assemble_jacobian(u, pexp, geom)[cotree][:, cotree]
+        A = assemble_jacobian(u, pexp)[cotree][:, cotree]
         diag = A.diagonal()
         if not np.all(diag > 0):
             raise SolverError(
@@ -311,7 +293,8 @@ def _newton_stage(mesh, geom, proj, B, free, cotree, u, load, load_scale,
         # Near the minimum the true decrease ~|r|^2 drops below float64
         # rounding of J itself; the floor keeps Armijo from rejecting
         # full Newton steps it cannot measure.
-        J_floor = 64.0 * np.finfo(float).eps * _energy_scale(u, load, pexp, geom)
+        bulk, pairing = _energy_terms(u, load, pexp)
+        J_floor = 64.0 * np.finfo(float).eps * (bulk + abs(pairing) + 1.0)
         t = 1.0
         accepted = False
         for _ in range(config.ls_max + 1):
@@ -321,7 +304,7 @@ def _newton_stage(mesh, geom, proj, B, free, cotree, u, load, load_scale,
             # At large p a long trial step can overflow J to inf, which
             # rejects it like any other increase.
             with np.errstate(over="ignore"):
-                J_try = energy(u_try, load, pexp, geom)
+                J_try = energy(u_try, load, pexp)
             if J_try <= J0 + 1e-4 * t * min(slope, 0.0) + J_floor:
                 accepted = True
                 break
@@ -346,14 +329,6 @@ def _newton_stage(mesh, geom, proj, B, free, cotree, u, load, load_scale,
 
     rec.final_residual = float(np.sqrt(r1 @ r1 + r2 @ r2)) / denom
     return u, r1, rec
-
-
-def _energy_scale(u, load, pexp, geom):
-    """Magnitude of the terms summed in the energy (rounding reference)."""
-    g = curl_per_tet(u, geom)
-    msq = pexp.eps**2 + np.sum(g * g, axis=1)
-    bulk = np.sum(geom.vols * np.power(msq, 0.5 * pexp.p)) / pexp.p
-    return bulk + abs(load @ u.coeffs[u.mesh.free_edges()]) + 1.0
 
 
 def _constraint_measure(proj, u):

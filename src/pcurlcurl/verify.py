@@ -296,12 +296,13 @@ def friedrich_constant(meshes, p, seed=0, eig_tol=1e-10, max_eig_iter=200,
     levels = []
     for mesh in meshes:
         levels.append(tuple(int(round(e)) for e in _divisions_of(mesh)))
-        u2, c2 = _friedrich_p2(mesh, seed=seed, tol=eig_tol,
+        proj = DivFreeProjector(mesh)
+        u2, c2 = _friedrich_p2(proj, seed=seed, tol=eig_tol,
                                max_iter=max_eig_iter)
         if p == 2.0:
             constants.append(c2)
         else:
-            constants.append(_friedrich_ascent(mesh, u2, p, ascent_iter))
+            constants.append(_friedrich_ascent(proj, u2, p, ascent_iter))
     extrap = constants[-1]
     if len(constants) >= 2:
         extrap = constants[-1] + (constants[-1] - constants[-2]) / 3.0
@@ -318,19 +319,19 @@ def _divisions_of(mesh):
     return counts
 
 
-def _friedrich_p2(mesh, seed, tol, max_iter, block=6):
+def _friedrich_p2(proj, seed, tol, max_iter, block=6):
     """Smallest constrained curl-curl eigenvalue, blocked inverse iteration.
 
     The lowest cavity eigenvalue has multiplicity 3 in the continuum and
     splits into a tight discrete cluster, so single-vector iteration
     stalls; a small Rayleigh-Ritz block separates the cluster cleanly.
     Every sweep re-projects onto the divergence-free complement, which
-    removes the gradient kernel of the stiffness.
+    removes the gradient kernel of the stiffness. `proj` is the mesh's
+    DivFreeProjector.
     """
-    geom = whitney.cell_geometry(mesh)
-    proj = DivFreeProjector(mesh, geom)
+    mesh = proj.mesh
     free = mesh.free_edges()
-    K = stiffness_matrix(mesh, geom)[free][:, free].tocsr()
+    K = stiffness_matrix(mesh)[free][:, free].tocsr()
     M = proj.M[free][:, free].tocsr()
     block = min(block, free.size)
 
@@ -380,19 +381,19 @@ def _ritz(Kz, Mz):
     return w, Li.T @ V
 
 
-def _friedrich_ascent(mesh, u_start, p, iters):
+def _friedrich_ascent(proj, u_start, p, iters):
     """Projected ascent on the Lp norm ratio; returns a lower bound."""
-    geom = whitney.cell_geometry(mesh)
-    proj = DivFreeProjector(mesh, geom)
+    mesh = proj.mesh
+    geom = mesh.geometry
     free = mesh.free_edges()
     rule = whitney.quadrature(4)
     u = EdgeField(mesh, u_start.coeffs.copy())
 
     def ratio_and_grad(uf):
-        num = lp_norm_field(uf, p, geom=geom)
-        den = lp_norm_curl(uf, p, geom=geom)
+        num = lp_norm_field(uf, p)
+        den = lp_norm_curl(uf, p)
         # gradient of log(num/den) in the free coefficients
-        vals = eval_field(uf, rule, geom)               # (T, nq, 3)
+        vals = eval_field(uf, rule)                     # (T, nq, 3)
         mag = np.linalg.norm(vals, axis=2)
         W = whitney.eval_basis(geom, rule.points)
         wf = np.power(mag, p - 2.0)[:, :, None] * vals
@@ -400,7 +401,7 @@ def _friedrich_ascent(mesh, u_start, p, iters):
         gn *= uf.mesh.tet_edge_signs
         grad_num = np.zeros(uf.mesh.num_edges)
         np.add.at(grad_num, uf.mesh.tet_edges.ravel(), gn.ravel())
-        g = curl_per_tet(uf, geom)
+        g = curl_per_tet(uf)
         gmag = np.linalg.norm(g, axis=1)
         flux = (geom.vols * np.power(gmag, p - 2.0))[:, None] * g
         gd = np.einsum("tc,tec->te", flux, geom.curls) * uf.mesh.tet_edge_signs
@@ -415,7 +416,7 @@ def _friedrich_ascent(mesh, u_start, p, iters):
         trial = EdgeField(mesh)
         trial.coeffs[free] = u.coeffs[free] + step * grad / max(np.linalg.norm(grad), 1e-300)
         trial, _ = proj.project(trial, tol=1e-12)
-        trial.coeffs /= lp_norm_curl(trial, p, geom=geom)
+        trial.coeffs /= lp_norm_curl(trial, p)
         r_try, g_try = ratio_and_grad(trial)
         if r_try > best:
             u, best, grad = trial, r_try, g_try
@@ -507,10 +508,9 @@ def check_green_formulas(mesh: Mesh, pair: SmoothFieldPair, quad_order=4):
     Both sides are integrated with rules of the given order; residuals
     shrink at the quadrature rate under refinement.
     """
-    geom = whitney.cell_geometry(mesh)
     rule = whitney.quadrature(quad_order)
     xq = whitney.quad_points_physical(mesh, rule).reshape(-1, 3)
-    wvol = np.repeat(geom.vols[:, None], rule.weights.size, axis=1) \
+    wvol = np.repeat(mesh.geometry.vols[:, None], rule.weights.size, axis=1) \
         * rule.weights[None, :]
     wvol = wvol.ravel()
 
@@ -545,9 +545,9 @@ def extract_scalar_potential(u: EdgeField, curl_tol=1e-12, closure_tol=1e-10):
     """Potential phi with G phi = u, fixed by mean-zero normalization.
 
     Integrates edge values along a breadth-first spanning tree of the
-    vertex graph; discrete curl-freeness guarantees closure on the
-    remaining edges, which is checked explicitly. Deterministic for a
-    fixed mesh.
+    vertex graph (`Mesh.bfs_tree`), one level at a time; discrete
+    curl-freeness guarantees closure on the remaining edges, which is
+    checked explicitly. Deterministic for a fixed mesh.
 
     Curl-freeness is checked on the circulation around every tet face
     (the signed sum of its three edge coefficients), relative to the
@@ -571,30 +571,18 @@ def extract_scalar_potential(u: EdgeField, curl_tol=1e-12, closure_tol=1e-10):
             f"field is not curl-free: max face circulation {worst:.3e} "
             f"against coefficient scale {scale:.3e}")
 
-    adj = [[] for _ in range(mesh.num_vertices)]
-    for eid, (lo, hi) in enumerate(mesh.edges):
-        adj[lo].append((hi, eid, 1.0))
-        adj[hi].append((lo, eid, -1.0))
-
+    lo, hi = mesh.edges[:, 0], mesh.edges[:, 1]
     phi = np.zeros(mesh.num_vertices)
-    seen = np.zeros(mesh.num_vertices, dtype=bool)
     tree_edge = np.zeros(mesh.num_edges, dtype=bool)
-    queue = [0]
-    seen[0] = True
-    while queue:
-        nxt = []
-        for v0 in queue:
-            for v1, eid, sgn in adj[v0]:
-                if not seen[v1]:
-                    seen[v1] = True
-                    tree_edge[eid] = True
-                    phi[v1] = phi[v0] + sgn * u.coeffs[eid]
-                    nxt.append(v1)
-        queue = nxt
-    if not seen.all():
+    for eid, parent, child in mesh.bfs_tree(np.arange(mesh.num_vertices),
+                                            np.arange(mesh.num_edges), 0):
+        tree_edge[eid] = True
+        # u_e = phi_hi - phi_lo; a level's parents are all set already
+        step = np.where(child == hi[eid], u.coeffs[eid], -u.coeffs[eid])
+        phi[child] = phi[parent] + step
+    if np.count_nonzero(tree_edge) != mesh.num_vertices - 1:
         raise ValueError("mesh vertex graph is disconnected")
 
-    lo, hi = mesh.edges[:, 0], mesh.edges[:, 1]
     closure = np.abs(phi[hi] - phi[lo] - u.coeffs)
     worst = float(closure[~tree_edge].max(initial=0.0))
     if worst > closure_tol:

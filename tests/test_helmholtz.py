@@ -3,8 +3,7 @@ import pytest
 
 from pcurlcurl import whitney
 from pcurlcurl.assembly import EdgeField, assemble_gradient_map, curl_per_tet
-from pcurlcurl.helmholtz import (DivFreeProjector, edge_mass_matrix,
-                                 project_div_free)
+from pcurlcurl.helmholtz import DivFreeProjector, edge_mass_matrix
 from pcurlcurl.mesh import LOCAL_EDGES, Mesh, build_box_mesh
 
 
@@ -65,7 +64,7 @@ def test_projection_kills_gradients():
     G = assemble_gradient_map(mesh)
     psi = rng.standard_normal(G.shape[1])
     u = EdgeField(mesh, G @ psi)
-    u0, phi = project_div_free(u, tol=1e-13)
+    u0, phi = DivFreeProjector(mesh).project(u, tol=1e-13)
     assert np.linalg.norm(u0.coeffs) <= 1e-10 * np.linalg.norm(u.coeffs)
     assert np.allclose(phi.coeffs[mesh.interior_vertices()], psi, atol=1e-10)
 
@@ -112,5 +111,5 @@ def test_projection_preserves_boundary_invariant():
     mesh = build_box_mesh((2, 2, 2))
     rng = np.random.default_rng(5)
     u = EdgeField(mesh, rng.standard_normal(mesh.num_edges)).zero_boundary()
-    u0, _ = project_div_free(u)
+    u0, _ = DivFreeProjector(mesh).project(u)
     assert u0.boundary_ok(tol=0.0)

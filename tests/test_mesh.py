@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pcurlcurl import whitney
 from pcurlcurl.mesh import (MeshError, boundary_faces, build_box_mesh,
                             classify_boundary, tet_volumes)
 from pcurlcurl.assembly import stiffness_matrix
@@ -140,3 +141,31 @@ def test_boundary_faces_close_the_box():
     # unit normals, axis-aligned for a box
     assert np.allclose(np.linalg.norm(normals, axis=1), 1.0)
     assert np.allclose(np.abs(normals).max(axis=1), 1.0)
+
+
+def test_geometry_is_cached_and_read_only():
+    mesh = build_box_mesh((2, 3, 2), extents=(1.0, 2.0, 1.5))
+    geom = mesh.geometry
+    assert mesh.geometry is geom
+    fresh = whitney.cell_geometry(mesh)
+    for name in ("vols", "grads", "curls"):
+        assert np.array_equal(getattr(geom, name), getattr(fresh, name))
+        with pytest.raises(ValueError):
+            getattr(geom, name)[0] = 0.0
+
+
+@pytest.mark.parametrize("divisions", [(1, 1, 1), (3, 3, 3), (4, 3, 5)])
+def test_bfs_tree_spans_vertex_graph_level_by_level(divisions):
+    mesh = build_box_mesh(divisions)
+    depth = np.full(mesh.num_vertices, -1)
+    depth[0] = 0
+    levels = mesh.bfs_tree(np.arange(mesh.num_vertices),
+                           np.arange(mesh.num_edges), 0)
+    for d, (via, parent, child) in enumerate(levels, start=1):
+        assert np.all(depth[parent] == d - 1)       # reached one level earlier
+        assert np.all(depth[child] == -1)           # each vertex reached once
+        depth[child] = d
+        ends = np.sort(np.column_stack([parent, child]), axis=1)
+        assert np.array_equal(mesh.edges[via], ends)
+    assert sum(via.size for via, _, _ in levels) == mesh.num_vertices - 1
+    assert np.all(depth >= 0)

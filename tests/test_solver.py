@@ -161,17 +161,15 @@ def test_newton_matches_projected_gradient_descent():
     # independent route to the same minimizer: plain projected gradient
     # descent on the energy never touches the Jacobian or the saddle
     # system, yet must land on the same discrete solution
-    from pcurlcurl import whitney
     from pcurlcurl.assembly import assemble_load
     from pcurlcurl.helmholtz import DivFreeProjector
     from pcurlcurl.linalg import cg
 
     mesh = build_box_mesh((2, 2, 2), extents=(PI, PI, PI))
-    geom = whitney.cell_geometry(mesh)
-    proj = DivFreeProjector(mesh, geom)
+    proj = DivFreeProjector(mesh)
     free = mesh.free_edges()
     case = case_general_p(4.0)
-    load = assemble_load(case.load, mesh, quad_order=4, geom=geom)
+    load = assemble_load(case.load, mesh, quad_order=4)
     B = proj.GtM[:, free].tocsr()
     phiL, _ = cg(proj.GtMG, proj.G[free].tocsr().T @ load, tol=1e-13)
     load = load - B.T @ phiL
@@ -179,9 +177,9 @@ def test_newton_matches_projected_gradient_descent():
 
     u = EdgeField(mesh)
     alpha = 1.0
-    J = energy(u, load, pe, geom)
+    J = energy(u, load, pe)
     for _ in range(4000):
-        r = assemble_residual(u, load, pe, geom)
+        r = assemble_residual(u, load, pe)
         gnorm = np.linalg.norm(r)
         if gnorm < 1e-8:
             break
@@ -189,7 +187,7 @@ def test_newton_matches_projected_gradient_descent():
             trial = EdgeField(mesh, u.coeffs.copy())
             trial.coeffs[free] -= alpha * r
             trial, _ = proj.project(trial, tol=1e-12)
-            J_try = energy(trial, load, pe, geom)
+            J_try = energy(trial, load, pe)
             if J_try <= J - 1e-4 * alpha * gnorm**2 or alpha < 1e-14:
                 break
             alpha *= 0.5
@@ -199,7 +197,7 @@ def test_newton_matches_projected_gradient_descent():
     u_newton, _, _ = solve(mesh, case.load,
                            SolveConfig(p_target=4.0, p_schedule=[4.0],
                                        eps_schedule=[1e-4]))
-    J_newton = energy(u_newton, load, pe, geom)
+    J_newton = energy(u_newton, load, pe)
     assert J_newton <= J + 1e-10 * (abs(J) + 1.0)
     diff = EdgeField(mesh, u.coeffs - u_newton.coeffs)
     assert lp_norm_curl(diff, 4.0) <= 1e-4 * lp_norm_curl(u_newton, 4.0)
@@ -292,6 +290,47 @@ def test_spanning_tree_one_edge_per_interior_vertex(divisions):
     assert len({find(a) for a in range(interior.size + 1)}) == 1
 
 
+def reference_ground_tree(mesh):
+    """The solver's gauge tree by a plain queue BFS, one level at a time.
+
+    Boundary vertices merge into one ground node, the root. Each level
+    scans its nodes in ascending order and each node's arcs in free-edge
+    order, those where it is the lo end first; a node's tree edge is the
+    first arc that reaches it.
+    """
+    free = mesh.free_edges()
+    interior = mesh.interior_vertices()
+    ground = interior.size
+    node = np.full(mesh.num_vertices, ground)
+    node[interior] = np.arange(ground)
+    ends = node[mesh.edges[free]]
+    arcs = [[] for _ in range(ground + 1)]
+    for k, (a, b) in enumerate(ends):
+        arcs[a].append((b, k))
+    for k, (a, b) in enumerate(ends):
+        arcs[b].append((a, k))
+    seen = {ground}
+    tree = []
+    level = [ground]
+    while level:
+        nxt = []
+        for a in sorted(level):
+            for b, k in arcs[a]:
+                if b not in seen:
+                    seen.add(b)
+                    tree.append(k)
+                    nxt.append(b)
+        level = nxt
+    return np.array(sorted(tree), dtype=np.int64)
+
+
+@pytest.mark.parametrize("divisions", [(1, 1, 1), (2, 2, 2), (3, 3, 3),
+                                       (4, 3, 5), (6, 6, 6)])
+def test_spanning_tree_matches_reference_bfs(divisions):
+    mesh = build_box_mesh(divisions)
+    assert np.array_equal(_spanning_tree(mesh), reference_ground_tree(mesh))
+
+
 def test_tree_gauge_removes_exactly_the_gradient_kernel():
     mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
     free = mesh.free_edges()
@@ -314,6 +353,27 @@ def test_p10_counters_pinned():
     assert rep.total_newton_iterations == 32
     assert rep.final_residual <= 1e-9
     assert max(max(s.constraint_history) for s in rep.stages) <= 1e-8
+
+
+def test_one_cell_geometry_per_mesh(monkeypatch, tmp_path):
+    from pcurlcurl import whitney
+    from pcurlcurl.io import write_vtk
+    from pcurlcurl.mms import measure_error
+    calls = []
+    real = whitney.cell_geometry
+
+    def counting(mesh):
+        calls.append(mesh)
+        return real(mesh)
+
+    monkeypatch.setattr(whitney, "cell_geometry", counting)
+    mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
+    case = case_general_p(4.0)
+    u, _, _ = solve(mesh, case.load, SolveConfig(p_target=4.0))
+    measure_error(u, case)
+    write_vtk(str(tmp_path / "u.vtk"), mesh, u)
+    lp_norm_curl(u, 4.0)
+    assert len(calls) == 1
 
 
 def test_solve_leaves_scipy_sparse_linalg_unimported():

@@ -177,13 +177,11 @@ def test_nonmonotone_map_is_rejected(monkeypatch):
 def dense_constrained_eigenvalue(mesh):
     """Oracle: smallest eigenvalue of the projected pencil, dense SVD basis."""
     import scipy.linalg as sla
-    from pcurlcurl import whitney
     from pcurlcurl.assembly import stiffness_matrix
     from pcurlcurl.helmholtz import DivFreeProjector
-    geom = whitney.cell_geometry(mesh)
-    proj = DivFreeProjector(mesh, geom)
+    proj = DivFreeProjector(mesh)
     free = mesh.free_edges()
-    K = stiffness_matrix(mesh, geom)[free][:, free].toarray()
+    K = stiffness_matrix(mesh)[free][:, free].toarray()
     M = proj.M[free][:, free].toarray()
     C = proj.GtM[:, free].toarray()
     _, s, Vt = np.linalg.svd(C)
@@ -225,8 +223,10 @@ def test_friedrich_dilation_scaling():
 def test_friedrich_p4_lower_bound_exceeds_start():
     meshes = [build_box_mesh((2, 2, 2), extents=(PI, PI, PI))]
     from pcurlcurl.assembly import lp_norm_curl, lp_norm_field
+    from pcurlcurl.helmholtz import DivFreeProjector
     from pcurlcurl.verify import _friedrich_p2
-    u2, _ = _friedrich_p2(meshes[0], seed=0, tol=1e-10, max_iter=200)
+    u2, _ = _friedrich_p2(DivFreeProjector(meshes[0]), seed=0, tol=1e-10,
+                          max_iter=200)
     start = lp_norm_field(u2, 4.0) / lp_norm_curl(u2, 4.0)
     rep = friedrich_constant(meshes, 4.0)
     assert rep.lower_bound_only
@@ -238,8 +238,8 @@ def test_friedrich_maximizer_is_divergence_free_with_curl():
     from pcurlcurl.helmholtz import DivFreeProjector
     from pcurlcurl.verify import _friedrich_p2
     mesh = build_box_mesh((2, 2, 2), extents=(PI, PI, PI))
-    u, _ = _friedrich_p2(mesh, seed=0, tol=1e-10, max_iter=200)
     proj = DivFreeProjector(mesh)
+    u, _ = _friedrich_p2(proj, seed=0, tol=1e-10, max_iter=200)
     num = proj.constraint_norm(u.coeffs)
     assert num <= 1e-8 * np.linalg.norm(u.coeffs)
     assert np.abs(curl_per_tet(u)).max() > 0.01     # gradients are excluded
@@ -388,3 +388,12 @@ def test_potential_closure_check_catches_inconsistency():
     u = EdgeField(mesh, coeffs)
     with pytest.raises(ValueError, match="closure"):
         extract_scalar_potential(u, curl_tol=1e-3, closure_tol=1e-10)
+
+
+def test_potential_rejects_disconnected_mesh():
+    from pcurlcurl.mesh import Mesh
+    corner = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
+    mesh = Mesh(np.vstack([corner, corner + 2.0]),
+                np.array([[0, 1, 2, 3], [4, 5, 6, 7]]), ((0, 0, 0), (3, 3, 3)))
+    with pytest.raises(ValueError, match="disconnected"):
+        extract_scalar_potential(EdgeField(mesh))
