@@ -20,7 +20,10 @@ import numpy as np
 
 from . import whitney
 from .linalg import csr_matrix_from_coo
-from .mesh import Mesh
+from .mesh import LOCAL_EDGES, Mesh
+
+# Local vertex slots (i, j) of each local edge, as index arrays.
+_EDGE_I, _EDGE_J = np.array(LOCAL_EDGES).T
 
 
 @dataclass(frozen=True)
@@ -169,7 +172,7 @@ def stiffness_matrix(mesh: Mesh):
     """p = 2 curl-curl stiffness over ALL edges (E x E CSR)."""
     geom = mesh.geometry
     signed = geom.curls * mesh.tet_edge_signs[:, :, None]
-    blocks = np.einsum("t,tec,tfc->tef", geom.vols, signed, signed)
+    blocks = (geom.vols[:, None, None] * signed) @ signed.transpose(0, 2, 1)
     e = mesh.tet_edges
     rows = np.repeat(e, 6, axis=1).ravel()
     cols = np.tile(e, (1, 6)).ravel()
@@ -219,19 +222,31 @@ def assemble_load(S, mesh: Mesh, quad_order=2):
         quad_order: tet rule order (2 is exact for Whitney-polynomial
             integrands; 4 for smooth analytic loads).
     """
-    geom = mesh.geometry
     rule = whitney.quadrature(quad_order)
     xq = whitney.quad_points_physical(mesh, rule)       # (T, nq, 3)
     Sq = np.asarray(S(xq.reshape(-1, 3)), dtype=float).reshape(xq.shape)
     if not np.all(np.isfinite(Sq)):
         raise ValueError("load function returned non-finite values")
-    W = whitney.eval_basis(geom, rule.points)           # (T, nq, 6, 3)
-    per_edge = np.einsum("q,tqc,tqec->te", rule.weights, Sq, W)
-    per_edge *= geom.vols[:, None]
+    return edge_moments(mesh, rule, Sq)[mesh.free_edges()]
+
+
+def edge_moments(mesh: Mesh, rule, values):
+    """(F, W_e) for every global edge e, shape (E,), by quadrature.
+
+    `values` (T, nq, 3) holds F at the points of `rule`. With
+    B_i = vol sum_q w_q lam_qi F_q, the moment against the local edge
+    (i, j) is B_i . grad(lam_j) - B_j . grad(lam_i): the transpose of
+    `vertex_vectors`, with no per-point basis array.
+    """
+    geom = mesh.geometry
+    B = (rule.weights * rule.points.T) @ values         # (T, 4, 3)
+    B *= geom.vols[:, None, None]
+    P = B @ geom.grads.transpose(0, 2, 1)               # P_ij = B_i . grad lam_j
+    per_edge = P[:, _EDGE_I, _EDGE_J] - P[:, _EDGE_J, _EDGE_I]
     per_edge *= mesh.tet_edge_signs
     out = np.zeros(mesh.num_edges)
     np.add.at(out, mesh.tet_edges.ravel(), per_edge.ravel())
-    return out[mesh.free_edges()]
+    return out
 
 
 def edge_interpolate(func, mesh: Mesh, n_gauss=4):
@@ -263,9 +278,22 @@ def lp_norm_field(u: EdgeField, p, quad_order=4):
     return float(total ** (1.0 / p))
 
 
+def vertex_vectors(u: EdgeField):
+    """Per-tet vectors A (T, 4, 3) with u = sum_i lam_i A_i on each tet.
+
+    A = C grad(lam), where C is the antisymmetric 4 x 4 matrix of the
+    tet's signed local coefficients (C_ij = c_(i,j) for i < j): on a tet
+    the Whitney field is linear in the barycentric coordinates, and A_i
+    is its value at vertex i.
+    """
+    mesh = u.mesh
+    local = u.coeffs[mesh.tet_edges] * mesh.tet_edge_signs
+    C = np.zeros((mesh.num_tets, 4, 4))
+    C[:, _EDGE_I, _EDGE_J] = local
+    C[:, _EDGE_J, _EDGE_I] = -local
+    return C @ mesh.geometry.grads
+
+
 def eval_field(u: EdgeField, rule):
     """Whitney reconstruction of u at quadrature points, (T, nq, 3)."""
-    mesh = u.mesh
-    W = whitney.eval_basis(mesh.geometry, rule.points)
-    local = u.coeffs[mesh.tet_edges] * mesh.tet_edge_signs
-    return np.einsum("te,tqec->tqc", local, W)
+    return rule.points @ vertex_vectors(u)

@@ -11,19 +11,39 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import whitney
 from .assembly import EdgeField, NodalField, assemble_gradient_map
 from .linalg import cg, csr_matrix_from_coo
-from .mesh import Mesh
+from .mesh import LOCAL_EDGES, Mesh
+
+
+def _mass_kernel():
+    """Fixed (16, 36) map from a tet's Gram matrix to its mass block.
+
+    With m_ab = int lam_a lam_b / vol = (1 + delta_ab) / 20 and
+    G = grad(lam) grad(lam)^T, the block of local edges (a, b), (c, d) is
+    vol (m_ac G_bd - m_ad G_bc - m_bc G_ad + m_bd G_ac); row 4 x + y of
+    the kernel holds the coefficient of G_xy.
+    """
+    m = (np.ones((4, 4)) + np.eye(4)) / 20.0
+    K = np.zeros((4, 4, 6, 6))
+    for k, (a, b) in enumerate(LOCAL_EDGES):
+        for l, (c, d) in enumerate(LOCAL_EDGES):
+            K[b, d, k, l] += m[a, c]
+            K[b, c, k, l] -= m[a, d]
+            K[a, d, k, l] -= m[b, c]
+            K[a, c, k, l] += m[b, d]
+    return K.reshape(16, 36)
+
+
+_MASS_KERNEL = _mass_kernel()
 
 
 def edge_mass_matrix(mesh: Mesh):
-    """Edge-element mass matrix M (E x E, SPD), order-2 quadrature (exact)."""
+    """Edge-element mass matrix M (E x E, SPD), integrated in closed form."""
     geom = mesh.geometry
-    rule = whitney.quadrature(2)
-    W = whitney.eval_basis(geom, rule.points)           # (T, nq, 6, 3)
-    blocks = np.einsum("q,tqec,tqfc->tef", rule.weights, W, W)
-    blocks *= geom.vols[:, None, None]
+    gram = geom.grads @ geom.grads.transpose(0, 2, 1)   # (T, 4, 4)
+    gram *= geom.vols[:, None, None]
+    blocks = (gram.reshape(-1, 16) @ _MASS_KERNEL).reshape(-1, 6, 6)
     signs = mesh.tet_edge_signs
     blocks *= signs[:, :, None] * signs[:, None, :]
     e = mesh.tet_edges

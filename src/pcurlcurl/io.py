@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import whitney
-from .assembly import EdgeField, curl_per_tet
+from .assembly import EdgeField, curl_per_tet, vertex_vectors
 from .mesh import Mesh
 
 OUTPUT_ROOT_ENV = "PCURLCURL_OUT_ROOT"
@@ -208,15 +207,12 @@ def write_vtk(path, mesh: Mesh, u: EdgeField, name="field"):
     """Legacy ASCII VTK unstructured grid of the edge field.
 
     Cells carry the (piecewise constant) curl; points carry the field
-    reconstructed by averaging each adjacent tet's evaluation at the
-    vertex. Fixed formatting keeps the file bit-stable across platforms.
+    reconstructed by averaging each adjacent tet's value at the vertex,
+    which is that tet's vertex vector. Fixed formatting keeps the file
+    bit-stable across platforms.
     """
     curls = curl_per_tet(u)
-
-    corners = np.eye(4)
-    W = whitney.eval_basis(mesh.geometry, corners)      # (T, 4, 6, 3)
-    local = u.coeffs[mesh.tet_edges] * mesh.tet_edge_signs
-    at_corners = np.einsum("te,tqec->tqc", local, W)
+    at_corners = vertex_vectors(u)                      # (T, 4, 3)
 
     point_vals = np.zeros((mesh.num_vertices, 3))
     counts = np.zeros(mesh.num_vertices)
@@ -226,20 +222,22 @@ def write_vtk(path, mesh: Mesh, u: EdgeField, name="field"):
     point_vals /= counts[:, None]
 
     T = mesh.num_tets
+    vec = f"{FMT} {FMT} {FMT}\n"
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(f"{name}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.num_vertices} double\n")
-        for pnt in mesh.vertices:
-            fh.write(" ".join(FMT % c for c in pnt) + "\n")
+        _write_rows(fh, vec, mesh.vertices)
         fh.write(f"CELLS {T} {5 * T}\n")
-        for tet in mesh.tets:
-            fh.write("4 " + " ".join(str(v) for v in tet) + "\n")
+        _write_rows(fh, "4 %d %d %d %d\n", mesh.tets)
         fh.write(f"CELL_TYPES {T}\n")
         fh.write("\n".join(["10"] * T) + "\n")
         fh.write(f"CELL_DATA {T}\nVECTORS curl double\n")
-        for c in curls:
-            fh.write(" ".join(FMT % x for x in c) + "\n")
+        _write_rows(fh, vec, curls)
         fh.write(f"POINT_DATA {mesh.num_vertices}\nVECTORS {name} double\n")
-        for c in point_vals:
-            fh.write(" ".join(FMT % x for x in c) + "\n")
+        _write_rows(fh, vec, point_vals)
+
+
+def _write_rows(fh, row_fmt, arr):
+    """Write each row of a 2-D array with one %-format for the whole array."""
+    fh.write((row_fmt * arr.shape[0]) % tuple(arr.ravel().tolist()))

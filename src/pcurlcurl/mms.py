@@ -110,14 +110,19 @@ def measure_error(u_h: EdgeField, case: ManufacturedCase, quad_order=4):
     rule = whitney.quadrature(quad_order)
     xq = whitney.quad_points_physical(mesh, rule)
 
-    vals = eval_field(u_h, rule)
-    exact = np.asarray(case.u_exact(xq.reshape(-1, 3))).reshape(xq.shape)
-    diff = np.linalg.norm(vals - exact, axis=2)
-    l2 = np.sqrt(np.einsum("t,q,tq->", geom.vols, rule.weights, diff**2))
+    # one (T, nq, 3) error array at a time, freed before the next
+    err = eval_field(u_h, rule)
+    err -= np.asarray(case.u_exact(xq.reshape(-1, 3))).reshape(xq.shape)
+    sq = np.einsum("tqc,tqc->tq", err, err)
+    del err
+    l2 = np.sqrt(np.einsum("t,q,tq->", geom.vols, rule.weights, sq))
 
     g_h = curl_per_tet(u_h)                             # (T, 3), constant
-    gex = np.asarray(case.curl_exact(xq.reshape(-1, 3))).reshape(xq.shape)
-    cdiff = np.linalg.norm(g_h[:, None, :] - gex, axis=2)
+    cerr = np.asarray(case.curl_exact(xq.reshape(-1, 3))).reshape(xq.shape)
+    del xq
+    cerr -= g_h[:, None, :]
+    cdiff = np.linalg.norm(cerr, axis=2)
+    del cerr
     p = case.p
     curl_err = np.einsum("t,q,tq->", geom.vols, rule.weights, cdiff**p) ** (1.0 / p)
     return float(l2), float(curl_err)

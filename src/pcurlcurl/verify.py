@@ -25,8 +25,8 @@ import numpy as np
 
 from . import whitney
 from .assembly import (EdgeField, NodalField, assemble_gradient_map,
-                       curl_per_tet, eval_field, lp_norm_curl, lp_norm_field,
-                       stiffness_matrix)
+                       curl_per_tet, edge_moments, eval_field, lp_norm_curl,
+                       lp_norm_field, stiffness_matrix)
 from .helmholtz import DivFreeProjector
 from .linalg import cg
 from .mesh import Mesh, boundary_faces
@@ -384,40 +384,17 @@ def _ritz(Kz, Mz):
 def _friedrich_ascent(proj, u_start, p, iters):
     """Projected ascent on the Lp norm ratio; returns a lower bound."""
     mesh = proj.mesh
-    geom = mesh.geometry
     free = mesh.free_edges()
-    rule = whitney.quadrature(4)
     u = EdgeField(mesh, u_start.coeffs.copy())
 
-    def ratio_and_grad(uf):
-        num = lp_norm_field(uf, p)
-        den = lp_norm_curl(uf, p)
-        # gradient of log(num/den) in the free coefficients
-        vals = eval_field(uf, rule)                     # (T, nq, 3)
-        mag = np.linalg.norm(vals, axis=2)
-        W = whitney.eval_basis(geom, rule.points)
-        wf = np.power(mag, p - 2.0)[:, :, None] * vals
-        gn = np.einsum("t,q,tqc,tqec->te", geom.vols, rule.weights, wf, W)
-        gn *= uf.mesh.tet_edge_signs
-        grad_num = np.zeros(uf.mesh.num_edges)
-        np.add.at(grad_num, uf.mesh.tet_edges.ravel(), gn.ravel())
-        g = curl_per_tet(uf)
-        gmag = np.linalg.norm(g, axis=1)
-        flux = (geom.vols * np.power(gmag, p - 2.0))[:, None] * g
-        gd = np.einsum("tc,tec->te", flux, geom.curls) * uf.mesh.tet_edge_signs
-        grad_den = np.zeros(uf.mesh.num_edges)
-        np.add.at(grad_den, uf.mesh.tet_edges.ravel(), gd.ravel())
-        grad = grad_num[free] / num**p - grad_den[free] / den**p
-        return num / den, grad
-
-    best, grad = ratio_and_grad(u)
+    best, grad = _ratio_and_grad(u, p)
     step = 1.0
     for _ in range(iters):
         trial = EdgeField(mesh)
         trial.coeffs[free] = u.coeffs[free] + step * grad / max(np.linalg.norm(grad), 1e-300)
         trial, _ = proj.project(trial, tol=1e-12)
         trial.coeffs /= lp_norm_curl(trial, p)
-        r_try, g_try = ratio_and_grad(trial)
+        r_try, g_try = _ratio_and_grad(trial, p)
         if r_try > best:
             u, best, grad = trial, r_try, g_try
             step *= 1.3
@@ -426,6 +403,28 @@ def _friedrich_ascent(proj, u_start, p, iters):
             if step < 1e-12:
                 break
     return float(best)
+
+
+def _ratio_and_grad(u, p):
+    """||u||_Lp / ||curl u||_Lp and the gradient of its log in the free
+    coefficients."""
+    mesh = u.mesh
+    geom = mesh.geometry
+    rule = whitney.quadrature(4)
+    num = lp_norm_field(u, p)
+    den = lp_norm_curl(u, p)
+    vals = eval_field(u, rule)                          # (T, nq, 3)
+    mag = np.linalg.norm(vals, axis=2)
+    vals *= np.power(mag, p - 2.0)[:, :, None]
+    grad_num = edge_moments(mesh, rule, vals)
+    g = curl_per_tet(u)
+    gmag = np.linalg.norm(g, axis=1)
+    flux = (geom.vols * np.power(gmag, p - 2.0))[:, None] * g
+    gd = np.einsum("tc,tec->te", flux, geom.curls) * mesh.tet_edge_signs
+    grad_den = np.zeros(mesh.num_edges)
+    np.add.at(grad_den, mesh.tet_edges.ravel(), gd.ravel())
+    free = mesh.free_edges()
+    return num / den, grad_num[free] / num**p - grad_den[free] / den**p
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,10 @@ def eval_basis(geom, lam):
         (T, nq, 6, 3) array (nq axis dropped if `lam` was a single point).
         Signs are NOT applied; entry [..., k, :] is W_ij for
         LOCAL_EDGES[k] = (i, j) in the tet's stored vertex order.
+
+    This is the reference definition. The element kernels never build
+    this array: they contract through `assembly.vertex_vectors` and its
+    transpose `assembly.edge_moments`, and the tests compare them to it.
     """
     lam = np.atleast_2d(np.asarray(lam, dtype=float))
     if lam.shape[1] != 4 or np.any(lam < -1e-12) or \
@@ -189,5 +193,4 @@ def gauss_segment(n):
 
 def quad_points_physical(mesh, rule):
     """Physical coordinates of quadrature points, shape (T, nq, 3)."""
-    v = mesh.vertices[mesh.tets]                      # (T, 4, 3)
-    return np.einsum("qi,tix->tqx", rule.points, v)
+    return rule.points @ mesh.vertices[mesh.tets]
