@@ -11,9 +11,9 @@ warm-starting throughout.
 Float64 puts a hard limit on the ladder: the Jacobian weights span
 (gmax/eps)^(p-2), and past roughly 10^20 the Newton linear solves break
 down. The default config therefore floors eps at 10^(-12/(p-2)), and
-each Newton step is a Jacobi-preconditioned CG solve on the cotree
-edges of a spanning-tree gauge. With that, the
-whole range runs out of the box. The solution field flattens toward a
+each Newton step is a Jacobi-preconditioned CG solve on all free edges,
+after the gradient part of its right-hand side has been removed. With
+that, the whole range runs out of the box. The solution field flattens toward a
 |curl| ~ const state as p grows, the signature of the p -> infinity
 (critical-state / Bean) limit.
 """

@@ -48,11 +48,7 @@ def cg(A, b, tol=1e-10, max_iter=None, x0=None, diag=None):
     `max_iter` is reported via the flag, never silently. `diag`, when
     given, is a positive vector d and the iteration is preconditioned
     by D^-1 (Jacobi); the stopping test stays on the unpreconditioned
-    residual. Systems that need it can be singular to working precision,
-    where late iterates drift far from earlier, better ones, so on
-    non-convergence the preconditioned solve returns the iterate with
-    the smallest residual seen. Without `diag` the plain recurrence runs
-    unchanged and returns its last iterate.
+    residual. Without `diag` the plain recurrence runs unchanged.
     """
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
@@ -77,7 +73,6 @@ def cg(A, b, tol=1e-10, max_iter=None, x0=None, diag=None):
         return x, LinearSolveReport(0, res / bnorm, True)
     p = r.copy() if dinv is None else dinv * r
     rho = r @ p
-    best = None if dinv is None else (res, x.copy())
     for k in range(1, max_iter + 1):
         Ap = A @ p
         alpha = rho / (p @ Ap)
@@ -93,10 +88,6 @@ def cg(A, b, tol=1e-10, max_iter=None, x0=None, diag=None):
             res = np.sqrt(r @ r)
         if res <= tol * bnorm:
             return x, LinearSolveReport(k, res / bnorm, True)
-        if best is not None and res < best[0]:
-            best = (res, x.copy())
         p = z + (rho_new / rho) * p
         rho = rho_new
-    if best is not None:
-        res, x = best
     return x, LinearSolveReport(max_iter, res / bnorm, False)

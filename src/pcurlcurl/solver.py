@@ -1,4 +1,5 @@
-"""Damped Newton in a tree-cotree gauge, with p/eps continuation.
+"""Ungauged damped Newton on a consistent right-hand side, with p/eps
+continuation.
 
 The discrete problem at each continuation stage: find u with
 
@@ -11,15 +12,15 @@ The energy
 
 and its gradient, the residual, cannot see gradients G phi once the load
 is Helmholtz-projected (its discarded gradient part is reported), so the
-divergence constraint only picks one representative of each curl. Newton
-therefore works in a gauge: a spanning tree of the interior vertices,
-with the boundary merged into one ground node, has one edge per interior
-vertex, and fixing the step to zero on those edges removes exactly the
-gradients. On the remaining cotree edges the Jacobian is SPD for eps > 0
-and each step is one Jacobi-preconditioned CG solve. The step differs
-from the constrained Newton step only by a gradient, so a plain
-backtracking line search on J guarantees descent, and every accepted
-iterate is Helmholtz-projected to restore the constraint.
+divergence constraint only picks one representative of each curl. The
+Jacobian on the free edges is therefore singular, with exactly the
+gradients as its kernel, and Newton needs no gauge: before each step the
+right-hand side -r is made orthogonal to range(G) by the same G^T M G
+solve that projects the load, and Jacobi-preconditioned CG then
+converges on the consistent singular system. The step differs from the
+constrained Newton step only by a gradient, so a plain backtracking line
+search on J guarantees descent, and every accepted iterate is
+Helmholtz-projected to restore the constraint.
 
 Large p is reached by geometric continuation in p, and within each p
 stage the regularization eps is driven down a fixed schedule; the
@@ -109,6 +110,7 @@ class StageRecord:
     eps: float
     newton_iterations: int
     final_residual: float            # relative KKT residual (r, G^T M u)
+    linear_iterations: int = 0       # Newton CG iterations of the stage
     energy_history: list = field(default_factory=list)
     constraint_history: list = field(default_factory=list)
 
@@ -126,6 +128,10 @@ class SolveReport:
     @property
     def total_newton_iterations(self):
         return sum(s.newton_iterations for s in self.stages)
+
+    @property
+    def total_linear_iterations(self):
+        return sum(s.linear_iterations for s in self.stages)
 
 
 def energy(u: EdgeField, load, p: PExponent):
@@ -165,7 +171,6 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
         config = SolveConfig()
     proj = DivFreeProjector(mesh)
     free = mesh.free_edges()
-    nint = mesh.interior_vertices().size
 
     if isinstance(S, EdgeField):
         load = (proj.M @ S.coeffs)[free]
@@ -174,25 +179,20 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
 
     # Remove the load component that pairs with gradients: it cannot be
     # balanced by the curl term, and without it the energy is invariant
-    # under u -> u + G phi, which is what makes the tree gauge exact.
+    # under u -> u + G phi, so Newton's right-hand sides stay consistent.
     B = proj.GtM[:, free].tocsr()                       # (nint, nfree)
     Gfree = proj.G[free].tocsr()                        # (nfree, nint)
     report = SolveReport()
-    if nint > 0:
-        phi_load, cg_rep = cg(proj.GtMG, Gfree.T @ load, tol=1e-13)
-        if not cg_rep.converged:
-            raise SolverError("load projection CG failed")
-        grad_part = B.T @ phi_load
-        report.load_gradient_norm = float(np.linalg.norm(grad_part))
-        load = load - grad_part
+    grad_part = B.T @ _gradient_potential(proj, Gfree, load, 1e-13,
+                                          "load projection")
+    report.load_gradient_norm = float(np.linalg.norm(grad_part))
+    load = load - grad_part
 
     if initial_guess is None:
         u = EdgeField(mesh)
     else:
-        u0, _ = proj.project(initial_guess.zero_boundary(), tol=config.linear_tol)
-        u = u0
+        u, _ = proj.project(initial_guess.zero_boundary(), tol=config.linear_tol)
 
-    cotree = np.setdiff1d(np.arange(free.size), _spanning_tree(mesh))
     load_scale = float(np.linalg.norm(load))
     curl_scale = 1.0
 
@@ -209,7 +209,7 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
             eps_list = [rel * curl_scale for rel in dedup]
         for eps in eps_list:
             pexp = PExponent(p=p_val, eps=eps)
-            u, r1, rec = _newton_stage(proj, B, free, cotree, u, load,
+            u, r1, rec = _newton_stage(proj, B, Gfree, u, load,
                                        load_scale, pexp, config)
             report.stages.append(rec)
         # Scale subsequent regularizations by the current solution size.
@@ -220,39 +220,34 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
 
     # The multiplier balances the gradient part of the final residual:
     # B^T phi = -r1 tested against gradients gives G^T M G phi = -G^T r1.
-    phi, cg_rep = cg(proj.GtMG, -(Gfree.T @ r1), tol=config.linear_tol)
-    if not cg_rep.converged:
-        raise SolverError("multiplier CG failed")
+    phi = _gradient_potential(proj, Gfree, -r1, config.linear_tol,
+                              "multiplier")
     multiplier = np.zeros(mesh.num_vertices)
     multiplier[mesh.interior_vertices()] = phi
     report.wall_time = time.perf_counter() - t0
     return u, NodalField(mesh, multiplier), report
 
 
-def _spanning_tree(mesh: Mesh):
-    """Free-edge positions of a BFS spanning tree of the interior vertices.
+def _gradient_potential(proj, Gfree, b, tol, what):
+    """phi with G^T M G phi = G_free^T b, so B^T phi is b's gradient part.
 
-    All boundary vertices are merged into one ground node, the root, so
-    the tree has exactly one edge per interior vertex: the edge through
-    which the search first reached it. A gradient of interior potentials
-    is determined by its tree entries, so zeroing them fixes the gauge.
-    Deterministic for a fixed mesh.
+    b - B^T phi is then orthogonal to every gradient of interior
+    potentials. The load projection, each Newton right-hand side and the
+    final multiplier all go through this one solve.
     """
-    free = mesh.free_edges()
-    interior = mesh.interior_vertices()
-    ground = interior.size
-    node = np.full(mesh.num_vertices, ground)
-    node[interior] = np.arange(ground)
-    on_tree = np.zeros(free.size, dtype=bool)
-    for via, _, _ in mesh.bfs_tree(node, free, ground):
-        on_tree[via] = True
-    return np.flatnonzero(on_tree)
+    phi, rep = cg(proj.GtMG, Gfree.T @ b, tol=tol)
+    if not rep.converged:
+        raise SolverError(
+            f"{what} CG stalled at relative residual "
+            f"{rep.relative_residual:.3e} after {rep.iterations} iterations")
+    return phi
 
 
-def _newton_stage(proj, B, free, cotree, u, load, load_scale, pexp, config):
+def _newton_stage(proj, B, Gfree, u, load, load_scale, pexp, config):
     """Run damped Newton at fixed (p, eps); returns (u, residual, record)."""
     mesh = u.mesh
-    maxit = config.linear_maxit or 20 * cotree.size
+    free = mesh.free_edges()
+    maxit = config.linear_maxit or 20 * free.size
 
     def kkt(u_field):
         r1 = assemble_residual(u_field, load, pexp)
@@ -270,23 +265,27 @@ def _newton_stage(proj, B, free, cotree, u, load, load_scale, pexp, config):
     for it in range(1, config.max_newton + 1):
         if np.sqrt(r1 @ r1 + r2 @ r2) <= config.newton_tol * denom:
             break
-        A = assemble_jacobian(u, pexp)[cotree][:, cotree]
+        A = assemble_jacobian(u, pexp)
         diag = A.diagonal()
         if not np.all(diag > 0):
             raise SolverError(
-                f"cotree Jacobian lost definiteness at p={pexp.p}, "
+                f"Jacobian lost definiteness at p={pexp.p}, "
                 f"eps={pexp.eps:.2e}: smallest diagonal entry {diag.min():.3e}")
-        step, lin = cg(A, -r1[cotree], tol=config.linear_tol, max_iter=maxit,
-                       diag=diag)
+        # A is singular with the gradients as its kernel; CG converges on
+        # it only if the right-hand side has no gradient part, and the
+        # leftover of the load projection alone is enough to stall it
+        # once Newton has reduced the residual to that level.
+        b = -r1
+        b -= B.T @ _gradient_potential(proj, Gfree, b, 1e-14, "Newton step")
+        du, lin = cg(A, b, tol=config.linear_tol, max_iter=maxit, diag=diag)
+        rec.linear_iterations += lin.iterations
         # An inexact step still makes Newton progress as long as it
         # carries real information (forcing-term argument); the line
         # search and the Newton budget catch anything worse.
         if not lin.converged and lin.relative_residual > 0.5:
             raise SolverError(
-                f"cotree CG stalled at p={pexp.p}, eps={pexp.eps:.2e}: "
+                f"Newton CG stalled at p={pexp.p}, eps={pexp.eps:.2e}: "
                 f"relative residual {lin.relative_residual:.3e}")
-        du = np.zeros(free.size)
-        du[cotree] = step
 
         J0 = rec.energy_history[-1]
         slope = float(r1 @ du)       # directional derivative of J
@@ -314,7 +313,7 @@ def _newton_stage(proj, B, free, cotree, u, load, load_scale, pexp, config):
                 f"line search failed at p={pexp.p}, eps={pexp.eps:.2e}, "
                 f"Newton iteration {it} (energy cannot decrease)")
 
-        # The gauged step carries a gradient; projecting it out changes
+        # The step may carry a gradient; projecting it out changes
         # neither J nor the residual and restores G^T M u = 0.
         u, _ = proj.project(u_try, tol=config.linear_tol)
         r1, r2 = kkt(u)

