@@ -31,7 +31,7 @@ for case in (case_p2_sine(), case_general_p(4.0)):
     print(f"\ncase {case.name}:")
     print(f"  stages {len(report.stages)}, Newton steps "
           f"{report.total_newton_iterations}, "
-          f"relative KKT residual {report.final_residual:.2e}")
+          f"relative residual {report.final_residual:.2e}")
     print(f"  errors: L2 {l2:.4f}, curl-Lp {curl_err:.4f}")
     print(f"  multiplier max {np.abs(multiplier.coeffs).max():.2e} "
           f"(zero for compatible loads)")

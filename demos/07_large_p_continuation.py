@@ -26,7 +26,7 @@ from pcurlcurl.assembly import curl_per_tet
 PI = np.pi
 mesh = build_box_mesh((4, 4, 4), extents=(PI, PI, PI))
 
-print(f"{'p':>5} {'stages':>7} {'newton':>7} {'KKT resid':>11} "
+print(f"{'p':>5} {'stages':>7} {'newton':>7} {'residual':>11} "
       f"{'final eps':>11} {'|curl| range':>18}")
 for p in (5.0, 10.0, 20.0, 50.0, 100.0):
     case = case_general_p(p)

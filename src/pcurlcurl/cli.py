@@ -108,10 +108,9 @@ def cmd_solve(cfg):
     rows = []
     for i, s in enumerate(report.stages):
         rows.append((i, s.p, s.eps, s.newton_iterations, s.final_residual,
-                     s.energy_history[-1], s.constraint_history[-1]))
+                     s.energy_history[-1]))
     write_csv(os.path.join(out, "report.csv"),
-              ("stage", "p", "eps", "newton_iter", "residual", "energy",
-               "constraint"), rows)
+              ("stage", "p", "eps", "newton_iter", "residual", "energy"), rows)
 
     l2, curl_err = measure_error(u, case)
     lines = [
@@ -122,6 +121,7 @@ def cmd_solve(cfg):
         f"stages = {len(report.stages)}",
         f"total_newton_iterations = {report.total_newton_iterations}",
         f"final_relative_residual = {report.final_residual:.17g}",
+        f"constraint = {report.constraint:.17g}",
         f"discarded_load_gradient_norm = {report.load_gradient_norm:.17g}",
         f"multiplier_max = {np.abs(mult.coeffs).max():.17g}",
         f"error_l2 = {l2:.17g}",

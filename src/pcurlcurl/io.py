@@ -73,7 +73,7 @@ _SOLVE = {
     "p_schedule": (_parse_floats, None, [], "exponent ramp (empty: geometric)"),
     "eps_schedule": (_parse_floats, lambda v: all(e > 0 for e in v), [],
                      "relative regularization ramp (empty: 1e-2..1e-8)"),
-    "newton_tol": (_parse_float, _positive, 1e-9, "relative KKT tolerance"),
+    "newton_tol": (_parse_float, _positive, 1e-9, "relative residual tolerance"),
     "max_newton": (int, _positive, 50, "Newton iteration cap per stage"),
     "linear_tol": (_parse_float, _positive, 1e-11, "Krylov relative tolerance"),
     "linear_maxit": (int, _positive, 0, "Krylov iteration cap (0: automatic)"),
@@ -101,7 +101,7 @@ _CONVERGE = {
     "p": (_parse_float, lambda v: v >= 2.0, 2.0, "target exponent"),
     "levels": (_parse_ints, lambda v: all(n >= 1 for n in v), [2, 4, 8],
                "mesh divisions per level"),
-    "newton_tol": (_parse_float, _positive, 1e-9, "relative KKT tolerance"),
+    "newton_tol": (_parse_float, _positive, 1e-9, "relative residual tolerance"),
     "linear_tol": (_parse_float, _positive, 1e-11, "Krylov relative tolerance"),
 }
 

@@ -86,32 +86,29 @@ class Mesh:
         mask[self.boundary_edges] = False
         return np.flatnonzero(mask)
 
-    def bfs_tree(self, node, edges, root):
-        """Breadth-first spanning tree of a graph on the mesh vertices.
+    def bfs_tree(self):
+        """Breadth-first spanning tree of the vertex graph from vertex 0.
 
-        Vertex v is graph node node[v] (labels 0..N-1, so a labelling can
-        merge vertices), and the arcs are the mesh edges listed in
-        `edges`. Each level visits its nodes in ascending order and each
-        node's arcs in `edges` order, lo-end arcs first; a node's tree
-        edge is the first arc that reaches it.
+        Each level visits its vertices in ascending order and each
+        vertex's edges in edge order, lo-end edges first; a vertex's tree
+        edge is the first edge that reaches it.
 
         Returns:
             One (via, parent, child) triple of arrays per level below
-            `root`: positions in `edges` of the level's tree edges, and
-            the nodes they leave and reach.
+            vertex 0: the level's tree edges, and the vertices they leave
+            and reach.
         """
-        ends = node[self.edges[edges]]
-        src = np.concatenate([ends[:, 0], ends[:, 1]])
-        dst = np.concatenate([ends[:, 1], ends[:, 0]])
-        eid = np.tile(np.arange(len(edges)), 2)
+        lo, hi = self.edges[:, 0], self.edges[:, 1]
+        src = np.concatenate([lo, hi])
+        dst = np.concatenate([hi, lo])
+        eid = np.tile(np.arange(self.num_edges), 2)
         order = np.argsort(src, kind="stable")
         dst, eid = dst[order], eid[order]
-        nnode = int(node.max(initial=root)) + 1
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=nnode))])
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(src))])
 
-        seen = np.zeros(nnode, dtype=bool)
-        seen[root] = True
-        frontier = np.array([root])
+        seen = np.zeros(self.num_vertices, dtype=bool)
+        seen[0] = True
+        frontier = np.array([0])
         levels = []
         while True:
             starts = indptr[frontier]

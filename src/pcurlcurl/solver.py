@@ -19,8 +19,8 @@ right-hand side -r is made orthogonal to range(G) by the same G^T M G
 solve that projects the load, and Jacobi-preconditioned CG then
 converges on the consistent singular system. The step differs from the
 constrained Newton step only by a gradient, so a plain backtracking line
-search on J guarantees descent, and every accepted iterate is
-Helmholtz-projected to restore the constraint.
+search on J guarantees descent. Newton never projects its iterates: the
+constraint is imposed once, by Helmholtz-projecting the answer.
 
 Large p is reached by geometric continuation in p, and within each p
 stage the regularization eps is driven down a fixed schedule; the
@@ -62,6 +62,19 @@ def default_eps_schedule():
     return [10.0**(-k) for k in range(2, 9)]
 
 
+LS_BACKTRACK = 0.5        # line-search step reduction per rejected trial
+
+# Floor on the eps ladder: at exponent p every relative eps is raised to
+# at least 10^(-EPS_SPREAD_DECADES/(p-2)), so (gmax/eps)^(p-2) <= 10^12,
+# gmax being the largest curl of the previous stage. That is not the
+# spread of the weights (eps^2 + |curl u|^2)^((p-2)/2) within a stage,
+# which is ((eps^2 + gmax^2)/eps^2)^((p-2)/2): 10^21.6 at p = 100 with
+# the floored eps = 0.754 gmax. Nor does the floor spare moderate p: at
+# p = 10 it is 10^-1.5, which collapses the ladder 1e-2 .. 1e-8 to one
+# stage at eps ~ 0.03 gmax.
+EPS_SPREAD_DECADES = 12.0
+
+
 @dataclass
 class SolveConfig:
     p_target: float = 2.0
@@ -69,20 +82,10 @@ class SolveConfig:
     eps_schedule: list = None        # relative to a curl-scale estimate
     newton_tol: float = 1e-9
     max_newton: int = 50
-    ls_backtrack: float = 0.5
     ls_max: int = 30
     linear_tol: float = 1e-11
     linear_maxit: int = None
     quad_order: int = 4              # for analytic load assembly
-    # Floor on the eps ladder: at exponent p every relative eps is raised to
-    # at least 10^(-eps_spread_decades/(p-2)), so (gmax/eps)^(p-2) <= 10^12,
-    # gmax being the largest curl of the previous stage. That is not the
-    # spread of the weights (eps^2 + |curl u|^2)^((p-2)/2) within a stage,
-    # which is ((eps^2 + gmax^2)/eps^2)^((p-2)/2): 10^21.6 at p = 100 with
-    # the floored eps = 0.754 gmax. Nor does the floor spare moderate p: at
-    # p = 10 it is 10^-1.5, which collapses the ladder 1e-2 .. 1e-8 to one
-    # stage at eps ~ 0.03 gmax.
-    eps_spread_decades: float = 12.0
 
     def __post_init__(self):
         if self.p_target < 2.0:
@@ -109,16 +112,16 @@ class StageRecord:
     p: float
     eps: float
     newton_iterations: int
-    final_residual: float            # relative KKT residual (r, G^T M u)
+    final_residual: float            # relative residual ||r|| at the end
     linear_iterations: int = 0       # Newton CG iterations of the stage
     energy_history: list = field(default_factory=list)
-    constraint_history: list = field(default_factory=list)
 
 
 @dataclass
 class SolveReport:
     stages: list = field(default_factory=list)
     load_gradient_norm: float = 0.0  # discarded incompatible load part
+    constraint: float = 0.0          # ||G^T M u|| / ||u||_M of the answer
     wall_time: float = 0.0
 
     @property
@@ -158,8 +161,9 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
     Args:
         S: analytic load callable (N,3)->(N,3), or an EdgeField whose
            mass pairing supplies the load functional.
-        initial_guess: optional EdgeField; it is boundary-zeroed and
-           Helmholtz-projected before use. Default: zero field.
+        initial_guess: optional EdgeField; it is boundary-zeroed before
+           use. Its gradient part does not matter: the answer is
+           Helmholtz-projected. Default: zero field.
 
     Returns:
         (u, multiplier, SolveReport). u satisfies the boundary invariant
@@ -191,7 +195,7 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
     if initial_guess is None:
         u = EdgeField(mesh)
     else:
-        u, _ = proj.project(initial_guess.zero_boundary(), tol=config.linear_tol)
+        u = initial_guess.zero_boundary()
 
     load_scale = float(np.linalg.norm(load))
     curl_scale = 1.0
@@ -200,7 +204,7 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
         if p_val == 2.0:
             eps_list = [0.0]     # the power map ignores eps at p = 2
         else:
-            floor = 10.0 ** (-config.eps_spread_decades / (p_val - 2.0))
+            floor = 10.0 ** (-EPS_SPREAD_DECADES / (p_val - 2.0))
             floored = [max(e, floor) for e in config.eps_schedule]
             dedup = []
             for e in floored:
@@ -209,8 +213,8 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
             eps_list = [rel * curl_scale for rel in dedup]
         for eps in eps_list:
             pexp = PExponent(p=p_val, eps=eps)
-            u, r1, rec = _newton_stage(proj, B, Gfree, u, load,
-                                       load_scale, pexp, config)
+            u, r, rec = _newton_stage(proj, B, Gfree, u, load,
+                                      load_scale, pexp, config)
             report.stages.append(rec)
         # Scale subsequent regularizations by the current solution size.
         g = curl_per_tet(u)
@@ -218,9 +222,18 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
         if mx > 0:
             curl_scale = mx
 
+    # Neither J nor the residual sees the gradient part that the start and
+    # the steps leave in u, so the constraint is imposed here, once.
+    Mu = proj.M @ u.coeffs
+    u.coeffs[free] -= Gfree @ _gradient_potential(proj, Gfree, Mu[free],
+                                                  config.linear_tol,
+                                                  "answer projection")
+    un = float(np.sqrt(u.coeffs @ (proj.M @ u.coeffs)))
+    report.constraint = proj.constraint_norm(u.coeffs) / un if un else 0.0
+
     # The multiplier balances the gradient part of the final residual:
-    # B^T phi = -r1 tested against gradients gives G^T M G phi = -G^T r1.
-    phi = _gradient_potential(proj, Gfree, -r1, config.linear_tol,
+    # B^T phi = -r tested against gradients gives G^T M G phi = -G^T r.
+    phi = _gradient_potential(proj, Gfree, -r, config.linear_tol,
                               "multiplier")
     multiplier = np.zeros(mesh.num_vertices)
     multiplier[mesh.interior_vertices()] = phi
@@ -232,8 +245,9 @@ def _gradient_potential(proj, Gfree, b, tol, what):
     """phi with G^T M G phi = G_free^T b, so B^T phi is b's gradient part.
 
     b - B^T phi is then orthogonal to every gradient of interior
-    potentials. The load projection, each Newton right-hand side and the
-    final multiplier all go through this one solve.
+    potentials. The load projection, each Newton right-hand side, the
+    answer projection and the final multiplier all go through this one
+    solve.
     """
     phi, rep = cg(proj.GtMG, Gfree.T @ b, tol=tol)
     if not rep.converged:
@@ -249,21 +263,15 @@ def _newton_stage(proj, B, Gfree, u, load, load_scale, pexp, config):
     free = mesh.free_edges()
     maxit = config.linear_maxit or 20 * free.size
 
-    def kkt(u_field):
-        r1 = assemble_residual(u_field, load, pexp)
-        r2 = B @ u_field.coeffs[free]
-        return r1, r2
-
-    r1, r2 = kkt(u)
-    res0 = float(np.sqrt(r1 @ r1 + r2 @ r2))
+    r = assemble_residual(u, load, pexp)
+    res0 = float(np.linalg.norm(r))
     denom = max(load_scale, res0, np.finfo(float).tiny)
     rec = StageRecord(p=pexp.p, eps=pexp.eps, newton_iterations=0,
                       final_residual=res0 / denom)
     rec.energy_history.append(energy(u, load, pexp))
-    rec.constraint_history.append(_constraint_measure(proj, u))
 
     for it in range(1, config.max_newton + 1):
-        if np.sqrt(r1 @ r1 + r2 @ r2) <= config.newton_tol * denom:
+        if np.linalg.norm(r) <= config.newton_tol * denom:
             break
         A = assemble_jacobian(u, pexp)
         diag = A.diagonal()
@@ -275,7 +283,7 @@ def _newton_stage(proj, B, Gfree, u, load, load_scale, pexp, config):
         # it only if the right-hand side has no gradient part, and the
         # leftover of the load projection alone is enough to stall it
         # once Newton has reduced the residual to that level.
-        b = -r1
+        b = -r
         b -= B.T @ _gradient_potential(proj, Gfree, b, 1e-14, "Newton step")
         du, lin = cg(A, b, tol=config.linear_tol, max_iter=maxit, diag=diag)
         rec.linear_iterations += lin.iterations
@@ -288,7 +296,7 @@ def _newton_stage(proj, B, Gfree, u, load, load_scale, pexp, config):
                 f"relative residual {lin.relative_residual:.3e}")
 
         J0 = rec.energy_history[-1]
-        slope = float(r1 @ du)       # directional derivative of J
+        slope = float(r @ du)       # directional derivative of J
         # Near the minimum the true decrease ~|r|^2 drops below float64
         # rounding of J itself; the floor keeps Armijo from rejecting
         # full Newton steps it cannot measure.
@@ -307,32 +315,21 @@ def _newton_stage(proj, B, Gfree, u, load, load_scale, pexp, config):
             if J_try <= J0 + 1e-4 * t * min(slope, 0.0) + J_floor:
                 accepted = True
                 break
-            t *= config.ls_backtrack
+            t *= LS_BACKTRACK
         if not accepted:
             raise SolverError(
                 f"line search failed at p={pexp.p}, eps={pexp.eps:.2e}, "
                 f"Newton iteration {it} (energy cannot decrease)")
 
-        # The step may carry a gradient; projecting it out changes
-        # neither J nor the residual and restores G^T M u = 0.
-        u, _ = proj.project(u_try, tol=config.linear_tol)
-        r1, r2 = kkt(u)
+        u = u_try
+        r = assemble_residual(u, load, pexp)
         rec.newton_iterations = it
         rec.energy_history.append(J_try)
-        rec.constraint_history.append(_constraint_measure(proj, u))
     else:
-        res = float(np.sqrt(r1 @ r1 + r2 @ r2))
         raise SolverError(
             f"Newton did not converge at p={pexp.p}, eps={pexp.eps:.2e}: "
-            f"relative residual {res / denom:.3e} after {config.max_newton} steps")
+            f"relative residual {np.linalg.norm(r) / denom:.3e} after "
+            f"{config.max_newton} steps")
 
-    rec.final_residual = float(np.sqrt(r1 @ r1 + r2 @ r2)) / denom
-    return u, r1, rec
-
-
-def _constraint_measure(proj, u):
-    """||G^T M u|| / ||u||_M, the relative divergence violation."""
-    un = float(np.sqrt(u.coeffs @ (proj.M @ u.coeffs)))
-    if un == 0.0:
-        return 0.0
-    return proj.constraint_norm(u.coeffs) / un
+    rec.final_residual = float(np.linalg.norm(r)) / denom
+    return u, r, rec

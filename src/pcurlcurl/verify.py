@@ -574,8 +574,7 @@ def extract_scalar_potential(u: EdgeField, curl_tol=1e-12, closure_tol=1e-10):
     lo, hi = mesh.edges[:, 0], mesh.edges[:, 1]
     phi = np.zeros(mesh.num_vertices)
     tree_edge = np.zeros(mesh.num_edges, dtype=bool)
-    for eid, parent, child in mesh.bfs_tree(np.arange(mesh.num_vertices),
-                                            np.arange(mesh.num_edges), 0):
+    for eid, parent, child in mesh.bfs_tree():
         tree_edge[eid] = True
         # u_e = phi_hi - phi_lo; a level's parents are all set already
         step = np.where(child == hi[eid], u.coeffs[eid], -u.coeffs[eid])

@@ -159,8 +159,7 @@ def test_bfs_tree_spans_vertex_graph_level_by_level(divisions):
     mesh = build_box_mesh(divisions)
     depth = np.full(mesh.num_vertices, -1)
     depth[0] = 0
-    levels = mesh.bfs_tree(np.arange(mesh.num_vertices),
-                           np.arange(mesh.num_edges), 0)
+    levels = mesh.bfs_tree()
     for d, (via, parent, child) in enumerate(levels, start=1):
         assert np.all(depth[parent] == d - 1)       # reached one level earlier
         assert np.all(depth[child] == -1)           # each vertex reached once
@@ -169,3 +168,38 @@ def test_bfs_tree_spans_vertex_graph_level_by_level(divisions):
         assert np.array_equal(mesh.edges[via], ends)
     assert sum(via.size for via, _, _ in levels) == mesh.num_vertices - 1
     assert np.all(depth >= 0)
+
+
+def reference_bfs_tree(mesh):
+    """Tree edges by a plain queue BFS of the vertex graph from vertex 0.
+
+    Each level scans its vertices in ascending order and each vertex's
+    edges in edge order, those where it is the lo end first; a vertex's
+    tree edge is the first edge that reaches it.
+    """
+    arcs = [[] for _ in range(mesh.num_vertices)]
+    for k, (a, b) in enumerate(mesh.edges):
+        arcs[a].append((b, k))
+    for k, (a, b) in enumerate(mesh.edges):
+        arcs[b].append((a, k))
+    seen = {0}
+    tree = []
+    level = [0]
+    while level:
+        nxt = []
+        for a in sorted(level):
+            for b, k in arcs[a]:
+                if b not in seen:
+                    seen.add(b)
+                    tree.append(k)
+                    nxt.append(b)
+        level = nxt
+    return np.array(sorted(tree), dtype=np.int64)
+
+
+@pytest.mark.parametrize("divisions", [(1, 1, 1), (2, 2, 2), (3, 3, 3),
+                                       (4, 3, 5), (6, 6, 6)])
+def test_spanning_tree_matches_reference_bfs(divisions):
+    mesh = build_box_mesh(divisions)
+    tree = np.sort(np.concatenate([via for via, _, _ in mesh.bfs_tree()]))
+    assert np.array_equal(tree, reference_bfs_tree(mesh))
