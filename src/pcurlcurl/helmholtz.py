@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .assembly import EdgeField, NodalField, assemble_gradient_map
-from .linalg import cg, csr_matrix_from_coo
+from .linalg import SolverError, cg, csr_matrix_from_coo
 from .mesh import LOCAL_EDGES, Mesh
 
 
@@ -54,33 +54,52 @@ def edge_mass_matrix(mesh: Mesh):
 
 
 class DivFreeProjector:
-    """Caches M, G and G^T M G for repeated projections on one mesh."""
+    """Caches M, G and G^T M G; the one place that solves G^T M G phi = G^T b.
+
+    `project` splits edge fields, `strip_gradient` cleans functionals.
+    """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self.M = edge_mass_matrix(mesh)
         self.G = assemble_gradient_map(mesh)
-        self.GtM = (self.G.T @ self.M).tocsr()
-        self.GtMG = (self.GtM @ self.G).tocsr()
+        self.GtMG = (self.G.T @ (self.M @ self.G)).tocsr()
 
-    def project(self, u: EdgeField, tol=1e-12, max_iter=None):
+    def project(self, u: EdgeField, tol=1e-12):
         """Split u into (u0, phi) with G^T M u0 = 0 up to solver tolerance.
 
         A pure gradient goes wholly into phi and a divergence-free input
         comes back unchanged, up to the CG tolerance; the curl is kept
         exactly, since curl(G phi) = 0 holds edge by edge.
         """
-        rhs = self.GtM @ u.coeffs
-        phi_int, report = cg(self.GtMG, rhs, tol=tol, max_iter=max_iter)
-        if not report.converged:
-            raise RuntimeError(
-                f"divergence-free projection CG stalled at relative residual "
-                f"{report.relative_residual:.3e} after {report.iterations} iterations")
-        u0 = u.coeffs - self.G @ phi_int
-        phi = np.zeros(self.mesh.num_vertices)
-        phi[self.mesh.interior_vertices()] = phi_int
-        return EdgeField(self.mesh, u0), NodalField(self.mesh, phi)
+        phi = self._potential(self.G.T @ (self.M @ u.coeffs), tol)
+        return EdgeField(self.mesh, u.coeffs - self.G @ phi), self._nodal(phi)
+
+    def strip_gradient(self, b, tol):
+        """Remove the gradient part of b, a functional on the free edges.
+
+        Returns (b - (M G phi)[free], phi) with G^T M G phi = G^T b; the
+        result vanishes on every gradient of an interior potential.
+        """
+        free = self.mesh.free_edges()
+        full = np.zeros(self.mesh.num_edges)
+        full[free] = b
+        phi = self._potential(self.G.T @ full, tol)
+        return b - (self.M @ (self.G @ phi))[free], self._nodal(phi)
 
     def constraint_norm(self, coeffs):
         """||G^T M u||_2 for raw edge coefficients."""
-        return float(np.linalg.norm(self.GtM @ coeffs))
+        return float(np.linalg.norm(self.G.T @ (self.M @ coeffs)))
+
+    def _potential(self, rhs, tol):
+        phi, rep = cg(self.GtMG, rhs, tol=tol)
+        if not rep.converged:
+            raise SolverError(
+                f"G^T M G potential CG stalled at relative residual "
+                f"{rep.relative_residual:.3e} after {rep.iterations} iterations")
+        return phi
+
+    def _nodal(self, phi_int):
+        phi = np.zeros(self.mesh.num_vertices)
+        phi[self.mesh.interior_vertices()] = phi_int
+        return NodalField(self.mesh, phi)

@@ -76,9 +76,6 @@ _SOLVE = {
     "newton_tol": (_parse_float, _positive, 1e-9, "relative residual tolerance"),
     "max_newton": (int, _positive, 50, "Newton iteration cap per stage"),
     "linear_tol": (_parse_float, _positive, 1e-11, "Krylov relative tolerance"),
-    "linear_maxit": (int, _positive, 0, "Krylov iteration cap (0: automatic)"),
-    "line_search_max": (int, _positive, 30, "max step halvings"),
-    "quad_order": (int, lambda v: v in (1, 2, 4), 4, "load quadrature order"),
 }
 
 _VERIFY = {

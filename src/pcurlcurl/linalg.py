@@ -34,6 +34,10 @@ def csr_matrix_from_coo(rows, cols, vals, shape):
     return m
 
 
+class SolverError(RuntimeError):
+    """A solve that did not converge: a Krylov stall, line search or Newton."""
+
+
 @dataclass
 class LinearSolveReport:
     iterations: int
@@ -41,14 +45,15 @@ class LinearSolveReport:
     converged: bool
 
 
-def cg(A, b, tol=1e-10, max_iter=None, x0=None, diag=None):
+def cg(A, b, tol=1e-10, max_iter=None, diag=None):
     """Conjugate gradients for SPD (or consistent SPSD) systems.
 
-    Terminates when ||Ax - b|| <= tol * ||b||. Non-convergence within
-    `max_iter` is reported via the flag, never silently. `diag`, when
-    given, is a positive vector d and the iteration is preconditioned
-    by D^-1 (Jacobi); the stopping test stays on the unpreconditioned
-    residual. Without `diag` the plain recurrence runs unchanged.
+    Starts from x = 0 and terminates when ||Ax - b|| <= tol * ||b||.
+    Non-convergence within `max_iter` is reported via the flag, never
+    silently. `diag`, when given, is a positive vector d and the iteration
+    is preconditioned by D^-1 (Jacobi); the stopping test stays on the
+    unpreconditioned residual. Without `diag` the plain recurrence runs
+    unchanged.
     """
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
@@ -66,11 +71,9 @@ def cg(A, b, tol=1e-10, max_iter=None, x0=None, diag=None):
     if bnorm == 0.0:
         return np.zeros(n), LinearSolveReport(0, 0.0, True)
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = b - A @ x
-    res = np.linalg.norm(r)
-    if res <= tol * bnorm:
-        return x, LinearSolveReport(0, res / bnorm, True)
+    x = np.zeros(n)
+    r = b.copy()
+    res = bnorm
     p = r.copy() if dinv is None else dinv * r
     rho = r @ p
     for k in range(1, max_iter + 1):

@@ -15,18 +15,22 @@ is Helmholtz-projected (its discarded gradient part is reported), so the
 divergence constraint only picks one representative of each curl. The
 Jacobian on the free edges is therefore singular, with exactly the
 gradients as its kernel, and Newton needs no gauge: before each step the
-right-hand side -r is made orthogonal to range(G) by the same G^T M G
-solve that projects the load, and Jacobi-preconditioned CG then
-converges on the consistent singular system. The step differs from the
-constrained Newton step only by a gradient, so a plain backtracking line
-search on J guarantees descent. Newton never projects its iterates: the
-constraint is imposed once, by Helmholtz-projecting the answer.
+right-hand side -r loses its gradient part through the same
+`DivFreeProjector.strip_gradient` that cleans the load, and
+Jacobi-preconditioned CG then converges on the consistent singular
+system. The step differs from the constrained Newton step only by a
+gradient, so a plain backtracking line search on J guarantees descent.
+Newton never projects its iterates: the constraint is imposed once, by
+`DivFreeProjector.project` on the answer. Every G^T M G solve belongs to
+the projector; this module runs only the Newton CG on the Jacobian.
 
 Large p is reached by geometric continuation in p, and within each p
 stage the regularization eps is driven down a fixed schedule; the
 reported answer is the one at the smallest eps. The nodal multiplier is
-recovered once at the end from the gradient part of the final residual;
-it vanishes for compatible loads.
+recovered once at the end from the gradient part of the final residual.
+It is the multiplier of the load-projected problem, so it is zero up to
+rounding for every load, compatible or not: the discarded gradient part
+of the load is reported instead.
 """
 
 from __future__ import annotations
@@ -36,15 +40,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (EdgeField, NodalField, PExponent, assemble_jacobian,
+from .assembly import (EdgeField, PExponent, assemble_jacobian,
                        assemble_load, assemble_residual, curl_per_tet)
 from .helmholtz import DivFreeProjector
-from .linalg import cg
+from .linalg import SolverError, cg
 from .mesh import Mesh
-
-
-class SolverError(RuntimeError):
-    """Line search or linear solver failure inside a Newton stage."""
 
 
 def default_p_schedule(p_target):
@@ -63,6 +63,7 @@ def default_eps_schedule():
 
 
 LS_BACKTRACK = 0.5        # line-search step reduction per rejected trial
+LS_MAX = 30               # rejected trials before the line search fails
 
 # Floor on the eps ladder: at exponent p every relative eps is raised to
 # at least 10^(-EPS_SPREAD_DECADES/(p-2)), so (gmax/eps)^(p-2) <= 10^12,
@@ -82,10 +83,7 @@ class SolveConfig:
     eps_schedule: list = None        # relative to a curl-scale estimate
     newton_tol: float = 1e-9
     max_newton: int = 50
-    ls_max: int = 30
     linear_tol: float = 1e-11
-    linear_maxit: int = None
-    quad_order: int = 4              # for analytic load assembly
 
     def __post_init__(self):
         if self.p_target < 2.0:
@@ -112,7 +110,7 @@ class StageRecord:
     p: float
     eps: float
     newton_iterations: int
-    final_residual: float            # relative residual ||r|| at the end
+    final_residual: float            # ||r|| / ||load|| at the end
     linear_iterations: int = 0       # Newton CG iterations of the stage
     energy_history: list = field(default_factory=list)
 
@@ -167,8 +165,10 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
 
     Returns:
         (u, multiplier, SolveReport). u satisfies the boundary invariant
-        and the divergence constraint up to the linear tolerance; the
-        multiplier is ~0 for divergence-free loads.
+        and the divergence constraint up to the linear tolerance. The
+        multiplier belongs to the load-projected problem, so it is zero
+        up to rounding even for incompatible loads, whose gradient part
+        is reported as `SolveReport.load_gradient_norm`.
     """
     t0 = time.perf_counter()
     if config is None:
@@ -179,18 +179,15 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
     if isinstance(S, EdgeField):
         load = (proj.M @ S.coeffs)[free]
     else:
-        load = assemble_load(S, mesh, quad_order=config.quad_order)
+        load = assemble_load(S, mesh, quad_order=4)
 
     # Remove the load component that pairs with gradients: it cannot be
     # balanced by the curl term, and without it the energy is invariant
     # under u -> u + G phi, so Newton's right-hand sides stay consistent.
-    B = proj.GtM[:, free].tocsr()                       # (nint, nfree)
-    Gfree = proj.G[free].tocsr()                        # (nfree, nint)
     report = SolveReport()
-    grad_part = B.T @ _gradient_potential(proj, Gfree, load, 1e-13,
-                                          "load projection")
-    report.load_gradient_norm = float(np.linalg.norm(grad_part))
-    load = load - grad_part
+    clean, _ = proj.strip_gradient(load, 1e-13)
+    report.load_gradient_norm = float(np.linalg.norm(load - clean))
+    load = clean
 
     if initial_guess is None:
         u = EdgeField(mesh)
@@ -213,8 +210,8 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
             eps_list = [rel * curl_scale for rel in dedup]
         for eps in eps_list:
             pexp = PExponent(p=p_val, eps=eps)
-            u, r, rec = _newton_stage(proj, B, Gfree, u, load,
-                                      load_scale, pexp, config)
+            u, r, rec = _newton_stage(proj, u, load, load_scale, pexp,
+                                      config)
             report.stages.append(rec)
         # Scale subsequent regularizations by the current solution size.
         g = curl_per_tet(u)
@@ -224,48 +221,28 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
 
     # Neither J nor the residual sees the gradient part that the start and
     # the steps leave in u, so the constraint is imposed here, once.
-    Mu = proj.M @ u.coeffs
-    u.coeffs[free] -= Gfree @ _gradient_potential(proj, Gfree, Mu[free],
-                                                  config.linear_tol,
-                                                  "answer projection")
+    u, _ = proj.project(u, tol=config.linear_tol)
     un = float(np.sqrt(u.coeffs @ (proj.M @ u.coeffs)))
     report.constraint = proj.constraint_norm(u.coeffs) / un if un else 0.0
 
     # The multiplier balances the gradient part of the final residual:
-    # B^T phi = -r tested against gradients gives G^T M G phi = -G^T r.
-    phi = _gradient_potential(proj, Gfree, -r, config.linear_tol,
-                              "multiplier")
-    multiplier = np.zeros(mesh.num_vertices)
-    multiplier[mesh.interior_vertices()] = phi
+    # (M G phi)[free] = -r tested against gradients gives
+    # G^T M G phi = -G^T r.
+    _, multiplier = proj.strip_gradient(-r, config.linear_tol)
     report.wall_time = time.perf_counter() - t0
-    return u, NodalField(mesh, multiplier), report
+    return u, multiplier, report
 
 
-def _gradient_potential(proj, Gfree, b, tol, what):
-    """phi with G^T M G phi = G_free^T b, so B^T phi is b's gradient part.
-
-    b - B^T phi is then orthogonal to every gradient of interior
-    potentials. The load projection, each Newton right-hand side, the
-    answer projection and the final multiplier all go through this one
-    solve.
-    """
-    phi, rep = cg(proj.GtMG, Gfree.T @ b, tol=tol)
-    if not rep.converged:
-        raise SolverError(
-            f"{what} CG stalled at relative residual "
-            f"{rep.relative_residual:.3e} after {rep.iterations} iterations")
-    return phi
-
-
-def _newton_stage(proj, B, Gfree, u, load, load_scale, pexp, config):
+def _newton_stage(proj, u, load, load_scale, pexp, config):
     """Run damped Newton at fixed (p, eps); returns (u, residual, record)."""
     mesh = u.mesh
     free = mesh.free_edges()
-    maxit = config.linear_maxit or 20 * free.size
 
     r = assemble_residual(u, load, pexp)
     res0 = float(np.linalg.norm(r))
-    denom = max(load_scale, res0, np.finfo(float).tiny)
+    # Relative to the load, so the reported residual means the same from
+    # every start; a zero load falls back to the initial residual.
+    denom = load_scale or max(res0, np.finfo(float).tiny)
     rec = StageRecord(p=pexp.p, eps=pexp.eps, newton_iterations=0,
                       final_residual=res0 / denom)
     rec.energy_history.append(energy(u, load, pexp))
@@ -283,9 +260,9 @@ def _newton_stage(proj, B, Gfree, u, load, load_scale, pexp, config):
         # it only if the right-hand side has no gradient part, and the
         # leftover of the load projection alone is enough to stall it
         # once Newton has reduced the residual to that level.
-        b = -r
-        b -= B.T @ _gradient_potential(proj, Gfree, b, 1e-14, "Newton step")
-        du, lin = cg(A, b, tol=config.linear_tol, max_iter=maxit, diag=diag)
+        b, _ = proj.strip_gradient(-r, 1e-14)
+        du, lin = cg(A, b, tol=config.linear_tol, max_iter=20 * free.size,
+                     diag=diag)
         rec.linear_iterations += lin.iterations
         # An inexact step still makes Newton progress as long as it
         # carries real information (forcing-term argument); the line
@@ -304,7 +281,7 @@ def _newton_stage(proj, B, Gfree, u, load, load_scale, pexp, config):
         J_floor = 64.0 * np.finfo(float).eps * (bulk + abs(pairing) + 1.0)
         t = 1.0
         accepted = False
-        for _ in range(config.ls_max + 1):
+        for _ in range(LS_MAX + 1):
             trial = u.coeffs.copy()
             trial[free] += t * du
             u_try = EdgeField(mesh, trial)

@@ -19,16 +19,15 @@ extraction close the loop on the trace and gradient structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import whitney
-from .assembly import (EdgeField, NodalField, assemble_gradient_map,
-                       curl_per_tet, edge_moments, eval_field, lp_norm_curl,
-                       stiffness_matrix)
+from .assembly import (EdgeField, NodalField, curl_per_tet, edge_moments,
+                       eval_field, lp_norm_curl, stiffness_matrix)
 from .helmholtz import DivFreeProjector
-from .linalg import cg
+from .linalg import SolverError, cg
 from .mesh import Mesh, boundary_faces
 
 
@@ -312,7 +311,6 @@ def friedrich_constant(meshes, p, seed=0, eig_tol=1e-10, max_eig_iter=200,
 
 
 def _divisions_of(mesh):
-    origin, extents = mesh.box
     counts = []
     for ax in range(3):
         counts.append(len(np.unique(np.round(mesh.vertices[:, ax], 12))) - 1)
@@ -354,7 +352,10 @@ def _friedrich_p2(proj, seed, tol, max_iter, block=6):
         for j in range(block):
             y, rep = cg(K, M @ X[:, j], tol=1e-12, max_iter=40 * free.size)
             if not rep.converged:
-                raise RuntimeError("inverse iteration: stiffness CG stalled")
+                raise SolverError(
+                    f"inverse iteration: stiffness CG stalled at relative "
+                    f"residual {rep.relative_residual:.3e} after "
+                    f"{rep.iterations} iterations")
             Y[:, j] = y
         Y = project_cols(Y)
         # Rayleigh-Ritz on the block
@@ -365,7 +366,7 @@ def _friedrich_p2(proj, seed, tol, max_iter, block=6):
             break
         lam_old = lam
     else:
-        raise RuntimeError(
+        raise SolverError(
             f"inverse iteration stagnated: eigenvalue drift "
             f"{abs(lam - lam_old) / abs(lam):.3e} after {max_iter} sweeps")
     u = EdgeField(mesh)

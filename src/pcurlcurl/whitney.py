@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import LOCAL_EDGES, MeshError, tet_volumes
+from .mesh import LOCAL_EDGES, MeshError
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,24 @@ def test_projection_idempotent():
     assert np.linalg.norm(phi.coeffs) <= 1e-10 * scale
 
 
+def test_strip_gradient_removes_exactly_m_g_phi_and_is_idempotent():
+    mesh = build_box_mesh((3, 3, 3))
+    proj = DivFreeProjector(mesh)
+    free = mesh.free_edges()
+    b = np.random.default_rng(6).standard_normal(free.size)
+    b0, phi = proj.strip_gradient(b, 1e-14)
+    g = proj.M @ (proj.G @ phi.coeffs[mesh.interior_vertices()])
+    assert np.abs(b - b0 - g[free]).max() <= 1e-14 * np.abs(b).max()
+    assert np.all(phi.coeffs[mesh.boundary_vertices] == 0.0)
+    # the cleaned functional pairs to zero with every interior gradient
+    full = np.zeros(mesh.num_edges)
+    full[free] = b0
+    assert np.linalg.norm(proj.G.T @ full) <= 1e-12 * np.linalg.norm(b)
+    again, phi2 = proj.strip_gradient(b0, 1e-14)
+    assert np.linalg.norm(again - b0) <= 1e-12 * np.linalg.norm(b0)
+    assert np.linalg.norm(phi2.coeffs) <= 1e-10 * np.linalg.norm(phi.coeffs)
+
+
 def test_projection_constraint_reduction():
     mesh = build_box_mesh((3, 3, 3))
     rng = np.random.default_rng(3)

@@ -13,8 +13,8 @@ from pcurlcurl.helmholtz import DivFreeProjector
 from pcurlcurl.linalg import cg
 from pcurlcurl.mesh import build_box_mesh
 from pcurlcurl.mms import case_general_p, case_p2_sine
-from pcurlcurl.solver import (SolveConfig, SolverError, _gradient_potential,
-                              default_p_schedule, energy, solve)
+from pcurlcurl.solver import (SolveConfig, SolverError, default_p_schedule,
+                              energy, solve)
 from pcurlcurl.assembly import stiffness_matrix
 
 PI = np.pi
@@ -173,16 +173,13 @@ def test_newton_matches_projected_gradient_descent():
     # system, yet must land on the same discrete solution
     from pcurlcurl.assembly import assemble_load
     from pcurlcurl.helmholtz import DivFreeProjector
-    from pcurlcurl.linalg import cg
 
     mesh = build_box_mesh((2, 2, 2), extents=(PI, PI, PI))
     proj = DivFreeProjector(mesh)
     free = mesh.free_edges()
     case = case_general_p(4.0)
-    load = assemble_load(case.load, mesh, quad_order=4)
-    B = proj.GtM[:, free].tocsr()
-    phiL, _ = cg(proj.GtMG, proj.G[free].tocsr().T @ load, tol=1e-13)
-    load = load - B.T @ phiL
+    load, _ = proj.strip_gradient(assemble_load(case.load, mesh, quad_order=4),
+                                  1e-13)
     pe = PExponent(4.0, eps=1e-4)
 
     u = EdgeField(mesh)
@@ -276,7 +273,6 @@ def test_consistent_rhs_removes_exactly_the_gradient_kernel():
     mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
     free = mesh.free_edges()
     proj = DivFreeProjector(mesh)
-    B = proj.GtM[:, free].tocsr()
     Gfree = proj.G[free].tocsr()
     A = assemble_jacobian(EdgeField(mesh), PExponent(2.0))
     dense = A.toarray()
@@ -290,7 +286,7 @@ def test_consistent_rhs_removes_exactly_the_gradient_kernel():
     Q, _ = np.linalg.qr(Gfree.toarray())               # basis of range(G_free)
     b = np.random.default_rng(3).standard_normal(free.size)
     assert np.linalg.norm(Q.T @ b) >= 0.1 * np.linalg.norm(b)
-    bc = b - B.T @ _gradient_potential(proj, Gfree, b, 1e-14, "test")
+    bc, _ = proj.strip_gradient(b, 1e-14)
     assert np.linalg.norm(Q.T @ bc) <= 1e-13 * np.linalg.norm(bc)
 
     tol = SolveConfig().linear_tol
@@ -318,7 +314,6 @@ def test_gradient_shift_invariance(p):
     # u -> u + G phi changes neither the energy, nor the residual, nor the
     # answer and the work of a solve started there
     mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
-    free = mesh.free_edges()
     case = case_general_p(p)
     u_ref, _, rep_ref = solve(mesh, case.load, SolveConfig(p_target=p))
     phi = np.random.default_rng(11).standard_normal(
@@ -328,10 +323,8 @@ def test_gradient_shift_invariance(p):
     u_shift = EdgeField(mesh, u_ref.coeffs + shift)
 
     proj = DivFreeProjector(mesh)
-    Gfree = proj.G[free].tocsr()
-    load = assemble_load(case.load, mesh, quad_order=4)
-    load = load - proj.GtM[:, free].T @ _gradient_potential(
-        proj, Gfree, load, 1e-13, "test")
+    load, _ = proj.strip_gradient(assemble_load(case.load, mesh, quad_order=4),
+                                  1e-13)
     pe = PExponent(p, eps=rep_ref.stages[-1].eps)
     r0 = assemble_residual(u_ref, load, pe)
     r1 = assemble_residual(u_shift, load, pe)
@@ -397,6 +390,63 @@ def test_one_gradient_solve_per_newton_step(monkeypatch):
                       SolveConfig(p_target=4.0), initial_guess=guess)
     assert rep.total_newton_iterations > 0
     assert len(nodal) == rep.total_newton_iterations + 3
+
+
+def test_solver_runs_no_nodal_solve_of_its_own(monkeypatch):
+    # every G^T M G solve belongs to DivFreeProjector; the solver's own CG
+    # sees only the free-edge Jacobian
+    from pcurlcurl import solver
+    mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
+    nint = mesh.interior_vertices().size
+    shapes = []
+    real = solver.cg
+
+    def recording(A, b, **kw):
+        shapes.append(A.shape)
+        return real(A, b, **kw)
+
+    monkeypatch.setattr(solver, "cg", recording)
+    rng = np.random.default_rng(5)
+    guess = EdgeField(mesh, rng.standard_normal(mesh.num_edges))
+    _, _, rep = solve(mesh, case_general_p(4.0).load,
+                      SolveConfig(p_target=4.0), initial_guess=guess)
+    assert len(shapes) == rep.total_newton_iterations > 0
+    nfree = mesh.free_edges().size
+    assert all(s == (nfree, nfree) for s in shapes)
+    assert (nint, nint) not in shapes
+
+
+def test_stalled_gradient_solve_raises_solver_error(monkeypatch):
+    from pcurlcurl import helmholtz
+    real = helmholtz.cg
+
+    def one_step(A, b, **kw):
+        kw["max_iter"] = 1
+        return real(A, b, **kw)
+
+    monkeypatch.setattr(helmholtz, "cg", one_step)
+    mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
+    u = EdgeField(mesh, np.random.default_rng(2).standard_normal(
+        mesh.num_edges)).zero_boundary()
+    with pytest.raises(SolverError, match="after 1 iterations"):
+        DivFreeProjector(mesh).project(u, tol=1e-12)
+    with pytest.raises(SolverError, match="after 1 iterations"):
+        solve(mesh, case_general_p(4.0).load, SolveConfig(p_target=4.0))
+
+
+def test_final_residual_is_relative_to_the_load():
+    # from a random start the first residual is far above the load; the
+    # stage must still stop only once ||r|| / ||load|| <= newton_tol
+    mesh = build_box_mesh((6, 6, 6), extents=(PI, PI, PI))
+    case = case_general_p(2.0)
+    cfg = SolveConfig(p_target=2.0)
+    rng = np.random.default_rng([101, 1])
+    guess = EdgeField(mesh, rng.standard_normal(mesh.num_edges))
+    u, _, rep = solve(mesh, case.load, cfg, initial_guess=guess)
+    load, _ = DivFreeProjector(mesh).strip_gradient(
+        assemble_load(case.load, mesh, quad_order=4), 1e-13)
+    r = assemble_residual(u, load, PExponent(2.0, eps=rep.stages[-1].eps))
+    assert np.linalg.norm(r) <= cfg.newton_tol * np.linalg.norm(load)
 
 
 def test_p10_counters_pinned():

@@ -183,7 +183,7 @@ def dense_constrained_eigenvalue(mesh):
     free = mesh.free_edges()
     K = stiffness_matrix(mesh)[free][:, free].toarray()
     M = proj.M[free][:, free].toarray()
-    C = proj.GtM[:, free].toarray()
+    C = (proj.G.T @ proj.M)[:, free].toarray()
     _, s, Vt = np.linalg.svd(C)
     rank = int(np.sum(s > 1e-10 * s[0]))
     Z = Vt[rank:].T
