@@ -147,8 +147,7 @@ def assemble_residual(u: EdgeField, load, p: PExponent):
     g = curl_per_tet(u)
     flux = power_map(g, p) * geom.vols[:, None]
     per_edge = np.einsum("tc,tec->te", flux, geom.curls) * mesh.tet_edge_signs
-    out = np.zeros(mesh.num_edges)
-    np.add.at(out, mesh.tet_edges.ravel(), per_edge.ravel())
+    out = np.bincount(mesh.tet_edges.ravel(), per_edge.ravel(), mesh.num_edges)
     return out[mesh.free_edges()] - load
 
 
@@ -165,7 +164,10 @@ def assemble_jacobian(u: EdgeField, p: PExponent):
     signed = geom.curls * mesh.tet_edge_signs[:, :, None]
     blocks = np.einsum("t,tec,tcd,tfd->tef", geom.vols, signed, D, signed,
                        optimize=True)
-    return _scatter_blocks(mesh, blocks)
+    free = mesh.free_edges()
+    pos = -np.ones(mesh.num_edges, dtype=np.int64)
+    pos[free] = np.arange(free.size)
+    return scatter_blocks(pos[mesh.tet_edges], blocks, free.size)
 
 
 def stiffness_matrix(mesh: Mesh):
@@ -173,25 +175,24 @@ def stiffness_matrix(mesh: Mesh):
     geom = mesh.geometry
     signed = geom.curls * mesh.tet_edge_signs[:, :, None]
     blocks = (geom.vols[:, None, None] * signed) @ signed.transpose(0, 2, 1)
-    e = mesh.tet_edges
-    rows = np.repeat(e, 6, axis=1).ravel()
-    cols = np.tile(e, (1, 6)).ravel()
-    return csr_matrix_from_coo(rows, cols, blocks.ravel(),
-                               (mesh.num_edges, mesh.num_edges))
+    return scatter_blocks(mesh.tet_edges, blocks, mesh.num_edges)
 
 
-def _scatter_blocks(mesh, blocks):
-    """Scatter (T, 6, 6) element blocks into free x free CSR."""
-    free = mesh.free_edges()
-    pos = -np.ones(mesh.num_edges, dtype=np.int64)
-    pos[free] = np.arange(free.size)
-    e = pos[mesh.tet_edges]                             # (T, 6), -1 on boundary
-    rows = np.repeat(e, 6, axis=1).ravel()
-    cols = np.tile(e, (1, 6)).ravel()
+def scatter_blocks(index, blocks, n):
+    """Sum (T, 6, 6) element blocks into an n x n CSR matrix.
+
+    `index` (T, 6) holds the global row and column of each local edge;
+    a negative entry (a boundary edge of a free x free matrix) drops
+    that row and column.
+    """
+    rows = np.repeat(index, 6, axis=1).ravel()
+    cols = np.tile(index, (1, 6)).ravel()
     vals = blocks.ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    return csr_matrix_from_coo(rows[keep], cols[keep], vals[keep],
-                               (free.size, free.size))
+    # An all-edge matrix drops nothing: skip the mask and its copies.
+    if index.min() < 0:
+        keep = (rows >= 0) & (cols >= 0)
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return csr_matrix_from_coo(rows, cols, vals, (n, n))
 
 
 def assemble_gradient_map(mesh: Mesh):
@@ -244,18 +245,16 @@ def edge_moments(mesh: Mesh, rule, values):
     P = B @ geom.grads.transpose(0, 2, 1)               # P_ij = B_i . grad lam_j
     per_edge = P[:, _EDGE_I, _EDGE_J] - P[:, _EDGE_J, _EDGE_I]
     per_edge *= mesh.tet_edge_signs
-    out = np.zeros(mesh.num_edges)
-    np.add.at(out, mesh.tet_edges.ravel(), per_edge.ravel())
-    return out
+    return np.bincount(mesh.tet_edges.ravel(), per_edge.ravel(), mesh.num_edges)
 
 
-def edge_interpolate(func, mesh: Mesh, n_gauss=4):
+def edge_interpolate(func, mesh: Mesh):
     """Edge interpolant of an analytic field: DoFs are circulations.
 
-    u_e = int_edge func . t ds, evaluated by Gauss quadrature along each
-    straight edge (exact for constants with any n_gauss >= 1).
+    u_e = int_edge func . t ds, evaluated by 4-point Gauss quadrature
+    along each straight edge.
     """
-    t, w = whitney.gauss_segment(n_gauss)
+    t, w = whitney.gauss_segment(4)
     a = mesh.vertices[mesh.edges[:, 0]]
     b = mesh.vertices[mesh.edges[:, 1]]
     tang = b - a                                        # lo -> hi, length included
@@ -270,9 +269,9 @@ def lp_norm_curl(u: EdgeField, p):
     return float(np.sum(u.mesh.geometry.vols * mag**p) ** (1.0 / p))
 
 
-def lp_norm_field(u: EdgeField, p, quad_order=4):
-    """||u||_Lp by quadrature of the Whitney reconstruction."""
-    rule = whitney.quadrature(quad_order)
+def lp_norm_field(u: EdgeField, p):
+    """||u||_Lp by order-4 quadrature of the Whitney reconstruction."""
+    rule = whitney.quadrature(4)
     mag = np.linalg.norm(eval_field(u, rule), axis=2)
     total = np.einsum("t,q,tq->", u.mesh.geometry.vols, rule.weights, mag**p)
     return float(total ** (1.0 / p))

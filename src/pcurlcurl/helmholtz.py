@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import EdgeField, NodalField, assemble_gradient_map
-from .linalg import SolverError, cg, csr_matrix_from_coo
+from .assembly import (EdgeField, NodalField, assemble_gradient_map,
+                       scatter_blocks)
+from .linalg import SolverError, cg
 from .mesh import LOCAL_EDGES, Mesh
 
 
@@ -46,11 +47,7 @@ def edge_mass_matrix(mesh: Mesh):
     blocks = (gram.reshape(-1, 16) @ _MASS_KERNEL).reshape(-1, 6, 6)
     signs = mesh.tet_edge_signs
     blocks *= signs[:, :, None] * signs[:, None, :]
-    e = mesh.tet_edges
-    rows = np.repeat(e, 6, axis=1).ravel()
-    cols = np.tile(e, (1, 6)).ravel()
-    return csr_matrix_from_coo(rows, cols, blocks.ravel(),
-                               (mesh.num_edges, mesh.num_edges))
+    return scatter_blocks(mesh.tet_edges, blocks, mesh.num_edges)
 
 
 class DivFreeProjector:

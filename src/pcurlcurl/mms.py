@@ -103,11 +103,11 @@ def case_general_p(p):
                                   "the curl (handled by the explicit limit)")
 
 
-def measure_error(u_h: EdgeField, case: ManufacturedCase, quad_order=4):
-    """(||u_h - u*||_L2, ||curl u_h - curl u*||_Lp) by quadrature."""
+def measure_error(u_h: EdgeField, case: ManufacturedCase):
+    """(||u_h - u*||_L2, ||curl u_h - curl u*||_Lp) by order-4 quadrature."""
     mesh = u_h.mesh
     geom = mesh.geometry
-    rule = whitney.quadrature(quad_order)
+    rule = whitney.quadrature(4)
     xq = whitney.quad_points_physical(mesh, rule)
 
     # one (T, nq, 3) error array at a time, freed before the next

@@ -261,8 +261,10 @@ def _newton_stage(proj, u, load, load_scale, pexp, config):
         # leftover of the load projection alone is enough to stall it
         # once Newton has reduced the residual to that level.
         b, _ = proj.strip_gradient(-r, 1e-14)
-        du, lin = cg(A, b, tol=config.linear_tol, max_iter=20 * free.size,
-                     diag=diag)
+        # CG stops relative to ||r||: from a start far above the load
+        # scale, tighten it so one step can reach newton_tol * denom.
+        tol = config.linear_tol * min(1.0, denom / np.linalg.norm(r))
+        du, lin = cg(A, b, tol=tol, max_iter=20 * free.size, diag=diag)
         rec.linear_iterations += lin.iterations
         # An inexact step still makes Newton progress as long as it
         # carries real information (forcing-term argument); the line

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import whitney
-from .assembly import (EdgeField, NodalField, curl_per_tet, edge_moments,
-                       eval_field, lp_norm_curl, stiffness_matrix)
+from .assembly import (EdgeField, NodalField, PExponent, assemble_residual,
+                       edge_moments, eval_field, lp_norm_curl,
+                       stiffness_matrix)
 from .helmholtz import DivFreeProjector
 from .linalg import SolverError, cg
 from .mesh import Mesh, boundary_faces
@@ -274,19 +275,19 @@ class FriedrichReport:
     lower_bound_only: bool = False  # True for p > 2 (ascent, not eigensolve)
 
 
-def friedrich_constant(meshes, p, seed=0, eig_tol=1e-10, max_eig_iter=200,
-                       ascent_iter=150):
+def friedrich_constant(meshes, p, seed=0):
     """Best discrete constant in ||u||_Lp <= C ||curl u||_Lp on each mesh.
 
     p = 2: C_h = 1/sqrt(lambda_min) where lambda_min is the smallest
     curl-curl eigenvalue over discretely divergence-free constrained
-    fields, found by inverse power iteration with a divergence-free
+    fields, found by inverse power iteration (to a relative eigenvalue
+    drift of 1e-10, at most 200 sweeps) with a divergence-free
     projection after every solve (the projection removes the gradient
     kernel, on which the stiffness is singular).
 
-    p > 2: projected gradient ascent on log(||u||_p / ||curl u||_p)
-    started from the p = 2 maximizer; the result is a certified lower
-    bound for C_h.
+    p > 2: 150 trial steps of projected gradient ascent on
+    log(||u||_p / ||curl u||_p) started from the p = 2 maximizer; the
+    result is a certified lower bound for C_h.
 
     Extrapolation assumes second-order eigenvalue convergence and uses
     the last two levels.
@@ -296,12 +297,11 @@ def friedrich_constant(meshes, p, seed=0, eig_tol=1e-10, max_eig_iter=200,
     for mesh in meshes:
         levels.append(tuple(int(round(e)) for e in _divisions_of(mesh)))
         proj = DivFreeProjector(mesh)
-        u2, c2 = _friedrich_p2(proj, seed=seed, tol=eig_tol,
-                               max_iter=max_eig_iter)
+        u2, c2 = _friedrich_p2(proj, seed=seed, tol=1e-10, max_iter=200)
         if p == 2.0:
             constants.append(c2)
         else:
-            constants.append(_friedrich_ascent(proj, u2, p, ascent_iter))
+            constants.append(_friedrich_ascent(proj, u2, p))
     extrap = constants[-1]
     if len(constants) >= 2:
         extrap = constants[-1] + (constants[-1] - constants[-2]) / 3.0
@@ -317,12 +317,12 @@ def _divisions_of(mesh):
     return counts
 
 
-def _friedrich_p2(proj, seed, tol, max_iter, block=6):
+def _friedrich_p2(proj, seed, tol, max_iter):
     """Smallest constrained curl-curl eigenvalue, blocked inverse iteration.
 
     The lowest cavity eigenvalue has multiplicity 3 in the continuum and
     splits into a tight discrete cluster, so single-vector iteration
-    stalls; a small Rayleigh-Ritz block separates the cluster cleanly.
+    stalls; a Rayleigh-Ritz block of 6 separates the cluster cleanly.
     Every sweep re-projects onto the divergence-free complement, which
     removes the gradient kernel of the stiffness. `proj` is the mesh's
     DivFreeProjector.
@@ -331,7 +331,7 @@ def _friedrich_p2(proj, seed, tol, max_iter, block=6):
     free = mesh.free_edges()
     K = stiffness_matrix(mesh)[free][:, free].tocsr()
     M = proj.M[free][:, free].tocsr()
-    block = min(block, free.size)
+    block = min(6, free.size)
 
     def project_cols(X):
         out = np.empty_like(X)
@@ -382,7 +382,7 @@ def _ritz(Kz, Mz):
     return w, Li.T @ V
 
 
-def _friedrich_ascent(proj, u_start, p, iters):
+def _friedrich_ascent(proj, u_start, p):
     """Projected ascent on the Lp norm ratio; returns a lower bound."""
     mesh = proj.mesh
     free = mesh.free_edges()
@@ -390,7 +390,7 @@ def _friedrich_ascent(proj, u_start, p, iters):
 
     best, grad = _ratio_and_grad(u, p)
     step = 1.0
-    for _ in range(iters):
+    for _ in range(150):
         trial = EdgeField(mesh)
         trial.coeffs[free] = u.coeffs[free] + step * grad / max(np.linalg.norm(grad), 1e-300)
         trial, _ = proj.project(trial, tol=1e-12)
@@ -408,25 +408,19 @@ def _friedrich_ascent(proj, u_start, p, iters):
 
 def _ratio_and_grad(u, p):
     """||u||_Lp / ||curl u||_Lp and the gradient of its log in the free
-    coefficients."""
+    coefficients; `assemble_residual` with no load and eps = 0 is the
+    gradient of ||curl u||_p^p / p."""
     mesh = u.mesh
-    geom = mesh.geometry
     rule = whitney.quadrature(4)
     vals = eval_field(u, rule)                          # (T, nq, 3)
     mag = np.linalg.norm(vals, axis=2)
-    num = float(np.einsum("t,q,tq->", geom.vols, rule.weights, mag**p)
-                ** (1.0 / p))
+    num = float(np.einsum("t,q,tq->", mesh.geometry.vols, rule.weights,
+                          mag**p) ** (1.0 / p))
     vals *= np.power(mag, p - 2.0)[:, :, None]
-    grad_num = edge_moments(mesh, rule, vals)
-    g = curl_per_tet(u)
-    gmag = np.linalg.norm(g, axis=1)
-    den = float(np.sum(geom.vols * gmag**p) ** (1.0 / p))
-    flux = (geom.vols * np.power(gmag, p - 2.0))[:, None] * g
-    gd = np.einsum("tc,tec->te", flux, geom.curls) * mesh.tet_edge_signs
-    grad_den = np.zeros(mesh.num_edges)
-    np.add.at(grad_den, mesh.tet_edges.ravel(), gd.ravel())
-    free = mesh.free_edges()
-    return num / den, grad_num[free] / num**p - grad_den[free] / den**p
+    grad_num = edge_moments(mesh, rule, vals)[mesh.free_edges()]
+    den = lp_norm_curl(u, p)
+    grad_den = assemble_residual(u, 0.0, PExponent(p))
+    return num / den, grad_num / num**p - grad_den / den**p
 
 
 # ---------------------------------------------------------------------------
@@ -554,12 +548,13 @@ def extract_scalar_potential(u: EdgeField, curl_tol=1e-12, closure_tol=1e-10):
     (the signed sum of its three edge coefficients), relative to the
     largest coefficient: the per-tet curl is that circulation over the
     face area, so an absolute curl bound tightens like 1/h^2 on fine
-    meshes and rejects exact gradients rounded in float64.
+    meshes and rejects exact gradients rounded in float64. The closure
+    check is relative to the same scale, so it holds at any magnitude.
 
     Raises:
-        ValueError: a face circulation above curl_tol times the largest
-            coefficient, or closure violation above closure_tol (input
-            not a gradient field).
+        ValueError: a face circulation above curl_tol, or a closure
+            violation above closure_tol, times the largest coefficient
+            (input not a gradient field).
     """
     mesh = u.mesh
     c = u.coeffs[mesh.tet_edges] * mesh.tet_edge_signs  # along local lo -> hi
@@ -585,7 +580,7 @@ def extract_scalar_potential(u: EdgeField, curl_tol=1e-12, closure_tol=1e-10):
 
     closure = np.abs(phi[hi] - phi[lo] - u.coeffs)
     worst = float(closure[~tree_edge].max(initial=0.0))
-    if worst > closure_tol:
+    if worst > closure_tol * scale:
         raise ValueError(
             f"closure violation {worst:.3e} on non-tree edges: "
             f"input is not a gradient field")

@@ -273,3 +273,70 @@ def test_discrete_stability_dual_norm_proxy():
         denc = graph_norm(dc) * (graph_norm(uc) + graph_norm(vc)) ** (p - 2.0)
         assert dual_norm(rc) / denc == pytest.approx(ratios[-1], rel=1e-6)
     assert max(ratios) < 10.0
+
+
+# -- element-block scatter ----------------------------------------------------
+
+def free_position_map(mesh):
+    """(T, 6) free-edge position of each local edge, -1 on the boundary."""
+    free = mesh.free_edges()
+    pos = -np.ones(mesh.num_edges, dtype=np.int64)
+    pos[free] = np.arange(free.size)
+    return pos[mesh.tet_edges]
+
+
+@pytest.mark.parametrize("free_only", [False, True])
+def test_scatter_blocks_matches_dense_oracle(free_only):
+    from pcurlcurl.assembly import scatter_blocks
+    mesh = build_box_mesh((2, 2, 2))
+    blocks = np.random.default_rng(11).standard_normal((mesh.num_tets, 6, 6))
+    index = free_position_map(mesh) if free_only else mesh.tet_edges
+    n = mesh.free_edges().size if free_only else mesh.num_edges
+    dense = np.zeros((mesh.num_edges, mesh.num_edges))
+    e = mesh.tet_edges
+    np.add.at(dense, (e[:, :, None], e[:, None, :]), blocks)
+    if free_only:
+        free = mesh.free_edges()
+        dense = dense[free][:, free]
+    got = scatter_blocks(index, blocks, n)
+    assert got.shape == (n, n)
+    assert got.has_sorted_indices
+    assert np.abs(got.toarray() - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+def test_every_block_matrix_goes_through_scatter_blocks(monkeypatch):
+    from pcurlcurl import assembly, helmholtz
+    calls = []
+    scatter = assembly.scatter_blocks
+
+    def counting(index, blocks, n):
+        calls.append(n)
+        return scatter(index, blocks, n)
+
+    monkeypatch.setattr(assembly, "scatter_blocks", counting)
+    monkeypatch.setattr(helmholtz, "scatter_blocks", counting)
+    mesh = build_box_mesh((2, 2, 2))
+    u = random_free_field(mesh, np.random.default_rng(12))
+    for build, n in ((lambda: stiffness_matrix(mesh), mesh.num_edges),
+                     (lambda: assemble_jacobian(u, PExponent(4.0, eps=0.1)),
+                      mesh.free_edges().size),
+                     (lambda: edge_mass_matrix(mesh), mesh.num_edges)):
+        calls.clear()
+        build()
+        assert calls == [n]
+
+
+def test_unused_options_stay_removed():
+    # quadrature orders, Gauss points and Friedrich iteration budgets
+    # that no caller set are constants, not parameters
+    import inspect
+    from pcurlcurl.mms import measure_error
+    from pcurlcurl.verify import friedrich_constant
+
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(lp_norm_field) == ["u", "p"]
+    assert names(measure_error) == ["u_h", "case"]
+    assert names(edge_interpolate) == ["func", "mesh"]
+    assert names(friedrich_constant) == ["meshes", "p", "seed"]

@@ -496,3 +496,15 @@ def test_solve_leaves_scipy_sparse_linalg_unimported():
     assert "pcurlcurl.solver" in loaded
     assert "scipy.sparse.linalg" not in loaded
     assert "scipy.sparse.csgraph" not in loaded
+
+
+def test_random_start_p2_takes_one_newton_step():
+    # the start's residual is ~200 times the load; Newton's CG tolerance
+    # is tightened by that ratio, so the one p = 2 step reaches newton_tol
+    mesh = build_box_mesh((6, 6, 6), extents=(PI, PI, PI))
+    rng = np.random.default_rng([101, 1])
+    guess = EdgeField(mesh, rng.standard_normal(mesh.num_edges))
+    _, _, rep = solve(mesh, case_general_p(2.0).load,
+                      SolveConfig(p_target=2.0), initial_guess=guess)
+    assert rep.total_newton_iterations == 1
+    assert rep.final_residual <= 1e-9

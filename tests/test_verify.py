@@ -356,7 +356,7 @@ def test_potential_accepts_rounded_gradient_on_fine_mesh():
     assert np.abs(diffs - u.coeffs).max() <= 1e-10
     # the check is relative: the same field scaled by 1e8 passes too,
     # and one circulation off by 1e-9 of the scale is still caught
-    extract_scalar_potential(EdgeField(mesh, 1e8 * u.coeffs), closure_tol=1e-1)
+    extract_scalar_potential(EdgeField(mesh, 1e8 * u.coeffs))
     bad = u.coeffs.copy()
     bad[mesh.free_edges()[100]] += 1e-9 * np.abs(u.coeffs).max()
     with pytest.raises(ValueError, match="not curl-free"):
@@ -397,3 +397,16 @@ def test_potential_rejects_disconnected_mesh():
                 np.array([[0, 1, 2, 3], [4, 5, 6, 7]]), ((0, 0, 0), (3, 3, 3)))
     with pytest.raises(ValueError, match="disconnected"):
         extract_scalar_potential(EdgeField(mesh))
+
+
+@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("scale", [1e6, 1e8])
+def test_potential_closure_check_is_relative(n, scale):
+    # exact gradients of a large potential leave closure rounding ~1e-9
+    # at scale 1e6; both checks are relative, so any scale passes
+    mesh = build_box_mesh((n, n, n))
+    psi = np.random.default_rng(n).standard_normal(mesh.num_vertices)
+    diffs = psi[mesh.edges[:, 1]] - psi[mesh.edges[:, 0]]
+    phi = extract_scalar_potential(EdgeField(mesh, diffs)).coeffs
+    big = extract_scalar_potential(EdgeField(mesh, scale * diffs)).coeffs
+    assert np.abs(big - scale * phi).max() <= 1e-12 * scale * np.abs(phi).max()
