@@ -179,21 +179,26 @@ def cmd_friedrich(cfg):
               for n in cfg["levels"]]
     rep = friedrich_constant(meshes, cfg["p"], seed=cfg["seed"])
     rows = []
-    for i, (n, c) in enumerate(zip(cfg["levels"], rep.constants)):
+    for i, (n, c, its, lin) in enumerate(zip(cfg["levels"], rep.constants,
+                                             rep.iterations,
+                                             rep.linear_iterations)):
         order = ""
         if i >= 2:
             e0 = abs(rep.constants[i - 1] - rep.constants[i - 2])
             e1 = abs(c - rep.constants[i - 1])
             if e1 > 0:
                 order = "%.17g" % np.log2(e0 / e1)
-        rows.append((i + 1, n, np.pi / n, c, order))
+        rows.append((i + 1, n, np.pi / n, c, order, its, lin))
     write_csv(os.path.join(out, "friedrich.csv"),
-              ("level", "divisions", "h", "C_h", "observed_order"), rows)
+              ("level", "divisions", "h", "C_h", "observed_order",
+               "iterations", "linear_iterations"), rows)
     lines = ["status = OK",
              f"p = {cfg['p']:.17g}",
              f"constants = {', '.join('%.17g' % c for c in rep.constants)}",
              f"extrapolated = {rep.extrapolated:.17g}",
-             f"lower_bound_only = {rep.lower_bound_only}"]
+             f"lower_bound_only = {rep.lower_bound_only}",
+             f"total_iterations = {sum(rep.iterations)}",
+             f"total_linear_iterations = {sum(rep.linear_iterations)}"]
     write_summary(os.path.join(out, "summary.txt"), lines)
     print("\n".join(lines))
     return 0

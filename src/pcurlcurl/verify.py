@@ -11,15 +11,16 @@ are single-row calls of the same kernel, so every row of a sweep equals
 the matching single call bit for bit.
 The Friedrich constant — the best bound ||u||_Lp <= C ||curl u||_Lp over
 boundary-constrained divergence-free fields — is computed discretely:
-exactly for p = 2 via inverse iteration on the projected curl-curl
-eigenproblem, and as a certified lower bound for p > 2 via projected
-ascent on the norm ratio. Green's formulas and scalar-potential
-extraction close the loop on the trace and gradient structure.
+exactly for p = 2 by a preconditioned LOBPCG block eigensolve of the
+projected curl-curl eigenproblem, and as a certified lower bound for
+p > 2 via projected ascent on the norm ratio. Green's formulas and
+scalar-potential extraction close the loop on the trace and gradient
+structure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -273,6 +274,9 @@ class FriedrichReport:
     constants: list                 # C_h per level
     extrapolated: float = 0.0
     lower_bound_only: bool = False  # True for p > 2 (ascent, not eigensolve)
+    # per level, of the p = 2 eigensolve (which also starts the p > 2 ascent)
+    iterations: list = field(default_factory=list)         # outer LOBPCG
+    linear_iterations: list = field(default_factory=list)  # stiffness CG
 
 
 def friedrich_constant(meshes, p, seed=0):
@@ -280,10 +284,13 @@ def friedrich_constant(meshes, p, seed=0):
 
     p = 2: C_h = 1/sqrt(lambda_min) where lambda_min is the smallest
     curl-curl eigenvalue over discretely divergence-free constrained
-    fields, found by inverse power iteration (to a relative eigenvalue
-    drift of 1e-10, at most 200 sweeps) with a divergence-free
-    projection after every solve (the projection removes the gradient
-    kernel, on which the stiffness is singular).
+    fields, found by LOBPCG with a block of 6, a loose stiffness-CG
+    preconditioner and a divergence-free projection of every block (the
+    projection removes the gradient kernel, on which the stiffness is
+    singular). It stops when the 3 lowest Ritz pairs have relative
+    residual ||K x - lambda M x|| / (lambda ||M x||) <= 1e-8, after at
+    most 200 iterations; the report counts the iterations and the
+    stiffness-CG iterations per level.
 
     p > 2: 150 trial steps of projected gradient ascent on
     log(||u||_p / ||curl u||_p) started from the p = 2 maximizer; the
@@ -294,10 +301,14 @@ def friedrich_constant(meshes, p, seed=0):
     """
     constants = []
     levels = []
+    iterations = []
+    linear_iterations = []
     for mesh in meshes:
         levels.append(tuple(int(round(e)) for e in _divisions_of(mesh)))
         proj = DivFreeProjector(mesh)
-        u2, c2 = _friedrich_p2(proj, seed=seed, tol=1e-10, max_iter=200)
+        u2, (c2, its, lin) = _friedrich_p2(proj, seed)
+        iterations.append(its)
+        linear_iterations.append(lin)
         if p == 2.0:
             constants.append(c2)
         else:
@@ -307,7 +318,8 @@ def friedrich_constant(meshes, p, seed=0):
         extrap = constants[-1] + (constants[-1] - constants[-2]) / 3.0
     return FriedrichReport(p=float(p), levels=levels, constants=constants,
                            extrapolated=float(extrap),
-                           lower_bound_only=(p != 2.0))
+                           lower_bound_only=(p != 2.0), iterations=iterations,
+                           linear_iterations=linear_iterations)
 
 
 def _divisions_of(mesh):
@@ -317,21 +329,43 @@ def _divisions_of(mesh):
     return counts
 
 
-def _friedrich_p2(proj, seed, tol, max_iter):
-    """Smallest constrained curl-curl eigenvalue, blocked inverse iteration.
+def _friedrich_p2(proj, seed):
+    """Smallest constrained curl-curl eigenvalue by preconditioned LOBPCG.
 
-    The lowest cavity eigenvalue has multiplicity 3 in the continuum and
-    splits into a tight discrete cluster, so single-vector iteration
-    stalls; a Rayleigh-Ritz block of 6 separates the cluster cleanly.
-    Every sweep re-projects onto the divergence-free complement, which
-    removes the gradient kernel of the stiffness. `proj` is the mesh's
+    Returns the maximizer u and (C_h, outer iterations, stiffness-CG
+    iterations). The lowest cavity eigenvalue has multiplicity 3 in the
+    continuum and splits into a tight discrete cluster, so the pencil
+    (K, M) on the free edges is iterated with a block of 6 from a seeded
+    random start (Knyazev, SIAM J. Sci. Comput. 23, 2001). Each residual
+    column is preconditioned by a loose CG solve on K (tol 0.1; its
+    convergence flag is ignored, as it only preconditions): R = KX - MX
+    Theta is orthogonal to the gradients, so CG on the singular K is
+    consistent. The start block and every preconditioned block are
+    projected onto the divergence-free complement (Arbenz et al., IJNME
+    64, 2005), which keeps the gradient kernel of K out of the search
+    space. The basis follows Hetmaniuk & Lehoucq (J. Comput. Phys. 218,
+    2006): W is M-orthogonalized against X, P against [X, W], twice each,
+    and each block is M-orthonormalized on its own, so the Rayleigh-Ritz
+    step on [X, W, P] is a standard symmetric eigenproblem. Columns whose
+    residual is already below the stopping tolerance leave W and P (soft
+    locking). The iteration stops when the 3 lowest Ritz pairs have
+    ||K x - theta M x|| <= 1e-8 theta ||M x||. `proj` is the mesh's
     DivFreeProjector.
+
+    Raises:
+        SolverError: no stop within 200 iterations, or a basis block
+            that lost rank; the message carries the residuals.
     """
     mesh = proj.mesh
     free = mesh.free_edges()
     K = stiffness_matrix(mesh)[free][:, free].tocsr()
     M = proj.M[free][:, free].tocsr()
-    block = min(6, free.size)
+    # [X, W, P] must fit in the divergence-free space, whose dimension is
+    # the free edge count less one constraint per interior vertex
+    dim = free.size - mesh.interior_vertices().size
+    block = min(6, max(1, dim // 3))
+    watched = min(3, block)
+    linear_iterations = 0
 
     def project_cols(X):
         out = np.empty_like(X)
@@ -342,44 +376,81 @@ def _friedrich_p2(proj, seed, tol, max_iter):
             out[:, j] = u.coeffs[free]
         return out
 
+    def precondition(R):
+        nonlocal linear_iterations
+        W = np.empty_like(R)
+        for j in range(R.shape[1]):
+            W[:, j], rep = cg(K, R[:, j], tol=0.1)
+            linear_iterations += rep.iterations
+        return project_cols(W)
+
+    def m_orthonormal(B, iteration, residuals):
+        B = _m_orthonormalize(B, M)
+        if B is None:
+            raise SolverError(
+                f"LOBPCG basis lost rank after {iteration} iterations; "
+                f"relative residuals {_format(residuals[:watched])}")
+        return B
+
     rng = np.random.default_rng(seed)
     X = project_cols(rng.standard_normal((free.size, block)))
-
-    lam_old = np.inf
-    lam = np.inf
-    for _ in range(max_iter):
-        Y = np.empty_like(X)
-        for j in range(block):
-            y, rep = cg(K, M @ X[:, j], tol=1e-12, max_iter=40 * free.size)
-            if not rep.converged:
-                raise SolverError(
-                    f"inverse iteration: stiffness CG stalled at relative "
-                    f"residual {rep.relative_residual:.3e} after "
-                    f"{rep.iterations} iterations")
-            Y[:, j] = y
-        Y = project_cols(Y)
-        # Rayleigh-Ritz on the block
-        w, Q = _ritz(Y.T @ (K @ Y), Y.T @ (M @ Y))
-        X = Y @ Q
-        lam = float(w[0])
-        if abs(lam - lam_old) <= tol * max(abs(lam), 1.0):
+    X = _m_orthonormalize(X, M)
+    theta, Q = np.linalg.eigh(X.T @ (K @ X))
+    X = X @ Q
+    P = None
+    for iteration in range(201):
+        KX, MX = K @ X, M @ X
+        R = KX - MX * theta
+        res = np.linalg.norm(R, axis=0) / (theta * np.linalg.norm(MX, axis=0))
+        if np.all(res[:watched] <= 1e-8):
             break
-        lam_old = lam
-    else:
-        raise SolverError(
-            f"inverse iteration stagnated: eigenvalue drift "
-            f"{abs(lam - lam_old) / abs(lam):.3e} after {max_iter} sweeps")
+        if iteration == 200:
+            raise SolverError(
+                f"LOBPCG did not converge in 200 iterations; relative "
+                f"residuals of the lowest {watched} Ritz pairs "
+                f"{_format(res[:watched])}")
+        # converged columns leave W and P: their directions would be
+        # rounding noise, and noise carries gradients
+        active = res > 1e-8
+        W = precondition(R[:, active])
+        for _ in range(2):
+            W -= X @ (X.T @ (M @ W))
+        blocks = [X, m_orthonormal(W, iteration, res)]
+        if P is not None:
+            P = P[:, active]
+            for _ in range(2):
+                for B in blocks:
+                    P -= B @ (B.T @ (M @ P))
+            blocks.append(m_orthonormal(P, iteration, res))
+        S = np.hstack(blocks)
+        w, C = np.linalg.eigh(S.T @ (K @ S))
+        theta, C = w[:block], C[:, :block]
+        X = S @ C
+        P = S[:, block:] @ C[block:]
     u = EdgeField(mesh)
     u.coeffs[free] = X[:, 0]
-    return u, 1.0 / np.sqrt(lam)
+    return u, (1.0 / np.sqrt(theta[0]), iteration, linear_iterations)
 
 
-def _ritz(Kz, Mz):
-    """Generalized symmetric Ritz values/vectors, ascending."""
-    L = np.linalg.cholesky(Mz)
-    Li = np.linalg.inv(L)
-    w, V = np.linalg.eigh(Li @ Kz @ Li.T)
-    return w, Li.T @ V
+def _m_orthonormalize(B, M):
+    """B with M-orthonormal columns spanning the same space, or None.
+
+    Cholesky QR on the Gram matrix after scaling its diagonal to 1; None
+    when a column vanishes or the Gram matrix is not positive definite.
+    """
+    gram = B.T @ (M @ B)
+    d = np.sqrt(np.diag(gram))
+    if not np.all(d > 0):
+        return None
+    try:
+        L = np.linalg.cholesky(gram / np.outer(d, d))
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.solve(L, (B / d).T).T
+
+
+def _format(values):
+    return ", ".join(f"{v:.3e}" for v in values)
 
 
 def _friedrich_ascent(proj, u_start, p):

@@ -103,6 +103,10 @@ def test_friedrich_command(tmp_path):
     assert len(rows) == 3
     last = float(rows[-1]["C_h"])
     assert abs(last - 1 / np.sqrt(2)) / (1 / np.sqrt(2)) <= 0.05
+    lin = [int(r["linear_iterations"]) for r in rows]
+    assert all(int(r["iterations"]) > 0 for r in rows) and min(lin) > 0
+    summary = (out / "summary.txt").read_text()
+    assert f"total_linear_iterations = {sum(lin)}\n" in summary
 
 
 def test_converge_command_monotone_errors(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from pcurlcurl import verify
 from pcurlcurl.assembly import EdgeField, assemble_gradient_map, curl_per_tet
+from pcurlcurl.linalg import LinearSolveReport, SolverError, cg
 from pcurlcurl.mesh import build_box_mesh
 from pcurlcurl.verify import (check_green_formulas, check_ineq1, check_ineq2,
                               check_inequalities, default_smooth_pair,
@@ -196,7 +197,52 @@ def test_friedrich_p2_matches_dense_oracle(n):
     mesh = build_box_mesh((n, n, n), extents=(PI, PI, PI))
     rep = friedrich_constant([mesh], 2.0)
     lam_oracle = dense_constrained_eigenvalue(mesh)
-    assert rep.constants[0] == pytest.approx(1.0 / np.sqrt(lam_oracle), rel=1e-8)
+    assert rep.constants[0] == pytest.approx(1.0 / np.sqrt(lam_oracle),
+                                             rel=1e-12)
+
+
+def test_friedrich_p2_stiffness_cg_budget(monkeypatch):
+    # LOBPCG with loose CG preconditioning: 1265 stiffness-CG iterations
+    # at 8^3; the inverse iteration it replaced took 14 438
+    counted = []
+
+    def counting_cg(A, b, **kwargs):
+        x, rep = cg(A, b, **kwargs)
+        counted.append(rep.iterations)
+        return x, rep
+
+    monkeypatch.setattr(verify, "cg", counting_cg)
+    mesh = build_box_mesh((8, 8, 8), extents=(PI, PI, PI))
+    rep = friedrich_constant([mesh], 2.0)
+    assert sum(counted) <= 2000
+    assert rep.linear_iterations == [sum(counted)]
+    assert 0 < rep.iterations[0] <= 200
+
+
+def test_friedrich_p2_seed_independent():
+    mesh = build_box_mesh((4, 4, 4), extents=(PI, PI, PI))
+    c0 = friedrich_constant([mesh], 2.0, seed=0).constants[0]
+    c1 = friedrich_constant([mesh], 2.0, seed=1).constants[0]
+    assert c1 == pytest.approx(c0, rel=1e-12)
+
+
+@pytest.mark.parametrize("output, failure", [
+    ("zeros", "lost rank after 0 iterations"),
+    ("noise", "did not converge in 200 iterations")])
+def test_friedrich_p2_failed_preconditioner_raises(monkeypatch, output,
+                                                   failure):
+    # a preconditioner that returns nothing, or nothing useful, and claims
+    # success, must not yield a constant
+    rng = np.random.default_rng(5)
+
+    def broken_cg(A, b, **kwargs):
+        x = rng.standard_normal(b.size) if output == "noise" else 0.0 * b
+        return x, LinearSolveReport(0, 0.0, True)
+
+    monkeypatch.setattr(verify, "cg", broken_cg)
+    mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
+    with pytest.raises(SolverError, match=failure):
+        friedrich_constant([mesh], 2.0)
 
 
 def test_friedrich_constant_converges_from_above():
@@ -225,8 +271,7 @@ def test_friedrich_p4_lower_bound_exceeds_start():
     from pcurlcurl.assembly import lp_norm_curl, lp_norm_field
     from pcurlcurl.helmholtz import DivFreeProjector
     from pcurlcurl.verify import _friedrich_p2
-    u2, _ = _friedrich_p2(DivFreeProjector(meshes[0]), seed=0, tol=1e-10,
-                          max_iter=200)
+    u2, _ = _friedrich_p2(DivFreeProjector(meshes[0]), seed=0)
     start = lp_norm_field(u2, 4.0) / lp_norm_curl(u2, 4.0)
     rep = friedrich_constant(meshes, 4.0)
     assert rep.lower_bound_only
@@ -239,7 +284,7 @@ def test_friedrich_maximizer_is_divergence_free_with_curl():
     from pcurlcurl.verify import _friedrich_p2
     mesh = build_box_mesh((2, 2, 2), extents=(PI, PI, PI))
     proj = DivFreeProjector(mesh)
-    u, _ = _friedrich_p2(proj, seed=0, tol=1e-10, max_iter=200)
+    u, _ = _friedrich_p2(proj, seed=0)
     num = proj.constraint_norm(u.coeffs)
     assert num <= 1e-8 * np.linalg.norm(u.coeffs)
     assert np.abs(curl_per_tet(u)).max() > 0.01     # gradients are excluded
