@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import whitney
-from .linalg import csr_matrix_from_coo
+from .linalg import SparseMatrix, csr_matrix_from_coo
 from .mesh import LOCAL_EDGES, Mesh
 
 # Local vertex slots (i, j) of each local edge, as index arrays.
@@ -100,28 +100,6 @@ def power_map(g, p: PExponent):
     return np.power(msq, 0.5 * (p.p - 2.0)) * g
 
 
-def power_map_derivative(g, p: PExponent):
-    """Jacobian of power_map w.r.t. g: 3x3 tensors over trailing axis.
-
-    D = m^((p-2)/2) I + (p-2) m^((p-4)/2) g g^T with m = eps^2 + |g|^2.
-    Both terms are PSD for p >= 2. Where m = 0 (eps = 0 on a curl-free
-    tet) the derivative degenerates to the zero block.
-    """
-    g = np.asarray(g, dtype=float)
-    eye = np.eye(3)
-    if p.p == 2.0:
-        return np.broadcast_to(eye, g.shape + (3,)).copy()
-    msq = p.eps**2 + np.sum(g * g, axis=-1)
-    out = np.zeros(g.shape + (3,))
-    pos = msq > 0.0
-    gp = g[pos]
-    mp = msq[pos]
-    out[pos] = (np.power(mp, 0.5 * (p.p - 2.0))[:, None, None] * eye
-                + (p.p - 2.0) * np.power(mp, 0.5 * (p.p - 4.0))[:, None, None]
-                * gp[:, :, None] * gp[:, None, :])
-    return out
-
-
 def curl_per_tet(u: EdgeField, geom=None):
     """Constant curl vector of the edge field on each tet, shape (T, 3).
 
@@ -156,43 +134,74 @@ def assemble_jacobian(u: EdgeField, p: PExponent):
 
     Symmetric positive semidefinite for p >= 2; equals the p = 2
     curl-curl stiffness matrix (independent of u) when p = 2.
+
+    With g the curl on a tet, the power map's derivative is
+    D = a I + b g g^T, a = m^((p-2)/2), b = (p-2) m^((p-4)/2) and
+    m = eps^2 + |g|^2. With S the tet's signed basis curls, the element
+    block vol S D S^T is then a vol S S^T + w w^T, w = sqrt(b vol) S g:
+    the Gram matrix Z Z^T of the (6, 4) matrix Z = [sqrt(a vol) S, w].
+    Where m = 0 (eps = 0 on a curl-free tet) the block is zero.
     """
     mesh = u.mesh
-    geom = mesh.geometry
+    if p.p == 2.0:
+        return scatter_blocks(mesh, stiffness_blocks(mesh), free=True)
+    geom, signs = mesh.geometry, mesh.tet_edge_signs
     g = curl_per_tet(u)
-    D = power_map_derivative(g, p)                      # (T, 3, 3)
-    signed = geom.curls * mesh.tet_edge_signs[:, :, None]
-    blocks = np.einsum("t,tec,tcd,tfd->tef", geom.vols, signed, D, signed,
-                       optimize=True)
-    free = mesh.free_edges()
-    pos = -np.ones(mesh.num_edges, dtype=np.int64)
-    pos[free] = np.arange(free.size)
-    return scatter_blocks(pos[mesh.tet_edges], blocks, free.size)
+    msq = p.eps**2 + np.sum(g * g, axis=1)
+    a = np.zeros_like(msq)
+    b = np.zeros_like(msq)
+    pos = msq > 0.0
+    a[pos] = np.power(msq[pos], 0.5 * (p.p - 2.0))
+    b[pos] = (p.p - 2.0) * np.power(msq[pos], 0.5 * (p.p - 4.0))
+    Z = np.empty((mesh.num_tets, 6, 4))
+    weights = signs * np.sqrt(a * geom.vols)[:, None]
+    np.multiply(geom.curls, weights[:, :, None], out=Z[:, :, :3])
+    np.matmul(geom.curls, g[:, :, None], out=Z[:, :, 3:])
+    Z[:, :, 3] *= signs * np.sqrt(b * geom.vols)[:, None]
+    return scatter_blocks(mesh, gram_blocks(Z), free=True)
+
+
+def stiffness_blocks(mesh: Mesh):
+    """p = 2 curl-curl element blocks vol S S^T, shape (T, 6, 6).
+
+    S (6, 3) holds a tet's basis curls, signed to the global edges.
+    """
+    geom = mesh.geometry
+    weights = mesh.tet_edge_signs * np.sqrt(geom.vols)[:, None]
+    return gram_blocks(geom.curls * weights[:, :, None])
+
+
+def gram_blocks(Z):
+    """Z_t Z_t^T for every t, shape (T, n, n) from Z (T, n, k).
+
+    numpy's batched matmul is ~3x faster on a contiguous transpose than
+    on a transposed view.
+    """
+    return Z @ np.ascontiguousarray(Z.transpose(0, 2, 1))
 
 
 def stiffness_matrix(mesh: Mesh):
     """p = 2 curl-curl stiffness over ALL edges (E x E CSR)."""
-    geom = mesh.geometry
-    signed = geom.curls * mesh.tet_edge_signs[:, :, None]
-    blocks = (geom.vols[:, None, None] * signed) @ signed.transpose(0, 2, 1)
-    return scatter_blocks(mesh.tet_edges, blocks, mesh.num_edges)
+    return scatter_blocks(mesh, stiffness_blocks(mesh), free=False)
 
 
-def scatter_blocks(index, blocks, n):
-    """Sum (T, 6, 6) element blocks into an n x n CSR matrix.
+def scatter_blocks(mesh: Mesh, blocks, free):
+    """Sum (T, 6, 6) element blocks into canonical CSR over the mesh's edges.
 
-    `index` (T, 6) holds the global row and column of each local edge;
-    a negative entry (a boundary edge of a free x free matrix) drops
-    that row and column.
+    `free` picks `mesh.free_pattern` (free x free; an entry on a
+    boundary row or column is dropped) or `mesh.edge_pattern` (all x
+    all). The pattern is fixed per mesh, so assembly only refills
+    `data`: one bincount of the block entries into their slots. The
+    result shares the pattern's read-only index arrays and keeps every
+    structural nonzero, exact zeros included.
     """
-    rows = np.repeat(index, 6, axis=1).ravel()
-    cols = np.tile(index, (1, 6)).ravel()
-    vals = blocks.ravel()
-    # An all-edge matrix drops nothing: skip the mask and its copies.
-    if index.min() < 0:
-        keep = (rows >= 0) & (cols >= 0)
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    return csr_matrix_from_coo(rows, cols, vals, (n, n))
+    pattern = mesh.free_pattern if free else mesh.edge_pattern
+    nnz = pattern.indices.size
+    data = np.bincount(pattern.slot, blocks.ravel(), nnz + 1)[:nnz]
+    n = pattern.indptr.size - 1
+    out = SparseMatrix((data, pattern.indices, pattern.indptr), shape=(n, n))
+    out.has_canonical_format = True
+    return out
 
 
 def assemble_gradient_map(mesh: Mesh):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .assembly import (EdgeField, NodalField, assemble_gradient_map,
-                       scatter_blocks)
+                       gram_blocks, scatter_blocks)
 from .linalg import SolverError, cg
 from .mesh import LOCAL_EDGES, Mesh
 
@@ -39,19 +39,25 @@ def _mass_kernel():
 _MASS_KERNEL = _mass_kernel()
 
 
-def edge_mass_matrix(mesh: Mesh):
-    """Edge-element mass matrix M (E x E, SPD), integrated in closed form."""
+def mass_blocks(mesh: Mesh):
+    """Edge-element mass blocks, shape (T, 6, 6), in closed form."""
     geom = mesh.geometry
-    gram = geom.grads @ geom.grads.transpose(0, 2, 1)   # (T, 4, 4)
+    gram = gram_blocks(geom.grads)                      # (T, 4, 4)
     gram *= geom.vols[:, None, None]
     blocks = (gram.reshape(-1, 16) @ _MASS_KERNEL).reshape(-1, 6, 6)
-    signs = mesh.tet_edge_signs
+    # int8 signs: their (T, 6, 6) products cost half of int64's
+    signs = mesh.tet_edge_signs.astype(np.int8)
     blocks *= signs[:, :, None] * signs[:, None, :]
-    return scatter_blocks(mesh.tet_edges, blocks, mesh.num_edges)
+    return blocks
+
+
+def edge_mass_matrix(mesh: Mesh):
+    """Edge-element mass matrix M (E x E, SPD), integrated in closed form."""
+    return scatter_blocks(mesh, mass_blocks(mesh), free=False)
 
 
 class DivFreeProjector:
-    """Caches M, G and G^T M G; the one place that solves G^T M G phi = G^T b.
+    """Caches M, G, G^T and G^T M G; the one solver of G^T M G phi = G^T b.
 
     `project` splits edge fields, `strip_gradient` cleans functionals.
     """
@@ -60,7 +66,8 @@ class DivFreeProjector:
         self.mesh = mesh
         self.M = edge_mass_matrix(mesh)
         self.G = assemble_gradient_map(mesh)
-        self.GtMG = (self.G.T @ (self.M @ self.G)).tocsr()
+        self.Gt = self.G.T.tocsr()
+        self.GtMG = self.Gt @ (self.M @ self.G)
 
     def project(self, u: EdgeField, tol=1e-12):
         """Split u into (u0, phi) with G^T M u0 = 0 up to solver tolerance.
@@ -69,7 +76,7 @@ class DivFreeProjector:
         comes back unchanged, up to the CG tolerance; the curl is kept
         exactly, since curl(G phi) = 0 holds edge by edge.
         """
-        phi = self._potential(self.G.T @ (self.M @ u.coeffs), tol)
+        phi = self._potential(self.Gt @ (self.M @ u.coeffs), tol)
         return EdgeField(self.mesh, u.coeffs - self.G @ phi), self._nodal(phi)
 
     def strip_gradient(self, b, tol):
@@ -81,12 +88,12 @@ class DivFreeProjector:
         free = self.mesh.free_edges()
         full = np.zeros(self.mesh.num_edges)
         full[free] = b
-        phi = self._potential(self.G.T @ full, tol)
+        phi = self._potential(self.Gt @ full, tol)
         return b - (self.M @ (self.G @ phi))[free], self._nodal(phi)
 
     def constraint_norm(self, coeffs):
         """||G^T M u||_2 for raw edge coefficients."""
-        return float(np.linalg.norm(self.G.T @ (self.M @ coeffs)))
+        return float(np.linalg.norm(self.Gt @ (self.M @ coeffs)))
 
     def _potential(self, rhs, tol):
         phi, rep = cg(self.GtMG, rhs, tol=tol)

@@ -1,13 +1,14 @@
 """Sparse storage and deterministic Krylov solvers.
 
-Sparse matrices are CSR (scipy backing store); `csr_matrix_from_coo`
-finalizes duplicate summation, drops explicit zeros and sorts column
-indices, after which matrices are treated as immutable. The CG loop for
-SPD systems (optionally Jacobi-preconditioned) is written out here as a
-plain single-threaded state machine so runs are reproducible
-bit-for-bit.
+Sparse matrices are CSR (scipy backing store) and are treated as
+immutable. Every block matrix over the edges is a refill of a per-mesh
+pattern (`assembly.scatter_blocks`); `csr_matrix_from_coo`, which sums
+duplicates, drops explicit zeros and sorts column indices, builds only
+the gradient map. The CG loop for SPD systems (optionally
+Jacobi-preconditioned) is written out here as a plain single-threaded
+state machine so runs are reproducible bit-for-bit.
 
-Everything is 64-bit: the power-law material weight spans many orders of
+Values are float64: the power-law material weight spans many orders of
 magnitude near degenerate points and leaves no headroom for float32.
 """
 

@@ -11,15 +11,36 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 # Local edges of a tetrahedron (pairs of local vertex slots), fixed order.
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
+# Tets whose block entries are looked up at once while numbering a
+# pattern: bounds that build's (chunk * 36) temporaries.
+_PATTERN_CHUNK = 2**16
+
 
 class MeshError(ValueError):
     """Invalid mesh construction parameters or corrupt topology."""
+
+
+class CSRPattern(NamedTuple):
+    """Canonical CSR structure of an assembled edge matrix and its scatter map.
+
+    `indptr` and `indices` are int32, with sorted and unique columns in
+    each row. `slot` (T * 36,) int32 sends entry 6 a + b of tet t's
+    (6, 6) element block, at flat position 36 t + 6 a + b, to its place
+    in `data`; the value nnz marks a dropped entry (a boundary row or
+    column of a free x free matrix). All three arrays are read-only.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray
 
 
 class Mesh:
@@ -38,6 +59,9 @@ class Mesh:
         box: (origin, extents) pair of float triples.
         geometry: the whitney.CellGeometry of the tets, computed on first
             access and cached, with read-only arrays.
+        edge_pattern, free_pattern: the CSRPattern of every all x all and
+            every free x free edge matrix, each built on first access and
+            cached; `assembly.scatter_blocks` refills their `data`.
 
     Instances are immutable by convention; all arrays are views into
     construction-time buffers and must not be written to.
@@ -73,6 +97,14 @@ class Mesh:
         for arr in (geom.vols, geom.grads, geom.curls):
             arr.flags.writeable = False
         return geom
+
+    @cached_property
+    def edge_pattern(self):
+        return _csr_pattern(self, free=False)
+
+    @cached_property
+    def free_pattern(self):
+        return _csr_pattern(self, free=True)
 
     def interior_vertices(self):
         """Vertex indices not on the box surface, ascending."""
@@ -142,6 +174,59 @@ class Mesh:
         for k, (a, b) in enumerate(LOCAL_EDGES):
             self.tet_edges[:, k] = inverse[k * ntet:(k + 1) * ntet]
             self.tet_edge_signs[:, k] = np.where(t[:, a] < t[:, b], 1, -1)
+
+
+def _csr_pattern(mesh, free):
+    """Build `mesh.edge_pattern`, or `mesh.free_pattern` from it.
+
+    Edges i and j couple when they share a tet, so the all x all
+    structure is that of inc^T inc, inc being the (T x E) tet-edge
+    incidence. Its nonzeros are numbered in order and each block entry's
+    number is read back by a CSR lookup, a chunk of tets at a time, so
+    no (T * 36)-long sort or int64 key array is made. The free x free
+    pattern keeps the entries with a free row and column, renumbered;
+    the rest go to the dump slot nnz.
+    """
+    if free:
+        return _restrict_pattern(mesh.edge_pattern, mesh.free_edges(),
+                                 mesh.num_edges)
+    ntet, n = mesh.num_tets, mesh.num_edges
+    index = mesh.tet_edges.astype(np.int32)
+    inc = sp.csr_array((np.ones(6 * ntet), index.ravel(),
+                        np.arange(0, 6 * ntet + 1, 6, dtype=np.int32)),
+                       shape=(ntet, n))
+    adj = (inc.T @ inc).tocsr()
+    adj.sort_indices()
+    adj.data = np.arange(adj.nnz, dtype=float)
+    slot = np.empty((ntet, 36), dtype=np.int32)
+    for start in range(0, ntet, _PATTERN_CHUNK):
+        e = index[start:start + _PATTERN_CHUNK]
+        rows = np.repeat(e, 6, axis=1).ravel()
+        cols = np.tile(e, 6).ravel()
+        slot[start:start + _PATTERN_CHUNK] = adj[rows, cols].reshape(-1, 36)
+    return _frozen(adj.indptr.astype(np.int32, copy=False),
+                   adj.indices.astype(np.int32, copy=False), slot.ravel())
+
+
+def _restrict_pattern(pattern, free, n):
+    """The free x free rows and columns of an all x all CSRPattern."""
+    is_free = np.zeros(n, dtype=bool)
+    is_free[free] = True
+    keep = np.repeat(is_free, np.diff(pattern.indptr))
+    keep &= is_free[pattern.indices]
+    kept_before = np.concatenate([[0], np.cumsum(keep, dtype=np.int32)])
+    nnz = kept_before[-1]
+    renumber = np.where(keep, kept_before[:-1], nnz).astype(np.int32)
+    indptr = kept_before[np.append(pattern.indptr[free], pattern.indptr[-1])]
+    position = np.cumsum(is_free, dtype=np.int32) - 1
+    indices = position[pattern.indices[keep]]
+    return _frozen(indptr.astype(np.int32), indices, renumber[pattern.slot])
+
+
+def _frozen(indptr, indices, slot):
+    for arr in (indptr, indices, slot):
+        arr.flags.writeable = False
+    return CSRPattern(indptr, indices, slot)
 
 
 def build_box_mesh(divisions, origin=(0.0, 0.0, 0.0), extents=(1.0, 1.0, 1.0)):

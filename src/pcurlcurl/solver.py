@@ -245,7 +245,10 @@ def _newton_stage(proj, u, load, load_scale, pexp, config):
     denom = load_scale or max(res0, np.finfo(float).tiny)
     rec = StageRecord(p=pexp.p, eps=pexp.eps, newton_iterations=0,
                       final_residual=res0 / denom)
-    rec.energy_history.append(energy(u, load, pexp))
+    # The energy's two terms at the current iterate: J and its rounding
+    # floor both come from them.
+    bulk, pairing = _energy_terms(u, load, pexp)
+    rec.energy_history.append(float(bulk - pairing))
 
     for it in range(1, config.max_newton + 1):
         if np.linalg.norm(r) <= config.newton_tol * denom:
@@ -279,7 +282,6 @@ def _newton_stage(proj, u, load, load_scale, pexp, config):
         # Near the minimum the true decrease ~|r|^2 drops below float64
         # rounding of J itself; the floor keeps Armijo from rejecting
         # full Newton steps it cannot measure.
-        bulk, pairing = _energy_terms(u, load, pexp)
         J_floor = 64.0 * np.finfo(float).eps * (bulk + abs(pairing) + 1.0)
         t = 1.0
         accepted = False
@@ -290,7 +292,8 @@ def _newton_stage(proj, u, load, load_scale, pexp, config):
             # At large p a long trial step can overflow J to inf, which
             # rejects it like any other increase.
             with np.errstate(over="ignore"):
-                J_try = energy(u_try, load, pexp)
+                terms = _energy_terms(u_try, load, pexp)
+            J_try = float(terms[0] - terms[1])
             if J_try <= J0 + 1e-4 * t * min(slope, 0.0) + J_floor:
                 accepted = True
                 break
@@ -301,6 +304,7 @@ def _newton_stage(proj, u, load, load_scale, pexp, config):
                 f"Newton iteration {it} (energy cannot decrease)")
 
         u = u_try
+        bulk, pairing = terms
         r = assemble_residual(u, load, pexp)
         rec.newton_iterations = it
         rec.energy_history.append(J_try)

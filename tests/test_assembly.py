@@ -6,8 +6,7 @@ from pcurlcurl.assembly import (EdgeField, PExponent, assemble_gradient_map,
                                 assemble_jacobian, assemble_load,
                                 assemble_residual, curl_per_tet,
                                 edge_interpolate, lp_norm_curl, lp_norm_field,
-                                power_map, power_map_derivative,
-                                stiffness_matrix)
+                                power_map, scatter_blocks, stiffness_matrix)
 from pcurlcurl.helmholtz import edge_mass_matrix
 from pcurlcurl.linalg import cg
 from pcurlcurl.mesh import LOCAL_EDGES, build_box_mesh
@@ -20,6 +19,29 @@ def random_free_field(mesh, rng, scale=1.0):
     u = EdgeField(mesh)
     u.coeffs[mesh.free_edges()] = scale * rng.standard_normal(mesh.free_edges().size)
     return u
+
+
+def power_map_derivative(g, p: PExponent):
+    """Jacobian of power_map w.r.t. g: 3x3 tensors over trailing axis.
+
+    D = m^((p-2)/2) I + (p-2) m^((p-4)/2) g g^T with m = eps^2 + |g|^2.
+    Both terms are PSD for p >= 2. Where m = 0 (eps = 0 on a curl-free
+    tet) the derivative degenerates to the zero block. The oracle of
+    `assemble_jacobian`, which never forms D.
+    """
+    g = np.asarray(g, dtype=float)
+    eye = np.eye(3)
+    if p.p == 2.0:
+        return np.broadcast_to(eye, g.shape + (3,)).copy()
+    msq = p.eps**2 + np.sum(g * g, axis=-1)
+    out = np.zeros(g.shape + (3,))
+    pos = msq > 0.0
+    gp = g[pos]
+    mp = msq[pos]
+    out[pos] = (np.power(mp, 0.5 * (p.p - 2.0))[:, None, None] * eye
+                + (p.p - 2.0) * np.power(mp, 0.5 * (p.p - 4.0))[:, None, None]
+                * gp[:, :, None] * gp[:, None, :])
+    return out
 
 
 def test_pexponent_contract():
@@ -277,20 +299,10 @@ def test_discrete_stability_dual_norm_proxy():
 
 # -- element-block scatter ----------------------------------------------------
 
-def free_position_map(mesh):
-    """(T, 6) free-edge position of each local edge, -1 on the boundary."""
-    free = mesh.free_edges()
-    pos = -np.ones(mesh.num_edges, dtype=np.int64)
-    pos[free] = np.arange(free.size)
-    return pos[mesh.tet_edges]
-
-
 @pytest.mark.parametrize("free_only", [False, True])
 def test_scatter_blocks_matches_dense_oracle(free_only):
-    from pcurlcurl.assembly import scatter_blocks
     mesh = build_box_mesh((2, 2, 2))
     blocks = np.random.default_rng(11).standard_normal((mesh.num_tets, 6, 6))
-    index = free_position_map(mesh) if free_only else mesh.tet_edges
     n = mesh.free_edges().size if free_only else mesh.num_edges
     dense = np.zeros((mesh.num_edges, mesh.num_edges))
     e = mesh.tet_edges
@@ -298,7 +310,7 @@ def test_scatter_blocks_matches_dense_oracle(free_only):
     if free_only:
         free = mesh.free_edges()
         dense = dense[free][:, free]
-    got = scatter_blocks(index, blocks, n)
+    got = scatter_blocks(mesh, blocks, free_only)
     assert got.shape == (n, n)
     assert got.has_sorted_indices
     assert np.abs(got.toarray() - dense).max() <= 1e-14 * np.abs(dense).max()
@@ -309,9 +321,10 @@ def test_every_block_matrix_goes_through_scatter_blocks(monkeypatch):
     calls = []
     scatter = assembly.scatter_blocks
 
-    def counting(index, blocks, n):
-        calls.append(n)
-        return scatter(index, blocks, n)
+    def counting(mesh, blocks, free):
+        out = scatter(mesh, blocks, free)
+        calls.append(out.shape[0])
+        return out
 
     monkeypatch.setattr(assembly, "scatter_blocks", counting)
     monkeypatch.setattr(helmholtz, "scatter_blocks", counting)
@@ -324,6 +337,76 @@ def test_every_block_matrix_goes_through_scatter_blocks(monkeypatch):
         calls.clear()
         build()
         assert calls == [n]
+
+
+@pytest.mark.parametrize("free", [False, True])
+def test_pattern_is_canonical_and_read_only(free):
+    mesh = build_box_mesh((3, 2, 2))
+    pattern = mesh.free_pattern if free else mesh.edge_pattern
+    n = mesh.free_edges().size if free else mesh.num_edges
+    assert pattern.indptr.shape == (n + 1,)
+    assert pattern.slot.shape == (mesh.num_tets * 36,)
+    for arr in pattern:
+        assert arr.dtype == np.int32
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # every slot is a nonzero or, free x free only, the dump slot
+    nnz = pattern.indices.size
+    assert pattern.slot.min() >= 0 and pattern.slot.max() <= nnz
+    assert (pattern.slot.max() == nnz) == free
+    assert np.unique(pattern.slot[pattern.slot < nnz]).size == nnz
+    blocks = np.random.default_rng(13).standard_normal((mesh.num_tets, 6, 6))
+    got = scatter_blocks(mesh, blocks, free)
+    assert got.has_canonical_format
+    for i in range(n):
+        row = got.indices[got.indptr[i]:got.indptr[i + 1]]
+        assert np.all(np.diff(row) > 0)
+    # the canonical flag is true, not just set: scipy's own check agrees
+    fresh = got.copy()
+    fresh.has_canonical_format = False
+    fresh.sum_duplicates()
+    assert fresh.nnz == got.nnz
+    assert np.array_equal(fresh.indices, got.indices)
+    # the matrix is a refill: it shares the pattern and cannot corrupt it
+    assert np.shares_memory(got.indices, pattern.indices)
+    with pytest.raises(ValueError):
+        got.indices[0] = 0
+
+
+def jacobian_einsum_oracle(u, pe):
+    mesh = u.mesh
+    geom = mesh.geometry
+    D = power_map_derivative(curl_per_tet(u), pe)
+    signed = geom.curls * mesh.tet_edge_signs[:, :, None]
+    return np.einsum("t,tec,tcd,tfd->tef", geom.vols, signed, D, signed)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 10.0])
+def test_jacobian_matches_einsum_and_dense_oracles(p):
+    mesh = build_box_mesh((3, 2, 2), extents=(1.0, 1.3, 0.7))
+    rng = np.random.default_rng(14)
+    free = mesh.free_edges()
+    e = mesh.tet_edges
+    # one circulation: the tets off that edge are exactly curl-free
+    one_edge = EdgeField(mesh)
+    one_edge.coeffs[free[free.size // 2]] = 1.7
+    for u, eps in ((random_free_field(mesh, rng), 0.3),
+                   (random_free_field(mesh, rng), 0.0),
+                   (one_edge, 0.0), (EdgeField(mesh), 0.0)):
+        pe = PExponent(p, eps=eps)
+        blocks = jacobian_einsum_oracle(u, pe)
+        dense = np.zeros((mesh.num_edges, mesh.num_edges))
+        np.add.at(dense, (e[:, :, None], e[:, None, :]), blocks)
+        dense = dense[free][:, free]
+        oracle = scatter_blocks(mesh, blocks, True).toarray()
+        got = assemble_jacobian(u, pe).toarray()
+        assert np.all(np.isfinite(got))
+        scale = max(np.abs(dense).max(), np.finfo(float).tiny)
+        assert np.abs(got - dense).max() <= 1e-14 * scale
+        assert np.abs(got - oracle).max() <= 1e-14 * scale
+        if not u.coeffs.any() and p > 2.0:
+            assert not got.any()
 
 
 def test_unused_options_stay_removed():

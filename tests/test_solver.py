@@ -460,6 +460,32 @@ def test_p10_counters_pinned():
     assert answer_constraint(u) <= 1e-8
 
 
+def test_p10_zero_start_counters_at_6_cubed():
+    # the zero start of the solve-p10 benchmark, by machine-independent
+    # counters
+    mesh = build_box_mesh((6, 6, 6), extents=(PI, PI, PI))
+    _, _, rep = solve(mesh, case_general_p(10.0).load,
+                      SolveConfig(p_target=10.0))
+    assert rep.total_newton_iterations == 32
+    assert abs(rep.total_linear_iterations - 3845) <= 0.01 * 3845
+
+
+def test_one_csr_pattern_of_each_kind_per_mesh(monkeypatch):
+    from pcurlcurl import mesh as mesh_module
+    calls = []
+    real = mesh_module._csr_pattern
+
+    def counting(mesh, free):
+        calls.append(free)
+        return real(mesh, free)
+
+    monkeypatch.setattr(mesh_module, "_csr_pattern", counting)
+    mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
+    solve(mesh, case_general_p(4.0).load, SolveConfig(p_target=4.0))
+    DivFreeProjector(mesh)
+    assert sorted(calls) == [False, True]
+
+
 def test_one_cell_geometry_per_mesh(monkeypatch, tmp_path):
     from pcurlcurl import whitney
     from pcurlcurl.io import write_vtk
