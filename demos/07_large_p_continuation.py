@@ -4,16 +4,18 @@ Continuation to engineering exponents p up to 100
 
 Superconductor resistivity models use exponents between 5 and 100.
 Newton from scratch at such p is hopeless (the Jacobian degenerates
-wherever the curl is small), so the solver ramps p geometrically from 2
-and drives the regularization eps down a ladder within each stage,
-warm-starting throughout.
+wherever the curl is small), so the solver solves p = 2 first and ramps
+p geometrically from there. Each stage starts from the previous answer
+scaled to the energy minimizer on its ray, and solves at one
+regularization eps, set from the p = 2 answer alone.
 
-Float64 puts a hard limit on the ladder: the Jacobian weights span
-(gmax/eps)^(p-2), and past roughly 10^20 the Newton linear solves break
-down. The default config therefore floors eps at 10^(-12/(p-2)), and
-each Newton step is a Jacobi-preconditioned CG solve on all free edges,
-after the gradient part of its right-hand side has been removed. With
-that, the whole range runs out of the box. The solution field flattens toward a
+Float64 puts a hard limit on eps: the Jacobian weights span
+(max|curl|/eps)^(p-2), and past roughly 10^20 the Newton linear solves
+break down. The solver therefore keeps eps at least 10^(-12/(p-2)) times
+the largest curl of the p = 2 shape, and each Newton step is a
+Jacobi-preconditioned CG solve on all free edges, after the gradient
+part of its right-hand side has been removed. With that, the whole range
+runs out of the box. The solution field flattens toward a
 |curl| ~ const state as p grows, the signature of the p -> infinity
 (critical-state / Bean) limit.
 """

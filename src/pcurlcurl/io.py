@@ -71,8 +71,6 @@ _SOLVE = {
     "p": (_parse_float, lambda v: v >= 2.0, 2.0,
           "target exponent (the solver requires p >= 2)"),
     "p_schedule": (_parse_floats, None, [], "exponent ramp (empty: geometric)"),
-    "eps_schedule": (_parse_floats, lambda v: all(e > 0 for e in v), [],
-                     "relative regularization ramp (empty: 1e-2..1e-8)"),
     "newton_tol": (_parse_float, _positive, 1e-9, "relative residual tolerance"),
     "max_newton": (int, _positive, 50, "Newton iteration cap per stage"),
     "linear_tol": (_parse_float, _positive, 1e-11, "Krylov relative tolerance"),

@@ -1,5 +1,5 @@
-"""Ungauged damped Newton on a consistent right-hand side, with p/eps
-continuation.
+"""Ungauged damped Newton on a consistent right-hand side, with
+continuation in p.
 
 The discrete problem at each continuation stage: find u with
 
@@ -24,13 +24,15 @@ Newton never projects its iterates: the constraint is imposed once, by
 `DivFreeProjector.project` on the answer. Every G^T M G solve belongs to
 the projector; this module runs only the Newton CG on the Jacobian.
 
-Large p is reached by geometric continuation in p, and within each p
-stage the regularization eps is driven down a fixed schedule; the
-reported answer is the one at the smallest eps. The nodal multiplier is
-recovered once at the end from the gradient part of the final residual.
-It is the multiplier of the load-projected problem, so it is zero up to
-rounding for every load, compatible or not: the discarded gradient part
-of the load is reported instead.
+Large p is reached by geometric continuation in p after a p = 2 stage
+from the given start. Each later stage solves at one eps, set from the
+p = 2 answer alone, so the discrete problem depends only on (mesh, S,
+p), and starts from the previous answer scaled to the energy minimizer
+on its ray. The nodal multiplier is recovered once at the end from the
+gradient part of the final residual. It is the multiplier of the
+load-projected problem, so it is zero up to rounding for every load,
+compatible or not: the discarded gradient part of the load is reported
+instead.
 """
 
 from __future__ import annotations
@@ -57,22 +59,11 @@ def default_p_schedule(p_target):
     return sched
 
 
-def default_eps_schedule():
-    """Relative regularization levels 1e-2 down to 1e-8, factor 10."""
-    return [10.0**(-k) for k in range(2, 9)]
-
-
 LS_BACKTRACK = 0.5        # line-search step reduction per rejected trial
 LS_MAX = 30               # rejected trials before the line search fails
 
-# Floor on the eps ladder: at exponent p every relative eps is raised to
-# at least 10^(-EPS_SPREAD_DECADES/(p-2)), so (gmax/eps)^(p-2) <= 10^12,
-# gmax being the largest curl of the previous stage. That is not the
-# spread of the weights (eps^2 + |curl u|^2)^((p-2)/2) within a stage,
-# which is ((eps^2 + gmax^2)/eps^2)^((p-2)/2): 10^21.6 at p = 100 with
-# the floored eps = 0.754 gmax. Nor does the floor spare moderate p: at
-# p = 10 it is 10^-1.5, which collapses the ladder 1e-2 .. 1e-8 to one
-# stage at eps ~ 0.03 gmax.
+# At exponent p, eps is at least 10^(-EPS_SPREAD_DECADES/(p-2)) times the
+# largest curl of the p = 2 shape, so (max|curl|/eps)^(p-2) <= 10^12 there.
 EPS_SPREAD_DECADES = 12.0
 
 
@@ -80,7 +71,6 @@ EPS_SPREAD_DECADES = 12.0
 class SolveConfig:
     p_target: float = 2.0
     p_schedule: list = None          # exponent ramp; default geometric from 2
-    eps_schedule: list = None        # relative to a curl-scale estimate
     newton_tol: float = 1e-9
     max_newton: int = 50
     linear_tol: float = 1e-11
@@ -96,13 +86,6 @@ class SolveConfig:
                 any(p < 2.0 for p in self.p_schedule):
             raise ValueError("p_schedule must be nondecreasing, >= 2, "
                              "ending at p_target")
-        if self.eps_schedule is None:
-            self.eps_schedule = default_eps_schedule()
-        self.eps_schedule = [float(e) for e in self.eps_schedule]
-        if not self.eps_schedule or \
-                any(b >= a for a, b in zip(self.eps_schedule, self.eps_schedule[1:])) or \
-                any(e <= 0 for e in self.eps_schedule):
-            raise ValueError("eps_schedule must be positive and strictly decreasing")
 
 
 @dataclass
@@ -160,8 +143,9 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
         S: analytic load callable (N,3)->(N,3), or an EdgeField whose
            mass pairing supplies the load functional.
         initial_guess: optional EdgeField; it is boundary-zeroed before
-           use. Its gradient part does not matter: the answer is
-           Helmholtz-projected. Default: zero field.
+           use, and the p = 2 stage, always run first and recorded as
+           `stages[0]`, starts from it. Its gradient part does not
+           matter: the answer is Helmholtz-projected. Default: zero field.
 
     Returns:
         (u, multiplier, SolveReport). u satisfies the boundary invariant
@@ -195,29 +179,20 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
         u = initial_guess.zero_boundary()
 
     load_scale = float(np.linalg.norm(load))
-    curl_scale = 1.0
+    u, r, rec = _newton_stage(proj, u, load, load_scale, PExponent(2.0),
+                              config)
+    report.stages.append(rec)
+    u2, g2 = u, np.linalg.norm(curl_per_tet(u), axis=1).max()
 
-    for p_val in config.p_schedule:
-        if p_val == 2.0:
-            eps_list = [0.0]     # the power map ignores eps at p = 2
-        else:
-            floor = 10.0 ** (-EPS_SPREAD_DECADES / (p_val - 2.0))
-            floored = [max(e, floor) for e in config.eps_schedule]
-            dedup = []
-            for e in floored:
-                if not dedup or e < dedup[-1]:
-                    dedup.append(e)
-            eps_list = [rel * curl_scale for rel in dedup]
-        for eps in eps_list:
-            pexp = PExponent(p=p_val, eps=eps)
-            u, r, rec = _newton_stage(proj, u, load, load_scale, pexp,
-                                      config)
-            report.stages.append(rec)
-        # Scale subsequent regularizations by the current solution size.
-        g = curl_per_tet(u)
-        mx = float(np.max(np.linalg.norm(g, axis=1))) if g.size else 0.0
-        if mx > 0:
-            curl_scale = mx
+    for p_val in (p for p in config.p_schedule if p > 2.0):
+        # eps_p: a fixed fraction of the largest curl of c_p u2, c_p the
+        # eps = 0 minimizer on the ray of u2; it scales as u does.
+        rel = max(1e-8, 10.0 ** (-EPS_SPREAD_DECADES / (p_val - 2.0)))
+        c_p = _ray_factor(u2, load, PExponent(p_val))
+        pexp = PExponent(p=p_val, eps=rel * c_p * g2)
+        u = EdgeField(mesh, _ray_factor(u, load, pexp) * u.coeffs)
+        u, r, rec = _newton_stage(proj, u, load, load_scale, pexp, config)
+        report.stages.append(rec)
 
     # Neither J nor the residual sees the gradient part that the start and
     # the steps leave in u, so the constraint is imposed here, once.
@@ -231,6 +206,34 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
     _, multiplier = proj.strip_gradient(-r, config.linear_tol)
     report.wall_time = time.perf_counter() - t0
     return u, multiplier, report
+
+
+def _ray_factor(u, load, pexp):
+    """argmin over c > 0 of J(c u) at pexp; 1 if the load does not pull on u.
+
+    The eps = 0 minimizer bounds it from above, since eps only raises
+    dJ/dc, and bisection in log c on the increasing dJ/dc refines it.
+    Curls are scaled by their maximum, so no load size overflows.
+    """
+    g = np.linalg.norm(curl_per_tet(u), axis=1)
+    gmax, pull = g.max(), load @ u.coeffs[u.mesh.free_edges()]
+    if gmax == 0.0 or pull <= 0.0:
+        return 1.0
+    g, pull = g / gmax, pull / gmax
+    vols, p, eps = u.mesh.geometry.vols, pexp.p, pexp.eps
+
+    def slope(s):        # dJ/dc / gmax at c = s / gmax
+        w = (eps * eps + (s * g)**2)**(0.5 * p - 1.0)
+        return s * np.sum(vols * w * g * g) - pull
+
+    hi = (pull / np.sum(vols * g**p))**(1.0 / (p - 1.0))
+    lo = hi
+    while slope(lo) > 0.0:
+        lo *= 0.5
+    while hi > lo * (1.0 + 1e-12):
+        mid = lo * np.sqrt(hi / lo)
+        lo, hi = (lo, mid) if slope(mid) > 0.0 else (mid, hi)
+    return hi / gmax
 
 
 def _newton_stage(proj, u, load, load_scale, pexp, config):
@@ -250,9 +253,13 @@ def _newton_stage(proj, u, load, load_scale, pexp, config):
     bulk, pairing = _energy_terms(u, load, pexp)
     rec.energy_history.append(float(bulk - pairing))
 
-    for it in range(1, config.max_newton + 1):
-        if np.linalg.norm(r) <= config.newton_tol * denom:
-            break
+    while np.linalg.norm(r) > config.newton_tol * denom:
+        if rec.newton_iterations == config.max_newton:
+            raise SolverError(
+                f"Newton did not converge at p={pexp.p}, eps={pexp.eps:.2e}: "
+                f"relative residual {np.linalg.norm(r) / denom:.3e} after "
+                f"{config.max_newton} steps")
+        rec.newton_iterations += 1
         A = assemble_jacobian(u, pexp)
         diag = A.diagonal()
         if not np.all(diag > 0):
@@ -301,18 +308,13 @@ def _newton_stage(proj, u, load, load_scale, pexp, config):
         if not accepted:
             raise SolverError(
                 f"line search failed at p={pexp.p}, eps={pexp.eps:.2e}, "
-                f"Newton iteration {it} (energy cannot decrease)")
+                f"Newton iteration {rec.newton_iterations} (energy cannot "
+                f"decrease)")
 
         u = u_try
         bulk, pairing = terms
         r = assemble_residual(u, load, pexp)
-        rec.newton_iterations = it
         rec.energy_history.append(J_try)
-    else:
-        raise SolverError(
-            f"Newton did not converge at p={pexp.p}, eps={pexp.eps:.2e}: "
-            f"relative residual {np.linalg.norm(r) / denom:.3e} after "
-            f"{config.max_newton} steps")
 
     rec.final_residual = float(np.linalg.norm(r)) / denom
     return u, r, rec
