@@ -13,7 +13,7 @@ from .assembly import (EdgeField, NodalField, PExponent, assemble_gradient_map,
                        assemble_jacobian, assemble_load, assemble_residual,
                        edge_interpolate, lp_norm_curl, lp_norm_field, power_map)
 from .helmholtz import DivFreeProjector, edge_mass_matrix
-from .linalg import LinearSolveReport, SparseMatrix, cg, csr_matrix_from_coo
+from .linalg import LinearSolveReport, SparseMatrix, cg
 from .mesh import Mesh, MeshError, build_box_mesh, classify_boundary
 from .mms import ManufacturedCase, case_general_p, case_p2_sine, measure_error
 from .solver import SolveConfig, SolveReport, SolverError, energy, solve
@@ -33,7 +33,7 @@ __all__ = [
     "QuadratureRule", "DivFreeProjector",
     "build_box_mesh", "classify_boundary", "cell_geometry", "quadrature",
     "eval_basis", "triangle_quadrature",
-    "cg", "csr_matrix_from_coo",
+    "cg",
     "power_map", "assemble_residual", "assemble_jacobian",
     "assemble_gradient_map", "assemble_load", "edge_interpolate",
     "lp_norm_curl", "lp_norm_field", "edge_mass_matrix",

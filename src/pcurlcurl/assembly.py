@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import whitney
-from .linalg import SparseMatrix, csr_matrix_from_coo
+from .linalg import SparseMatrix
 from .mesh import LOCAL_EDGES, Mesh
 
 # Local vertex slots (i, j) of each local edge, as index arrays.
@@ -144,7 +144,7 @@ def assemble_jacobian(u: EdgeField, p: PExponent):
     """
     mesh = u.mesh
     if p.p == 2.0:
-        return scatter_blocks(mesh, stiffness_blocks(mesh), free=True)
+        return scatter_blocks(mesh, stiffness_blocks(mesh))
     geom, signs = mesh.geometry, mesh.tet_edge_signs
     g = curl_per_tet(u)
     msq = p.eps**2 + np.sum(g * g, axis=1)
@@ -158,7 +158,7 @@ def assemble_jacobian(u: EdgeField, p: PExponent):
     np.multiply(geom.curls, weights[:, :, None], out=Z[:, :, :3])
     np.matmul(geom.curls, g[:, :, None], out=Z[:, :, 3:])
     Z[:, :, 3] *= signs * np.sqrt(b * geom.vols)[:, None]
-    return scatter_blocks(mesh, gram_blocks(Z), free=True)
+    return scatter_blocks(mesh, gram_blocks(Z))
 
 
 def stiffness_blocks(mesh: Mesh):
@@ -180,22 +180,16 @@ def gram_blocks(Z):
     return Z @ np.ascontiguousarray(Z.transpose(0, 2, 1))
 
 
-def stiffness_matrix(mesh: Mesh):
-    """p = 2 curl-curl stiffness over ALL edges (E x E CSR)."""
-    return scatter_blocks(mesh, stiffness_blocks(mesh), free=False)
+def scatter_blocks(mesh: Mesh, blocks):
+    """Sum (T, 6, 6) element blocks into canonical CSR over the free edges.
 
-
-def scatter_blocks(mesh: Mesh, blocks, free):
-    """Sum (T, 6, 6) element blocks into canonical CSR over the mesh's edges.
-
-    `free` picks `mesh.free_pattern` (free x free; an entry on a
-    boundary row or column is dropped) or `mesh.edge_pattern` (all x
-    all). The pattern is fixed per mesh, so assembly only refills
-    `data`: one bincount of the block entries into their slots. The
+    The pattern, `mesh.free_pattern`, is fixed per mesh, so assembly
+    only refills `data`: one bincount of the block entries into their
+    slots, where an entry on a boundary row or column is dropped. The
     result shares the pattern's read-only index arrays and keeps every
     structural nonzero, exact zeros included.
     """
-    pattern = mesh.free_pattern if free else mesh.edge_pattern
+    pattern = mesh.free_pattern
     nnz = pattern.indices.size
     data = np.bincount(pattern.slot, blocks.ravel(), nnz + 1)[:nnz]
     n = pattern.indptr.size - 1
@@ -209,30 +203,31 @@ def assemble_gradient_map(mesh: Mesh):
 
     Columns are restricted to interior vertices (zero Dirichlet trace for
     the potentials), and curl(G phi) vanishes identically: composed with
-    the edge curl this is the zero map.
+    the edge curl this is the zero map. Row e holds -1 at col(lo) and +1
+    at col(hi), already in column order since interior vertices are
+    numbered in ascending order; a boundary edge's row is empty.
     """
     interior = mesh.interior_vertices()
-    col = -np.ones(mesh.num_vertices, dtype=np.int64)
-    col[interior] = np.arange(interior.size)
-    lo = col[mesh.edges[:, 0]]
-    hi = col[mesh.edges[:, 1]]
-    e = np.arange(mesh.num_edges)
-    rows = np.concatenate([e[hi >= 0], e[lo >= 0]])
-    cols = np.concatenate([hi[hi >= 0], lo[lo >= 0]])
-    vals = np.concatenate([np.ones(np.sum(hi >= 0)), -np.ones(np.sum(lo >= 0))])
-    return csr_matrix_from_coo(rows, cols, vals,
-                               (mesh.num_edges, interior.size))
+    col = np.full(mesh.num_vertices, -1, dtype=np.int32)
+    col[interior] = np.arange(interior.size, dtype=np.int32)
+    ends = col[mesh.edges]                              # (E, 2): lo, hi
+    kept = ends >= 0
+    indptr = np.zeros(mesh.num_edges + 1, dtype=np.int32)
+    np.cumsum(kept.sum(axis=1), out=indptr[1:])
+    vals = np.broadcast_to([-1.0, 1.0], ends.shape)[kept]
+    out = SparseMatrix((vals, ends[kept], indptr),
+                       shape=(mesh.num_edges, interior.size))
+    out.has_canonical_format = True
+    return out
 
 
-def assemble_load(S, mesh: Mesh, quad_order=2):
-    """(S, W_i) over free edges by quadrature for an analytic S.
+def assemble_load(S, mesh: Mesh):
+    """(S, W_i) over free edges by order-4 quadrature for an analytic S.
 
     Args:
         S: callable mapping (N, 3) points to (N, 3) vectors.
-        quad_order: tet rule order (2 is exact for Whitney-polynomial
-            integrands; 4 for smooth analytic loads).
     """
-    rule = whitney.quadrature(quad_order)
+    rule = whitney.quadrature(4)
     xq = whitney.quad_points_physical(mesh, rule)       # (T, nq, 3)
     Sq = np.asarray(S(xq.reshape(-1, 3)), dtype=float).reshape(xq.shape)
     if not np.all(np.isfinite(Sq)):

@@ -79,7 +79,6 @@ def _case_from(cfg):
 def _solve_config(cfg):
     return SolveConfig(
         p_target=cfg["p"] if cfg["case"] != "p2_sine" else 2.0,
-        p_schedule=cfg["p_schedule"] or None,
         newton_tol=cfg["newton_tol"],
         max_newton=cfg["max_newton"],
         linear_tol=cfg["linear_tol"],

@@ -52,20 +52,25 @@ def mass_blocks(mesh: Mesh):
 
 
 def edge_mass_matrix(mesh: Mesh):
-    """Edge-element mass matrix M (E x E, SPD), integrated in closed form."""
-    return scatter_blocks(mesh, mass_blocks(mesh), free=False)
+    """Edge-element mass matrix M (free x free, SPD), in closed form."""
+    return scatter_blocks(mesh, mass_blocks(mesh))
 
 
 class DivFreeProjector:
     """Caches M, G, G^T and G^T M G; the one solver of G^T M G phi = G^T b.
 
-    `project` splits edge fields, `strip_gradient` cleans functionals.
+    M is the free x free mass matrix and G the free rows of the gradient
+    map: a boundary edge's row of G is empty, so G^T M G is the same as
+    over all edges. `project` splits edge fields and `constraint_norm`
+    measures them; both take fields with zero boundary circulations, the
+    only fields the M block pairs. `strip_gradient` cleans functionals.
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
+        self._free = mesh.free_edges()
         self.M = edge_mass_matrix(mesh)
-        self.G = assemble_gradient_map(mesh)
+        self.G = assemble_gradient_map(mesh)[self._free]
         self.Gt = self.G.T.tocsr()
         self.GtMG = self.Gt @ (self.M @ self.G)
 
@@ -75,25 +80,38 @@ class DivFreeProjector:
         A pure gradient goes wholly into phi and a divergence-free input
         comes back unchanged, up to the CG tolerance; the curl is kept
         exactly, since curl(G phi) = 0 holds edge by edge.
+
+        Raises:
+            ValueError: u has a nonzero boundary circulation.
         """
-        phi = self._potential(self.Gt @ (self.M @ u.coeffs), tol)
-        return EdgeField(self.mesh, u.coeffs - self.G @ phi), self._nodal(phi)
+        x = self._free_coeffs(u.coeffs)
+        phi = self._potential(self.Gt @ (self.M @ x), tol)
+        coeffs = u.coeffs.copy()
+        coeffs[self._free] = x - self.G @ phi
+        return EdgeField(self.mesh, coeffs), self._nodal(phi)
 
     def strip_gradient(self, b, tol):
         """Remove the gradient part of b, a functional on the free edges.
 
-        Returns (b - (M G phi)[free], phi) with G^T M G phi = G^T b; the
-        result vanishes on every gradient of an interior potential.
+        Returns (b - M G phi, phi) with G^T M G phi = G^T b; the result
+        vanishes on every gradient of an interior potential.
         """
-        free = self.mesh.free_edges()
-        full = np.zeros(self.mesh.num_edges)
-        full[free] = b
-        phi = self._potential(self.Gt @ full, tol)
-        return b - (self.M @ (self.G @ phi))[free], self._nodal(phi)
+        phi = self._potential(self.Gt @ b, tol)
+        return b - self.M @ (self.G @ phi), self._nodal(phi)
 
     def constraint_norm(self, coeffs):
-        """||G^T M u||_2 for raw edge coefficients."""
-        return float(np.linalg.norm(self.Gt @ (self.M @ coeffs)))
+        """||G^T M u||_2 for raw edge coefficients with a zero boundary.
+
+        Raises:
+            ValueError: a nonzero boundary circulation.
+        """
+        x = self._free_coeffs(coeffs)
+        return float(np.linalg.norm(self.Gt @ (self.M @ x)))
+
+    def _free_coeffs(self, coeffs):
+        if np.any(coeffs[self.mesh.boundary_edges]):
+            raise ValueError("edge field has a nonzero boundary circulation")
+        return coeffs[self._free]
 
     def _potential(self, rhs, tol):
         phi, rep = cg(self.GtMG, rhs, tol=tol)

@@ -52,7 +52,6 @@ def _nonneg(x):
 # key -> (parser, validator or None, default, description)
 _COMMON = {
     "out_dir": (str, None, "out", "output directory"),
-    "seed": (int, _nonneg, 0, "RNG seed"),
 }
 
 _MESH = {
@@ -70,13 +69,13 @@ _SOLVE = {
              "manufactured case"),
     "p": (_parse_float, lambda v: v >= 2.0, 2.0,
           "target exponent (the solver requires p >= 2)"),
-    "p_schedule": (_parse_floats, None, [], "exponent ramp (empty: geometric)"),
     "newton_tol": (_parse_float, _positive, 1e-9, "relative residual tolerance"),
     "max_newton": (int, _positive, 50, "Newton iteration cap per stage"),
     "linear_tol": (_parse_float, _positive, 1e-11, "Krylov relative tolerance"),
 }
 
 _VERIFY = {
+    "seed": (int, _nonneg, 0, "RNG seed"),
     "n_samples": (int, _positive, 1000000, "inequality sample count"),
     "p_grid": (_parse_floats, lambda v: all(p > 1 for p in v),
                [2.0, 3.0, 4.0, 6.0, 10.0], "exponents for inequality sweep"),
@@ -85,6 +84,7 @@ _VERIFY = {
 }
 
 _FRIEDRICH = {
+    "seed": (int, _nonneg, 0, "RNG seed"),
     "p": (_parse_float, lambda v: v >= 2.0, 2.0, "norm exponent"),
     "levels": (_parse_ints, lambda v: all(n >= 1 for n in v), [2, 4, 8],
                "mesh divisions per level"),

@@ -1,12 +1,11 @@
 """Sparse storage and deterministic Krylov solvers.
 
 Sparse matrices are CSR (scipy backing store) and are treated as
-immutable. Every block matrix over the edges is a refill of a per-mesh
-pattern (`assembly.scatter_blocks`); `csr_matrix_from_coo`, which sums
-duplicates, drops explicit zeros and sorts column indices, builds only
-the gradient map. The CG loop for SPD systems (optionally
-Jacobi-preconditioned) is written out here as a plain single-threaded
-state machine so runs are reproducible bit-for-bit.
+immutable. Every block matrix over the edges is a refill of the mesh's
+free x free pattern (`assembly.scatter_blocks`), and the gradient map
+is built in canonical CSR directly. The CG loop for SPD systems
+(optionally Jacobi-preconditioned) is written out here as a plain
+single-threaded state machine so runs are reproducible bit-for-bit.
 
 Values are float64: the power-law material weight spans many orders of
 magnitude near degenerate points and leaves no headroom for float32.
@@ -20,19 +19,6 @@ import numpy as np
 import scipy.sparse as sp
 
 SparseMatrix = sp.csr_array
-
-
-def csr_matrix_from_coo(rows, cols, vals, shape):
-    """Finalize COO triplets into canonical CSR.
-
-    Duplicate entries are summed, explicit zeros removed and column
-    indices sorted strictly increasing within each row.
-    """
-    m = sp.coo_array((vals, (rows, cols)), shape=shape).tocsr()
-    m.sum_duplicates()
-    m.eliminate_zeros()
-    m.sort_indices()
-    return m
 
 
 class SolverError(RuntimeError):

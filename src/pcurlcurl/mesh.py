@@ -35,7 +35,7 @@ class CSRPattern(NamedTuple):
     each row. `slot` (T * 36,) int32 sends entry 6 a + b of tet t's
     (6, 6) element block, at flat position 36 t + 6 a + b, to its place
     in `data`; the value nnz marks a dropped entry (a boundary row or
-    column of a free x free matrix). All three arrays are read-only.
+    column). All three arrays are read-only.
     """
 
     indptr: np.ndarray
@@ -59,9 +59,9 @@ class Mesh:
         box: (origin, extents) pair of float triples.
         geometry: the whitney.CellGeometry of the tets, computed on first
             access and cached, with read-only arrays.
-        edge_pattern, free_pattern: the CSRPattern of every all x all and
-            every free x free edge matrix, each built on first access and
-            cached; `assembly.scatter_blocks` refills their `data`.
+        free_pattern: the CSRPattern of every edge matrix, free x free,
+            built on first access and cached; `assembly.scatter_blocks`
+            refills its `data`.
 
     Instances are immutable by convention; all arrays are views into
     construction-time buffers and must not be written to.
@@ -99,12 +99,8 @@ class Mesh:
         return geom
 
     @cached_property
-    def edge_pattern(self):
-        return _csr_pattern(self, free=False)
-
-    @cached_property
     def free_pattern(self):
-        return _csr_pattern(self, free=True)
+        return _csr_pattern(self)
 
     def interior_vertices(self):
         """Vertex indices not on the box surface, ascending."""
@@ -176,51 +172,40 @@ class Mesh:
             self.tet_edge_signs[:, k] = np.where(t[:, a] < t[:, b], 1, -1)
 
 
-def _csr_pattern(mesh, free):
-    """Build `mesh.edge_pattern`, or `mesh.free_pattern` from it.
+def _csr_pattern(mesh):
+    """Build `mesh.free_pattern`.
 
-    Edges i and j couple when they share a tet, so the all x all
-    structure is that of inc^T inc, inc being the (T x E) tet-edge
-    incidence. Its nonzeros are numbered in order and each block entry's
-    number is read back by a CSR lookup, a chunk of tets at a time, so
-    no (T * 36)-long sort or int64 key array is made. The free x free
-    pattern keeps the entries with a free row and column, renumbered;
-    the rest go to the dump slot nnz.
+    Free edges i and j couple when they share a tet, so the structure is
+    that of inc^T inc, inc being the (T x free) tet-edge incidence. Its
+    nonzeros are numbered in order and the number of each block entry
+    with a free row and column is read back by a CSR lookup, a chunk of
+    tets at a time, so no (T * 36)-long sort or int64 key array is made.
+    The other entries go to the dump slot nnz.
     """
-    if free:
-        return _restrict_pattern(mesh.edge_pattern, mesh.free_edges(),
-                                 mesh.num_edges)
-    ntet, n = mesh.num_tets, mesh.num_edges
-    index = mesh.tet_edges.astype(np.int32)
-    inc = sp.csr_array((np.ones(6 * ntet), index.ravel(),
-                        np.arange(0, 6 * ntet + 1, 6, dtype=np.int32)),
-                       shape=(ntet, n))
+    free = mesh.free_edges()
+    ntet, n = mesh.num_tets, free.size
+    position = np.full(mesh.num_edges, -1, dtype=np.int32)
+    position[free] = np.arange(n, dtype=np.int32)
+    index = position[mesh.tet_edges]
+    kept = index >= 0
+    indptr = np.zeros(ntet + 1, dtype=np.int32)
+    np.cumsum(kept.sum(axis=1), out=indptr[1:])
+    inc = sp.csr_array((np.ones(indptr[-1], dtype=np.int32), index[kept],
+                        indptr), shape=(ntet, n))
     adj = (inc.T @ inc).tocsr()
     adj.sort_indices()
-    adj.data = np.arange(adj.nnz, dtype=float)
-    slot = np.empty((ntet, 36), dtype=np.int32)
+    adj.data = np.arange(adj.nnz, dtype=np.int32)
+    slot = np.full(ntet * 36, adj.nnz, dtype=np.int32)
     for start in range(0, ntet, _PATTERN_CHUNK):
         e = index[start:start + _PATTERN_CHUNK]
-        rows = np.repeat(e, 6, axis=1).ravel()
-        cols = np.tile(e, 6).ravel()
-        slot[start:start + _PATTERN_CHUNK] = adj[rows, cols].reshape(-1, 36)
+        both = (e >= 0)[:, :, None] & (e >= 0)[:, None, :]
+        if both.any():      # scipy returns a sparse array for no indices
+            rows = np.broadcast_to(e[:, :, None], both.shape)[both]
+            cols = np.broadcast_to(e[:, None, :], both.shape)[both]
+            chunk = slot[36 * start:36 * (start + e.shape[0])]
+            chunk[both.ravel()] = adj[rows, cols]
     return _frozen(adj.indptr.astype(np.int32, copy=False),
-                   adj.indices.astype(np.int32, copy=False), slot.ravel())
-
-
-def _restrict_pattern(pattern, free, n):
-    """The free x free rows and columns of an all x all CSRPattern."""
-    is_free = np.zeros(n, dtype=bool)
-    is_free[free] = True
-    keep = np.repeat(is_free, np.diff(pattern.indptr))
-    keep &= is_free[pattern.indices]
-    kept_before = np.concatenate([[0], np.cumsum(keep, dtype=np.int32)])
-    nnz = kept_before[-1]
-    renumber = np.where(keep, kept_before[:-1], nnz).astype(np.int32)
-    indptr = kept_before[np.append(pattern.indptr[free], pattern.indptr[-1])]
-    position = np.cumsum(is_free, dtype=np.int32) - 1
-    indices = position[pattern.indices[keep]]
-    return _frozen(indptr.astype(np.int32), indices, renumber[pattern.slot])
+                   adj.indices.astype(np.int32, copy=False), slot)
 
 
 def _frozen(indptr, indices, slot):

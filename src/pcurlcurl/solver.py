@@ -42,8 +42,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import whitney
 from .assembly import (EdgeField, PExponent, assemble_jacobian,
-                       assemble_load, assemble_residual, curl_per_tet)
+                       assemble_load, assemble_residual, curl_per_tet,
+                       edge_moments, eval_field)
 from .helmholtz import DivFreeProjector
 from .linalg import SolverError, cg
 from .mesh import Mesh
@@ -70,7 +72,6 @@ EPS_SPREAD_DECADES = 12.0
 @dataclass
 class SolveConfig:
     p_target: float = 2.0
-    p_schedule: list = None          # exponent ramp; default geometric from 2
     newton_tol: float = 1e-9
     max_newton: int = 50
     linear_tol: float = 1e-11
@@ -78,14 +79,6 @@ class SolveConfig:
     def __post_init__(self):
         if self.p_target < 2.0:
             raise ValueError(f"p_target must be >= 2, got {self.p_target}")
-        if self.p_schedule is None:
-            self.p_schedule = default_p_schedule(self.p_target)
-        self.p_schedule = [float(p) for p in self.p_schedule]
-        if self.p_schedule != sorted(self.p_schedule) or \
-                self.p_schedule[-1] != self.p_target or \
-                any(p < 2.0 for p in self.p_schedule):
-            raise ValueError("p_schedule must be nondecreasing, >= 2, "
-                             "ending at p_target")
 
 
 @dataclass
@@ -140,8 +133,10 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
     """Solve the discrete power-law curl-curl problem.
 
     Args:
-        S: analytic load callable (N,3)->(N,3), or an EdgeField whose
-           mass pairing supplies the load functional.
+        S: analytic load callable (N,3)->(N,3), or an EdgeField S_h whose
+           pairing (S_h, W_i) with each free-edge basis field is the
+           load; its boundary circulations count. Order-2 quadrature
+           integrates that product of Whitney fields exactly.
         initial_guess: optional EdgeField; it is boundary-zeroed before
            use, and the p = 2 stage, always run first and recorded as
            `stages[0]`, starts from it. Its gradient part does not
@@ -161,9 +156,10 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
     free = mesh.free_edges()
 
     if isinstance(S, EdgeField):
-        load = (proj.M @ S.coeffs)[free]
+        rule = whitney.quadrature(2)
+        load = edge_moments(mesh, rule, eval_field(S, rule))[free]
     else:
-        load = assemble_load(S, mesh, quad_order=4)
+        load = assemble_load(S, mesh)
 
     # Remove the load component that pairs with gradients: it cannot be
     # balanced by the curl term, and without it the energy is invariant
@@ -184,7 +180,7 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
     report.stages.append(rec)
     u2, g2 = u, np.linalg.norm(curl_per_tet(u), axis=1).max()
 
-    for p_val in (p for p in config.p_schedule if p > 2.0):
+    for p_val in default_p_schedule(config.p_target)[1:]:
         # eps_p: a fixed fraction of the largest curl of c_p u2, c_p the
         # eps = 0 minimizer on the ray of u2; it scales as u does.
         rel = max(1e-8, 10.0 ** (-EPS_SPREAD_DECADES / (p_val - 2.0)))
@@ -197,12 +193,12 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
     # Neither J nor the residual sees the gradient part that the start and
     # the steps leave in u, so the constraint is imposed here, once.
     u, _ = proj.project(u, tol=config.linear_tol)
-    un = float(np.sqrt(u.coeffs @ (proj.M @ u.coeffs)))
+    uf = u.coeffs[free]
+    un = float(np.sqrt(uf @ (proj.M @ uf)))
     report.constraint = proj.constraint_norm(u.coeffs) / un if un else 0.0
 
     # The multiplier balances the gradient part of the final residual:
-    # (M G phi)[free] = -r tested against gradients gives
-    # G^T M G phi = -G^T r.
+    # M G phi = -r tested against gradients gives G^T M G phi = -G^T r.
     _, multiplier = proj.strip_gradient(-r, config.linear_tol)
     report.wall_time = time.perf_counter() - t0
     return u, multiplier, report

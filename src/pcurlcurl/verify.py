@@ -28,7 +28,7 @@ from . import whitney
 from .assembly import (EdgeField, NodalField, PExponent, assemble_residual,
                        edge_moments, eval_field, lp_norm_curl,
                        scatter_blocks, stiffness_blocks)
-from .helmholtz import DivFreeProjector, mass_blocks
+from .helmholtz import DivFreeProjector
 from .linalg import SolverError, cg
 from .mesh import Mesh, boundary_faces
 
@@ -350,7 +350,7 @@ def _friedrich_p2(proj, seed):
     residual is already below the stopping tolerance leave W and P (soft
     locking). The iteration stops when the 3 lowest Ritz pairs have
     ||K x - theta M x|| <= 1e-8 theta ||M x||. `proj` is the mesh's
-    DivFreeProjector.
+    DivFreeProjector, and its M is the pencil's mass matrix.
 
     Raises:
         SolverError: no stop within 200 iterations, or a basis block
@@ -358,11 +358,11 @@ def _friedrich_p2(proj, seed):
     """
     mesh = proj.mesh
     free = mesh.free_edges()
-    K = scatter_blocks(mesh, stiffness_blocks(mesh), free=True).copy()
+    K = scatter_blocks(mesh, stiffness_blocks(mesh)).copy()
     # The Kuhn split leaves exact zeros in K's pattern (orthogonal basis
     # curls): dropping them makes each preconditioner matvec ~20% cheaper.
     K.eliminate_zeros()
-    M = scatter_blocks(mesh, mass_blocks(mesh), free=True)
+    M = proj.M
     # [X, W, P] must fit in the divergence-free space, whose dimension is
     # the free edge count less one constraint per interior vertex
     dim = free.size - mesh.interior_vertices().size
@@ -610,7 +610,7 @@ def check_green_formulas(mesh: Mesh, pair: SmoothFieldPair, quad_order=4):
 # Scalar potential of curl-free edge fields
 # ---------------------------------------------------------------------------
 
-def extract_scalar_potential(u: EdgeField, curl_tol=1e-12, closure_tol=1e-10):
+def extract_scalar_potential(u: EdgeField):
     """Potential phi with G phi = u, fixed by mean-zero normalization.
 
     Integrates edge values along a breadth-first spanning tree of the
@@ -626,9 +626,9 @@ def extract_scalar_potential(u: EdgeField, curl_tol=1e-12, closure_tol=1e-10):
     check is relative to the same scale, so it holds at any magnitude.
 
     Raises:
-        ValueError: a face circulation above curl_tol, or a closure
-            violation above closure_tol, times the largest coefficient
-            (input not a gradient field).
+        ValueError: a face circulation above 1e-12, or a closure
+            violation above 1e-10, times the largest coefficient (input
+            not a gradient field).
     """
     mesh = u.mesh
     c = u.coeffs[mesh.tet_edges] * mesh.tet_edge_signs  # along local lo -> hi
@@ -636,7 +636,7 @@ def extract_scalar_potential(u: EdgeField, curl_tol=1e-12, closure_tol=1e-10):
     circ = c[:, [0, 0, 1, 3]] + c[:, [3, 4, 5, 5]] - c[:, [1, 2, 2, 4]]
     worst = float(np.abs(circ).max(initial=0.0))
     scale = float(np.abs(u.coeffs).max(initial=0.0))
-    if worst > curl_tol * scale:
+    if worst > 1e-12 * scale:
         raise ValueError(
             f"field is not curl-free: max face circulation {worst:.3e} "
             f"against coefficient scale {scale:.3e}")
@@ -654,7 +654,7 @@ def extract_scalar_potential(u: EdgeField, curl_tol=1e-12, closure_tol=1e-10):
 
     closure = np.abs(phi[hi] - phi[lo] - u.coeffs)
     worst = float(closure[~tree_edge].max(initial=0.0))
-    if worst > closure_tol * scale:
+    if worst > 1e-10 * scale:
         raise ValueError(
             f"closure violation {worst:.3e} on non-tree edges: "
             f"input is not a gradient field")

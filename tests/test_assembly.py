@@ -4,15 +4,23 @@ import pytest
 from pcurlcurl import whitney
 from pcurlcurl.assembly import (EdgeField, PExponent, assemble_gradient_map,
                                 assemble_jacobian, assemble_load,
-                                assemble_residual, curl_per_tet,
+                                assemble_residual, curl_per_tet, edge_moments,
                                 edge_interpolate, lp_norm_curl, lp_norm_field,
-                                power_map, scatter_blocks, stiffness_matrix)
+                                power_map, scatter_blocks, stiffness_blocks)
 from pcurlcurl.helmholtz import edge_mass_matrix
 from pcurlcurl.linalg import cg
 from pcurlcurl.mesh import LOCAL_EDGES, build_box_mesh
 from pcurlcurl.verify import check_ineq2
 
 PI = np.pi
+
+
+def dense_all_edges(mesh, blocks):
+    """Dense all x all sum of (T, 6, 6) element blocks, the scatter's oracle."""
+    dense = np.zeros((mesh.num_edges, mesh.num_edges))
+    e = mesh.tet_edges
+    np.add.at(dense, (e[:, :, None], e[:, None, :]), blocks)
+    return dense
 
 
 def random_free_field(mesh, rng, scale=1.0):
@@ -89,8 +97,8 @@ def test_residual_p2_equals_stiffness_action():
     free = mesh.free_edges()
     load = rng.standard_normal(free.size)
     r = assemble_residual(u, load, PExponent(2.0))
-    K = stiffness_matrix(mesh)
-    expect = (K @ u.coeffs)[free] - load
+    K = scatter_blocks(mesh, stiffness_blocks(mesh))
+    expect = K @ u.coeffs[free] - load
     assert np.abs(r - expect).max() < 1e-12 * max(np.abs(expect).max(), 1)
 
 
@@ -100,8 +108,8 @@ def test_jacobian_p2_is_stiffness():
     u = random_free_field(mesh, rng)
     J = assemble_jacobian(u, PExponent(2.0))
     free = mesh.free_edges()
-    K = stiffness_matrix(mesh)[free][:, free]
-    assert abs(J - K).max() < 1e-13 * abs(K).max()
+    K = dense_all_edges(mesh, stiffness_blocks(mesh))[np.ix_(free, free)]
+    assert np.abs(J.toarray() - K).max() < 1e-13 * np.abs(K).max()
 
 
 def test_jacobian_symmetry():
@@ -153,10 +161,17 @@ def test_gradient_map_definition_and_kernel():
     full[interior] = psi
     expect = full[mesh.edges[:, 1]] - full[mesh.edges[:, 0]]
     assert np.allclose(G @ psi, expect, atol=1e-14)
+    # the canonical flag is true, not just set: scipy's own check agrees
+    assert G.has_canonical_format and np.all(np.abs(G.data) == 1.0)
+    fresh = G.copy()
+    fresh.has_canonical_format = False
+    fresh.sum_duplicates()
+    assert np.array_equal(fresh.indptr, G.indptr)
+    assert np.array_equal(fresh.indices, G.indices)
     # gradients carry no curl energy at p=2 (zero up to rounding)
     u = EdgeField(mesh, G @ psi)
-    K = stiffness_matrix(mesh)
-    scale = abs(K).max() * np.sum(u.coeffs**2)
+    K = dense_all_edges(mesh, stiffness_blocks(mesh))
+    scale = np.abs(K).max() * np.sum(u.coeffs**2)
     assert abs(u.coeffs @ (K @ u.coeffs)) < 1e-12 * scale
 
 
@@ -187,7 +202,7 @@ def test_load_zero_and_constant_oracle():
         for k, (i, j) in enumerate(LOCAL_EDGES):
             mom = geom.vols[t] / 4.0 * (geom.grads[t, j] - geom.grads[t, i])
             oracle[mesh.tet_edges[t, k]] += mesh.tet_edge_signs[t, k] * (S @ mom)
-    got = assemble_load(lambda x: np.broadcast_to(S, x.shape), mesh, quad_order=2)
+    got = assemble_load(lambda x: np.broadcast_to(S, x.shape), mesh)
     assert np.allclose(got, oracle[mesh.free_edges()], atol=1e-14)
 
 
@@ -197,9 +212,13 @@ def test_load_quadrature_self_convergence():
                                    np.cos(0.9 * x[:, 2]),
                                    np.sin(x[:, 0] + 0.3)])
     diffs = []
+    rule = whitney.quadrature(2)
     for n in (2, 4):
         mesh = build_box_mesh((n, n, n), extents=(1.0, 1.0, 1.0))
-        d = assemble_load(S, mesh, 2) - assemble_load(S, mesh, 4)
+        xq = whitney.quad_points_physical(mesh, rule)
+        Sq = S(xq.reshape(-1, 3)).reshape(xq.shape)
+        order2 = edge_moments(mesh, rule, Sq)[mesh.free_edges()]
+        d = order2 - assemble_load(S, mesh)
         diffs.append(np.linalg.norm(d, np.inf))
     assert diffs[1] < diffs[0] / 3.0
 
@@ -266,8 +285,8 @@ def test_discrete_stability_dual_norm_proxy():
     pe = PExponent(p)
     free = mesh.free_edges()
     load = np.zeros(free.size)
-    K = stiffness_matrix(mesh)[free][:, free].tocsr()
-    M = edge_mass_matrix(mesh)[free][:, free].tocsr()
+    K = scatter_blocks(mesh, stiffness_blocks(mesh))
+    M = edge_mass_matrix(mesh)
     A_prox = (K + M).tocsr()   # SPD proxy for the graph norm pairing
 
     def dual_norm(r):
@@ -299,19 +318,13 @@ def test_discrete_stability_dual_norm_proxy():
 
 # -- element-block scatter ----------------------------------------------------
 
-@pytest.mark.parametrize("free_only", [False, True])
-def test_scatter_blocks_matches_dense_oracle(free_only):
+def test_scatter_blocks_matches_dense_oracle():
     mesh = build_box_mesh((2, 2, 2))
     blocks = np.random.default_rng(11).standard_normal((mesh.num_tets, 6, 6))
-    n = mesh.free_edges().size if free_only else mesh.num_edges
-    dense = np.zeros((mesh.num_edges, mesh.num_edges))
-    e = mesh.tet_edges
-    np.add.at(dense, (e[:, :, None], e[:, None, :]), blocks)
-    if free_only:
-        free = mesh.free_edges()
-        dense = dense[free][:, free]
-    got = scatter_blocks(mesh, blocks, free_only)
-    assert got.shape == (n, n)
+    free = mesh.free_edges()
+    dense = dense_all_edges(mesh, blocks)[np.ix_(free, free)]
+    got = scatter_blocks(mesh, blocks)
+    assert got.shape == (free.size, free.size)
     assert got.has_sorted_indices
     assert np.abs(got.toarray() - dense).max() <= 1e-14 * np.abs(dense).max()
 
@@ -321,8 +334,8 @@ def test_every_block_matrix_goes_through_scatter_blocks(monkeypatch):
     calls = []
     scatter = assembly.scatter_blocks
 
-    def counting(mesh, blocks, free):
-        out = scatter(mesh, blocks, free)
+    def counting(mesh, blocks):
+        out = scatter(mesh, blocks)
         calls.append(out.shape[0])
         return out
 
@@ -330,20 +343,19 @@ def test_every_block_matrix_goes_through_scatter_blocks(monkeypatch):
     monkeypatch.setattr(helmholtz, "scatter_blocks", counting)
     mesh = build_box_mesh((2, 2, 2))
     u = random_free_field(mesh, np.random.default_rng(12))
-    for build, n in ((lambda: stiffness_matrix(mesh), mesh.num_edges),
-                     (lambda: assemble_jacobian(u, PExponent(4.0, eps=0.1)),
-                      mesh.free_edges().size),
-                     (lambda: edge_mass_matrix(mesh), mesh.num_edges)):
+    n = mesh.free_edges().size
+    for build in (lambda: assemble_jacobian(u, PExponent(2.0)),
+                  lambda: assemble_jacobian(u, PExponent(4.0, eps=0.1)),
+                  lambda: edge_mass_matrix(mesh)):
         calls.clear()
         build()
         assert calls == [n]
 
 
-@pytest.mark.parametrize("free", [False, True])
-def test_pattern_is_canonical_and_read_only(free):
+def test_pattern_is_canonical_and_read_only():
     mesh = build_box_mesh((3, 2, 2))
-    pattern = mesh.free_pattern if free else mesh.edge_pattern
-    n = mesh.free_edges().size if free else mesh.num_edges
+    pattern = mesh.free_pattern
+    n = mesh.free_edges().size
     assert pattern.indptr.shape == (n + 1,)
     assert pattern.slot.shape == (mesh.num_tets * 36,)
     for arr in pattern:
@@ -351,13 +363,12 @@ def test_pattern_is_canonical_and_read_only(free):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
-    # every slot is a nonzero or, free x free only, the dump slot
+    # every slot is a nonzero or the dump slot of a boundary entry
     nnz = pattern.indices.size
-    assert pattern.slot.min() >= 0 and pattern.slot.max() <= nnz
-    assert (pattern.slot.max() == nnz) == free
+    assert pattern.slot.min() >= 0 and pattern.slot.max() == nnz
     assert np.unique(pattern.slot[pattern.slot < nnz]).size == nnz
     blocks = np.random.default_rng(13).standard_normal((mesh.num_tets, 6, 6))
-    got = scatter_blocks(mesh, blocks, free)
+    got = scatter_blocks(mesh, blocks)
     assert got.has_canonical_format
     for i in range(n):
         row = got.indices[got.indptr[i]:got.indptr[i + 1]]
@@ -387,7 +398,6 @@ def test_jacobian_matches_einsum_and_dense_oracles(p):
     mesh = build_box_mesh((3, 2, 2), extents=(1.0, 1.3, 0.7))
     rng = np.random.default_rng(14)
     free = mesh.free_edges()
-    e = mesh.tet_edges
     # one circulation: the tets off that edge are exactly curl-free
     one_edge = EdgeField(mesh)
     one_edge.coeffs[free[free.size // 2]] = 1.7
@@ -396,10 +406,8 @@ def test_jacobian_matches_einsum_and_dense_oracles(p):
                    (one_edge, 0.0), (EdgeField(mesh), 0.0)):
         pe = PExponent(p, eps=eps)
         blocks = jacobian_einsum_oracle(u, pe)
-        dense = np.zeros((mesh.num_edges, mesh.num_edges))
-        np.add.at(dense, (e[:, :, None], e[:, None, :]), blocks)
-        dense = dense[free][:, free]
-        oracle = scatter_blocks(mesh, blocks, True).toarray()
+        dense = dense_all_edges(mesh, blocks)[np.ix_(free, free)]
+        oracle = scatter_blocks(mesh, blocks).toarray()
         got = assemble_jacobian(u, pe).toarray()
         assert np.all(np.isfinite(got))
         scale = max(np.abs(dense).max(), np.finfo(float).tiny)
@@ -410,11 +418,12 @@ def test_jacobian_matches_einsum_and_dense_oracles(p):
 
 
 def test_unused_options_stay_removed():
-    # quadrature orders, Gauss points and Friedrich iteration budgets
-    # that no caller set are constants, not parameters
+    # quadrature orders, Gauss points, Friedrich iteration budgets and
+    # potential-check tolerances that no caller set are constants, not
+    # parameters
     import inspect
     from pcurlcurl.mms import measure_error
-    from pcurlcurl.verify import friedrich_constant
+    from pcurlcurl.verify import extract_scalar_potential, friedrich_constant
 
     def names(fn):
         return list(inspect.signature(fn).parameters)
@@ -423,3 +432,5 @@ def test_unused_options_stay_removed():
     assert names(measure_error) == ["u_h", "case"]
     assert names(edge_interpolate) == ["func", "mesh"]
     assert names(friedrich_constant) == ["meshes", "p", "seed"]
+    assert names(assemble_load) == ["S", "mesh"]
+    assert names(extract_scalar_potential) == ["u"]

@@ -48,6 +48,13 @@ def test_unknown_key_rejected(tmp_path, capsys):
     rc = main(["solve", "--out_dir", str(tmp_path / "x"), "--frobnicate", "1"])
     assert rc == 2
     assert "unknown key" in capsys.readouterr().err
+    # solve and converge draw no random numbers, so they take no seed,
+    # and solve runs the one geometric p ramp
+    for command, key in (("solve", "seed"), ("converge", "seed"),
+                         ("solve", "p_schedule")):
+        rc = main([command, "--out_dir", str(tmp_path / "x"), f"--{key}", "3"])
+        assert rc == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_threads_other_than_one_rejected(tmp_path):

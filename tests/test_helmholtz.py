@@ -2,9 +2,19 @@ import numpy as np
 import pytest
 
 from pcurlcurl import whitney
-from pcurlcurl.assembly import EdgeField, assemble_gradient_map, curl_per_tet
-from pcurlcurl.helmholtz import DivFreeProjector, edge_mass_matrix
+from pcurlcurl.assembly import (EdgeField, assemble_gradient_map, curl_per_tet,
+                                edge_interpolate)
+from pcurlcurl.helmholtz import DivFreeProjector, edge_mass_matrix, mass_blocks
 from pcurlcurl.mesh import LOCAL_EDGES, Mesh, build_box_mesh
+from pcurlcurl.solver import SolveConfig, solve
+
+
+def dense_mass_all_edges(mesh):
+    """Dense all x all mass matrix by np.add.at of the element blocks."""
+    M = np.zeros((mesh.num_edges, mesh.num_edges))
+    e = mesh.tet_edges
+    np.add.at(M, (e[:, :, None], e[:, None, :]), mass_blocks(mesh))
+    return M
 
 
 def single_tet_mesh():
@@ -28,7 +38,10 @@ def test_mass_matrix_single_tet_symbolic_oracle():
                             - lam_mom[a, d] * gdot[b, c]
                             - lam_mom[b, c] * gdot[a, d]
                             + lam_mom[b, d] * gdot[a, c])
-    M = edge_mass_matrix(mesh).toarray()
+    # every edge of a lone tet is a boundary edge, so the free x free M
+    # is empty and the all-edge assembly carries the property
+    assert edge_mass_matrix(mesh).shape == (0, 0)
+    M = dense_mass_all_edges(mesh)
     # map local edge order to global edge numbering (signs are +1 here
     # because the single tet is stored with ascending vertices)
     perm = mesh.tet_edges[0]
@@ -38,8 +51,8 @@ def test_mass_matrix_single_tet_symbolic_oracle():
 
 def test_mass_matrix_spd():
     mesh = build_box_mesh((2, 2, 2))
-    M = edge_mass_matrix(mesh)
-    assert abs(M - M.T).max() < 1e-15
+    M = dense_mass_all_edges(mesh)
+    assert np.abs(M - M.T).max() < 1e-15
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = rng.standard_normal(mesh.num_edges)
@@ -52,7 +65,7 @@ def test_mass_matrix_infinity_norm_scales_linearly_in_h():
     norms = []
     for n in (2, 4, 8):
         mesh = build_box_mesh((n, n, n), extents=(1.0, 1.0, 1.0))
-        M = edge_mass_matrix(mesh)
+        M = dense_mass_all_edges(mesh)
         norms.append(np.abs(M).sum(axis=1).max())
     assert norms[0] / norms[1] == pytest.approx(2.0, rel=0.15)
     assert norms[1] / norms[2] == pytest.approx(2.0, rel=0.15)
@@ -89,12 +102,10 @@ def test_strip_gradient_removes_exactly_m_g_phi_and_is_idempotent():
     b = np.random.default_rng(6).standard_normal(free.size)
     b0, phi = proj.strip_gradient(b, 1e-14)
     g = proj.M @ (proj.G @ phi.coeffs[mesh.interior_vertices()])
-    assert np.abs(b - b0 - g[free]).max() <= 1e-14 * np.abs(b).max()
+    assert np.abs(b - b0 - g).max() <= 1e-14 * np.abs(b).max()
     assert np.all(phi.coeffs[mesh.boundary_vertices] == 0.0)
     # the cleaned functional pairs to zero with every interior gradient
-    full = np.zeros(mesh.num_edges)
-    full[free] = b0
-    assert np.linalg.norm(proj.G.T @ full) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(proj.G.T @ b0) <= 1e-12 * np.linalg.norm(b)
     again, phi2 = proj.strip_gradient(b0, 1e-14)
     assert np.linalg.norm(again - b0) <= 1e-12 * np.linalg.norm(b0)
     assert np.linalg.norm(phi2.coeffs) <= 1e-10 * np.linalg.norm(phi.coeffs)
@@ -117,10 +128,10 @@ def test_projection_energy_split_and_curl_invariance():
     proj = DivFreeProjector(mesh)
     u = EdgeField(mesh, rng.standard_normal(mesh.num_edges)).zero_boundary()
     u0, phi = proj.project(u, tol=1e-13)
-    M = proj.M
+    M, free = proj.M, mesh.free_edges()
     g = proj.G @ phi.coeffs[mesh.interior_vertices()]
-    total = u.coeffs @ (M @ u.coeffs)
-    split = u0.coeffs @ (M @ u0.coeffs) + g @ (M @ g)
+    total = u.coeffs[free] @ (M @ u.coeffs[free])
+    split = u0.coeffs[free] @ (M @ u0.coeffs[free]) + g @ (M @ g)
     assert abs(total - split) <= 1e-10 * total
     assert np.abs(curl_per_tet(u0) - curl_per_tet(u)).max() < 1e-12
 
@@ -131,3 +142,48 @@ def test_projection_preserves_boundary_invariant():
     u = EdgeField(mesh, rng.standard_normal(mesh.num_edges)).zero_boundary()
     u0, _ = DivFreeProjector(mesh).project(u)
     assert u0.boundary_ok(tol=0.0)
+
+
+def test_projector_gtmg_matches_all_edge_oracle():
+    # a boundary edge's row of G is empty, so the free x free M and the
+    # free rows of G give the all-edge G^T M G
+    mesh = build_box_mesh((3, 3, 3))
+    G = assemble_gradient_map(mesh).toarray()
+    oracle = G.T @ dense_mass_all_edges(mesh) @ G
+    got = DivFreeProjector(mesh).GtMG.toarray()
+    assert np.abs(got - oracle).max() <= 1e-15 * np.abs(oracle).max()
+
+
+def test_projector_rejects_a_nonzero_boundary_circulation():
+    mesh = build_box_mesh((2, 2, 2))
+    proj = DivFreeProjector(mesh)
+    u = EdgeField(mesh)
+    u.coeffs[mesh.free_edges()] = 1.0
+    proj.project(u)
+    u.coeffs[mesh.boundary_edges[3]] = 0.5
+    with pytest.raises(ValueError, match="boundary circulation"):
+        proj.project(u)
+    with pytest.raises(ValueError, match="boundary circulation"):
+        proj.constraint_norm(u.coeffs)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_edge_field_load_matches_all_edge_mass_pairing(n, monkeypatch):
+    # an EdgeField load pairs with the free-edge basis through all of its
+    # coefficients, boundary circulations included: (M_all S)[free]
+    mesh = build_box_mesh((n, n, n))
+    S = edge_interpolate(lambda x: np.column_stack(
+        [np.cos(x[:, 1]), np.sin(x[:, 2]), np.cos(x[:, 0])]), mesh)
+    assert np.abs(S.coeffs[mesh.boundary_edges]).max() > 0.1
+    expect = (dense_mass_all_edges(mesh) @ S.coeffs)[mesh.free_edges()]
+    seen = []
+    real = DivFreeProjector.strip_gradient
+
+    def recording(self, b, tol):
+        seen.append(b.copy())
+        return real(self, b, tol)
+
+    # the load is the first functional the solve cleans
+    monkeypatch.setattr(DivFreeProjector, "strip_gradient", recording)
+    solve(mesh, S, SolveConfig())
+    assert np.abs(seen[0] - expect).max() <= 1e-14 * np.abs(expect).max()

@@ -2,27 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pcurlcurl.linalg import cg, csr_matrix_from_coo
+from pcurlcurl.linalg import cg
 
 
 def tridiag_laplacian(n):
     return sp.diags_array(
         [np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
         offsets=[-1, 0, 1]).tocsr()
-
-
-def test_csr_builder_canonical_form():
-    # duplicates summed, zeros dropped, columns strictly increasing
-    rows = np.array([0, 0, 0, 1, 1, 2])
-    cols = np.array([2, 0, 2, 1, 1, 0])
-    vals = np.array([1.0, 3.0, 2.0, 5.0, -5.0, 4.0])
-    m = csr_matrix_from_coo(rows, cols, vals, (3, 3))
-    dense = np.array([[3.0, 0, 3.0], [0, 0, 0], [4.0, 0, 0]])
-    assert np.allclose(m.toarray(), dense)
-    for r in range(3):
-        idx = m.indices[m.indptr[r]:m.indptr[r + 1]]
-        assert np.all(np.diff(idx) > 0)
-    assert np.all(m.data != 0)
 
 
 def test_matvec_matches_dense_reference():
@@ -33,7 +19,7 @@ def test_matvec_matches_dense_reference():
         rows = rng.integers(0, n, nnz)
         cols = rng.integers(0, m, nnz)
         vals = rng.standard_normal(nnz)
-        A = csr_matrix_from_coo(rows, cols, vals, (int(n), int(m)))
+        A = sp.coo_array((vals, (rows, cols)), shape=(int(n), int(m))).tocsr()
         dense = np.zeros((n, m))
         np.add.at(dense, (rows, cols), vals)
         x = rng.standard_normal(m)

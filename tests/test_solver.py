@@ -15,7 +15,7 @@ from pcurlcurl.mesh import build_box_mesh
 from pcurlcurl.mms import case_general_p, case_p2_sine
 from pcurlcurl.solver import (SolveConfig, SolverError, default_p_schedule,
                               energy, solve)
-from pcurlcurl.assembly import stiffness_matrix
+from pcurlcurl.assembly import scatter_blocks, stiffness_blocks
 
 PI = np.pi
 
@@ -23,8 +23,8 @@ PI = np.pi
 def answer_constraint(u):
     """||G^T M u|| / ||u||_M, recomputed from the returned field."""
     proj = DivFreeProjector(u.mesh)
-    return proj.constraint_norm(u.coeffs) / np.sqrt(
-        u.coeffs @ (proj.M @ u.coeffs))
+    uf = u.coeffs[u.mesh.free_edges()]
+    return proj.constraint_norm(u.coeffs) / np.sqrt(uf @ (proj.M @ uf))
 
 
 def test_default_p_schedule():
@@ -37,10 +37,6 @@ def test_default_p_schedule():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(p_target=1.5)
-    with pytest.raises(ValueError):
-        SolveConfig(p_target=4.0, p_schedule=[2.0, 3.0])       # misses target
-    with pytest.raises(ValueError):
-        SolveConfig(p_target=4.0, p_schedule=[4.0, 2.0, 4.0])  # not sorted
 
 
 def test_energy_trivial_and_quadratic():
@@ -52,8 +48,9 @@ def test_energy_trivial_and_quadratic():
     u = EdgeField(mesh)
     u.coeffs[free] = rng.standard_normal(free.size)
     load = rng.standard_normal(free.size)
-    K = stiffness_matrix(mesh)
-    expect = 0.5 * u.coeffs @ (K @ u.coeffs) - load @ u.coeffs[free]
+    K = scatter_blocks(mesh, stiffness_blocks(mesh))
+    uf = u.coeffs[free]
+    expect = 0.5 * uf @ (K @ uf) - load @ uf
     assert energy(u, load, PExponent(2.0)) == pytest.approx(expect, rel=1e-12)
 
 
@@ -121,7 +118,7 @@ def test_solution_satisfies_discrete_weak_form():
     assert rep.final_residual <= 1e-9
     pe = PExponent(4.0, eps=rep.stages[-1].eps)
     from pcurlcurl.assembly import assemble_load
-    load = assemble_load(case.load, mesh, quad_order=4)
+    load = assemble_load(case.load, mesh)
     assert energy(u, load, pe) < 0.0
 
 
@@ -146,7 +143,7 @@ def test_coercivity_load_scaling():
 def test_uniqueness_from_different_initial_guesses():
     mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
     case = case_general_p(4.0)
-    cfg = SolveConfig(p_target=4.0, p_schedule=[4.0])
+    cfg = SolveConfig(p_target=4.0)
     u1, _, _ = solve(mesh, case.load, cfg)
     rng = np.random.default_rng(7)
     guess = EdgeField(mesh, rng.standard_normal(mesh.num_edges))
@@ -177,10 +174,8 @@ def test_newton_matches_projected_gradient_descent():
     proj = DivFreeProjector(mesh)
     free = mesh.free_edges()
     case = case_general_p(4.0)
-    load, _ = proj.strip_gradient(assemble_load(case.load, mesh, quad_order=4),
-                                  1e-13)
-    u_newton, _, rep = solve(mesh, case.load,
-                             SolveConfig(p_target=4.0, p_schedule=[4.0]))
+    load, _ = proj.strip_gradient(assemble_load(case.load, mesh), 1e-13)
+    u_newton, _, rep = solve(mesh, case.load, SolveConfig(p_target=4.0))
     pe = PExponent(4.0, eps=rep.stages[-1].eps)
 
     u = EdgeField(mesh)
@@ -260,8 +255,8 @@ def test_anisotropic_box_solve():
 def test_newton_budget_exhaustion_raises():
     mesh = build_box_mesh((2, 2, 2), extents=(PI, PI, PI))
     case = case_general_p(6.0)
-    cfg = SolveConfig(p_target=6.0, p_schedule=[6.0], max_newton=1)
-    with pytest.raises(SolverError, match="p=6.0"):
+    cfg = SolveConfig(p_target=6.0, max_newton=1)
+    with pytest.raises(SolverError, match="p=4.0"):
         solve(mesh, case.load, cfg)
 
 
@@ -276,7 +271,7 @@ def test_consistent_rhs_removes_exactly_the_gradient_kernel():
     mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
     free = mesh.free_edges()
     proj = DivFreeProjector(mesh)
-    Gfree = proj.G[free].tocsr()
+    Gfree = proj.G
     A = assemble_jacobian(EdgeField(mesh), PExponent(2.0))
     dense = A.toarray()
     # the p = 2 Jacobian is singular, and its kernel is exactly the
@@ -326,8 +321,7 @@ def test_gradient_shift_invariance(p):
     u_shift = EdgeField(mesh, u_ref.coeffs + shift)
 
     proj = DivFreeProjector(mesh)
-    load, _ = proj.strip_gradient(assemble_load(case.load, mesh, quad_order=4),
-                                  1e-13)
+    load, _ = proj.strip_gradient(assemble_load(case.load, mesh), 1e-13)
     pe = PExponent(p, eps=rep_ref.stages[-1].eps)
     r0 = assemble_residual(u_ref, load, pe)
     r1 = assemble_residual(u_shift, load, pe)
@@ -447,7 +441,7 @@ def test_final_residual_is_relative_to_the_load():
     guess = EdgeField(mesh, rng.standard_normal(mesh.num_edges))
     u, _, rep = solve(mesh, case.load, cfg, initial_guess=guess)
     load, _ = DivFreeProjector(mesh).strip_gradient(
-        assemble_load(case.load, mesh, quad_order=4), 1e-13)
+        assemble_load(case.load, mesh), 1e-13)
     r = assemble_residual(u, load, PExponent(2.0, eps=rep.stages[-1].eps))
     assert np.linalg.norm(r) <= cfg.newton_tol * np.linalg.norm(load)
 
@@ -473,16 +467,18 @@ def test_p10_zero_start_counters_at_6_cubed():
     assert abs(rep.total_linear_iterations - 3462) <= 0.01 * 3462
 
 
-def test_answer_does_not_depend_on_the_p_schedule():
+def test_answer_does_not_depend_on_the_p_schedule(monkeypatch):
     # eps_p comes from the p = 2 answer alone, so every ramp to p = 10
     # solves the same regularized problem
+    from pcurlcurl import solver
     mesh = build_box_mesh((6, 6, 6), extents=(PI, PI, PI))
     load = case_general_p(10.0).load
     u_ref, _, rep_ref = solve(mesh, load, SolveConfig(p_target=10.0))
     ref = lp_norm_curl(u_ref, 10.0)
     for sched in ([2.0, 4.0, 10.0], [2.0, 5.0, 10.0]):
-        u, _, rep = solve(mesh, load,
-                          SolveConfig(p_target=10.0, p_schedule=sched))
+        monkeypatch.setattr(solver, "default_p_schedule",
+                            lambda p_target, sched=sched: sched)
+        u, _, rep = solve(mesh, load, SolveConfig(p_target=10.0))
         assert rep.stages[-1].eps == rep_ref.stages[-1].eps
         diff = EdgeField(mesh, u.coeffs - u_ref.coeffs)
         assert lp_norm_curl(diff, 10.0) <= 1e-7 * ref
@@ -500,19 +496,23 @@ def test_p100_stages_and_newton_budget():
 
 
 def test_one_csr_pattern_of_each_kind_per_mesh(monkeypatch):
+    # every edge matrix is free x free: one pattern build per mesh, shared
+    # by the solve, a second projector and the Friedrich eigensolve
     from pcurlcurl import mesh as mesh_module
+    from pcurlcurl.verify import friedrich_constant
     calls = []
     real = mesh_module._csr_pattern
 
-    def counting(mesh, free):
-        calls.append(free)
-        return real(mesh, free)
+    def counting(mesh):
+        calls.append(mesh)
+        return real(mesh)
 
     monkeypatch.setattr(mesh_module, "_csr_pattern", counting)
     mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
     solve(mesh, case_general_p(4.0).load, SolveConfig(p_target=4.0))
     DivFreeProjector(mesh)
-    assert sorted(calls) == [False, True]
+    friedrich_constant([mesh], 2.0)
+    assert calls == [mesh]
 
 
 def test_one_cell_geometry_per_mesh(monkeypatch, tmp_path):

@@ -178,13 +178,12 @@ def test_nonmonotone_map_is_rejected(monkeypatch):
 def dense_constrained_eigenvalue(mesh):
     """Oracle: smallest eigenvalue of the projected pencil, dense SVD basis."""
     import scipy.linalg as sla
-    from pcurlcurl.assembly import stiffness_matrix
+    from pcurlcurl.assembly import scatter_blocks, stiffness_blocks
     from pcurlcurl.helmholtz import DivFreeProjector
     proj = DivFreeProjector(mesh)
-    free = mesh.free_edges()
-    K = stiffness_matrix(mesh)[free][:, free].toarray()
-    M = proj.M[free][:, free].toarray()
-    C = (proj.G.T @ proj.M)[:, free].toarray()
+    K = scatter_blocks(mesh, stiffness_blocks(mesh)).toarray()
+    M = proj.M.toarray()
+    C = (proj.G.T @ proj.M).toarray()
     _, s, Vt = np.linalg.svd(C)
     rank = int(np.sum(s > 1e-10 * s[0]))
     Z = Vt[rank:].T
@@ -423,16 +422,19 @@ def test_potential_rejects_fields_with_curl():
 
 
 def test_potential_closure_check_catches_inconsistency():
-    # loosen the curl gate so the per-edge closure check is what trips
-    mesh = build_box_mesh((2, 2, 2))
-    rng = np.random.default_rng(2)
-    G = assemble_gradient_map(mesh)
-    psi = rng.standard_normal(G.shape[1])
-    coeffs = G @ psi
-    coeffs[mesh.free_edges()[0]] += 1e-8
-    u = EdgeField(mesh, coeffs)
+    # on a ring of cubes the angle form d(theta) around the hole is
+    # curl-free on every face, so only the closure check can see that it
+    # is no gradient: its circulation around the ring is 2 pi
+    from pcurlcurl.mesh import Mesh
+    box = build_box_mesh((3, 3, 1), extents=(3.0, 3.0, 1.0))
+    centre = box.vertices[box.tets].mean(axis=1)
+    ring = np.any(np.abs(centre[:, :2] - 1.5) > 0.5, axis=1)
+    mesh = Mesh(box.vertices, box.tets[ring], box.box)
+    theta = np.arctan2(mesh.vertices[:, 1] - 1.5, mesh.vertices[:, 0] - 1.5)
+    d = theta[mesh.edges[:, 1]] - theta[mesh.edges[:, 0]]
+    u = EdgeField(mesh, (d + np.pi) % (2.0 * np.pi) - np.pi)
     with pytest.raises(ValueError, match="closure"):
-        extract_scalar_potential(u, curl_tol=1e-3, closure_tol=1e-10)
+        extract_scalar_potential(u)
 
 
 def test_potential_rejects_disconnected_mesh():
