@@ -21,7 +21,7 @@ from .verify import (FriedrichReport, InequalityReport, check_green_formulas,
                      check_ineq1, check_ineq2, check_inequalities,
                      default_smooth_pair, extract_scalar_potential,
                      friedrich_constant)
-from .whitney import (QuadratureRule, cell_geometry, eval_basis, quadrature,
+from .whitney import (QuadratureRule, cell_geometry, quadrature,
                       triangle_quadrature)
 
 __version__ = "0.1.0"
@@ -32,7 +32,7 @@ __all__ = [
     "SolverError", "ManufacturedCase", "InequalityReport", "FriedrichReport",
     "QuadratureRule", "DivFreeProjector",
     "build_box_mesh", "classify_boundary", "cell_geometry", "quadrature",
-    "eval_basis", "triangle_quadrature",
+    "triangle_quadrature",
     "cg",
     "power_map", "assemble_residual", "assemble_jacobian",
     "assemble_gradient_map", "assemble_load", "edge_interpolate",

@@ -3,6 +3,10 @@
 Usage:
     pcurlcurl <command> [--config FILE] [--key value]...
 
+`solve` and `converge` solve the manufactured problem case_general_p(p)
+(the p = 2 sine case at p = 2); the exponent p is their only solver
+input, since every tolerance and budget is a constant of `solver`.
+
 Every run echoes its effective configuration into the output directory,
 so results are reproducible from that file alone. Exit codes: 0 success,
 1 solver/runtime failure (partial outputs are flagged in the summary),
@@ -20,7 +24,7 @@ import numpy as np
 from .assembly import EdgeField, assemble_gradient_map
 from .io import ConfigError, RunConfig, write_csv, write_summary, write_vtk
 from .mesh import build_box_mesh
-from .mms import case_general_p, case_p2_sine, measure_error
+from .mms import case_general_p, measure_error
 from .solver import SolveConfig, SolverError, solve
 from .verify import (check_green_formulas, check_inequalities,
                      default_smooth_pair, extract_scalar_potential,
@@ -70,28 +74,13 @@ def _mesh_from(cfg, divisions=None):
                           origin=cfg["box_origin"], extents=cfg["box_extents"])
 
 
-def _case_from(cfg):
-    if cfg["case"] == "p2_sine":
-        return case_p2_sine()
-    return case_general_p(cfg["p"])
-
-
-def _solve_config(cfg):
-    return SolveConfig(
-        p_target=cfg["p"] if cfg["case"] != "p2_sine" else 2.0,
-        newton_tol=cfg["newton_tol"],
-        max_newton=cfg["max_newton"],
-        linear_tol=cfg["linear_tol"],
-    )
-
-
 def cmd_solve(cfg):
     out = cfg.out_dir()
     cfg.echo(out)
     mesh = _mesh_from(cfg)
-    case = _case_from(cfg)
+    case = case_general_p(cfg["p"])
     try:
-        u, mult, report = solve(mesh, case.load, _solve_config(cfg))
+        u, mult, report = solve(mesh, case.load, SolveConfig(p_target=case.p))
     except SolverError as exc:
         write_summary(os.path.join(out, "summary.txt"),
                       ["status = FAILED (partial outputs only)",
@@ -205,14 +194,13 @@ def cmd_friedrich(cfg):
 def cmd_converge(cfg):
     out = cfg.out_dir()
     cfg.echo(out)
-    case = _case_from(cfg)
+    case = case_general_p(cfg["p"])
+    config = SolveConfig(p_target=case.p)
     rows = []
     prev = None
     for i, n in enumerate(cfg["levels"]):
         mesh = build_box_mesh((n, n, n), extents=(np.pi, np.pi, np.pi))
-        sc = SolveConfig(p_target=case.p, newton_tol=cfg["newton_tol"],
-                         linear_tol=cfg["linear_tol"])
-        u, _, rep = solve(mesh, case.load, sc)
+        u, _, rep = solve(mesh, case.load, config)
         l2, ce = measure_error(u, case)
         l2_order = curl_order = ""
         if prev is not None:

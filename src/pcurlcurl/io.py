@@ -1,7 +1,8 @@
 """Run configuration and on-disk outputs (VTK, CSV, summaries).
 
 Configs are flat `key = value` text files plus command-line overrides;
-unknown keys are rejected and every numeric key is validated on parse.
+unknown keys are rejected, every numeric key is validated on parse and
+every list key must be non-empty.
 Floats are always written with 17 significant digits so reruns of the
 same config produce byte-identical files.
 """
@@ -49,6 +50,10 @@ def _nonneg(x):
     return x >= 0
 
 
+def _levels_ok(v):
+    return len(v) > 0 and all(n >= 1 for n in v)
+
+
 # key -> (parser, validator or None, default, description)
 _COMMON = {
     "out_dir": (str, None, "out", "output directory"),
@@ -64,47 +69,36 @@ _MESH = {
                     [math.pi, math.pi, math.pi], "box extents"),
 }
 
-_SOLVE = {
-    "case": (str, lambda v: v in ("p2_sine", "general_p"), "p2_sine",
-             "manufactured case"),
+# solve and converge take the exponent alone: every other solver policy
+# is a constant of `solver`, and the load is case_general_p(p)'s
+_P_TARGET = {
     "p": (_parse_float, lambda v: v >= 2.0, 2.0,
           "target exponent (the solver requires p >= 2)"),
-    "newton_tol": (_parse_float, _positive, 1e-9, "relative residual tolerance"),
-    "max_newton": (int, _positive, 50, "Newton iteration cap per stage"),
-    "linear_tol": (_parse_float, _positive, 1e-11, "Krylov relative tolerance"),
+}
+
+_LEVELS = {
+    "levels": (_parse_ints, _levels_ok, [2, 4, 8], "mesh divisions per level"),
 }
 
 _VERIFY = {
     "seed": (int, _nonneg, 0, "RNG seed"),
     "n_samples": (int, _positive, 1000000, "inequality sample count"),
-    "p_grid": (_parse_floats, lambda v: all(p > 1 for p in v),
+    "p_grid": (_parse_floats, lambda v: len(v) > 0 and all(p > 1 for p in v),
                [2.0, 3.0, 4.0, 6.0, 10.0], "exponents for inequality sweep"),
-    "green_levels": (_parse_ints, lambda v: all(n >= 1 for n in v), [2, 4, 8],
+    "green_levels": (_parse_ints, _levels_ok, [2, 4, 8],
                      "mesh divisions per Green-identity level"),
 }
 
 _FRIEDRICH = {
     "seed": (int, _nonneg, 0, "RNG seed"),
     "p": (_parse_float, lambda v: v >= 2.0, 2.0, "norm exponent"),
-    "levels": (_parse_ints, lambda v: all(n >= 1 for n in v), [2, 4, 8],
-               "mesh divisions per level"),
-}
-
-_CONVERGE = {
-    "case": (str, lambda v: v in ("p2_sine", "general_p"), "p2_sine",
-             "manufactured case"),
-    "p": (_parse_float, lambda v: v >= 2.0, 2.0, "target exponent"),
-    "levels": (_parse_ints, lambda v: all(n >= 1 for n in v), [2, 4, 8],
-               "mesh divisions per level"),
-    "newton_tol": (_parse_float, _positive, 1e-9, "relative residual tolerance"),
-    "linear_tol": (_parse_float, _positive, 1e-11, "Krylov relative tolerance"),
 }
 
 KEY_SPECS = {
-    "solve": {**_COMMON, **_MESH, **_SOLVE},
+    "solve": {**_COMMON, **_MESH, **_P_TARGET},
     "verify": {**_COMMON, **_MESH, **_VERIFY},
-    "friedrich": {**_COMMON, **_FRIEDRICH},
-    "converge": {**_COMMON, **_CONVERGE},
+    "friedrich": {**_COMMON, **_FRIEDRICH, **_LEVELS},
+    "converge": {**_COMMON, **_P_TARGET, **_LEVELS},
 }
 
 
@@ -112,7 +106,6 @@ KEY_SPECS = {
 class RunConfig:
     command: str
     values: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
 
     @classmethod
     def load(cls, command, config_path=None, overrides=None):
@@ -138,7 +131,7 @@ class RunConfig:
             if validator is not None and not validator(val):
                 raise ConfigError(f"invalid {key!r} = {text!r}: {desc}")
             values[key] = val
-        return cls(command=command, values=values, raw=dict(raw))
+        return cls(command=command, values=values)
 
     def __getitem__(self, key):
         return self.values[key]

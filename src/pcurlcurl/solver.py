@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,6 +62,9 @@ def default_p_schedule(p_target):
     return sched
 
 
+NEWTON_TOL = 1e-9         # stop a stage at ||r|| / ||load|| <= NEWTON_TOL
+MAX_NEWTON = 50           # Newton steps per stage before SolverError
+LINEAR_TOL = 1e-11        # Newton CG and final projection relative tolerance
 LS_BACKTRACK = 0.5        # line-search step reduction per rejected trial
 LS_MAX = 30               # rejected trials before the line search fails
 
@@ -69,12 +73,12 @@ LS_MAX = 30               # rejected trials before the line search fails
 EPS_SPREAD_DECADES = 12.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveConfig:
+    """The one solve knob: the target exponent. Every other policy is a
+    module constant; `newton_tol` is a read-only view of NEWTON_TOL."""
     p_target: float = 2.0
-    newton_tol: float = 1e-9
-    max_newton: int = 50
-    linear_tol: float = 1e-11
+    newton_tol: ClassVar[float] = NEWTON_TOL
 
     def __post_init__(self):
         if self.p_target < 2.0:
@@ -175,8 +179,7 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
         u = initial_guess.zero_boundary()
 
     load_scale = float(np.linalg.norm(load))
-    u, r, rec = _newton_stage(proj, u, load, load_scale, PExponent(2.0),
-                              config)
+    u, r, rec = _newton_stage(proj, u, load, load_scale, PExponent(2.0))
     report.stages.append(rec)
     u2, g2 = u, np.linalg.norm(curl_per_tet(u), axis=1).max()
 
@@ -187,19 +190,19 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
         c_p = _ray_factor(u2, load, PExponent(p_val))
         pexp = PExponent(p=p_val, eps=rel * c_p * g2)
         u = EdgeField(mesh, _ray_factor(u, load, pexp) * u.coeffs)
-        u, r, rec = _newton_stage(proj, u, load, load_scale, pexp, config)
+        u, r, rec = _newton_stage(proj, u, load, load_scale, pexp)
         report.stages.append(rec)
 
     # Neither J nor the residual sees the gradient part that the start and
     # the steps leave in u, so the constraint is imposed here, once.
-    u, _ = proj.project(u, tol=config.linear_tol)
+    u, _ = proj.project(u, tol=LINEAR_TOL)
     uf = u.coeffs[free]
     un = float(np.sqrt(uf @ (proj.M @ uf)))
     report.constraint = proj.constraint_norm(u.coeffs) / un if un else 0.0
 
     # The multiplier balances the gradient part of the final residual:
     # M G phi = -r tested against gradients gives G^T M G phi = -G^T r.
-    _, multiplier = proj.strip_gradient(-r, config.linear_tol)
+    _, multiplier = proj.strip_gradient(-r, LINEAR_TOL)
     report.wall_time = time.perf_counter() - t0
     return u, multiplier, report
 
@@ -232,7 +235,7 @@ def _ray_factor(u, load, pexp):
     return hi / gmax
 
 
-def _newton_stage(proj, u, load, load_scale, pexp, config):
+def _newton_stage(proj, u, load, load_scale, pexp):
     """Run damped Newton at fixed (p, eps); returns (u, residual, record)."""
     mesh = u.mesh
     free = mesh.free_edges()
@@ -249,12 +252,12 @@ def _newton_stage(proj, u, load, load_scale, pexp, config):
     bulk, pairing = _energy_terms(u, load, pexp)
     rec.energy_history.append(float(bulk - pairing))
 
-    while np.linalg.norm(r) > config.newton_tol * denom:
-        if rec.newton_iterations == config.max_newton:
+    while np.linalg.norm(r) > NEWTON_TOL * denom:
+        if rec.newton_iterations == MAX_NEWTON:
             raise SolverError(
                 f"Newton did not converge at p={pexp.p}, eps={pexp.eps:.2e}: "
                 f"relative residual {np.linalg.norm(r) / denom:.3e} after "
-                f"{config.max_newton} steps")
+                f"{MAX_NEWTON} steps")
         rec.newton_iterations += 1
         A = assemble_jacobian(u, pexp)
         diag = A.diagonal()
@@ -268,8 +271,8 @@ def _newton_stage(proj, u, load, load_scale, pexp, config):
         # once Newton has reduced the residual to that level.
         b, _ = proj.strip_gradient(-r, 1e-14)
         # CG stops relative to ||r||: from a start far above the load
-        # scale, tighten it so one step can reach newton_tol * denom.
-        tol = config.linear_tol * min(1.0, denom / np.linalg.norm(r))
+        # scale, tighten it so one step can reach NEWTON_TOL * denom.
+        tol = LINEAR_TOL * min(1.0, denom / np.linalg.norm(r))
         du, lin = cg(A, b, tol=tol, max_iter=20 * free.size, diag=diag)
         rec.linear_iterations += lin.iterations
         # An inexact step still makes Newton progress as long as it

@@ -270,7 +270,6 @@ def _power_terms(xi, eta, p):
 @dataclass
 class FriedrichReport:
     p: float
-    levels: list                    # mesh divisions per level
     constants: list                 # C_h per level
     extrapolated: float = 0.0
     lower_bound_only: bool = False  # True for p > 2 (ascent, not eigensolve)
@@ -300,11 +299,9 @@ def friedrich_constant(meshes, p, seed=0):
     the last two levels.
     """
     constants = []
-    levels = []
     iterations = []
     linear_iterations = []
     for mesh in meshes:
-        levels.append(tuple(int(round(e)) for e in _divisions_of(mesh)))
         proj = DivFreeProjector(mesh)
         u2, (c2, its, lin) = _friedrich_p2(proj, seed)
         iterations.append(its)
@@ -316,17 +313,10 @@ def friedrich_constant(meshes, p, seed=0):
     extrap = constants[-1]
     if len(constants) >= 2:
         extrap = constants[-1] + (constants[-1] - constants[-2]) / 3.0
-    return FriedrichReport(p=float(p), levels=levels, constants=constants,
+    return FriedrichReport(p=float(p), constants=constants,
                            extrapolated=float(extrap),
                            lower_bound_only=(p != 2.0), iterations=iterations,
                            linear_iterations=linear_iterations)
-
-
-def _divisions_of(mesh):
-    counts = []
-    for ax in range(3):
-        counts.append(len(np.unique(np.round(mesh.vertices[:, ax], 12))) - 1)
-    return counts
 
 
 def _friedrich_p2(proj, seed):

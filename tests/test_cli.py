@@ -4,12 +4,14 @@ import os
 import numpy as np
 import pytest
 
+from pcurlcurl import solver
 from pcurlcurl.cli import main
 from pcurlcurl.io import (OUTPUT_ROOT_ENV, ConfigError, RunConfig,
                           parse_config_file, write_vtk)
 from pcurlcurl.assembly import edge_interpolate
 from pcurlcurl.mesh import build_box_mesh
-from pcurlcurl.mms import case_p2_sine
+from pcurlcurl.mms import case_general_p, case_p2_sine
+from pcurlcurl.solver import SolveConfig, solve
 
 
 def read_csv(path):
@@ -38,8 +40,7 @@ def test_solve_rerun_is_byte_identical(tmp_path):
 
 
 def test_invalid_p_exits_2(tmp_path, capsys):
-    rc = main(["solve", "--out_dir", str(tmp_path / "x"), "--p", "1.5",
-               "--case", "general_p"])
+    rc = main(["solve", "--out_dir", str(tmp_path / "x"), "--p", "1.5"])
     assert rc == 2
     assert "p >= 2" in capsys.readouterr().err
 
@@ -49,12 +50,43 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert rc == 2
     assert "unknown key" in capsys.readouterr().err
     # solve and converge draw no random numbers, so they take no seed,
-    # and solve runs the one geometric p ramp
-    for command, key in (("solve", "seed"), ("converge", "seed"),
-                         ("solve", "p_schedule")):
+    # solve runs the one geometric p ramp, both solve case_general_p(p),
+    # and every solver tolerance and budget is a constant
+    removed = [("solve", "seed"), ("converge", "seed"), ("solve", "p_schedule")]
+    removed += [(command, key) for command in ("solve", "converge")
+                for key in ("case", "newton_tol", "max_newton", "linear_tol")]
+    for command, key in removed:
         rc = main([command, "--out_dir", str(tmp_path / "x"), f"--{key}", "3"])
         assert rc == 2
         assert f"unknown key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [("friedrich", "levels"),
+                                          ("converge", "levels"),
+                                          ("verify", "green_levels"),
+                                          ("verify", "p_grid")])
+def test_empty_list_value_exits_2(tmp_path, capsys, command, key):
+    rc = main([command, "--out_dir", str(tmp_path / "x"), f"--{key}", ","])
+    assert rc == 2
+    assert f"invalid '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "summary.txt").exists()
+
+
+def test_solve_at_p10_continues_to_p10(tmp_path):
+    out = tmp_path / "p10"
+    assert main(["solve", "--out_dir", str(out), "--p", "10",
+                 "--divisions", "2,2,2"]) == 0
+    rows = read_csv(out / "report.csv")
+    assert len(rows) > 1
+    assert float(rows[-1]["p"]) == 10.0
+    summary = parse_config_file(out / "summary.txt")
+    assert summary["case"] == "general_p10"
+    mesh = build_box_mesh((2, 2, 2), extents=(np.pi, np.pi, np.pi))
+    _, _, rep = solve(mesh, case_general_p(10.0).load, SolveConfig(p_target=10.0))
+    assert [(float(r["p"]), int(r["newton_iter"])) for r in rows] == \
+        [(s.p, s.newton_iterations) for s in rep.stages]
+    assert [r["energy"] for r in rows] == \
+        ["%.17g" % s.energy_history[-1] for s in rep.stages]
 
 
 def test_threads_other_than_one_rejected(tmp_path):
@@ -127,11 +159,13 @@ def test_converge_command_monotone_errors(tmp_path):
     assert l2s == sorted(l2s, reverse=True)
 
 
-def test_solver_failure_exits_1_and_flags_partial_output(tmp_path, capsys):
+def test_solver_failure_exits_1_and_flags_partial_output(tmp_path, capsys,
+                                                        monkeypatch):
     # an impossible Newton budget forces a stage failure
+    monkeypatch.setattr(solver, "MAX_NEWTON", 1)
     out = tmp_path / "fail"
     rc = main(["solve", "--out_dir", str(out), "--divisions", "2,2,2",
-               "--case", "general_p", "--p", "6", "--max_newton", "1"])
+               "--p", "6"])
     assert rc == 1
     summary = (out / "summary.txt").read_text()
     assert "FAILED" in summary
@@ -155,15 +189,16 @@ def test_output_root_env_override(tmp_path, monkeypatch):
 def test_config_file_plus_override(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(
-        "# demo config\ndivisions = 2,2,2\nbox_extents = pi,pi,pi\n"
-        "newton_tol = 1e-8\n")
+        "# demo config\ndivisions = 3,3,3\nbox_extents = pi,pi,pi\n")
     out = tmp_path / "out"
     rc = main(["solve", "--config", str(cfgfile), "--out_dir", str(out),
-               "--newton_tol", "1e-10"])
+               "--divisions", "2,2,2"])
     assert rc == 0
     echoed = parse_config_file(out / "config_used.txt")
-    assert float(echoed["newton_tol"]) == 1e-10  # override wins
-    assert echoed["divisions"] == "2,2,2"
+    assert echoed["divisions"] == "2,2,2"        # override wins
+    assert echoed["box_extents"] == ",".join(["3.1415926535897931"] * 3)
+    summary = parse_config_file(out / "summary.txt")
+    assert summary["divisions"] == "2,2,2"
 
 
 def test_runconfig_validation_messages():
@@ -172,7 +207,7 @@ def test_runconfig_validation_messages():
     with pytest.raises(ConfigError, match="divisions"):
         RunConfig.load("solve", overrides={"divisions": "0,1,1"})
     with pytest.raises(ConfigError, match="bad value"):
-        RunConfig.load("solve", overrides={"newton_tol": "abc"})
+        RunConfig.load("solve", overrides={"p": "abc"})
 
 
 def test_vtk_structure(tmp_path):
