@@ -91,10 +91,12 @@ def cmd_solve(cfg):
     write_vtk(os.path.join(out, "solution.vtk"), mesh, u, name="B")
     rows = []
     for i, s in enumerate(report.stages):
-        rows.append((i, s.p, s.eps, s.newton_iterations, s.final_residual,
+        rows.append((i, "x".join(str(d) for d in s.divisions), s.p, s.eps,
+                     s.newton_iterations, s.final_residual,
                      s.energy_history[-1]))
     write_csv(os.path.join(out, "report.csv"),
-              ("stage", "p", "eps", "newton_iter", "residual", "energy"), rows)
+              ("stage", "divisions", "p", "eps", "newton_iter", "residual",
+               "energy"), rows)
 
     l2, curl_err = measure_error(u, case)
     lines = [

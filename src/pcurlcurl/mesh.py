@@ -19,6 +19,10 @@ import scipy.sparse as sp
 # Local edges of a tetrahedron (pairs of local vertex slots), fixed order.
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
+# A box mesh with even divisions has a coarse mesh at half of them, down
+# to this many divisions per axis.
+COARSEST_DIVISIONS = 3
+
 # Tets whose block entries are looked up at once while numbering a
 # pattern: bounds that build's (chunk * 36) temporaries.
 _PATTERN_CHUNK = 2**16
@@ -57,17 +61,26 @@ class Mesh:
         boundary_edges: sorted int array of edge indices on the box surface.
         boundary_vertices: sorted int array of vertex indices on the surface.
         box: (origin, extents) pair of float triples.
+        divisions: the (nx, ny, nz) grid of a `build_box_mesh` mesh, None
+            for a mesh built from raw arrays.
         geometry: the whitney.CellGeometry of the tets, computed on first
             access and cached, with read-only arrays.
         free_pattern: the CSRPattern of every edge matrix, free x free,
             built on first access and cached; `assembly.scatter_blocks`
             refills its `data`.
+        coarse: the Kuhn mesh of the same box at half the divisions, or
+            None unless every division is even and its half is at least
+            COARSEST_DIVISIONS; cached.
+        prolongation: the free x free matrix P (fine rows, coarse
+            columns) that carries a coarse edge field onto this mesh
+            exactly, None without a coarse mesh; cached, read-only.
 
     Instances are immutable by convention; all arrays are views into
     construction-time buffers and must not be written to.
     """
 
-    def __init__(self, vertices, tets, box):
+    def __init__(self, vertices, tets, box, divisions=None):
+        self.divisions = divisions
         self.vertices = np.asarray(vertices, dtype=float)
         self.tets = np.asarray(tets, dtype=np.int64)
         self.box = (np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float))
@@ -101,6 +114,19 @@ class Mesh:
     @cached_property
     def free_pattern(self):
         return _csr_pattern(self)
+
+    @cached_property
+    def coarse(self):
+        if self.divisions is None or any(d % 2 for d in self.divisions):
+            return None
+        half = tuple(d // 2 for d in self.divisions)
+        if min(half) < COARSEST_DIVISIONS:
+            return None
+        return build_box_mesh(half, *self.box)
+
+    @cached_property
+    def prolongation(self):
+        return None if self.coarse is None else _prolongation(self)
 
     def interior_vertices(self):
         """Vertex indices not on the box surface, ascending."""
@@ -214,6 +240,66 @@ def _frozen(indptr, indices, slot):
     return CSRPattern(indptr, indices, slot)
 
 
+def _prolongation(mesh):
+    """Build `mesh.prolongation` from `mesh.coarse`.
+
+    Kuhn refinement is nested: every fine tet, and so every fine edge
+    (a, b), lies in one coarse tet, on which a coarse Whitney field is
+    linear. The fine degree of freedom, the field at the edge midpoint
+    dotted with b - a, is therefore exact. The midpoint is placed in its
+    coarse cube, and in the Kuhn tet whose axis order sorts its local
+    coordinates. Everything is computed in coarse grid units, where the
+    midpoints, the barycentric coordinates and their gradients are small
+    dyadic rationals, so each entry of P is exact; circulations do not
+    change under the affine map onto the box. A coarse boundary face
+    carries only boundary edges, so the coarse boundary columns of a free
+    row meet zero coefficients and are dropped.
+    """
+    coarse = mesh.coarse
+    nc = np.array(coarse.divisions)
+    X = np.column_stack(np.unravel_index(np.arange(mesh.num_vertices),
+                                         tuple(2 * nc + 1))) / 2.0
+    Xc = np.column_stack(np.unravel_index(np.arange(coarse.num_vertices),
+                                          tuple(nc + 1))).astype(float)
+    free = mesh.free_edges()
+    a, b = X[mesh.edges[free, 0]], X[mesh.edges[free, 1]]
+    mid, d = 0.5 * (a + b), b - a
+    cube = np.minimum(np.floor(mid).astype(np.int64), nc - 1)
+    order = np.argsort(cube - mid, axis=1, kind="stable")
+    # build_box_mesh numbers tets by axis order, in permutations order,
+    # then by cube in C order.
+    perm_number = np.zeros(27, dtype=np.int64)
+    for k, perm in enumerate(itertools.permutations(range(3))):
+        perm_number[perm[0] * 9 + perm[1] * 3 + perm[2]] = k
+    tet = (perm_number[order @ (9, 3, 1)] * nc.prod()
+           + (cube[:, 0] * nc[1] + cube[:, 1]) * nc[2] + cube[:, 2])
+
+    V = Xc[coarse.tets[tet]]                            # (n, 4, 3)
+    grads = np.empty_like(V)
+    # unimodular edge matrices: the inverse is an integer matrix
+    grads[:, 1:] = np.rint(np.linalg.inv(V[:, 1:] - V[:, :1])).transpose(0, 2, 1)
+    grads[:, 0] = -grads[:, 1:].sum(axis=1)
+    lam = np.einsum("nij,nj->ni", grads, mid - V[:, 0])
+    lam[:, 0] += 1.0
+    slope = grads @ d[:, :, None]                      # (n, 4, 1): grad lam . d
+    vals = np.stack([lam[:, i] * slope[:, j, 0] - lam[:, j] * slope[:, i, 0]
+                     for i, j in LOCAL_EDGES], axis=1)
+    vals *= coarse.tet_edge_signs[tet]
+
+    position = np.full(coarse.num_edges, -1, dtype=np.int32)
+    cfree = coarse.free_edges()
+    position[cfree] = np.arange(cfree.size, dtype=np.int32)
+    cols = position[coarse.tet_edges[tet]]
+    kept = (cols >= 0) & (vals != 0.0)
+    rows = np.broadcast_to(np.arange(free.size)[:, None], cols.shape)
+    P = sp.csr_array((vals[kept], (rows[kept], cols[kept])),
+                     shape=(free.size, cfree.size))
+    P.sort_indices()
+    for arr in (P.data, P.indices, P.indptr):
+        arr.flags.writeable = False
+    return P
+
+
 def build_box_mesh(divisions, origin=(0.0, 0.0, 0.0), extents=(1.0, 1.0, 1.0)):
     """Kuhn 6-tet split of an (nx, ny, nz) grid over an axis-aligned box.
 
@@ -264,7 +350,7 @@ def build_box_mesh(divisions, origin=(0.0, 0.0, 0.0), extents=(1.0, 1.0, 1.0)):
         tets.append(quad)
     tets = np.concatenate(tets, axis=0)
 
-    mesh = Mesh(vertices, tets, (origin, extents))
+    mesh = Mesh(vertices, tets, (origin, extents), divisions)
     vols = tet_volumes(mesh)
     if np.any(vols <= 0):
         raise MeshError("internal error: non-positive tet volume after Kuhn split")

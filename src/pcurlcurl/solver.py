@@ -28,11 +28,16 @@ Large p is reached by geometric continuation in p after a p = 2 stage
 from the given start. Each later stage solves at one eps, set from the
 p = 2 answer alone, so the discrete problem depends only on (mesh, S,
 p), and starts from the previous answer scaled to the energy minimizer
-on its ray. The nodal multiplier is recovered once at the end from the
-gradient part of the final residual. It is the multiplier of the
-load-projected problem, so it is zero up to rounding for every load,
-compatible or not: the discarded gradient part of the load is reported
-instead.
+on its ray. Kuhn meshes are nested, so past p = 2 a mesh with a coarse
+mesh (`Mesh.coarse`) solves there first, from zero, recursively; its
+answer, moved onto the fine mesh exactly by `Mesh.prolongation`, starts
+the one p stage that runs on the fine mesh after the fine p = 2 stage
+(nested iteration; Bank & Rose, Math. Comp. 39, 1982). The full p ramp
+runs only on the coarsest level. The nodal multiplier is recovered once
+at the end from the gradient part of the final residual. It is the
+multiplier of the load-projected problem, so it is zero up to rounding
+for every load, compatible or not: the discarded gradient part of the
+load is reported instead.
 """
 
 from __future__ import annotations
@@ -92,6 +97,7 @@ class StageRecord:
     newton_iterations: int
     final_residual: float            # ||r|| / ||load|| at the end
     linear_iterations: int = 0       # Newton CG iterations of the stage
+    divisions: tuple = None          # the mesh's grid; None for a raw Mesh
     energy_history: list = field(default_factory=list)
 
 
@@ -142,16 +148,18 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
            load; its boundary circulations count. Order-2 quadrature
            integrates that product of Whitney fields exactly.
         initial_guess: optional EdgeField; it is boundary-zeroed before
-           use, and the p = 2 stage, always run first and recorded as
-           `stages[0]`, starts from it. Its gradient part does not
-           matter: the answer is Helmholtz-projected. Default: zero field.
+           use, and the p = 2 stage on `mesh` starts from it. Coarse
+           levels start from zero. Its gradient part does not matter:
+           the answer is Helmholtz-projected. Default: zero field.
 
     Returns:
         (u, multiplier, SolveReport). u satisfies the boundary invariant
         and the divergence constraint up to the linear tolerance. The
         multiplier belongs to the load-projected problem, so it is zero
         up to rounding even for incompatible loads, whose gradient part
-        is reported as `SolveReport.load_gradient_norm`.
+        is reported as `SolveReport.load_gradient_norm`. The report's
+        `stages` lists every level's stages, coarsest first, each with
+        its mesh's `divisions`, and its totals sum all levels.
     """
     t0 = time.perf_counter()
     if config is None:
@@ -177,21 +185,7 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
         u = EdgeField(mesh)
     else:
         u = initial_guess.zero_boundary()
-
-    load_scale = float(np.linalg.norm(load))
-    u, r, rec = _newton_stage(proj, u, load, load_scale, PExponent(2.0))
-    report.stages.append(rec)
-    u2, g2 = u, np.linalg.norm(curl_per_tet(u), axis=1).max()
-
-    for p_val in default_p_schedule(config.p_target)[1:]:
-        # eps_p: a fixed fraction of the largest curl of c_p u2, c_p the
-        # eps = 0 minimizer on the ray of u2; it scales as u does.
-        rel = max(1e-8, 10.0 ** (-EPS_SPREAD_DECADES / (p_val - 2.0)))
-        c_p = _ray_factor(u2, load, PExponent(p_val))
-        pexp = PExponent(p=p_val, eps=rel * c_p * g2)
-        u = EdgeField(mesh, _ray_factor(u, load, pexp) * u.coeffs)
-        u, r, rec = _newton_stage(proj, u, load, load_scale, pexp)
-        report.stages.append(rec)
+    u, r = _nested_solve(proj, load, config.p_target, u, report.stages)
 
     # Neither J nor the residual sees the gradient part that the start and
     # the steps leave in u, so the constraint is imposed here, once.
@@ -205,6 +199,48 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
     _, multiplier = proj.strip_gradient(-r, LINEAR_TOL)
     report.wall_time = time.perf_counter() - t0
     return u, multiplier, report
+
+
+def _nested_solve(proj, load, p_target, u, stages):
+    """Solve at p_target on proj.mesh from u; returns (u, residual).
+
+    The p = 2 stage runs first, from u, and sets eps. Past p = 2, a mesh
+    with a coarse mesh first solves there, from zero, with the load P^T
+    load: the same functional restricted to the coarse space, with no
+    gradient part, since P maps coarse gradients to fine gradients. Its
+    answer, prolongated exactly by P, starts one p_target stage here.
+    Without a coarse mesh the p ramp runs. Each level appends its stage
+    records to `stages`, coarsest first.
+    """
+    mesh = proj.mesh
+    coarse = mesh.coarse if p_target > 2.0 else None
+    if coarse is not None:
+        P = mesh.prolongation
+        uc, _ = _nested_solve(DivFreeProjector(coarse), P.T @ load, p_target,
+                              EdgeField(coarse), stages)
+        u_coarse = EdgeField(mesh)
+        u_coarse.coeffs[mesh.free_edges()] = P @ uc.coeffs[coarse.free_edges()]
+        schedule = [p_target]
+    else:
+        schedule = default_p_schedule(p_target)[1:]
+
+    load_scale = float(np.linalg.norm(load))
+    u, r, rec = _newton_stage(proj, u, load, load_scale, PExponent(2.0))
+    stages.append(rec)
+    u2, g2 = u, np.linalg.norm(curl_per_tet(u), axis=1).max()
+
+    for p_val in schedule:
+        # eps_p: a fixed fraction of the largest curl of c_p u2, c_p the
+        # eps = 0 minimizer on the ray of u2; it scales as u does.
+        rel = max(1e-8, 10.0 ** (-EPS_SPREAD_DECADES / (p_val - 2.0)))
+        c_p = _ray_factor(u2, load, PExponent(p_val))
+        pexp = PExponent(p=p_val, eps=rel * c_p * g2)
+        if coarse is not None:      # the one stage starts from P uc
+            u = u_coarse
+        u = EdgeField(mesh, _ray_factor(u, load, pexp) * u.coeffs)
+        u, r, rec = _newton_stage(proj, u, load, load_scale, pexp)
+        stages.append(rec)
+    return u, r
 
 
 def _ray_factor(u, load, pexp):
@@ -246,7 +282,7 @@ def _newton_stage(proj, u, load, load_scale, pexp):
     # every start; a zero load falls back to the initial residual.
     denom = load_scale or max(res0, np.finfo(float).tiny)
     rec = StageRecord(p=pexp.p, eps=pexp.eps, newton_iterations=0,
-                      final_residual=res0 / denom)
+                      final_residual=res0 / denom, divisions=mesh.divisions)
     # The energy's two terms at the current iterate: J and its rounding
     # floor both come from them.
     bulk, pairing = _energy_terms(u, load, pexp)

@@ -297,7 +297,13 @@ def friedrich_constant(meshes, p, seed=0):
 
     Extrapolation assumes second-order eigenvalue convergence and uses
     the last two levels.
+
+    Raises:
+        ValueError: no mesh is given.
     """
+    meshes = list(meshes)
+    if not meshes:
+        raise ValueError("friedrich_constant needs at least one mesh")
     constants = []
     iterations = []
     linear_iterations = []

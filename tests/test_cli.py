@@ -72,19 +72,36 @@ def test_empty_list_value_exits_2(tmp_path, capsys, command, key):
     assert not (tmp_path / "x" / "summary.txt").exists()
 
 
+def test_converge_with_one_level_exits_2(tmp_path, capsys):
+    # one level compares nothing, so it cannot show errors decreasing
+    rc = main(["converge", "--out_dir", str(tmp_path / "x"), "--levels", "2"])
+    assert rc == 2
+    assert "invalid 'levels'" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "summary.txt").exists()
+    # friedrich shares the key and still takes a single level
+    assert main(["friedrich", "--out_dir", str(tmp_path / "f"),
+                 "--levels", "2"]) == 0
+
+
 def test_solve_at_p10_continues_to_p10(tmp_path):
+    # 6^3 solves on 3^3 first: the report lists both levels' stages,
+    # coarsest first, each with its mesh
     out = tmp_path / "p10"
     assert main(["solve", "--out_dir", str(out), "--p", "10",
-                 "--divisions", "2,2,2"]) == 0
+                 "--divisions", "6,6,6"]) == 0
     rows = read_csv(out / "report.csv")
     assert len(rows) > 1
     assert float(rows[-1]["p"]) == 10.0
     summary = parse_config_file(out / "summary.txt")
     assert summary["case"] == "general_p10"
-    mesh = build_box_mesh((2, 2, 2), extents=(np.pi, np.pi, np.pi))
+    assert int(summary["stages"]) == len(rows)
+    mesh = build_box_mesh((6, 6, 6), extents=(np.pi, np.pi, np.pi))
     _, _, rep = solve(mesh, case_general_p(10.0).load, SolveConfig(p_target=10.0))
-    assert [(float(r["p"]), int(r["newton_iter"])) for r in rows] == \
-        [(s.p, s.newton_iterations) for s in rep.stages]
+    assert [(r["divisions"], float(r["p"]), int(r["newton_iter"]))
+            for r in rows] == \
+        [("x".join(map(str, s.divisions)), s.p, s.newton_iterations)
+         for s in rep.stages]
+    assert {r["divisions"] for r in rows} == {"3x3x3", "6x6x6"}
     assert [r["energy"] for r in rows] == \
         ["%.17g" % s.energy_history[-1] for s in rep.stages]
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from pcurlcurl import whitney
-from pcurlcurl.mesh import (MeshError, boundary_faces, build_box_mesh,
+from pcurlcurl.mesh import (Mesh, MeshError, boundary_faces, build_box_mesh,
                             classify_boundary, tet_volumes)
-from pcurlcurl.assembly import scatter_blocks, stiffness_blocks
+from pcurlcurl.assembly import (EdgeField, assemble_gradient_map,
+                                curl_per_tet, scatter_blocks, stiffness_blocks)
 
 
 def kuhn_cube_oracle():
@@ -203,3 +204,75 @@ def test_spanning_tree_matches_reference_bfs(divisions):
     mesh = build_box_mesh(divisions)
     tree = np.sort(np.concatenate([via for via, _, _ in mesh.bfs_tree()]))
     assert np.array_equal(tree, reference_bfs_tree(mesh))
+
+
+def test_divisions_and_coarse_mesh():
+    mesh = build_box_mesh((6, 8, 6), origin=(1.0, -2.0, 0.5),
+                          extents=(2.0, 1.0, 3.0))
+    assert mesh.divisions == (6, 8, 6)
+    coarse = mesh.coarse
+    assert coarse is mesh.coarse                      # cached
+    assert coarse.divisions == (3, 4, 3)
+    for a, b in zip(coarse.box, mesh.box):
+        assert np.array_equal(a, b)
+    # 3 is odd, and a half below COARSEST_DIVISIONS ends the hierarchy
+    assert coarse.coarse is None and coarse.prolongation is None
+    for divisions in ((6, 6, 5), (4, 4, 4), (6, 6, 4), (2, 2, 2)):
+        assert build_box_mesh(divisions).coarse is None
+    raw = Mesh(mesh.vertices, mesh.tets, mesh.box)
+    assert raw.divisions is None and raw.coarse is None
+
+
+def _parent_tets(fine, coarse):
+    """The coarse tet holding each fine tet, by barycentric coordinates of
+    the fine centroids in every coarse tet."""
+    g = coarse.geometry.grads                                   # (Tc, 4, 3)
+    x = fine.vertices[fine.tets].mean(axis=1)                   # (Tf, 3)
+    v = coarse.vertices[coarse.tets]                            # (Tc, 4, 3)
+    lam = 1.0 + np.einsum("cij,fj->fci", g, x) - np.einsum("cij,cij->ci", g, v)
+    inside = np.all(lam >= -1e-12, axis=2)
+    assert np.all(inside.sum(axis=1) == 1)
+    return inside.argmax(axis=1)
+
+
+@pytest.mark.parametrize("divisions, extents", [
+    ((6, 6, 6), (np.pi, np.pi, np.pi)),
+    ((8, 6, 6), (1.0, 2.5, 0.5)),
+])
+def test_prolongation_keeps_each_parent_curl(divisions, extents):
+    mesh = build_box_mesh(divisions, origin=(0.5, -1.0, 2.0), extents=extents)
+    coarse, P = mesh.coarse, mesh.prolongation
+    free, cfree = mesh.free_edges(), coarse.free_edges()
+    assert P.shape == (free.size, cfree.size)
+    assert np.diff(P.indptr).max() <= 6
+    assert not P.data.flags.writeable
+    assert P is mesh.prolongation
+    rng = np.random.default_rng(7)
+    uc = EdgeField(coarse)
+    uc.coeffs[cfree] = rng.standard_normal(cfree.size)
+    uf = EdgeField(mesh)
+    uf.coeffs[free] = P @ uc.coeffs[cfree]
+    parent_curl = curl_per_tet(uc)[_parent_tets(mesh, coarse)]
+    scale = np.abs(parent_curl).max()
+    assert np.abs(curl_per_tet(uf) - parent_curl).max() <= 1e-13 * scale
+
+
+def test_prolongation_maps_coarse_gradients_to_fine_gradients():
+    mesh = build_box_mesh((6, 8, 6), extents=(np.pi, 2.0, 1.0))
+    coarse = mesh.coarse
+    phi = np.zeros(coarse.num_vertices)
+    interior = coarse.interior_vertices()
+    phi[interior] = np.random.default_rng(3).standard_normal(interior.size)
+    # the P1 interpolant: coarse values at the coarse vertices, and the
+    # mean of the two ends of the coarse edge whose midpoint a new vertex is
+    nc = np.array(coarse.divisions)
+    grid = np.column_stack(np.unravel_index(np.arange(mesh.num_vertices),
+                                            tuple(2 * nc + 1)))
+    ends = [np.ravel_multi_index(tuple(e.T), tuple(nc + 1))
+            for e in (grid // 2, (grid + 1) // 2)]
+    phi_f = 0.5 * (phi[ends[0]] + phi[ends[1]])
+    Gc = assemble_gradient_map(coarse)[coarse.free_edges()]
+    Gf = assemble_gradient_map(mesh)[mesh.free_edges()]
+    lhs = mesh.prolongation @ (Gc @ phi[interior])
+    rhs = Gf @ phi_f[mesh.interior_vertices()]
+    assert np.abs(lhs - rhs).max() <= 1e-14 * np.abs(rhs).max()

@@ -471,12 +471,21 @@ def test_p10_counters_pinned():
 
 def test_p10_zero_start_counters_at_6_cubed():
     # the zero start of the solve-p10 benchmark, by machine-independent
-    # counters
+    # counters per level: the full ramp on 3^3, then p = 2 and p = 10 on
+    # 6^3 from the prolongated 3^3 answer
     mesh = build_box_mesh((6, 6, 6), extents=(PI, PI, PI))
     _, _, rep = solve(mesh, case_general_p(10.0).load,
                       SolveConfig(p_target=10.0))
-    assert rep.total_newton_iterations == 28
-    assert abs(rep.total_linear_iterations - 3462) <= 0.01 * 3462
+    coarse = [s for s in rep.stages if s.divisions == (3, 3, 3)]
+    fine = [s for s in rep.stages if s.divisions == (6, 6, 6)]
+    assert rep.stages == coarse + fine
+    assert [s.p for s in coarse] == [2.0, 4.0, 8.0, 10.0]
+    assert sum(s.newton_iterations for s in coarse) == 21
+    assert [s.p for s in fine] == [2.0, 10.0]
+    assert sum(s.newton_iterations for s in fine) == 9
+    fine_cg = sum(s.linear_iterations for s in fine)
+    assert abs(fine_cg - 1202) <= 0.01 * 1202
+    assert rep.total_newton_iterations == 30
 
 
 def test_answer_does_not_depend_on_the_p_schedule(monkeypatch):
@@ -494,6 +503,55 @@ def test_answer_does_not_depend_on_the_p_schedule(monkeypatch):
         assert rep.stages[-1].eps == rep_ref.stages[-1].eps
         diff = EdgeField(mesh, u.coeffs - u_ref.coeffs)
         assert lp_norm_curl(diff, 10.0) <= 1e-7 * ref
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_nested_answer_matches_the_one_level_solve(monkeypatch, n):
+    # each level sets its own eps from its own p = 2 answer, so the fine
+    # level solves the problem a one-level solve does, at the same eps
+    from pcurlcurl import mesh as mesh_module
+    load = case_general_p(10.0).load
+    cfg = SolveConfig(p_target=10.0)
+    nested = build_box_mesh((n, n, n), extents=(PI, PI, PI))
+    u_nested, _, rep_nested = solve(nested, load, cfg)
+    assert nested.coarse is not None
+    monkeypatch.setattr(mesh_module, "COARSEST_DIVISIONS", n)
+    one = build_box_mesh((n, n, n), extents=(PI, PI, PI))
+    u_one, _, rep_one = solve(one, load, cfg)
+    assert one.coarse is None
+    assert {s.divisions for s in rep_one.stages} == {(n, n, n)}
+    assert rep_nested.stages[-1].eps == rep_one.stages[-1].eps
+    diff = EdgeField(one, u_nested.coeffs - u_one.coeffs)
+    assert lp_norm_curl(diff, 10.0) <= 1e-6        # criterion 7's bound
+
+
+def test_coarse_levels_start_from_zero():
+    # the caller's start seeds only the fine p = 2 stage
+    mesh = build_box_mesh((6, 6, 6), extents=(PI, PI, PI))
+    load = case_general_p(10.0).load
+    cfg = SolveConfig(p_target=10.0)
+    u_ref, _, rep_ref = solve(mesh, load, cfg)
+    rng = np.random.default_rng([101, 1])
+    guess = EdgeField(mesh, rng.standard_normal(mesh.num_edges))
+    u, _, rep = solve(mesh, load, cfg, initial_guess=guess)
+    ncoarse = sum(s.divisions == (3, 3, 3) for s in rep.stages)
+    assert ncoarse == 4
+    for a, b in zip(rep.stages[:ncoarse], rep_ref.stages[:ncoarse]):
+        assert a == b
+    diff = EdgeField(mesh, u.coeffs - u_ref.coeffs)
+    assert lp_norm_curl(diff, 10.0) <= 1e-6
+
+
+def test_p2_and_odd_meshes_solve_on_one_level():
+    # p = 2 is one linear stage, so it never builds the coarse mesh
+    mesh = build_box_mesh((6, 6, 6), extents=(PI, PI, PI))
+    _, _, rep = solve(mesh, case_general_p(2.0).load, SolveConfig())
+    assert [s.divisions for s in rep.stages] == [(6, 6, 6)]
+    assert "coarse" not in vars(mesh)
+    mesh = build_box_mesh((6, 6, 5), extents=(PI, PI, PI))
+    _, _, rep = solve(mesh, case_general_p(4.0).load,
+                      SolveConfig(p_target=4.0))
+    assert [s.divisions for s in rep.stages] == [(6, 6, 5)] * 2
 
 
 def test_p100_stages_and_newton_budget():

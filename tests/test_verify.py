@@ -257,6 +257,12 @@ def test_friedrich_constant_converges_from_above():
     assert cs[0] > cs[1] > cs[2] > target - 1e-10
 
 
+@pytest.mark.parametrize("meshes", [[], iter(())])
+def test_friedrich_constant_without_meshes_raises_value_error(meshes):
+    with pytest.raises(ValueError, match="at least one mesh"):
+        friedrich_constant(meshes, 2.0)
+
+
 def test_friedrich_dilation_scaling():
     m1 = build_box_mesh((2, 2, 2), extents=(PI, PI, PI))
     m2 = build_box_mesh((2, 2, 2), extents=(2 * PI, 2 * PI, 2 * PI))
