@@ -194,6 +194,10 @@ def cmd_friedrich(cfg):
 
 
 def cmd_converge(cfg):
+    if len(cfg["levels"]) < 2:      # one level has no error to compare
+        print("error: invalid 'levels': converge needs at least two",
+              file=sys.stderr)
+        return 2
     out = cfg.out_dir()
     cfg.echo(out)
     case = case_general_p(cfg["p"])

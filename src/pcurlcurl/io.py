@@ -80,12 +80,6 @@ _LEVELS = {
     "levels": (_parse_ints, _levels_ok, [2, 4, 8], "mesh divisions per level"),
 }
 
-# a convergence study compares successive levels, so it needs two
-_CONVERGE_LEVELS = {
-    "levels": (_parse_ints, lambda v: len(v) >= 2 and _levels_ok(v),
-               [2, 4, 8], "at least two mesh divisions, one per level"),
-}
-
 _VERIFY = {
     "seed": (int, _nonneg, 0, "RNG seed"),
     "n_samples": (int, _positive, 1000000, "inequality sample count"),
@@ -104,7 +98,7 @@ KEY_SPECS = {
     "solve": {**_COMMON, **_MESH, **_P_TARGET},
     "verify": {**_COMMON, **_MESH, **_VERIFY},
     "friedrich": {**_COMMON, **_FRIEDRICH, **_LEVELS},
-    "converge": {**_COMMON, **_P_TARGET, **_CONVERGE_LEVELS},
+    "converge": {**_COMMON, **_P_TARGET, **_LEVELS},
 }
 
 

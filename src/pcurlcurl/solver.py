@@ -28,7 +28,7 @@ Large p is reached by geometric continuation in p after a p = 2 stage
 from the given start. Each later stage solves at one eps, set from the
 p = 2 answer alone, so the discrete problem depends only on (mesh, S,
 p), and starts from the previous answer scaled to the energy minimizer
-on its ray. Kuhn meshes are nested, so past p = 2 a mesh with a coarse
+on its ray. Kuhn meshes are nested, so past p = 4 a mesh with a coarse
 mesh (`Mesh.coarse`) solves there first, from zero, recursively; its
 answer, moved onto the fine mesh exactly by `Mesh.prolongation`, starts
 the one p stage that runs on the fine mesh after the fine p = 2 stage
@@ -204,16 +204,19 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
 def _nested_solve(proj, load, p_target, u, stages):
     """Solve at p_target on proj.mesh from u; returns (u, residual).
 
-    The p = 2 stage runs first, from u, and sets eps. Past p = 2, a mesh
-    with a coarse mesh first solves there, from zero, with the load P^T
-    load: the same functional restricted to the coarse space, with no
-    gradient part, since P maps coarse gradients to fine gradients. Its
-    answer, prolongated exactly by P, starts one p_target stage here.
-    Without a coarse mesh the p ramp runs. Each level appends its stage
-    records to `stages`, coarsest first.
+    The p = 2 stage runs first, from u, and sets eps. When the p ramp has
+    more than one stage past p = 2, a mesh with a coarse mesh first
+    solves there, from zero, with the load P^T load: the same functional
+    restricted to the coarse space, with no gradient part, since P maps
+    coarse gradients to fine gradients. Its answer, prolongated exactly
+    by P, starts one p_target stage here. Otherwise the p ramp runs. Each
+    level appends its stage records to `stages`, coarsest first.
     """
     mesh = proj.mesh
-    coarse = mesh.coarse if p_target > 2.0 else None
+    schedule = default_p_schedule(p_target)[1:]
+    # A one-stage ramp (p_target <= 4) is already as short as nesting
+    # makes it, and a coarse solve would only add to it.
+    coarse = mesh.coarse if len(schedule) > 1 else None
     if coarse is not None:
         P = mesh.prolongation
         uc, _ = _nested_solve(DivFreeProjector(coarse), P.T @ load, p_target,
@@ -221,8 +224,6 @@ def _nested_solve(proj, load, p_target, u, stages):
         u_coarse = EdgeField(mesh)
         u_coarse.coeffs[mesh.free_edges()] = P @ uc.coeffs[coarse.free_edges()]
         schedule = [p_target]
-    else:
-        schedule = default_p_schedule(p_target)[1:]
 
     load_scale = float(np.linalg.norm(load))
     u, r, rec = _newton_stage(proj, u, load, load_scale, PExponent(2.0))

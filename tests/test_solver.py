@@ -490,9 +490,13 @@ def test_p10_zero_start_counters_at_6_cubed():
 
 def test_answer_does_not_depend_on_the_p_schedule(monkeypatch):
     # eps_p comes from the p = 2 answer alone, so every ramp to p = 10
-    # solves the same regularized problem
+    # solves the same regularized problem; one level, so that the whole
+    # ramp runs on 6^3
+    from pcurlcurl import mesh as mesh_module
     from pcurlcurl import solver
+    monkeypatch.setattr(mesh_module, "COARSEST_DIVISIONS", 7)
     mesh = build_box_mesh((6, 6, 6), extents=(PI, PI, PI))
+    assert mesh.coarse is None
     load = case_general_p(10.0).load
     u_ref, _, rep_ref = solve(mesh, load, SolveConfig(p_target=10.0))
     ref = lp_norm_curl(u_ref, 10.0)
@@ -542,16 +546,48 @@ def test_coarse_levels_start_from_zero():
     assert lp_norm_curl(diff, 10.0) <= 1e-6
 
 
-def test_p2_and_odd_meshes_solve_on_one_level():
-    # p = 2 is one linear stage, so it never builds the coarse mesh
+def test_p4_and_odd_meshes_solve_on_one_level():
+    # up to p = 4 the ramp has one stage past p = 2, as short as nesting
+    # would make it, so these solves never build the coarse mesh
     mesh = build_box_mesh((6, 6, 6), extents=(PI, PI, PI))
-    _, _, rep = solve(mesh, case_general_p(2.0).load, SolveConfig())
-    assert [s.divisions for s in rep.stages] == [(6, 6, 6)]
+    for p in (2.0, 3.0, 4.0):
+        _, _, rep = solve(mesh, case_general_p(p).load,
+                          SolveConfig(p_target=p))
+        assert {s.divisions for s in rep.stages} == {(6, 6, 6)}
     assert "coarse" not in vars(mesh)
     mesh = build_box_mesh((6, 6, 5), extents=(PI, PI, PI))
     _, _, rep = solve(mesh, case_general_p(4.0).load,
                       SolveConfig(p_target=4.0))
     assert [s.divisions for s in rep.stages] == [(6, 6, 5)] * 2
+
+
+def test_nested_p100_at_6_cubed(monkeypatch):
+    # the fine mesh goes from the prolongated 3^3 answer to p = 100 in
+    # one stage, well inside the Newton budget, and reaches the energy of
+    # the one-level ramp; the curls themselves are not compared, since at
+    # p = 100 the residual stop leaves them loose (two one-level ramps
+    # differ by ~20% of the largest curl at equal energy)
+    from pcurlcurl import mesh as mesh_module
+    case = case_general_p(100.0)
+    cfg = SolveConfig(p_target=100.0)
+    mesh = build_box_mesh((6, 6, 6), extents=(PI, PI, PI))
+    u_nested, _, rep = solve(mesh, case.load, cfg)
+    fine = [s for s in rep.stages if s.divisions == (6, 6, 6)]
+    assert [s.p for s in fine] == [2.0, 100.0]
+    assert [s.newton_iterations for s in fine] == [1, 25]
+    assert len(rep.stages) == 9
+    assert rep.final_residual <= 1e-9
+    monkeypatch.setattr(mesh_module, "COARSEST_DIVISIONS", 7)
+    one = build_box_mesh((6, 6, 6), extents=(PI, PI, PI))
+    u_one, _, rep_one = solve(one, case.load, cfg)
+    assert len(rep_one.stages) == 7
+    assert rep.stages[-1].eps == rep_one.stages[-1].eps
+    load, _ = DivFreeProjector(one).strip_gradient(
+        assemble_load(case.load, one), 1e-13)
+    pexp = PExponent(100.0, eps=rep_one.stages[-1].eps)
+    j_one = solver.energy(u_one, load, pexp)
+    j_nested = solver.energy(EdgeField(one, u_nested.coeffs), load, pexp)
+    assert abs(j_nested - j_one) <= 1e-11 * abs(j_one)
 
 
 def test_p100_stages_and_newton_budget():
