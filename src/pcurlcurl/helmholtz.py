@@ -9,6 +9,8 @@ complement, and the L2 one makes the projection an SPD nodal solve.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .assembly import (EdgeField, NodalField, assemble_gradient_map,
@@ -56,23 +58,42 @@ def edge_mass_matrix(mesh: Mesh):
     return scatter_blocks(mesh, mass_blocks(mesh))
 
 
+# mesh -> (M, G, G^T, G^T M G); the values hold no reference to the mesh,
+# so an entry goes when its mesh does
+_OPERATORS = weakref.WeakKeyDictionary()
+
+
+def _operators(mesh):
+    """The mesh's four projector matrices, built on first use, read-only."""
+    ops = _OPERATORS.get(mesh)
+    if ops is None:
+        M = edge_mass_matrix(mesh)
+        G = assemble_gradient_map(mesh)[mesh.free_edges()]
+        Gt = G.T.tocsr()
+        ops = (M, G, Gt, Gt @ (M @ G))
+        for A in ops:
+            for arr in (A.data, A.indices, A.indptr):
+                arr.flags.writeable = False
+        _OPERATORS[mesh] = ops
+    return ops
+
+
 class DivFreeProjector:
-    """Caches M, G, G^T and G^T M G; the one solver of G^T M G phi = G^T b.
+    """M, G, G^T and G^T M G; the one solver of G^T M G phi = G^T b.
 
     M is the free x free mass matrix and G the free rows of the gradient
     map: a boundary edge's row of G is empty, so G^T M G is the same as
-    over all edges. `project` splits edge fields and `constraint_norm`
-    measures them; both take fields with zero boundary circulations, the
-    only fields the M block pairs. `strip_gradient` cleans functionals.
+    over all edges. The four matrices are built once per mesh and shared,
+    read-only, by every projector of that mesh. `project` splits edge
+    fields and `constraint_norm` measures them; both take fields with
+    zero boundary circulations, the only fields the M block pairs.
+    `strip_gradient` cleans functionals.
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self._free = mesh.free_edges()
-        self.M = edge_mass_matrix(mesh)
-        self.G = assemble_gradient_map(mesh)[self._free]
-        self.Gt = self.G.T.tocsr()
-        self.GtMG = self.Gt @ (self.M @ self.G)
+        self.M, self.G, self.Gt, self.GtMG = _operators(mesh)
 
     def project(self, u: EdgeField, tol=1e-12):
         """Split u into (u0, phi) with G^T M u0 = 0 up to solver tolerance.

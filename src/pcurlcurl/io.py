@@ -3,8 +3,9 @@
 Configs are flat `key = value` text files plus command-line overrides;
 unknown keys are rejected, every numeric key is validated on parse and
 every list key must be non-empty.
-Floats are always written with 17 significant digits so reruns of the
-same config produce byte-identical files.
+CSV and config floats are written with 17 significant digits and VTK
+arrays as raw big-endian binary, so reruns of the same config produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -192,40 +193,43 @@ def write_summary(path, lines):
 
 
 def write_vtk(path, mesh: Mesh, u: EdgeField, name="field"):
-    """Legacy ASCII VTK unstructured grid of the edge field.
+    """Legacy binary VTK unstructured grid of the edge field.
 
     Cells carry the (piecewise constant) curl; points carry the field
     reconstructed by averaging each adjacent tet's value at the vertex,
-    which is that tet's vertex vector. Fixed formatting keeps the file
-    bit-stable across platforms.
+    which is that tet's vertex vector. Each section is its ASCII header
+    line, one big-endian array (float64 values bit for bit, int32
+    connectivity) and a newline, so reruns are byte-identical.
+
+    Raises:
+        ValueError: a vertex index does not fit in int32.
     """
-    curls = curl_per_tet(u)
-    at_corners = vertex_vectors(u)                      # (T, 4, 3)
+    T, V = mesh.num_tets, mesh.num_vertices
+    if T and mesh.tets.max() > np.iinfo(np.int32).max:
+        raise ValueError("vertex index does not fit in int32 for VTK CELLS")
 
-    point_vals = np.zeros((mesh.num_vertices, 3))
-    counts = np.zeros(mesh.num_vertices)
-    np.add.at(point_vals, mesh.tets.ravel(),
-              at_corners.reshape(-1, 3))
-    np.add.at(counts, mesh.tets.ravel(), 1.0)
-    point_vals /= counts[:, None]
+    # bincount adds each vertex's corners in tet order: a fixed sum order
+    idx = mesh.tets.ravel()
+    at_corners = vertex_vectors(u).reshape(-1, 3)
+    point_vals = np.stack([np.bincount(idx, at_corners[:, k], V)
+                           for k in range(3)], axis=1)
+    point_vals /= np.bincount(idx, minlength=V)[:, None]
 
-    T = mesh.num_tets
-    vec = f"{FMT} {FMT} {FMT}\n"
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(f"{name}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {mesh.num_vertices} double\n")
-        _write_rows(fh, vec, mesh.vertices)
-        fh.write(f"CELLS {T} {5 * T}\n")
-        _write_rows(fh, "4 %d %d %d %d\n", mesh.tets)
-        fh.write(f"CELL_TYPES {T}\n")
-        fh.write("\n".join(["10"] * T) + "\n")
-        fh.write(f"CELL_DATA {T}\nVECTORS curl double\n")
-        _write_rows(fh, vec, curls)
-        fh.write(f"POINT_DATA {mesh.num_vertices}\nVECTORS {name} double\n")
-        _write_rows(fh, vec, point_vals)
+    with open(path, "wb") as fh:
+        _write_section(fh, f"# vtk DataFile Version 3.0\n{name}\nBINARY\n"
+                       f"DATASET UNSTRUCTURED_GRID\nPOINTS {V} double\n",
+                       mesh.vertices, ">f8")
+        _write_section(fh, f"CELLS {T} {5 * T}\n",
+                       np.column_stack((np.full(T, 4), mesh.tets)), ">i4")
+        _write_section(fh, f"CELL_TYPES {T}\n", np.full(T, 10), ">i4")
+        _write_section(fh, f"CELL_DATA {T}\nVECTORS curl double\n",
+                       curl_per_tet(u), ">f8")
+        _write_section(fh, f"POINT_DATA {V}\nVECTORS {name} double\n",
+                       point_vals, ">f8")
 
 
-def _write_rows(fh, row_fmt, arr):
-    """Write each row of a 2-D array with one %-format for the whole array."""
-    fh.write((row_fmt * arr.shape[0]) % tuple(arr.ravel().tolist()))
+def _write_section(fh, header, arr, dtype):
+    """The header lines, then arr as one big-endian buffer and a newline."""
+    fh.write(header.encode())
+    fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    fh.write(b"\n")

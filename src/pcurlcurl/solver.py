@@ -324,8 +324,9 @@ def _newton_stage(proj, u, load, load_scale, pexp):
         slope = float(r @ du)       # directional derivative of J
         # Near the minimum the true decrease ~|r|^2 drops below float64
         # rounding of J itself; the floor keeps Armijo from rejecting
-        # full Newton steps it cannot measure.
-        J_floor = 64.0 * np.finfo(float).eps * (bulk + abs(pairing) + 1.0)
+        # full Newton steps it cannot measure. It is relative to J's own
+        # terms, so it scales with the energy on every box and load.
+        J_floor = 64.0 * np.finfo(float).eps * (bulk + abs(pairing))
         t = 1.0
         accepted = False
         for _ in range(LS_MAX + 1):

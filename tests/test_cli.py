@@ -1,3 +1,4 @@
+import copy
 import csv
 import os
 
@@ -8,10 +9,11 @@ from pcurlcurl import solver
 from pcurlcurl.cli import main
 from pcurlcurl.io import (OUTPUT_ROOT_ENV, ConfigError, RunConfig,
                           parse_config_file, write_vtk)
-from pcurlcurl.assembly import edge_interpolate
+from pcurlcurl.assembly import EdgeField, curl_per_tet, edge_interpolate
 from pcurlcurl.mesh import build_box_mesh
 from pcurlcurl.mms import case_general_p, case_p2_sine
 from pcurlcurl.solver import SolveConfig, solve
+from vtk_reader import assert_same_bits, read_vtk
 
 
 def read_csv(path):
@@ -232,12 +234,36 @@ def test_vtk_structure(tmp_path):
     u = edge_interpolate(case_p2_sine().u_exact, mesh)
     path = tmp_path / "f.vtk"
     write_vtk(path, mesh, u)
-    text = path.read_text().splitlines()
-    assert text[0].startswith("# vtk DataFile")
-    assert "DATASET UNSTRUCTURED_GRID" in text
-    assert f"POINTS {mesh.num_vertices} double" in text
-    assert f"CELLS {mesh.num_tets} {5 * mesh.num_tets}" in text
-    idx = text.index(f"CELL_TYPES {mesh.num_tets}")
-    assert all(t == "10" for t in text[idx + 1:idx + 1 + mesh.num_tets])
-    assert f"CELL_DATA {mesh.num_tets}" in text
-    assert f"POINT_DATA {mesh.num_vertices}" in text
+    vtk = read_vtk(path)
+    assert vtk.name == vtk.point_data_name == "field"
+    assert_same_bits(vtk.points, mesh.vertices)
+    assert np.array_equal(vtk.cells[:, 0], np.full(mesh.num_tets, 4))
+    assert np.array_equal(vtk.cells[:, 1:], mesh.tets)
+    assert np.array_equal(vtk.cell_types, np.full(mesh.num_tets, 10))
+    assert_same_bits(vtk.cell_data, curl_per_tet(u))
+    assert vtk.point_data.shape == (mesh.num_vertices, 3)
+
+
+def test_vtk_size_follows_the_layout(tmp_path):
+    mesh = build_box_mesh((2, 3, 1))
+    u = edge_interpolate(case_p2_sine().u_exact, mesh)
+    path = tmp_path / "f.vtk"
+    write_vtk(path, mesh, u, name="B")
+    V, T = mesh.num_vertices, mesh.num_tets
+    headers = (f"# vtk DataFile Version 3.0\nB\nBINARY\n"
+               f"DATASET UNSTRUCTURED_GRID\nPOINTS {V} double\n"
+               f"CELLS {T} {5 * T}\nCELL_TYPES {T}\n"
+               f"CELL_DATA {T}\nVECTORS curl double\n"
+               f"POINT_DATA {V}\nVECTORS B double\n")
+    # five blocks, each followed by one newline
+    body = 8 * 3 * V + 4 * 5 * T + 4 * T + 8 * 3 * T + 8 * 3 * V + 5
+    assert os.path.getsize(path) == len(headers) + body
+
+
+def test_vtk_rejects_vertex_indices_beyond_int32(tmp_path):
+    mesh = copy.copy(build_box_mesh((1, 1, 1)))
+    mesh.tets = mesh.tets + 2**31
+    path = tmp_path / "f.vtk"
+    with pytest.raises(ValueError, match="int32"):
+        write_vtk(path, mesh, EdgeField(mesh))
+    assert not path.exists()

@@ -16,10 +16,11 @@ from pcurlcurl import whitney
 from pcurlcurl.assembly import (EdgeField, assemble_load, curl_per_tet,
                                 eval_field)
 from pcurlcurl.helmholtz import edge_mass_matrix, mass_blocks
-from pcurlcurl.io import FMT, write_vtk
+from pcurlcurl.io import write_vtk
 from pcurlcurl.mesh import Mesh, build_box_mesh
 from pcurlcurl.mms import case_p2_sine, measure_error
 from pcurlcurl.verify import _ratio_and_grad
+from vtk_reader import assert_same_bits, read_vtk
 
 
 def jittered_mesh(n, seed=0):
@@ -143,37 +144,24 @@ def test_traced_peaks_stay_below_one_basis_array(tmp_path):
     assert traced_peak(lambda: write_vtk(tmp_path / "f.vtk", mesh, u)) < corner_bytes
 
 
-def reference_vtk_sections(mesh, u):
-    """The VTK text up to POINT_DATA, written row by row."""
-    T = mesh.num_tets
-    lines = ["# vtk DataFile Version 3.0", "field", "ASCII",
-             "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.num_vertices} double"]
-    lines += [" ".join(FMT % c for c in pnt) for pnt in mesh.vertices]
-    lines.append(f"CELLS {T} {5 * T}")
-    lines += ["4 " + " ".join(str(v) for v in tet) for tet in mesh.tets]
-    lines.append(f"CELL_TYPES {T}")
-    lines += ["10"] * T
-    lines += [f"CELL_DATA {T}", "VECTORS curl double"]
-    lines += [" ".join(FMT % x for x in c) for c in curl_per_tet(u)]
-    return "\n".join(lines) + "\n"
-
-
-def test_vtk_matches_row_writer_and_basis_average(tmp_path):
+def test_vtk_matches_arrays_and_basis_average(tmp_path):
     mesh = jittered_mesh(2)
     u = random_field(mesh)
     path = tmp_path / "f.vtk"
     write_vtk(path, mesh, u)
-    text = path.read_text()
-    head, _, point_data = text.partition(f"POINT_DATA {mesh.num_vertices}\n")
-    assert head == reference_vtk_sections(mesh, u)
+    vtk = read_vtk(path)
+    assert vtk.name == vtk.point_data_name == "field"
+    assert_same_bits(vtk.points, mesh.vertices)
+    assert np.array_equal(vtk.cells, np.column_stack(
+        [np.full(mesh.num_tets, 4), mesh.tets]))
+    assert np.array_equal(vtk.cell_types, np.full(mesh.num_tets, 10))
+    assert_same_bits(vtk.cell_data, curl_per_tet(u))
 
     W = eval_basis(mesh.geometry, np.eye(4))
     at_corners = np.einsum("te,tqec->tqc", local_coeffs(u), W)
     expect = np.zeros((mesh.num_vertices, 3))
     np.add.at(expect, mesh.tets.ravel(), at_corners.reshape(-1, 3))
     expect /= np.bincount(mesh.tets.ravel())[:, None]
-    rows = point_data.splitlines()
-    assert rows[0] == "VECTORS field double"
-    got = np.array([[float(x) for x in row.split()] for row in rows[1:]])
+    got = vtk.point_data
     assert got.shape == expect.shape
     assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()

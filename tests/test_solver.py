@@ -136,19 +136,39 @@ def test_solution_satisfies_discrete_weak_form():
 def test_coercivity_load_scaling():
     # eps scales with the answer, so the regularized problem keeps the
     # (p-1)-homogeneity of the operator exactly: u(cS) = c^(1/(p-1)) u(S),
-    # with the same Newton work, over 38 decades of load
+    # with the same Newton work, over 60 decades of load
     mesh = build_box_mesh((4, 4, 4), extents=(PI, PI, PI))
     for p in (3.0, 10.0):
         case = case_general_p(p)
         u1, _, rep1 = solve(mesh, case.load, SolveConfig(p_target=p))
         ref = lp_norm_curl(u1, p)
-        for c in (1e-8, 1e-3, 1e3, 1e12, 1e30):
+        for c in (1e-30, 1e-8, 1e-3, 1e3, 1e12, 1e30):
             u, _, rep = solve(mesh, lambda x, c=c: c * case.load(x),
                               SolveConfig(p_target=p))
             back = EdgeField(mesh, u.coeffs / c**(1.0 / (p - 1.0)) - u1.coeffs)
             assert lp_norm_curl(back, p) <= 1e-12 * ref
             assert [s.newton_iterations for s in rep.stages] == \
                 [s.newton_iterations for s in rep1.stages]
+
+
+def test_box_dilation_keeps_newton_counts_and_scales_curl():
+    # on lam [0, pi]^3 with load S(x / lam) the answer is
+    # lam^(p/(p-1)) u(x / lam), so each tet's curl scales by lam^(1/(p-1));
+    # the line-search floor is relative to J, whose size goes as
+    # lam^(3 + p/(p-1)), so Newton takes the same steps at every lam
+    p = 10.0
+    S = case_general_p(p).load
+    ref = None
+    for lam in (1.0, 1e-6, 1e-3, 1e3):
+        mesh = build_box_mesh((4, 4, 4), extents=(lam * PI,) * 3)
+        u, _, rep = solve(mesh, lambda x, lam=lam: S(x / lam),
+                          SolveConfig(p_target=p))
+        assert [s.newton_iterations for s in rep.stages] == [1, 7, 7, 6]
+        curl = curl_per_tet(u)
+        if ref is None:
+            ref = curl
+        scale = lam**(1.0 / (p - 1.0))
+        assert np.abs(curl - scale * ref).max() <= 1e-12 * scale * np.abs(ref).max()
 
 
 def test_uniqueness_from_different_initial_guesses():
@@ -619,6 +639,31 @@ def test_one_csr_pattern_of_each_kind_per_mesh(monkeypatch):
     DivFreeProjector(mesh)
     friedrich_constant([mesh], 2.0)
     assert calls == [mesh]
+
+
+def test_one_projector_build_per_mesh(monkeypatch):
+    # the nested solve builds the operators of 6^3 and 3^3 once; a second
+    # solve, a second projector and the Friedrich eigensolve reuse them
+    from pcurlcurl import helmholtz
+    from pcurlcurl.verify import friedrich_constant
+    calls = []
+    real = helmholtz.edge_mass_matrix
+
+    def counting(mesh):
+        calls.append(mesh.divisions)
+        return real(mesh)
+
+    monkeypatch.setattr(helmholtz, "edge_mass_matrix", counting)
+    mesh = build_box_mesh((6, 6, 6), extents=(PI, PI, PI))
+    load = case_general_p(10.0).load
+    u1, _, rep = solve(mesh, load, SolveConfig(p_target=10.0))
+    assert {s.divisions for s in rep.stages} == {(3, 3, 3), (6, 6, 6)}
+    assert sorted(calls) == [(3, 3, 3), (6, 6, 6)]
+    u2, _, _ = solve(mesh, load, SolveConfig(p_target=10.0))
+    DivFreeProjector(mesh)
+    friedrich_constant([mesh], 2.0)
+    assert len(calls) == 2
+    assert np.array_equal(u1.coeffs, u2.coeffs)
 
 
 def test_one_cell_geometry_per_mesh(monkeypatch, tmp_path):
