@@ -105,9 +105,22 @@ def curl_per_tet(u: EdgeField, geom=None):
 
     `geom` defaults to the mesh's cached geometry.
     """
+    curls = (u.mesh.geometry if geom is None else geom).curls
+    return tet_curls(local_coeffs(u), curls)
+
+
+def local_coeffs(u: EdgeField, tets=slice(None)):
+    """Coefficients of u signed to each tet's local edges, shape (n, 6).
+
+    `tets` selects the tets (a slice or index array), all by default.
+    """
     mesh = u.mesh
-    curls = (mesh.geometry if geom is None else geom).curls
-    local = u.coeffs[mesh.tet_edges] * mesh.tet_edge_signs
+    return u.coeffs[mesh.tet_edges[tets]] * mesh.tet_edge_signs[tets]
+
+
+def tet_curls(local, curls):
+    """Per-tet curls (n, 3) from signed local coefficients (n, 6) and the
+    tets' unsigned basis curls (n, 6, 3)."""
     return np.einsum("te,tec->tc", local, curls)
 
 
@@ -289,12 +302,16 @@ def vertex_vectors(u: EdgeField):
     the Whitney field is linear in the barycentric coordinates, and A_i
     is its value at vertex i.
     """
-    mesh = u.mesh
-    local = u.coeffs[mesh.tet_edges] * mesh.tet_edge_signs
-    C = np.zeros((mesh.num_tets, 4, 4))
+    return tet_vertex_vectors(local_coeffs(u), u.mesh.geometry.grads)
+
+
+def tet_vertex_vectors(local, grads):
+    """`vertex_vectors` from signed local coefficients (n, 6) and the
+    tets' barycentric gradients (n, 4, 3)."""
+    C = np.zeros((local.shape[0], 4, 4))
     C[:, _EDGE_I, _EDGE_J] = local
     C[:, _EDGE_J, _EDGE_I] = -local
-    return C @ mesh.geometry.grads
+    return C @ grads
 
 
 def eval_field(u: EdgeField, rule):

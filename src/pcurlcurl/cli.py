@@ -167,16 +167,19 @@ def cmd_friedrich(cfg):
     meshes = [build_box_mesh((n, n, n), extents=(np.pi, np.pi, np.pi))
               for n in cfg["levels"]]
     rep = friedrich_constant(meshes, cfg["p"], seed=cfg["seed"])
+    levels = cfg["levels"]
     rows = []
-    for i, (n, c, its, lin) in enumerate(zip(cfg["levels"], rep.constants,
+    for i, (n, c, its, lin) in enumerate(zip(levels, rep.constants,
                                              rep.iterations,
                                              rep.linear_iterations)):
         order = ""
-        if i >= 2:
+        # an order needs one refinement ratio r = n_i / n_(i-1) = n_(i-1) / n_(i-2)
+        one_ratio = i >= 2 and levels[i - 1]**2 == n * levels[i - 2]
+        if one_ratio and n != levels[i - 1]:
             e0 = abs(rep.constants[i - 1] - rep.constants[i - 2])
             e1 = abs(c - rep.constants[i - 1])
             if e1 > 0:
-                order = "%.17g" % np.log2(e0 / e1)
+                order = "%.17g" % (np.log2(e0 / e1) / np.log2(n / levels[i - 1]))
         rows.append((i + 1, n, np.pi / n, c, order, its, lin))
     write_csv(os.path.join(out, "friedrich.csv"),
               ("level", "divisions", "h", "C_h", "observed_order",

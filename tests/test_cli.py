@@ -165,6 +165,17 @@ def test_friedrich_command(tmp_path):
     assert all(int(r["iterations"]) > 0 for r in rows) and min(lin) > 0
     summary = (out / "summary.txt").read_text()
     assert f"total_linear_iterations = {sum(lin)}\n" in summary
+    c = [float(r["C_h"]) for r in rows]
+    assert [r["observed_order"] for r in rows] == \
+        ["", "", "%.17g" % np.log2(abs(c[1] - c[0]) / abs(c[2] - c[1]))]
+
+
+def test_friedrich_order_needs_one_refinement_ratio(tmp_path):
+    # 2 -> 3 -> 4 refines by 3/2, then 4/3: no order can be read off
+    out = tmp_path / "f"
+    assert main(["friedrich", "--out_dir", str(out), "--levels", "2,3,4"]) == 0
+    rows = read_csv(out / "friedrich.csv")
+    assert [r["observed_order"] for r in rows] == ["", "", ""]
 
 
 def test_converge_command_monotone_errors(tmp_path):

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from basis_oracle import eval_basis
-from pcurlcurl import whitney
+from pcurlcurl import mms, whitney
 from pcurlcurl.assembly import (EdgeField, assemble_load, curl_per_tet,
                                 eval_field)
 from pcurlcurl.helmholtz import edge_mass_matrix, mass_blocks
 from pcurlcurl.io import write_vtk
 from pcurlcurl.mesh import Mesh, build_box_mesh
-from pcurlcurl.mms import case_p2_sine, measure_error
+from pcurlcurl.mms import case_general_p, case_p2_sine, measure_error
 from pcurlcurl.verify import _ratio_and_grad
 from vtk_reader import assert_same_bits, read_vtk
 
@@ -123,6 +123,37 @@ def test_ascent_gradient_matches_central_differences(p):
         assert grad @ d[free] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
+def whole_mesh_measure_error(u_h, case):
+    """`measure_error` as one pass over (T, nq, 3) arrays of the whole mesh."""
+    mesh = u_h.mesh
+    geom = mesh.geometry
+    rule = whitney.quadrature(4)
+    xq = whitney.quad_points_physical(mesh, rule)
+    err = eval_field(u_h, rule)
+    err -= np.asarray(case.u_exact(xq.reshape(-1, 3))).reshape(xq.shape)
+    sq = np.einsum("tqc,tqc->tq", err, err)
+    l2 = np.sqrt(np.einsum("t,q,tq->", geom.vols, rule.weights, sq))
+    cerr = np.asarray(case.curl_exact(xq.reshape(-1, 3))).reshape(xq.shape)
+    cerr -= curl_per_tet(u_h)[:, None, :]
+    cdiff = np.linalg.norm(cerr, axis=2)
+    p = case.p
+    curl_err = np.einsum("t,q,tq->", geom.vols, rule.weights, cdiff**p) ** (1.0 / p)
+    return float(l2), float(curl_err)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 10.0])
+def test_blocked_measure_error_matches_whole_mesh_oracle(monkeypatch, p):
+    mesh = jittered_mesh(3)
+    u = random_field(mesh)
+    case = case_general_p(p)
+    expect = whole_mesh_measure_error(u, case)
+    for block in (1, 7, mesh.num_tets + 5):
+        monkeypatch.setattr(mms, "_BLOCK_TETS", block)
+        got = measure_error(u, case)
+        assert got == pytest.approx(expect, rel=1e-13, abs=0.0)
+        assert measure_error(u, case) == got
+
+
 def traced_peak(fn):
     tracemalloc.start()
     try:
@@ -142,6 +173,15 @@ def test_traced_peaks_stay_below_one_basis_array(tmp_path):
     assert traced_peak(lambda: eval_field(u, rule)) < basis_bytes
     assert traced_peak(lambda: measure_error(u, case_p2_sine())) < basis_bytes
     assert traced_peak(lambda: write_vtk(tmp_path / "f.vtk", mesh, u)) < corner_bytes
+    # measure_error streams over tet blocks: its peak does not grow with T
+    peaks = []
+    for n in (16, 24):
+        big = build_box_mesh((n, n, n))
+        big.geometry
+        assert big.num_tets > mms._BLOCK_TETS
+        v = random_field(big).zero_boundary()
+        peaks.append(traced_peak(lambda: measure_error(v, case_p2_sine())))
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_vtk_matches_arrays_and_basis_average(tmp_path):

@@ -27,6 +27,13 @@ def test_ineq2_p2_delta0_is_identity():
     assert r.violations == 0
 
 
+def test_row_norm_matches_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((4000, 3)) * 10.0 ** rng.uniform(-100, 100, (4000, 1))
+    v[:4] = [[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [3.0, 4.0, 12.0], [1e-320, 0.0, 0.0]]
+    assert np.array_equal(verify._row_norm(v), np.linalg.norm(v, axis=1))
+
+
 def test_ineq1_antipodal_spot_value():
     # xi = (1,0,0), eta = (-1,0,0), p = 3, delta = 0:
     # LHS = |xi + eta_flip| = 2, RHS envelope = 2 * 2  ->  ratio 1/2
@@ -255,6 +262,20 @@ def test_friedrich_constant_converges_from_above():
     target = 1.0 / np.sqrt(2.0)
     cs = rep.constants
     assert cs[0] > cs[1] > cs[2] > target - 1e-10
+    # halving h makes the Richardson factor exactly 1/3
+    assert rep.extrapolated == cs[-1] + (cs[-1] - cs[-2]) / 3.0
+
+
+def test_friedrich_extrapolation_follows_the_mesh_size_ratio():
+    # levels 4, 6 refine by 3/2, where the factor is 1/((3/2)^2 - 1) = 0.8
+    meshes = [build_box_mesh((n, n, n), extents=(PI, PI, PI)) for n in (4, 6)]
+    rep = friedrich_constant(meshes, 2.0)
+    target = 1.0 / np.sqrt(2.0)
+    assert abs(rep.extrapolated - target) <= 1e-3 * target
+    # two meshes of one size give no extrapolation
+    mesh = build_box_mesh((2, 2, 2), extents=(PI, PI, PI))
+    rep = friedrich_constant([mesh, mesh], 2.0)
+    assert rep.extrapolated == rep.constants[-1]
 
 
 @pytest.mark.parametrize("meshes", [[], iter(())])
