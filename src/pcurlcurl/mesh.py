@@ -140,17 +140,18 @@ class Mesh:
         mask[self.boundary_edges] = False
         return np.flatnonzero(mask)
 
+    @cached_property
     def bfs_tree(self):
         """Breadth-first spanning tree of the vertex graph from vertex 0.
 
         Each level visits its vertices in ascending order and each
         vertex's edges in edge order, lo-end edges first; a vertex's tree
-        edge is the first edge that reaches it.
+        edge is the first edge that reaches it. Built on first use and
+        cached, with read-only arrays.
 
-        Returns:
-            One (via, parent, child) triple of arrays per level below
-            vertex 0: the level's tree edges, and the vertices they leave
-            and reach.
+        A tuple of one (via, parent, child) triple of arrays per level
+        below vertex 0: the level's tree edges, and the vertices they
+        leave and reach.
         """
         lo, hi = self.edges[:, 0], self.edges[:, 1]
         src = np.concatenate([lo, hi])
@@ -174,10 +175,14 @@ class Mesh:
             new = ~seen[nbr]
             child, first = np.unique(nbr[new], return_index=True)
             if not child.size:
-                return levels
+                break
             seen[child] = True
             levels.append((via[new][first], parent[new][first], child))
             frontier = child
+        for level in levels:
+            for arr in level:
+                arr.flags.writeable = False
+        return tuple(levels)
 
     # -- construction helpers ---------------------------------------------
 

@@ -11,16 +11,25 @@ differences of the flux.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import whitney
-from .assembly import EdgeField, local_coeffs, tet_curls, tet_vertex_vectors
+# _BLOCK_TETS: tets per block of `measure_error`, the block map of
+# `assembly.lp_norm_field`
+from .assembly import (_BLOCK_TETS, EdgeField, _norm_power, local_coeffs,
+                       tet_curls, tet_vertex_vectors)
 
-# Tets per block of `measure_error`: a block's (n, nq, 3) arrays are
-# 2.75 MiB each. At 32^3, 4096 and 8192 time alike; 16384 is ~10% slower.
-_BLOCK_TETS = 8192
+# Tets per chunk of a block's pointwise work: a chunk's (n, nq, 3)
+# temporaries are 0.66 MiB each.
+_CHUNK_TETS = 2048
+
+# Most threads `measure_error` runs: a running block holds 8 MiB (traced),
+# and 2 workers are the count measured (2 cores, 32^3: 0.42 -> 0.23 s).
+_MAX_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -29,6 +38,9 @@ class ManufacturedCase:
 
     Invariants (all verified by tests): n x u* = 0 on the boundary of
     [0, pi]^3, div u* = 0, div S = 0.
+
+    `measure_error` calls u_exact and curl_exact from several threads at
+    once, so they must be thread-safe: pure functions of x.
     """
 
     name: str
@@ -110,37 +122,85 @@ def case_general_p(p):
 def measure_error(u_h: EdgeField, case: ManufacturedCase):
     """(||u_h - u*||_L2, ||curl u_h - curl u*||_Lp) by order-4 quadrature.
 
-    One pass over blocks of _BLOCK_TETS tets: each block evaluates u_h,
-    its curl, u* and curl u* at its own quadrature points and adds its
-    volume-weighted sums in block order, so no (T, nq, 3) array is made
-    and the peak memory does not grow with the mesh.
+    The tets are split into blocks of _BLOCK_TETS: each block evaluates
+    u_h, its curl, u* and curl u* at its own quadrature points and
+    returns its volume-weighted sums, so no (T, nq, 3) array is made.
+    The blocks run on a thread pool of one worker per CPU the process
+    may use, at most _MAX_WORKERS and at most one per block (numpy
+    releases the GIL in the ufuncs and contractions a block spends its
+    time in), and their sums are added in block order: the result has
+    the same bits for any worker count. Only the running blocks hold
+    arrays, about 8 MiB each, so the traced peak is about 8 MiB times
+    the worker count for any mesh size. A mesh of one block runs inline.
+    `case.u_exact` and `case.curl_exact` are called from the workers
+    concurrently and must be thread-safe.
     """
     mesh = u_h.mesh
-    geom = mesh.geometry
-    rule = whitney.quadrature(4)
+    blocks = [slice(s, s + _BLOCK_TETS)
+              for s in range(0, mesh.num_tets, _BLOCK_TETS)]
+    args = (u_h, case, mesh.geometry, whitney.quadrature(4))
+    workers = min(_worker_count(), len(blocks))
+    if workers < 2:
+        sums = [_block_sums(*args, tets) for tets in blocks]
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(_block_sums, *args, tets) for tets in blocks]
+            try:
+                sums = [f.result() for f in futures]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     sq_sum = lp_sum = 0.0
-    for s in range(0, mesh.num_tets, _BLOCK_TETS):
-        tets = slice(s, s + _BLOCK_TETS)
-        vols = geom.vols[tets]
-        local = local_coeffs(u_h, tets)
-        xq = (rule.points @ mesh.vertices[mesh.tets[tets]]).reshape(-1, 3)
-        err = rule.points @ tet_vertex_vectors(local, geom.grads[tets])
-        err = err.reshape(-1, 3)
-        err -= np.asarray(case.u_exact(xq))
-        sq_sum += _weighted_sum(err, vols, rule.weights, 2.0)
-        del err                        # freed before curl u* is evaluated
-        cerr = np.asarray(case.curl_exact(xq)).reshape(vols.size, -1, 3)
-        cerr -= tet_curls(local, geom.curls[tets])[:, None, :]
-        lp_sum += _weighted_sum(cerr.reshape(-1, 3), vols, rule.weights, case.p)
+    for sq, lp in sums:
+        sq_sum += sq
+        lp_sum += lp
     return float(np.sqrt(sq_sum)), float(lp_sum ** (1.0 / case.p))
 
 
-def _weighted_sum(diff, vols, weights, p):
-    """Quadrature sum of |diff|^p over a block of tets.
+def _worker_count():
+    """Threads for `measure_error`: the CPUs this process may run on, at
+    most _MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:                  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
 
-    `diff` (n * nq, 3) holds the values at the nq points of each of the n
-    tets, `vols` (n,) their volumes and `weights` (nq,) the rule's.
+
+def _block_sums(u_h, case, geom, rule, tets):
+    """`measure_error`'s sums of |u_h - u*|^2 and |curl(u_h - u*)|^p
+    over the tets `tets` (a slice).
+
+    The block's arrays (its points, the differences at them and their
+    powers) are allocated at its start and filled _CHUNK_TETS tets at a
+    time, so a worker holds nearly the same memory from the start of a
+    block to its end: the peak over all workers does not depend on how
+    their steps interleave. Only the sums over q and t run over the
+    whole block, which keeps their bits independent of the chunking.
     """
-    x, y, z = diff.T
-    sq = (x * x + y * y + z * z).reshape(vols.size, -1)
-    return float(vols @ (sq ** (0.5 * p) @ weights))
+    mesh = u_h.mesh
+    vols = geom.vols[tets]
+    n, nq = vols.size, rule.weights.size
+    local = local_coeffs(u_h, tets)
+    corners, grads = mesh.tets[tets], geom.grads[tets]
+    curls = tet_curls(local, geom.curls[tets])
+    xq = np.empty((n, nq, 3))
+    diff = np.empty((n, nq, 3))
+    powers = np.empty((n, nq))
+    chunks = [slice(s, s + _CHUNK_TETS) for s in range(0, n, _CHUNK_TETS)]
+    for c in chunks:
+        np.matmul(rule.points, mesh.vertices[corners[c]], out=xq[c])
+        np.matmul(rule.points, tet_vertex_vectors(local[c], grads[c]), out=diff[c])
+        diff[c] -= _at_points(case.u_exact, xq[c])
+        powers[c] = _norm_power(diff[c], 2.0)
+    sq = float(vols @ (powers @ rule.weights))
+    for c in chunks:
+        diff[c] = _at_points(case.curl_exact, xq[c])
+        diff[c] -= curls[c, None, :]
+        powers[c] = _norm_power(diff[c], case.p)
+    return sq, float(vols @ (powers @ rule.weights))
+
+
+def _at_points(f, x):
+    """An analytic field f at the points x (..., 3), shaped like x."""
+    return np.asarray(f(x.reshape(-1, 3))).reshape(x.shape)

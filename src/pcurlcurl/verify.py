@@ -47,6 +47,15 @@ _BLOCK_ROWS = 2**16
 
 @dataclass
 class InequalityReport:
+    """One row of the inequality sweep.
+
+    `worst_ratio` is the largest sampled ratio of the left side to the
+    right side without its constant, i.e. the sampled envelope constant.
+    `violations` counts the kept samples whose ratio is not finite (an
+    overflow, underflow or 0/0 in either side), where the sample says
+    nothing about the constant; `worst_ratio` is then inf or NaN.
+    """
+
     inequality: str                  # "ineq1" or "ineq2"
     p: float
     delta: float
@@ -247,12 +256,25 @@ def _sweep_draw(rows, by_p, n_samples, rng_seed, rexp):
             else:
                 num = diff**(2.0 + delta) * tot**(p - 2.0 - delta)
                 den = pairing
-            worst = float(np.max(num / den))
-            violations = int(np.sum(num > worst * den * (1 + 1e-12)))
+            worst, violations = _worst_ratio(num, den)
             reports[i] = InequalityReport(
                 inequality=inequality, p=p_row, delta=delta, samples=samples,
                 worst_ratio=worst, violations=violations)
     return reports
+
+
+def _worst_ratio(num, den):
+    """The largest of the ratios num/den and the number that are not finite.
+
+    The sweep's num and den are >= 0, so each ratio is >= 0, inf or NaN;
+    the maximum propagates NaN and inf, so a finite maximum means that
+    every ratio is finite.
+    """
+    ratio = num / den
+    worst = float(np.max(ratio))
+    if np.isfinite(worst):
+        return worst, 0
+    return worst, int(np.count_nonzero(~np.isfinite(ratio)))
 
 
 def _power_terms(xi, eta, p):
@@ -658,7 +680,7 @@ def extract_scalar_potential(u: EdgeField):
     lo, hi = mesh.edges[:, 0], mesh.edges[:, 1]
     phi = np.zeros(mesh.num_vertices)
     tree_edge = np.zeros(mesh.num_edges, dtype=bool)
-    for eid, parent, child in mesh.bfs_tree():
+    for eid, parent, child in mesh.bfs_tree:
         tree_edge[eid] = True
         # u_e = phi_hi - phi_lo; a level's parents are all set already
         step = np.where(child == hi[eid], u.coeffs[eid], -u.coeffs[eid])

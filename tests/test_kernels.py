@@ -6,19 +6,25 @@ mesh with jittered interior vertices, where the symmetry of the Kuhn
 split cannot hide a swapped index or sign.
 """
 
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from basis_oracle import eval_basis
-from pcurlcurl import mms, whitney
+from pcurlcurl import assembly, mms, whitney
 from pcurlcurl.assembly import (EdgeField, assemble_load, curl_per_tet,
-                                eval_field)
+                                eval_field, lp_norm_field)
 from pcurlcurl.helmholtz import edge_mass_matrix, mass_blocks
 from pcurlcurl.io import write_vtk
 from pcurlcurl.mesh import Mesh, build_box_mesh
-from pcurlcurl.mms import case_general_p, case_p2_sine, measure_error
+from pcurlcurl.mms import (ManufacturedCase, case_general_p, case_p2_sine,
+                           measure_error)
 from pcurlcurl.verify import _ratio_and_grad
 from vtk_reader import assert_same_bits, read_vtk
 
@@ -141,17 +147,142 @@ def whole_mesh_measure_error(u_h, case):
     return float(l2), float(curl_err)
 
 
+def block_order_measure_error(u_h, case):
+    """`measure_error` with its block sums added by a plain loop in block order."""
+    geom, rule = u_h.mesh.geometry, whitney.quadrature(4)
+    sq = lp = 0.0
+    for s in range(0, u_h.mesh.num_tets, mms._BLOCK_TETS):
+        block = mms._block_sums(u_h, case, geom, rule,
+                                slice(s, s + mms._BLOCK_TETS))
+        sq += block[0]
+        lp += block[1]
+    return float(np.sqrt(sq)), float(lp ** (1.0 / case.p))
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0, 10.0])
 def test_blocked_measure_error_matches_whole_mesh_oracle(monkeypatch, p):
+    # for any block size the block sums match the whole-mesh oracle, and
+    # for any worker count they are added in block order, bit for bit
     mesh = jittered_mesh(3)
     u = random_field(mesh)
     case = case_general_p(p)
     expect = whole_mesh_measure_error(u, case)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)          # interleave the workers finely
+    try:
+        for block in (1, 7, mesh.num_tets + 5):
+            monkeypatch.setattr(mms, "_BLOCK_TETS", block)
+            serial = block_order_measure_error(u, case)
+            assert serial == pytest.approx(expect, rel=1e-13, abs=0.0)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(mms, "_worker_count", lambda: workers)
+                assert measure_error(u, case) == serial
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_measure_error_chunks_do_not_change_a_bit(monkeypatch):
+    mesh = jittered_mesh(3)
+    u = random_field(mesh)
+    case = case_general_p(3.0)
+    assert mesh.num_tets <= mms._CHUNK_TETS
+    expect = measure_error(u, case)
+    for chunk in (1, 5):
+        monkeypatch.setattr(mms, "_CHUNK_TETS", chunk)
+        assert measure_error(u, case) == expect
+
+
+def test_measure_error_runs_at_most_max_workers_threads(monkeypatch):
+    # the traced peak is about one block's arrays per worker: the worker
+    # count must not grow with the CPUs
+    mesh = build_box_mesh((4, 4, 4))
+    u = random_field(mesh)
+    monkeypatch.setattr(mms, "_BLOCK_TETS", 1)
+    monkeypatch.setattr(mms.os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
+    assert mms._worker_count() == mms._MAX_WORKERS
+    threads = set()
+
+    def u_exact(x):
+        threads.add(threading.get_ident())
+        time.sleep(0.0002)
+        return np.zeros_like(x)
+
+    case = ManufacturedCase("threads", 2.0, u_exact, mms._curl_exact, None)
+    measure_error(u, case)
+    assert 1 <= len(threads) <= mms._MAX_WORKERS
+
+
+def wait_for_thread_count(count, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while threading.active_count() != count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return threading.active_count()
+
+
+def test_measure_error_raises_a_block_error_and_joins_its_workers(monkeypatch):
+    mesh = build_box_mesh((4, 4, 4))
+    u = random_field(mesh)
+    monkeypatch.setattr(mms, "_BLOCK_TETS", 1)
+    monkeypatch.setattr(mms, "_worker_count", lambda: 2)
+    third = whitney.quadrature(4).points @ mesh.vertices[mesh.tets[2]]
+    calls = []
+
+    def u_exact(x):
+        calls.append(None)
+        if x.shape == third.shape and np.allclose(x, third):
+            raise FloatingPointError("third block")
+        time.sleep(0.001)
+        return np.zeros_like(x)
+
+    case = ManufacturedCase("raises", 2.0, u_exact, mms._curl_exact, None)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="third block"):
+        measure_error(u, case)
+    assert wait_for_thread_count(before) == before
+    assert len(calls) < mesh.num_tets          # pending blocks were cancelled
+
+
+def test_import_and_one_block_measure_error_start_no_thread():
+    code = """
+import threading
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda self: (started.append(self.name), start(self))
+import numpy as np
+import pcurlcurl
+from pcurlcurl import mms
+from pcurlcurl.assembly import EdgeField
+from pcurlcurl.mesh import build_box_mesh
+mesh = build_box_mesh((3, 3, 3))
+assert mesh.num_tets <= mms._BLOCK_TETS
+u = EdgeField(mesh, np.ones(mesh.num_edges))
+mms.measure_error(u, mms.case_p2_sine())
+print(started, threading.active_count())
+"""
+    src = os.path.dirname(os.path.dirname(mms.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=src), text=True,
+                         check=True, timeout=120)
+    assert out.stdout.split() == ["[]", "1"]
+
+
+def whole_mesh_lp_norm_field(u, p):
+    """`lp_norm_field` as one pass over (T, nq, 3) arrays of the whole mesh."""
+    rule = whitney.quadrature(4)
+    mag = np.linalg.norm(eval_field(u, rule), axis=2)
+    total = np.einsum("t,q,tq->", u.mesh.geometry.vols, rule.weights, mag**p)
+    return float(total ** (1.0 / p))
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 10.0])
+def test_blocked_lp_norm_field_matches_whole_mesh_oracle(monkeypatch, p):
+    mesh = jittered_mesh(3)
+    u = random_field(mesh)
+    expect = whole_mesh_lp_norm_field(u, p)
     for block in (1, 7, mesh.num_tets + 5):
-        monkeypatch.setattr(mms, "_BLOCK_TETS", block)
-        got = measure_error(u, case)
-        assert got == pytest.approx(expect, rel=1e-13, abs=0.0)
-        assert measure_error(u, case) == got
+        monkeypatch.setattr(assembly, "_BLOCK_TETS", block)
+        assert lp_norm_field(u, p) == pytest.approx(expect, rel=1e-13, abs=0.0)
 
 
 def traced_peak(fn):
@@ -181,6 +312,17 @@ def test_traced_peaks_stay_below_one_basis_array(tmp_path):
         assert big.num_tets > mms._BLOCK_TETS
         v = random_field(big).zero_boundary()
         peaks.append(traced_peak(lambda: measure_error(v, case_p2_sine())))
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_lp_norm_field_traced_peak_does_not_grow_with_the_mesh():
+    peaks = []
+    for n in (16, 24):
+        mesh = build_box_mesh((n, n, n))
+        mesh.geometry
+        assert mesh.num_tets > assembly._BLOCK_TETS
+        u = random_field(mesh).zero_boundary()
+        peaks.append(traced_peak(lambda: lp_norm_field(u, 4.0)))
     assert peaks[1] <= 1.1 * peaks[0]
 
 

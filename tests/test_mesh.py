@@ -160,7 +160,7 @@ def test_bfs_tree_spans_vertex_graph_level_by_level(divisions):
     mesh = build_box_mesh(divisions)
     depth = np.full(mesh.num_vertices, -1)
     depth[0] = 0
-    levels = mesh.bfs_tree()
+    levels = mesh.bfs_tree
     for d, (via, parent, child) in enumerate(levels, start=1):
         assert np.all(depth[parent] == d - 1)       # reached one level earlier
         assert np.all(depth[child] == -1)           # each vertex reached once
@@ -169,6 +169,16 @@ def test_bfs_tree_spans_vertex_graph_level_by_level(divisions):
         assert np.array_equal(mesh.edges[via], ends)
     assert sum(via.size for via, _, _ in levels) == mesh.num_vertices - 1
     assert np.all(depth >= 0)
+
+
+def test_bfs_tree_is_built_once_and_read_only():
+    mesh = build_box_mesh((3, 4, 2))
+    levels = mesh.bfs_tree
+    assert mesh.bfs_tree is levels
+    for level in levels:
+        for arr in level:
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 def reference_bfs_tree(mesh):
@@ -202,7 +212,7 @@ def reference_bfs_tree(mesh):
                                        (4, 3, 5), (6, 6, 6)])
 def test_spanning_tree_matches_reference_bfs(divisions):
     mesh = build_box_mesh(divisions)
-    tree = np.sort(np.concatenate([via for via, _, _ in mesh.bfs_tree()]))
+    tree = np.sort(np.concatenate([via for via, _, _ in mesh.bfs_tree]))
     assert np.array_equal(tree, reference_bfs_tree(mesh))
 
 

@@ -154,9 +154,9 @@ def _unblocked(inequality, p, delta, n, seed):
     else:
         num = diff[keep]**(2.0 + delta) * tot[keep]**(p - 2.0 - delta)
         den = np.einsum("ij,ij->i", dp, xi - eta)[keep]
-    worst = float(np.max(num / den))
-    return (int(np.sum(keep)), worst,
-            int(np.sum(num > worst * den * (1 + 1e-12))))
+    ratio = num / den
+    return (int(np.sum(keep)), float(np.max(ratio)),
+            int(np.sum(~np.isfinite(ratio))))
 
 
 @pytest.mark.parametrize("n, block", [(1000, None), (1000, 300),
@@ -178,6 +178,24 @@ def test_nonmonotone_map_is_rejected(monkeypatch):
         check_inequalities([3.0], 1000)
     # the difference bound certifies no monotonicity
     assert check_ineq1(3.0, 0.0, 1000).violations == 0
+
+
+def test_violations_count_samples_with_a_non_finite_ratio(monkeypatch):
+    draw = verify._sample_pairs
+
+    def pairs(n, rng, rexp=6.0):
+        xi, eta = draw(n, rng, rexp)
+        # both sides of ineq1 underflow to 0 at p = 10: a 0/0 ratio
+        xi[:3] *= 1e-60
+        eta[:3] *= 1e-60
+        return xi, eta
+
+    assert check_ineq1(10.0, 0.0, 1000).violations == 0
+    monkeypatch.setattr(verify, "_sample_pairs", pairs)
+    with np.errstate(invalid="ignore"):
+        r = check_ineq1(10.0, 0.0, 1000)
+    assert r.samples == 1000 and r.violations == 3
+    assert np.isnan(r.worst_ratio)
 
 
 # -- Friedrich constant ------------------------------------------------------
