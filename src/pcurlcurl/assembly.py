@@ -151,8 +151,8 @@ def assemble_residual(u: EdgeField, load, p: PExponent):
 def assemble_jacobian(u: EdgeField, p: PExponent):
     """Gateaux derivative of the residual, CSR over free x free edges.
 
-    Symmetric positive semidefinite for p >= 2; equals the p = 2
-    curl-curl stiffness matrix (independent of u) when p = 2.
+    Symmetric positive semidefinite for p >= 2. At p = 2 it does not
+    depend on u and is `mesh.stiffness`, shared and read-only.
 
     With g the curl on a tet, the power map's derivative is
     D = a I + b g g^T, a = m^((p-2)/2), b = (p-2) m^((p-4)/2) and
@@ -163,7 +163,7 @@ def assemble_jacobian(u: EdgeField, p: PExponent):
     """
     mesh = u.mesh
     if p.p == 2.0:
-        return scatter_blocks(mesh, stiffness_blocks(mesh))
+        return mesh.stiffness
     geom, signs = mesh.geometry, mesh.tet_edge_signs
     g = curl_per_tet(u)
     msq = p.eps**2 + np.sum(g * g, axis=1)

@@ -9,8 +9,6 @@ complement, and the L2 one makes the projection an SPD nodal solve.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 from .assembly import (EdgeField, NodalField, assemble_gradient_map,
@@ -58,24 +56,12 @@ def edge_mass_matrix(mesh: Mesh):
     return scatter_blocks(mesh, mass_blocks(mesh))
 
 
-# mesh -> (M, G, G^T, G^T M G); the values hold no reference to the mesh,
-# so an entry goes when its mesh does
-_OPERATORS = weakref.WeakKeyDictionary()
-
-
-def _operators(mesh):
-    """The mesh's four projector matrices, built on first use, read-only."""
-    ops = _OPERATORS.get(mesh)
-    if ops is None:
-        M = edge_mass_matrix(mesh)
-        G = assemble_gradient_map(mesh)[mesh.free_edges()]
-        Gt = G.T.tocsr()
-        ops = (M, G, Gt, Gt @ (M @ G))
-        for A in ops:
-            for arr in (A.data, A.indices, A.indptr):
-                arr.flags.writeable = False
-        _OPERATORS[mesh] = ops
-    return ops
+def _projector_matrices(mesh):
+    """Build `mesh.projector_matrices`: M, G, G^T and G^T M G."""
+    M = edge_mass_matrix(mesh)
+    G = assemble_gradient_map(mesh)[mesh.free_edges()]
+    Gt = G.T.tocsr()
+    return M, G, Gt, Gt @ (M @ G)
 
 
 class DivFreeProjector:
@@ -83,17 +69,16 @@ class DivFreeProjector:
 
     M is the free x free mass matrix and G the free rows of the gradient
     map: a boundary edge's row of G is empty, so G^T M G is the same as
-    over all edges. The four matrices are built once per mesh and shared,
-    read-only, by every projector of that mesh. `project` splits edge
-    fields and `constraint_norm` measures them; both take fields with
-    zero boundary circulations, the only fields the M block pairs.
-    `strip_gradient` cleans functionals.
+    over all edges. The four matrices are `mesh.projector_matrices`,
+    built once per mesh and shared, read-only, by every projector of that
+    mesh. `project` splits edge fields and `constraint_norm` measures
+    them; both take fields with zero boundary circulations, the only
+    fields the M block pairs. `strip_gradient` cleans functionals.
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self._free = mesh.free_edges()
-        self.M, self.G, self.Gt, self.GtMG = _operators(mesh)
+        self.M, self.G, self.Gt, self.GtMG = mesh.projector_matrices
 
     def project(self, u: EdgeField, tol=1e-12):
         """Split u into (u0, phi) with G^T M u0 = 0 up to solver tolerance.
@@ -103,12 +88,15 @@ class DivFreeProjector:
         exactly, since curl(G phi) = 0 holds edge by edge.
 
         Raises:
-            ValueError: u has a nonzero boundary circulation.
+            ValueError: u belongs to another mesh or has a nonzero
+                boundary circulation.
         """
+        if u.mesh is not self.mesh:
+            raise ValueError("edge field belongs to another mesh")
         x = self._free_coeffs(u.coeffs)
         phi = self._potential(self.Gt @ (self.M @ x), tol)
         coeffs = u.coeffs.copy()
-        coeffs[self._free] = x - self.G @ phi
+        coeffs[self.mesh.free_edges()] = x - self.G @ phi
         return EdgeField(self.mesh, coeffs), self._nodal(phi)
 
     def strip_gradient(self, b, tol):
@@ -132,7 +120,7 @@ class DivFreeProjector:
     def _free_coeffs(self, coeffs):
         if np.any(coeffs[self.mesh.boundary_edges]):
             raise ValueError("edge field has a nonzero boundary circulation")
-        return coeffs[self._free]
+        return coeffs[self.mesh.free_edges()]
 
     def _potential(self, rhs, tol):
         phi, rep = cg(self.GtMG, rhs, tol=tol)

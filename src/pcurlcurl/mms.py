@@ -136,9 +136,10 @@ def measure_error(u_h: EdgeField, case: ManufacturedCase):
     concurrently and must be thread-safe.
     """
     mesh = u_h.mesh
+    mesh.geometry                   # built here, not by each worker at once
     blocks = [slice(s, s + _BLOCK_TETS)
               for s in range(0, mesh.num_tets, _BLOCK_TETS)]
-    args = (u_h, case, mesh.geometry, whitney.quadrature(4))
+    args = (u_h, case, whitney.quadrature(4))
     workers = min(_worker_count(), len(blocks))
     if workers < 2:
         sums = [_block_sums(*args, tets) for tets in blocks]
@@ -167,7 +168,7 @@ def _worker_count():
     return min(cpus, _MAX_WORKERS)
 
 
-def _block_sums(u_h, case, geom, rule, tets):
+def _block_sums(u_h, case, rule, tets):
     """`measure_error`'s sums of |u_h - u*|^2 and |curl(u_h - u*)|^p
     over the tets `tets` (a slice).
 
@@ -179,6 +180,7 @@ def _block_sums(u_h, case, geom, rule, tets):
     whole block, which keeps their bits independent of the chunking.
     """
     mesh = u_h.mesh
+    geom = mesh.geometry
     vols = geom.vols[tets]
     n, nq = vols.size, rule.weights.size
     local = local_coeffs(u_h, tets)

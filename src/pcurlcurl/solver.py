@@ -160,10 +160,15 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
         is reported as `SolveReport.load_gradient_norm`. The report's
         `stages` lists every level's stages, coarsest first, each with
         its mesh's `divisions`, and its totals sum all levels.
+
+    Raises:
+        ValueError: initial_guess belongs to another mesh.
     """
     t0 = time.perf_counter()
     if config is None:
         config = SolveConfig()
+    if initial_guess is not None and initial_guess.mesh is not mesh:
+        raise ValueError("initial_guess belongs to another mesh")
     proj = DivFreeProjector(mesh)
     free = mesh.free_edges()
 
@@ -185,7 +190,7 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
         u = EdgeField(mesh)
     else:
         u = initial_guess.zero_boundary()
-    u, r = _nested_solve(proj, load, config.p_target, u, report.stages)
+    u, r = _nested_solve(u, load, config.p_target, report.stages)
 
     # Neither J nor the residual sees the gradient part that the start and
     # the steps leave in u, so the constraint is imposed here, once.
@@ -201,8 +206,8 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
     return u, multiplier, report
 
 
-def _nested_solve(proj, load, p_target, u, stages):
-    """Solve at p_target on proj.mesh from u; returns (u, residual).
+def _nested_solve(u, load, p_target, stages):
+    """Solve at p_target on u's mesh from u; returns (u, residual).
 
     The p = 2 stage runs first, from u, and sets eps. When the p ramp has
     more than one stage past p = 2, a mesh with a coarse mesh first
@@ -212,21 +217,20 @@ def _nested_solve(proj, load, p_target, u, stages):
     by P, starts one p_target stage here. Otherwise the p ramp runs. Each
     level appends its stage records to `stages`, coarsest first.
     """
-    mesh = proj.mesh
+    mesh = u.mesh
     schedule = default_p_schedule(p_target)[1:]
     # A one-stage ramp (p_target <= 4) is already as short as nesting
     # makes it, and a coarse solve would only add to it.
     coarse = mesh.coarse if len(schedule) > 1 else None
     if coarse is not None:
         P = mesh.prolongation
-        uc, _ = _nested_solve(DivFreeProjector(coarse), P.T @ load, p_target,
-                              EdgeField(coarse), stages)
+        uc, _ = _nested_solve(EdgeField(coarse), P.T @ load, p_target, stages)
         u_coarse = EdgeField(mesh)
         u_coarse.coeffs[mesh.free_edges()] = P @ uc.coeffs[coarse.free_edges()]
         schedule = [p_target]
 
     load_scale = float(np.linalg.norm(load))
-    u, r, rec = _newton_stage(proj, u, load, load_scale, PExponent(2.0))
+    u, r, rec = _newton_stage(u, load, load_scale, PExponent(2.0))
     stages.append(rec)
     u2, g2 = u, np.linalg.norm(curl_per_tet(u), axis=1).max()
 
@@ -239,7 +243,7 @@ def _nested_solve(proj, load, p_target, u, stages):
         if coarse is not None:      # the one stage starts from P uc
             u = u_coarse
         u = EdgeField(mesh, _ray_factor(u, load, pexp) * u.coeffs)
-        u, r, rec = _newton_stage(proj, u, load, load_scale, pexp)
+        u, r, rec = _newton_stage(u, load, load_scale, pexp)
         stages.append(rec)
     return u, r
 
@@ -272,10 +276,11 @@ def _ray_factor(u, load, pexp):
     return hi / gmax
 
 
-def _newton_stage(proj, u, load, load_scale, pexp):
+def _newton_stage(u, load, load_scale, pexp):
     """Run damped Newton at fixed (p, eps); returns (u, residual, record)."""
     mesh = u.mesh
     free = mesh.free_edges()
+    proj = DivFreeProjector(mesh)
 
     r = assemble_residual(u, load, pexp)
     res0 = float(np.linalg.norm(r))

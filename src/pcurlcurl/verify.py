@@ -26,8 +26,7 @@ import numpy as np
 
 from . import whitney
 from .assembly import (EdgeField, NodalField, PExponent, assemble_residual,
-                       edge_moments, eval_field, local_coeffs, lp_norm_curl,
-                       scatter_blocks, stiffness_blocks)
+                       edge_moments, eval_field, local_coeffs, lp_norm_curl)
 from .helmholtz import DivFreeProjector
 from .linalg import SolverError, cg
 from .mesh import Mesh, boundary_faces
@@ -342,14 +341,13 @@ def friedrich_constant(meshes, p, seed=0):
     iterations = []
     linear_iterations = []
     for mesh in meshes:
-        proj = DivFreeProjector(mesh)
-        u2, (c2, its, lin) = _friedrich_p2(proj, seed)
+        u2, (c2, its, lin) = _friedrich_p2(mesh, seed)
         iterations.append(its)
         linear_iterations.append(lin)
         if p == 2.0:
             constants.append(c2)
         else:
-            constants.append(_friedrich_ascent(proj, u2, p))
+            constants.append(_friedrich_ascent(u2, p))
     extrap = constants[-1]
     if len(constants) >= 2:
         # mesh-size ratio h_prev / h_last, with h the cube root of the
@@ -365,7 +363,7 @@ def friedrich_constant(meshes, p, seed=0):
                            linear_iterations=linear_iterations)
 
 
-def _friedrich_p2(proj, seed):
+def _friedrich_p2(mesh, seed):
     """Smallest constrained curl-curl eigenvalue by preconditioned LOBPCG.
 
     Returns the maximizer u and (C_h, outer iterations, stiffness-CG
@@ -385,20 +383,16 @@ def _friedrich_p2(proj, seed):
     step on [X, W, P] is a standard symmetric eigenproblem. Columns whose
     residual is already below the stopping tolerance leave W and P (soft
     locking). The iteration stops when the 3 lowest Ritz pairs have
-    ||K x - theta M x|| <= 1e-8 theta ||M x||. `proj` is the mesh's
-    DivFreeProjector, and its M is the pencil's mass matrix.
+    ||K x - theta M x|| <= 1e-8 theta ||M x||. K is `mesh.stiffness`,
+    and M is the projector's mass matrix.
 
     Raises:
         SolverError: no stop within 200 iterations, or a basis block
             that lost rank; the message carries the residuals.
     """
-    mesh = proj.mesh
+    proj = DivFreeProjector(mesh)
     free = mesh.free_edges()
-    K = scatter_blocks(mesh, stiffness_blocks(mesh)).copy()
-    # The Kuhn split leaves exact zeros in K's pattern (orthogonal basis
-    # curls): dropping them makes each preconditioner matvec ~20% cheaper.
-    K.eliminate_zeros()
-    M = proj.M
+    K, M = mesh.stiffness, proj.M
     # [X, W, P] must fit in the divergence-free space, whose dimension is
     # the free edge count less one constraint per interior vertex
     dim = free.size - mesh.interior_vertices().size
@@ -492,9 +486,10 @@ def _format(values):
     return ", ".join(f"{v:.3e}" for v in values)
 
 
-def _friedrich_ascent(proj, u_start, p):
+def _friedrich_ascent(u_start, p):
     """Projected ascent on the Lp norm ratio; returns a lower bound."""
-    mesh = proj.mesh
+    mesh = u_start.mesh
+    proj = DivFreeProjector(mesh)
     free = mesh.free_edges()
     u = EdgeField(mesh, u_start.coeffs.copy())
 

@@ -149,11 +149,10 @@ def whole_mesh_measure_error(u_h, case):
 
 def block_order_measure_error(u_h, case):
     """`measure_error` with its block sums added by a plain loop in block order."""
-    geom, rule = u_h.mesh.geometry, whitney.quadrature(4)
+    rule = whitney.quadrature(4)
     sq = lp = 0.0
     for s in range(0, u_h.mesh.num_tets, mms._BLOCK_TETS):
-        block = mms._block_sums(u_h, case, geom, rule,
-                                slice(s, s + mms._BLOCK_TETS))
+        block = mms._block_sums(u_h, case, rule, slice(s, s + mms._BLOCK_TETS))
         sq += block[0]
         lp += block[1]
     return float(np.sqrt(sq)), float(lp ** (1.0 / case.p))

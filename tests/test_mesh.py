@@ -5,7 +5,7 @@ import pytest
 
 from pcurlcurl import whitney
 from pcurlcurl.mesh import (Mesh, MeshError, boundary_faces, build_box_mesh,
-                            classify_boundary, tet_volumes)
+                            classify_boundary)
 from pcurlcurl.assembly import (EdgeField, assemble_gradient_map,
                                 curl_per_tet, scatter_blocks, stiffness_blocks)
 
@@ -52,7 +52,7 @@ def test_2x1x1_counts():
 ])
 def test_volumes_partition_box(divisions, extents):
     mesh = build_box_mesh(divisions, extents=extents)
-    vols = tet_volumes(mesh)
+    vols = mesh.geometry.vols
     assert np.all(vols > 0)
     assert np.isclose(vols.sum(), np.prod(extents), rtol=1e-13)
 
@@ -108,6 +108,18 @@ def test_classify_boundary_is_pure():
     be, bv = classify_boundary(mesh)
     assert np.array_equal(be, mesh.boundary_edges)
     assert np.array_equal(bv, mesh.boundary_vertices)
+
+
+def test_index_sets_are_stored_read_only_complements():
+    # one array per mesh, shared by every caller
+    mesh = build_box_mesh((3, 2, 4), origin=(-1, 0, 2), extents=(2, 1, 3))
+    for get, n, boundary in (
+            (mesh.free_edges, mesh.num_edges, mesh.boundary_edges),
+            (mesh.interior_vertices, mesh.num_vertices, mesh.boundary_vertices)):
+        got = get()
+        assert get() is got
+        assert not got.flags.writeable
+        assert np.array_equal(got, np.setdiff1d(np.arange(n), boundary))
 
 
 @pytest.mark.parametrize("divisions,extents", [

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -169,6 +170,35 @@ def test_box_dilation_keeps_newton_counts_and_scales_curl():
             ref = curl
         scale = lam**(1.0 / (p - 1.0))
         assert np.abs(curl - scale * ref).max() <= 1e-12 * scale * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("p, counts", [(4.0, [1, 7]), (10.0, [1, 7, 7, 6])])
+def test_axis_permutation_maps_each_tet_curl(p, counts):
+    # the Kuhn mesh maps onto itself under each axis permutation Q, and
+    # with the load S'(x) = Q S(Q^T x) the curl on a tet is
+    # det(Q) Q curl u at the mapped tet; Newton takes the same steps
+    mesh = build_box_mesh((4, 4, 4), extents=(PI, PI, PI))
+    S = case_general_p(p).load
+    u, _, rep = solve(mesh, S, SolveConfig(p_target=p))
+    assert [s.newton_iterations for s in rep.stages] == counts
+    ref = curl_per_tet(u)
+    centroids = mesh.vertices[mesh.tets].mean(axis=1)
+
+    def keys(x):        # centroids are multiples of h / 4 = pi / 16
+        k = np.rint(x / (PI / 16)).astype(np.int64)
+        return (k[:, 0] * 64 + k[:, 1]) * 64 + k[:, 2]
+
+    order = np.argsort(keys(centroids))
+    for perm in itertools.permutations(range(3)):
+        Q = np.eye(3)[list(perm)]
+        u_q, _, rep_q = solve(mesh, lambda x, Q=Q: S(x @ Q) @ Q.T,
+                              SolveConfig(p_target=p))
+        assert [s.newton_iterations for s in rep_q.stages] == counts
+        mapped = keys(centroids @ Q)
+        match = order[np.searchsorted(keys(centroids)[order], mapped)]
+        assert np.array_equal(keys(centroids)[match], mapped)
+        expect = np.linalg.det(Q) * ref[match] @ Q.T
+        assert np.abs(curl_per_tet(u_q) - expect).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_uniqueness_from_different_initial_guesses():
@@ -664,6 +694,49 @@ def test_one_projector_build_per_mesh(monkeypatch):
     friedrich_constant([mesh], 2.0)
     assert len(calls) == 2
     assert np.array_equal(u1.coeffs, u2.coeffs)
+
+
+def test_one_stiffness_build_per_mesh(monkeypatch):
+    # the p = 2 stages of a nested solve build the stiffness of 6^3 and
+    # 3^3 once; a second solve and the Friedrich eigensolve reuse it
+    from pcurlcurl import assembly
+    from pcurlcurl.verify import friedrich_constant
+    calls = []
+
+    def counting(mesh):
+        calls.append(mesh.divisions)
+        return stiffness_blocks(mesh)
+
+    monkeypatch.setattr(assembly, "stiffness_blocks", counting)
+    mesh = build_box_mesh((6, 6, 6), extents=(PI, PI, PI))
+    load = case_general_p(10.0).load
+    solve(mesh, load, SolveConfig(p_target=10.0))
+    assert sorted(calls) == [(3, 3, 3), (6, 6, 6)]
+    solve(mesh, load, SolveConfig(p_target=10.0))
+    friedrich_constant([mesh], 2.0)
+    assert len(calls) == 2
+    K = mesh.stiffness
+    assert assemble_jacobian(EdgeField(mesh), PExponent(2.0)) is K
+    assert np.all(K.data != 0.0)
+    assert K.nnz < mesh.free_pattern.indices.size
+    for arr in (K.data, K.indices, K.indptr):
+        assert not arr.flags.writeable
+    full = scatter_blocks(mesh, stiffness_blocks(mesh))
+    assert np.array_equal(K.toarray(), full.toarray())
+
+
+def test_fields_of_another_mesh_are_rejected():
+    # a start on another mesh, even one of the same grid, is an error,
+    # not a solve on the start's mesh
+    mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
+    load = case_p2_sine().load
+    for other in (build_box_mesh((3, 3, 3), extents=(2 * PI,) * 3),
+                  build_box_mesh((2, 2, 2), extents=(PI, PI, PI))):
+        with pytest.raises(ValueError, match="another mesh"):
+            solve(mesh, load, SolveConfig(p_target=2.0),
+                  initial_guess=EdgeField(other))
+        with pytest.raises(ValueError, match="another mesh"):
+            DivFreeProjector(mesh).project(EdgeField(other))
 
 
 def test_one_cell_geometry_per_mesh(monkeypatch, tmp_path):
