@@ -162,11 +162,14 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
         its mesh's `divisions`, and its totals sum all levels.
 
     Raises:
-        ValueError: initial_guess belongs to another mesh.
+        ValueError: an `EdgeField` load or initial_guess belongs to
+            another mesh.
     """
     t0 = time.perf_counter()
     if config is None:
         config = SolveConfig()
+    if isinstance(S, EdgeField) and S.mesh is not mesh:
+        raise ValueError("load belongs to another mesh")
     if initial_guess is not None and initial_guess.mesh is not mesh:
         raise ValueError("initial_guess belongs to another mesh")
     proj = DivFreeProjector(mesh)

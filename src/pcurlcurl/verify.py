@@ -5,10 +5,10 @@ Two pointwise power-map inequalities are certified by seeded sampling
 ratios are scale-invariant, so sampling with adversarial families at
 mixed radii covers the asymptotic regimes where the sup is attained).
 `check_inequalities` sweeps a whole (p, delta) grid of both from one
-draw per sampling radius: the power map is evaluated once per p, in row
-blocks, and each delta costs only 1-D work. `check_ineq1`/`check_ineq2`
-are single-row calls of the same kernel, so every row of a sweep equals
-the matching single call bit for bit.
+draw per sampling radius, streamed over row blocks: the power map is
+evaluated once per p and block, and each delta costs only 1-D work.
+`check_ineq1`/`check_ineq2` are single-row calls of the same kernel, so
+every row of a sweep equals the matching single call bit for bit.
 The Friedrich constant — the best bound ||u||_Lp <= C ||curl u||_Lp over
 boundary-constrained divergence-free fields — is computed discretely:
 exactly for p = 2 by a preconditioned LOBPCG block eigensolve of the
@@ -40,7 +40,7 @@ SAMPLE_FAMILIES = ("unit-ball", "log-uniform radii", "near-collinear",
                    "near-equal", "antipodal/one-sided")
 
 
-# Rows per block of the power-map evaluation in `_power_terms`.
+# Rows per block of the streamed sweep in `_sweep_draw`.
 _BLOCK_ROWS = 2**16
 
 
@@ -74,9 +74,12 @@ def _row_norm(v):
     return np.sqrt(x * x + y * y + z * z)
 
 
-def _power(v, p):
-    """|v|^(p-2) v rowwise (unregularized; 0 at v = 0 for p >= 2)."""
-    mag = _row_norm(v)[:, None]
+def _power(v, p, mag):
+    """|v|^(p-2) v rowwise (unregularized; 0 at v = 0 for p >= 2).
+
+    `mag` is `_row_norm(v)`, which the caller already has.
+    """
+    mag = mag[:, None]
     with np.errstate(invalid="ignore"):
         w = np.where(mag > 0, mag**(p - 2.0), 0.0 if p > 2 else 1.0)
     return w * v
@@ -186,6 +189,7 @@ def check_inequalities(p_grid, n_samples, rng_seed=0):
 
     Raises:
         AssertionError: if any sampled ineq2 pairing is nonpositive.
+        ValueError: n_samples < 1, where no sample bounds a constant.
     """
     rows = [(inequality, p, delta) for p in p_grid
             for inequality in ("ineq1", "ineq2")
@@ -215,6 +219,8 @@ def _sweep(rows, n_samples, rng_seed):
     The p values are grouped by sampling radius, and each group is
     evaluated on its own draw, one draw alive at a time.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
     for inequality, p, delta in rows:
         _check_delta(inequality, p, delta)
     groups = {}                      # radius exponent -> p -> row indices
@@ -229,69 +235,52 @@ def _sweep(rows, n_samples, rng_seed):
 def _sweep_draw(rows, by_p, n_samples, rng_seed, rexp):
     """Reports, by row index, for the rows of `by_p` from one draw at rexp.
 
-    The row quantities that do not depend on p are computed once, the
-    power map once per p, and each delta costs only 1-D work.
+    Streamed over blocks of _BLOCK_ROWS rows: each block computes the row
+    norms once, the power map once per p, and each delta costs only 1-D
+    work. The reports combine per-block maxima, minima and counts, which
+    are exact, so the blocking does not change a bit of any report.
+    Every ratio is >= 0, inf or NaN, and the maxima propagate NaN and
+    inf, so a finite maximum means that every ratio of its row is finite.
     """
     xi, eta = _sample_pairs(n_samples, np.random.default_rng(rng_seed), rexp)
-    diff = _row_norm(xi - eta)
-    tot = _row_norm(xi) + _row_norm(eta)
-    keep = (diff > 0) & (tot > 0)
-    samples = int(np.sum(keep))
-    diff, tot = diff[keep], tot[keep]
-    reports = {}
+    samples = 0
+    worst = dict.fromkeys((i for idx in by_p.values() for i in idx), -np.inf)
+    violations = dict.fromkeys(worst, 0)
+    least = dict.fromkeys(by_p, np.inf)   # smallest kept pairing per p
+    for s in range(0, n_samples, _BLOCK_ROWS):
+        x, e = xi[s:s + _BLOCK_ROWS], eta[s:s + _BLOCK_ROWS]
+        nx, ne, d = _row_norm(x), _row_norm(e), x - e
+        diff, tot = _row_norm(d), nx + ne
+        keep = (diff > 0) & (tot > 0)
+        samples += int(np.count_nonzero(keep))
+        diff, tot = diff[keep], tot[keep]
+        for p, idx in by_p.items():
+            dp = _power(x, p, nx) - _power(e, p, ne)
+            lhs = _row_norm(dp)[keep]
+            pairing = np.einsum("ij,ij->i", dp, d)[keep]
+            least[p] = np.minimum(least[p], np.min(pairing, initial=np.inf))
+            for i in idx:
+                inequality, _, delta = rows[i]
+                if inequality == "ineq1":
+                    ratio = lhs / (diff**(1.0 - delta)
+                                   * tot**(p - 2.0 + delta))
+                else:
+                    ratio = diff**(2.0 + delta) * tot**(p - 2.0 - delta) \
+                        / pairing
+                top = np.max(ratio, initial=-np.inf)
+                worst[i] = np.maximum(worst[i], top)
+                if not np.isfinite(top):
+                    violations[i] += int(np.count_nonzero(~np.isfinite(ratio)))
     for p, idx in by_p.items():
-        lhs, pairing = _power_terms(xi, eta, p)
-        lhs, pairing = lhs[keep], pairing[keep]
-        if any(rows[i][0] == "ineq2" for i in idx) and \
-                not np.all(pairing > 0.0):
+        # NaN > 0 is False, so a NaN pairing fails the test too
+        if any(rows[i][0] == "ineq2" for i in idx) and not least[p] > 0.0:
             raise AssertionError(
                 f"power-map pairing not strictly positive at p = {p}: "
-                f"smallest sampled pairing {float(np.min(pairing)):.3e}")
-        for i in idx:
-            inequality, p_row, delta = rows[i]
-            if inequality == "ineq1":
-                num = lhs
-                den = diff**(1.0 - delta) * tot**(p - 2.0 + delta)
-            else:
-                num = diff**(2.0 + delta) * tot**(p - 2.0 - delta)
-                den = pairing
-            worst, violations = _worst_ratio(num, den)
-            reports[i] = InequalityReport(
-                inequality=inequality, p=p_row, delta=delta, samples=samples,
-                worst_ratio=worst, violations=violations)
-    return reports
-
-
-def _worst_ratio(num, den):
-    """The largest of the ratios num/den and the number that are not finite.
-
-    The sweep's num and den are >= 0, so each ratio is >= 0, inf or NaN;
-    the maximum propagates NaN and inf, so a finite maximum means that
-    every ratio is finite.
-    """
-    ratio = num / den
-    worst = float(np.max(ratio))
-    if np.isfinite(worst):
-        return worst, 0
-    return worst, int(np.count_nonzero(~np.isfinite(ratio)))
-
-
-def _power_terms(xi, eta, p):
-    """|P(xi) - P(eta)| and (P(xi) - P(eta)).(xi - eta) rowwise, P = _power.
-
-    Evaluated _BLOCK_ROWS rows at a time, so no (n, 3) power-map
-    temporary is made; both are per-row reductions, so the blocking
-    does not change a bit of the result.
-    """
-    n = xi.shape[0]
-    norm = np.empty(n)
-    pairing = np.empty(n)
-    for s in range(0, n, _BLOCK_ROWS):
-        x, e = xi[s:s + _BLOCK_ROWS], eta[s:s + _BLOCK_ROWS]
-        dp = _power(x, p) - _power(e, p)
-        norm[s:s + _BLOCK_ROWS] = _row_norm(dp)
-        pairing[s:s + _BLOCK_ROWS] = np.einsum("ij,ij->i", dp, x - e)
-    return norm, pairing
+                f"smallest sampled pairing {float(least[p]):.3e}")
+    return {i: InequalityReport(
+        inequality=rows[i][0], p=rows[i][1], delta=rows[i][2],
+        samples=samples, worst_ratio=float(worst[i]),
+        violations=violations[i]) for i in worst}
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +308,10 @@ def friedrich_constant(meshes, p, seed=0):
     projection removes the gradient kernel, on which the stiffness is
     singular). It stops when the 3 lowest Ritz pairs have relative
     residual ||K x - lambda M x|| / (lambda ||M x||) <= 1e-8, after at
-    most 200 iterations; the report counts the iterations and the
-    stiffness-CG iterations per level.
+    most 200 iterations. Only those 3 pairs, while unconverged, get
+    search directions; the other 3 columns guard the Rayleigh-Ritz
+    step. The report counts the iterations and the stiffness-CG
+    iterations per level.
 
     p > 2: 150 trial steps of projected gradient ascent on
     log(||u||_p / ||curl u||_p) started from the p = 2 maximizer; the
@@ -370,8 +361,8 @@ def _friedrich_p2(mesh, seed):
     iterations). The lowest cavity eigenvalue has multiplicity 3 in the
     continuum and splits into a tight discrete cluster, so the pencil
     (K, M) on the free edges is iterated with a block of 6 from a seeded
-    random start (Knyazev, SIAM J. Sci. Comput. 23, 2001). Each residual
-    column is preconditioned by a loose CG solve on K (tol 0.1; its
+    random start (Knyazev, SIAM J. Sci. Comput. 23, 2001). Each watched
+    residual column is preconditioned by a loose CG solve on K (tol 0.1; its
     convergence flag is ignored, as it only preconditions): R = KX - MX
     Theta is orthogonal to the gradients, so CG on the singular K is
     consistent. The start block and every preconditioned block are
@@ -380,10 +371,12 @@ def _friedrich_p2(mesh, seed):
     space. The basis follows Hetmaniuk & Lehoucq (J. Comput. Phys. 218,
     2006): W is M-orthogonalized against X, P against [X, W], twice each,
     and each block is M-orthonormalized on its own, so the Rayleigh-Ritz
-    step on [X, W, P] is a standard symmetric eigenproblem. Columns whose
-    residual is already below the stopping tolerance leave W and P (soft
-    locking). The iteration stops when the 3 lowest Ritz pairs have
-    ||K x - theta M x|| <= 1e-8 theta ||M x||. K is `mesh.stiffness`,
+    step on [X, W, P] is a standard symmetric eigenproblem. The iteration
+    stops when the 3 lowest ("watched") Ritz pairs have
+    ||K x - theta M x|| <= 1e-8 theta ||M x||, so only their columns
+    get search directions in W and P, and only while their residual is
+    above that tolerance (soft locking); the other 3 columns stay in X
+    as guard vectors of the Rayleigh-Ritz step. K is `mesh.stiffness`,
     and M is the projector's mass matrix.
 
     Raises:
@@ -443,8 +436,11 @@ def _friedrich_p2(mesh, seed):
                 f"residuals of the lowest {watched} Ritz pairs "
                 f"{_format(res[:watched])}")
         # converged columns leave W and P: their directions would be
-        # rounding noise, and noise carries gradients
+        # rounding noise, and noise carries gradients. So do the guard
+        # columns past `watched`: the stop test never reads them, and
+        # they stay in X for the Rayleigh-Ritz step only
         active = res > 1e-8
+        active[watched:] = False
         W = precondition(R[:, active])
         for _ in range(2):
             W -= X @ (X.T @ (M @ W))

@@ -739,6 +739,19 @@ def test_fields_of_another_mesh_are_rejected():
             DivFreeProjector(mesh).project(EdgeField(other))
 
 
+def test_load_of_another_mesh_is_rejected():
+    # an EdgeField load is paired with the basis of its own mesh, so on
+    # another mesh, even one of the same grid, it is an error, not a solve
+    from pcurlcurl.assembly import edge_interpolate
+    mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
+    load = case_p2_sine().load
+    for other in (build_box_mesh((3, 3, 3), extents=(2 * PI,) * 3),
+                  build_box_mesh((2, 2, 2), extents=(PI, PI, PI))):
+        with pytest.raises(ValueError, match="load belongs to another mesh"):
+            solve(mesh, edge_interpolate(load, other),
+                  SolveConfig(p_target=2.0))
+
+
 def test_one_cell_geometry_per_mesh(monkeypatch, tmp_path):
     from pcurlcurl import whitney
     from pcurlcurl.io import write_vtk
@@ -762,11 +775,14 @@ def test_one_cell_geometry_per_mesh(monkeypatch, tmp_path):
 
 def test_solve_leaves_scipy_sparse_linalg_unimported():
     # scipy.sparse.linalg (also pulled in by scipy.sparse.csgraph) adds
-    # ~11 MiB of resident memory to every process that imports it
+    # ~11 MiB of resident memory to every process that imports it; nor
+    # do the Friedrich eigensolve and the inequality sweep import it
     src = os.path.dirname(os.path.dirname(pcurlcurl.__file__))
     code = ("import sys, numpy as np, pcurlcurl as pc\n"
             "m = pc.build_box_mesh((2, 2, 2), extents=(np.pi,) * 3)\n"
             "pc.solve(m, pc.case_general_p(4.0).load, pc.SolveConfig(p_target=4.0))\n"
+            "pc.friedrich_constant([m], 4.0)\n"
+            "pc.check_inequalities([2.0, 3.0], 1000)\n"
             "print(' '.join(sorted(sys.modules)))\n")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

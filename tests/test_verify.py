@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,14 @@ def test_delta_range_validation():
         check_ineq2(4.0, 2.5, 10)      # delta > p-2
 
 
+def test_empty_draw_is_rejected():
+    # no sample, no maximum: an error, not a report of -inf
+    for check in (lambda: check_ineq1(3.0, 0.0, 0),
+                  lambda: check_inequalities([2.0, 3.0], 0)):
+        with pytest.raises(ValueError, match="n_samples must be positive"):
+            check()
+
+
 @pytest.mark.parametrize("seed", [0, 5])
 def test_sweep_equals_single_calls(seed):
     # p = 50 samples at a smaller radius than the rest: a second draw
@@ -144,12 +154,13 @@ def _unblocked(inequality, p, delta, n, seed):
     """Both checks on full (n, 3) arrays, written out without blocking."""
     xi, eta = verify._sample_pairs(n, np.random.default_rng(seed),
                                    rexp=verify._radius_exponent(p))
-    dp = verify._power(xi, p) - verify._power(eta, p)
-    diff = np.linalg.norm(xi - eta, axis=1)
-    tot = np.linalg.norm(xi, axis=1) + np.linalg.norm(eta, axis=1)
+    nx, ne = verify._row_norm(xi), verify._row_norm(eta)
+    dp = verify._power(xi, p, nx) - verify._power(eta, p, ne)
+    diff = verify._row_norm(xi - eta)
+    tot = nx + ne
     keep = (diff > 0) & (tot > 0)
     if inequality == "ineq1":
-        num = np.linalg.norm(dp, axis=1)[keep]
+        num = verify._row_norm(dp)[keep]
         den = diff[keep]**(1.0 - delta) * tot[keep]**(p - 2.0 + delta)
     else:
         num = diff[keep]**(2.0 + delta) * tot[keep]**(p - 2.0 - delta)
@@ -160,9 +171,11 @@ def _unblocked(inequality, p, delta, n, seed):
 
 
 @pytest.mark.parametrize("n, block", [(1000, None), (1000, 300),
-                                      (verify._BLOCK_ROWS + 5, None)])
+                                      (verify._BLOCK_ROWS + 5, None),
+                                      (3 * verify._BLOCK_ROWS + 5, None)])
 def test_sweep_block_boundaries(monkeypatch, n, block):
-    # fewer rows than one block, and row counts that are not a multiple
+    # fewer rows than one block, and row counts that are not a multiple;
+    # the streamed maxima and counts equal those of the whole draw
     if block is not None:
         monkeypatch.setattr(verify, "_BLOCK_ROWS", block)
     for r in check_inequalities([3.0, 10.0], n, rng_seed=2):
@@ -171,13 +184,28 @@ def test_sweep_block_boundaries(monkeypatch, n, block):
 
 
 def test_nonmonotone_map_is_rejected(monkeypatch):
-    monkeypatch.setattr(verify, "_power", lambda v, p: -v)
+    monkeypatch.setattr(verify, "_power", lambda v, p, mag: -v)
     with pytest.raises(AssertionError, match="smallest sampled pairing"):
         check_ineq2(3.0, 0.0, 1000)
     with pytest.raises(AssertionError, match="smallest sampled pairing"):
         check_inequalities([3.0], 1000)
     # the difference bound certifies no monotonicity
     assert check_ineq1(3.0, 0.0, 1000).violations == 0
+
+
+def test_smallest_pairing_is_over_the_whole_draw(monkeypatch):
+    # the pairing of -v is -|xi - eta|^2; the streamed sweep must report
+    # its minimum over every block, not that of the first failing block
+    block, n = 100, 1000
+    monkeypatch.setattr(verify, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(verify, "_power", lambda v, p, mag: -v)
+    xi, eta = verify._sample_pairs(n, np.random.default_rng(0),
+                                   verify._radius_exponent(3.0))
+    pairing = -np.einsum("ij,ij->i", xi - eta, xi - eta)
+    assert np.argmin(pairing) >= block and np.all(pairing[:block] < 0)
+    expected = re.escape(f"smallest sampled pairing {pairing.min():.3e}")
+    with pytest.raises(AssertionError, match=expected + "$"):
+        check_inequalities([3.0], n)
 
 
 def test_violations_count_samples_with_a_non_finite_ratio(monkeypatch):
@@ -226,8 +254,9 @@ def test_friedrich_p2_matches_dense_oracle(n):
 
 
 def test_friedrich_p2_stiffness_cg_budget(monkeypatch):
-    # LOBPCG with loose CG preconditioning: 1265 stiffness-CG iterations
-    # at 8^3; the inverse iteration it replaced took 14 438
+    # LOBPCG with loose CG preconditioning of the 3 watched Ritz columns:
+    # 692 stiffness-CG iterations at 8^3 (1264 with all 6 columns
+    # preconditioned); the inverse iteration it replaced took 14 438
     counted = []
 
     def counting_cg(A, b, **kwargs):
@@ -238,9 +267,34 @@ def test_friedrich_p2_stiffness_cg_budget(monkeypatch):
     monkeypatch.setattr(verify, "cg", counting_cg)
     mesh = build_box_mesh((8, 8, 8), extents=(PI, PI, PI))
     rep = friedrich_constant([mesh], 2.0)
-    assert sum(counted) <= 2000
+    assert sum(counted) <= 1000
     assert rep.linear_iterations == [sum(counted)]
     assert 0 < rep.iterations[0] <= 200
+
+
+def test_friedrich_p2_preconditions_only_the_watched_columns(monkeypatch):
+    # the stop test reads the 3 lowest Ritz pairs; the other 3 columns of
+    # the block guard the Rayleigh-Ritz step and get no search direction
+    calls = []
+
+    def counting_cg(A, b, **kwargs):
+        calls.append(A)
+        return cg(A, b, **kwargs)
+
+    monkeypatch.setattr(verify, "cg", counting_cg)
+    mesh = build_box_mesh((4, 4, 4), extents=(PI, PI, PI))
+    rep = friedrich_constant([mesh], 2.0)
+    assert all(A is mesh.stiffness for A in calls)
+    assert 0 < len(calls) <= 3 * rep.iterations[0]
+
+
+@pytest.mark.parametrize("seed", [0, 601])
+def test_friedrich_p2_constants_are_pinned(seed):
+    # the values with all 6 block columns preconditioned, to 1e-12
+    meshes = [build_box_mesh((n, n, n), extents=(PI, PI, PI)) for n in (4, 8)]
+    rep = friedrich_constant(meshes, 2.0, seed=seed)
+    assert rep.constants == pytest.approx([0.72145571687325, 0.71087900502083],
+                                          rel=1e-12, abs=0.0)
 
 
 def test_friedrich_p2_seed_independent():
