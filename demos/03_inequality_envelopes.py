@@ -7,9 +7,12 @@ For the map P(v) = |v|^(p-2) v in R^3 there are constants a1, a2 with
     |P(xi) - P(eta)|                     <= a1 |xi-eta|^(1-d) (|xi|+|eta|)^(p-2+d)
     |xi-eta|^(2+d) (|xi|+|eta|)^(p-2-d)  <= a2 (P(xi) - P(eta)) . (xi-eta)
 
-The suprema over adversarially sampled pairs estimate the best constants.
-The antipodal pair (v, -v) forces a2 >= 2^(p-2) exactly, and the sampled
-envelopes land right on that value; at p = 2 both constants are exactly 1.
+Both ratios are unchanged by a joint rotation or scaling of (xi, eta) and
+by swapping them, so every pair reduces to xi = e1 and
+eta = (1-s)(cos theta, sin theta, 0); the suprema over sampled (s, theta)
+estimate the best constants. The antipodal pair (v, -v) forces
+a2 >= 2^(p-2) exactly, and the sampled envelopes land on that value to
+rounding; at p = 2 both constants are exactly 1.
 """
 
 from pcurlcurl import check_ineq1, check_ineq2
@@ -22,6 +25,9 @@ for p in (2.0, 3.0, 4.0, 6.0, 10.0):
     print(f"{p:4g} {r1.worst_ratio:12.6f} {r2.worst_ratio:14.6f} "
           f"{2**(p-2):12.1f} {r1.violations + r2.violations:10d}")
 
-print("\nsample families:", r1.families)
+print(f"\n{r1.samples} pairs xi = e1, eta = (1-s)(cos theta, sin theta, 0): "
+      "half uniform in (s, theta), half log-uniform toward s, theta = 1e-12, "
+      "with the antipodal, one-sided (eta = 0) and radial near-equal pairs "
+      "pinned")
 print("the pairing in the second inequality was strictly positive for "
       "every sampled pair: the power map is strictly monotone")

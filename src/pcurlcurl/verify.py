@@ -1,12 +1,16 @@
 """Numerical certification of the supporting vector-analysis facts.
 
-Two pointwise power-map inequalities are certified by seeded sampling
-(the constants are *estimated* as envelope suprema, not proven — but the
-ratios are scale-invariant, so sampling with adversarial families at
-mixed radii covers the asymptotic regimes where the sup is attained).
-`check_inequalities` sweeps a whole (p, delta) grid of both from one
-draw per sampling radius, streamed over row blocks: the power map is
-evaluated once per p and block, and each delta costs only 1-D work.
+Two pointwise inequalities for the power map Phi(v) = |v|^(p-2) v are
+certified by seeded sampling (the constants are *estimated* as envelope
+suprema, not proven). Both ratios are invariant under a joint rotation
+and a joint scaling of (xi, eta) and under swapping xi and eta, so every
+pair reduces to xi = e1, eta = t (cos theta, sin theta, 0) with
+t = 1 - s in [0, 1] and theta in [0, pi], and only (s, theta) is drawn.
+On that domain every side of both ratios is a sum of nonnegative terms
+(`_power_terms`), so nothing cancels in float64 and, with |eta| <= |xi|
+= 1, no power overflows. `check_inequalities` sweeps a whole (p, delta)
+grid of both from one draw, streamed over row blocks: the power terms
+are evaluated once per p and block, and each delta costs only 1-D work.
 `check_ineq1`/`check_ineq2` are single-row calls of the same kernel, so
 every row of a sweep equals the matching single call bit for bit.
 The Friedrich constant — the best bound ||u||_Lp <= C ||curl u||_Lp over
@@ -36,11 +40,7 @@ from .mesh import Mesh, boundary_faces
 # Pointwise vector inequalities for the power map
 # ---------------------------------------------------------------------------
 
-SAMPLE_FAMILIES = ("unit-ball", "log-uniform radii", "near-collinear",
-                   "near-equal", "antipodal/one-sided")
-
-
-# Rows per block of the streamed sweep in `_sweep_draw`.
+# Rows per block of the streamed sweep in `_sweep`.
 _BLOCK_ROWS = 2**16
 
 
@@ -49,10 +49,14 @@ class InequalityReport:
     """One row of the inequality sweep.
 
     `worst_ratio` is the largest sampled ratio of the left side to the
-    right side without its constant, i.e. the sampled envelope constant.
-    `violations` counts the kept samples whose ratio is not finite (an
-    overflow, underflow or 0/0 in either side), where the sample says
-    nothing about the constant; `worst_ratio` is then inf or NaN.
+    right side without its constant, i.e. the sampled envelope constant,
+    over `samples` pairs (xi, eta) in the reduced form of the module
+    docstring: half drawn uniformly in (s, theta), half log-uniformly
+    toward s, theta -> 1e-12, with the antipodal (s = 0, theta = pi),
+    one-sided (eta = 0) and radial near-equal (theta = 0, s = 1e-12)
+    pairs pinned. `violations` counts the samples whose ratio is not
+    finite (a 0/0 at xi = eta), where the sample says nothing about the
+    constant; `worst_ratio` is then inf or NaN.
     """
 
     inequality: str                  # "ineq1" or "ineq2"
@@ -61,93 +65,37 @@ class InequalityReport:
     samples: int
     worst_ratio: float
     violations: int
-    families: str = ", ".join(SAMPLE_FAMILIES)
 
 
-def _row_norm(v):
-    """Euclidean norm of each row of an (n, 3) array.
+def _draw(n, rng):
+    """n seeded (s, theta) pairs, the first min(3, n) of them pinned."""
+    half = n // 2
+    s = np.concatenate([1.0 - rng.random(half),          # (0, 1]
+                        10.0 ** rng.uniform(-12.0, 0.0, n - half)])
+    theta = np.concatenate([np.pi * rng.random(half),
+                            10.0 ** rng.uniform(-12.0, np.log10(np.pi),
+                                                n - half)])
+    m = min(3, n)
+    s[:m] = [0.0, 1.0, 1e-12][:m]
+    theta[:m] = [np.pi, 0.0, 0.0][:m]
+    return s, theta
 
-    The same bits as `np.linalg.norm(v, axis=1)`, which also sums
-    x*x + y*y + z*z left to right, at about twice the speed.
+
+def _power_terms(s, t, h, log_t, p):
+    """|Phi(xi) - Phi(eta)| and (Phi(xi) - Phi(eta)) . (xi - eta).
+
+    For xi = e1 and eta = t (cos theta, sin theta, 0), given s = 1 - t,
+    h = sin^2(theta / 2) and log_t = log1p(-s). With T = t^(p-1):
+
+        |Phi(xi) - Phi(eta)|^2 = (1 - T)^2 + 4 T h
+        (Phi(xi) - Phi(eta)) . (xi - eta) = s (1 - T) + 2 (t + T) h
+
+    and 1 - T = -expm1((p-1) log t), each to a few ulps.
     """
-    x, y, z = v.T
-    return np.sqrt(x * x + y * y + z * z)
-
-
-def _power(v, p, mag):
-    """|v|^(p-2) v rowwise (unregularized; 0 at v = 0 for p >= 2).
-
-    `mag` is `_row_norm(v)`, which the caller already has.
-    """
-    mag = mag[:, None]
-    with np.errstate(invalid="ignore"):
-        w = np.where(mag > 0, mag**(p - 2.0), 0.0 if p > 2 else 1.0)
-    return w * v
-
-
-def _radius_exponent(p):
-    """Largest safe log10 sampling radius for the given exponent.
-
-    Norm evaluation squares entries of size up to (4 r)^(p-1), so r must
-    satisfy 2 (p-1) (log10 r + 0.7) < 308 with margin.
-    """
-    return min(6.0, max(0.3, 130.0 / max(p - 1.0, 1.0) - 0.7))
-
-
-def _sample_pairs(n, rng, rexp=6.0):
-    """Mixed-scale adversarial sample pairs (xi, eta) in R^3.
-
-    `rexp` bounds the log10 radius range; both inequality ratios are
-    scale-invariant, so shrinking the range (needed to keep |v|^(p-1)
-    finite for large p) does not hide any regime.
-    """
-    quarters = np.array_split(np.arange(n), 4)
-    xi = np.empty((n, 3))
-    eta = np.empty((n, 3))
-
-    def ball(k):
-        v = rng.standard_normal((k, 3))
-        v /= _row_norm(v)[:, None]
-        return v * rng.uniform(0, 1, (k, 1)) ** (1 / 3)
-
-    def log_radius(k):
-        v = rng.standard_normal((k, 3))
-        v /= _row_norm(v)[:, None]
-        return v * 10.0 ** rng.uniform(-rexp, rexp, (k, 1))
-
-    k = quarters[0].size
-    xi[quarters[0]] = ball(k)
-    eta[quarters[0]] = ball(k)
-
-    k = quarters[1].size
-    xi[quarters[1]] = log_radius(k)
-    eta[quarters[1]] = log_radius(k)
-
-    # near-collinear: eta is a stretched xi plus a tiny transverse kick
-    k = quarters[2].size
-    base = log_radius(k)
-    stretch = 1.0 + 10.0 ** rng.uniform(-8, 0, (k, 1)) * rng.choice([-1, 1], (k, 1))
-    kick = rng.standard_normal((k, 3)) * 10.0 ** rng.uniform(-10, -2, (k, 1)) \
-        * _row_norm(base)[:, None]
-    xi[quarters[2]] = base
-    eta[quarters[2]] = base * stretch + kick
-
-    # near-equal: relative perturbations down to 1e-12
-    k = quarters[3].size
-    base = log_radius(k)
-    pert = rng.standard_normal((k, 3)) * 10.0 ** rng.uniform(-12, -6, (k, 1)) \
-        * _row_norm(base)[:, None]
-    xi[quarters[3]] = base
-    eta[quarters[3]] = base + pert
-
-    # pinned adversarial rows: exact antipodal and one-sided pairs
-    m = min(8, n)
-    dirs = rng.standard_normal((m, 3))
-    dirs /= _row_norm(dirs)[:, None]
-    xi[:m] = dirs
-    eta[:m] = -dirs
-    eta[: m // 2] = 0.0
-    return xi, eta
+    a = (p - 1.0) * log_t
+    T, one_minus_T = np.exp(a), -np.expm1(a)
+    return (np.sqrt(one_minus_T * one_minus_T + 4.0 * T * h),
+            s * one_minus_T + 2.0 * (t + T) * h)
 
 
 def check_ineq1(p, delta, n_samples, rng_seed=0):
@@ -159,6 +107,9 @@ def check_ineq1(p, delta, n_samples, rng_seed=0):
     delta is restricted to [0, min(1, p-1)]: beyond 1 the right side
     vanishes faster than the left as eta -> xi and no finite constant
     exists.
+
+    Raises:
+        ValueError: p <= 1, delta out of range or n_samples < 1.
     """
     return _sweep([("ineq1", p, delta)], n_samples, rng_seed)[0]
 
@@ -170,11 +121,12 @@ def check_ineq2(p, delta, n_samples, rng_seed=0):
             <= a2 ( |xi|^(p-2) xi - |eta|^(p-2) eta ) . (xi - eta).
 
     Also certifies strict positivity of the pairing for xi != eta (the
-    power map is strictly monotone). delta in [0, p-2] keeps the exponent
-    on the magnitude sum nonnegative.
+    power map is strictly monotone). delta in [0, max(0, p-2)] keeps the
+    exponent on the magnitude sum nonnegative for p >= 2.
 
     Raises:
         AssertionError: if any sampled pairing is nonpositive.
+        ValueError: p <= 1, delta out of range or n_samples < 1.
     """
     return _sweep([("ineq2", p, delta)], n_samples, rng_seed)[0]
 
@@ -184,12 +136,12 @@ def check_inequalities(p_grid, n_samples, rng_seed=0):
 
     Returns one report per row, ordered by p and, within a p, ineq1 rows
     before ineq2 rows, each by ascending delta. Every row equals the
-    matching `check_ineq1`/`check_ineq2` call: all rows at one sampling
-    radius share a single draw.
+    matching `check_ineq1`/`check_ineq2` call: all rows share one draw.
 
     Raises:
         AssertionError: if any sampled ineq2 pairing is nonpositive.
-        ValueError: n_samples < 1, where no sample bounds a constant.
+        ValueError: a p <= 1, or n_samples < 1, where no sample bounds a
+            constant.
     """
     rows = [(inequality, p, delta) for p in p_grid
             for inequality in ("ineq1", "ineq2")
@@ -197,68 +149,59 @@ def check_inequalities(p_grid, n_samples, rng_seed=0):
     return _sweep(rows, n_samples, rng_seed)
 
 
+def _delta_cap(p, inequality):
+    return min(1.0, p - 1.0) if inequality == "ineq1" else max(0.0, p - 2.0)
+
+
 def _delta_grid(p, inequality):
     """0, half the cap and the cap on delta, deduplicated and ascending."""
-    cap = min(1.0, p - 1.0) if inequality == "ineq1" else p - 2.0
-    vals = [0.0, 0.5 * cap, cap]
-    return sorted(set(round(v, 12) for v in vals if v >= 0.0))
+    cap = _delta_cap(p, inequality)
+    return sorted({0.0, 0.5 * cap, cap})
 
 
 def _check_delta(inequality, p, delta):
-    if inequality == "ineq1":
-        if not 0.0 <= delta <= min(1.0, p - 1.0):
-            raise ValueError(
-                f"delta must lie in [0, min(1, p-1)], got {delta}")
-    elif p >= 2.0 and not 0.0 <= delta <= p - 2.0 + 1e-15:
-        raise ValueError(f"delta must lie in [0, p-2], got {delta}")
+    if not p > 1.0:
+        raise ValueError(f"p must exceed 1, got {p}")
+    cap = _delta_cap(p, inequality)
+    if not 0.0 <= delta <= cap:
+        bound = "min(1, p-1)" if inequality == "ineq1" else "max(0, p-2)"
+        raise ValueError(f"{inequality} delta must lie in [0, {bound}] "
+                         f"= [0, {cap}], got {delta}")
 
 
 def _sweep(rows, n_samples, rng_seed):
-    """Reports for (inequality, p, delta) rows, in row order.
+    """Reports for (inequality, p, delta) rows, in row order, from one draw.
 
-    The p values are grouped by sampling radius, and each group is
-    evaluated on its own draw, one draw alive at a time.
+    Streamed over blocks of _BLOCK_ROWS rows: each block computes the
+    p-independent sides once, the power terms once per p, and each delta
+    costs only 1-D work. The reports combine per-block maxima, minima and
+    counts, which are exact, so the blocking does not change a bit of any
+    report. Every ratio is >= 0, inf or NaN, and the maxima propagate NaN
+    and inf, so a finite maximum means that every ratio of its row is
+    finite.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     for inequality, p, delta in rows:
         _check_delta(inequality, p, delta)
-    groups = {}                      # radius exponent -> p -> row indices
+    by_p = {}                                   # p -> row indices
     for i, (_, p, _) in enumerate(rows):
-        groups.setdefault(_radius_exponent(p), {}).setdefault(p, []).append(i)
-    reports = {}
-    for rexp, by_p in groups.items():
-        reports.update(_sweep_draw(rows, by_p, n_samples, rng_seed, rexp))
-    return [reports[i] for i in range(len(rows))]
-
-
-def _sweep_draw(rows, by_p, n_samples, rng_seed, rexp):
-    """Reports, by row index, for the rows of `by_p` from one draw at rexp.
-
-    Streamed over blocks of _BLOCK_ROWS rows: each block computes the row
-    norms once, the power map once per p, and each delta costs only 1-D
-    work. The reports combine per-block maxima, minima and counts, which
-    are exact, so the blocking does not change a bit of any report.
-    Every ratio is >= 0, inf or NaN, and the maxima propagate NaN and
-    inf, so a finite maximum means that every ratio of its row is finite.
-    """
-    xi, eta = _sample_pairs(n_samples, np.random.default_rng(rng_seed), rexp)
-    samples = 0
-    worst = dict.fromkeys((i for idx in by_p.values() for i in idx), -np.inf)
-    violations = dict.fromkeys(worst, 0)
-    least = dict.fromkeys(by_p, np.inf)   # smallest kept pairing per p
-    for s in range(0, n_samples, _BLOCK_ROWS):
-        x, e = xi[s:s + _BLOCK_ROWS], eta[s:s + _BLOCK_ROWS]
-        nx, ne, d = _row_norm(x), _row_norm(e), x - e
-        diff, tot = _row_norm(d), nx + ne
-        keep = (diff > 0) & (tot > 0)
-        samples += int(np.count_nonzero(keep))
-        diff, tot = diff[keep], tot[keep]
+        by_p.setdefault(p, []).append(i)
+    s_all, theta = _draw(n_samples, np.random.default_rng(rng_seed))
+    worst = [-np.inf] * len(rows)
+    violations = [0] * len(rows)
+    least = dict.fromkeys(by_p, np.inf)         # smallest pairing per p
+    for b in range(0, n_samples, _BLOCK_ROWS):
+        s = s_all[b:b + _BLOCK_ROWS]
+        t = 1.0 - s
+        h = np.sin(0.5 * theta[b:b + _BLOCK_ROWS])**2
+        diff = np.sqrt(s * s + 4.0 * t * h)     # |xi - eta|
+        tot = 1.0 + t                           # |xi| + |eta|
+        with np.errstate(divide="ignore"):      # log 0 = -inf at eta = 0
+            log_t = np.log1p(-s)
         for p, idx in by_p.items():
-            dp = _power(x, p, nx) - _power(e, p, ne)
-            lhs = _row_norm(dp)[keep]
-            pairing = np.einsum("ij,ij->i", dp, d)[keep]
-            least[p] = np.minimum(least[p], np.min(pairing, initial=np.inf))
+            lhs, pairing = _power_terms(s, t, h, log_t, p)
+            least[p] = np.minimum(least[p], np.min(pairing))
             for i in idx:
                 inequality, _, delta = rows[i]
                 if inequality == "ineq1":
@@ -267,7 +210,7 @@ def _sweep_draw(rows, by_p, n_samples, rng_seed, rexp):
                 else:
                     ratio = diff**(2.0 + delta) * tot**(p - 2.0 - delta) \
                         / pairing
-                top = np.max(ratio, initial=-np.inf)
+                top = np.max(ratio)
                 worst[i] = np.maximum(worst[i], top)
                 if not np.isfinite(top):
                     violations[i] += int(np.count_nonzero(~np.isfinite(ratio)))
@@ -277,10 +220,10 @@ def _sweep_draw(rows, by_p, n_samples, rng_seed, rexp):
             raise AssertionError(
                 f"power-map pairing not strictly positive at p = {p}: "
                 f"smallest sampled pairing {float(least[p]):.3e}")
-    return {i: InequalityReport(
-        inequality=rows[i][0], p=rows[i][1], delta=rows[i][2],
-        samples=samples, worst_ratio=float(worst[i]),
-        violations=violations[i]) for i in worst}
+    return [InequalityReport(inequality=inequality, p=p, delta=delta,
+                             samples=n_samples, worst_ratio=float(worst[i]),
+                             violations=violations[i])
+            for i, (inequality, p, delta) in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------

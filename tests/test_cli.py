@@ -142,9 +142,9 @@ def test_verify_csv_rows_equal_single_calls(tmp_path):
     out = tmp_path / "v"
     assert main(["verify", "--out_dir", str(out), "--n_samples", "3000",
                  "--divisions", "2,2,2", "--green_levels", "2",
-                 "--p_grid", "2,50,3", "--seed", "4"]) == 0
+                 "--p_grid", "1.2,2,50,3,1.4", "--seed", "4"]) == 0
     rows = read_csv(out / "inequalities.csv")
-    assert len(rows) == 16
+    assert len(rows) == 24
     for row in rows:
         check = check_ineq1 if row["inequality"] == "ineq1" else check_ineq2
         r = check(float(row["p"]), float(row["delta"]), 3000, rng_seed=4)

@@ -776,7 +776,9 @@ def test_one_cell_geometry_per_mesh(monkeypatch, tmp_path):
 def test_solve_leaves_scipy_sparse_linalg_unimported():
     # scipy.sparse.linalg (also pulled in by scipy.sparse.csgraph) adds
     # ~11 MiB of resident memory to every process that imports it; nor
-    # do the Friedrich eigensolve and the inequality sweep import it
+    # do the Friedrich eigensolve and the inequality sweep import it, and
+    # the sweep's 60-digit oracle (mpmath, shipped with sympy) stays in
+    # the tests
     src = os.path.dirname(os.path.dirname(pcurlcurl.__file__))
     code = ("import sys, numpy as np, pcurlcurl as pc\n"
             "m = pc.build_box_mesh((2, 2, 2), extents=(np.pi,) * 3)\n"
@@ -791,6 +793,7 @@ def test_solve_leaves_scipy_sparse_linalg_unimported():
     assert "pcurlcurl.solver" in loaded
     assert "scipy.sparse.linalg" not in loaded
     assert "scipy.sparse.csgraph" not in loaded
+    assert "mpmath" not in loaded and "sympy" not in loaded
 
 
 def test_random_start_p2_takes_one_newton_step():

@@ -29,13 +29,6 @@ def test_ineq2_p2_delta0_is_identity():
     assert r.violations == 0
 
 
-def test_row_norm_matches_linalg_norm_bit_for_bit():
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal((4000, 3)) * 10.0 ** rng.uniform(-100, 100, (4000, 1))
-    v[:4] = [[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [3.0, 4.0, 12.0], [1e-320, 0.0, 0.0]]
-    assert np.array_equal(verify._row_norm(v), np.linalg.norm(v, axis=1))
-
-
 def test_ineq1_antipodal_spot_value():
     # xi = (1,0,0), eta = (-1,0,0), p = 3, delta = 0:
     # LHS = |xi + eta_flip| = 2, RHS envelope = 2 * 2  ->  ratio 1/2
@@ -95,11 +88,12 @@ def test_ratio_scale_invariance():
 @pytest.mark.parametrize("p", [3.0, 4.0, 6.0, 10.0, 50.0, 100.0])
 def test_ineq2_envelope_matches_antipodal_prediction(p):
     # the antipodal pair (v, -v) gives LHS/pairing = 2^(p-2) exactly and
-    # attains the supremum; large p must stay finite (sampling radii are
-    # clamped to keep |v|^(p-1) inside float64)
+    # attains the supremum; no side of the ratio cancels, so no sample
+    # reads above it by more than rounding, and large p stays finite
+    # (|eta| <= |xi| = 1, so no power overflows)
     r = check_ineq2(p, 0.0, 100000, rng_seed=3)
     assert np.isfinite(r.worst_ratio)
-    assert r.worst_ratio == pytest.approx(2.0 ** (p - 2.0), rel=1e-3)
+    assert r.worst_ratio == pytest.approx(2.0 ** (p - 2.0), rel=1e-12)
     assert r.violations == 0
 
 
@@ -108,6 +102,16 @@ def test_delta_range_validation():
         check_ineq1(3.0, 1.5, 10)      # delta > 1 blows up as eta -> xi
     with pytest.raises(ValueError):
         check_ineq2(4.0, 2.5, 10)      # delta > p-2
+    # below p = 2 the ineq2 range is delta = 0 alone, and p must exceed 1
+    for p, delta in ((1.5, -1.0), (1.5, 3.0), (1.5, 1e-300)):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            check_ineq2(p, delta, 10)
+    for check in (check_ineq1, check_ineq2):
+        for p in (0.5, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="p must exceed 1"):
+                check(p, 0.0, 10)
+    with pytest.raises(ValueError, match="p must exceed 1"):
+        check_inequalities([2.0, 1.0], 10)
 
 
 def test_empty_draw_is_rejected():
@@ -120,54 +124,50 @@ def test_empty_draw_is_rejected():
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_sweep_equals_single_calls(seed):
-    # p = 50 samples at a smaller radius than the rest: a second draw
-    grid = [2, 3, 4, 6, 10, 50]
+    # at p = 1.2 and 1.4 the ineq1 cap p - 1 is not a round number: the
+    # top delta must be the cap itself, or the sweep rejects its own grid
+    grid = [1.2, 1.4, 2, 3, 4, 6, 10, 50]
     reps = check_inequalities(grid, 20000, rng_seed=seed)
     assert [(r.inequality, r.p) for r in reps] == [
         (q, p) for p in grid for q in ("ineq1", "ineq2")
         for _ in verify._delta_grid(p, q)]
-    assert len(reps) == 4 + 6 * 5
+    assert len(reps) == 3 * 4 + 6 * 5
+    assert [r.delta for r in reps[:4]] == [0.0, 0.5 * (1.2 - 1.0),
+                                           1.2 - 1.0, 0.0]
     for r in reps:
         check = check_ineq1 if r.inequality == "ineq1" else check_ineq2
         assert r == check(r.p, r.delta, 20000, rng_seed=seed)
         assert r.violations == 0
 
 
-def test_sweep_draws_once_per_radius(monkeypatch):
-    radii = []
-    draw = verify._sample_pairs
+def test_sweep_draws_once(monkeypatch):
+    draws = []
+    draw = verify._draw
 
-    def counting(n, rng, rexp=6.0):
-        radii.append(rexp)
-        return draw(n, rng, rexp)
+    def counting(n, rng):
+        draws.append(n)
+        return draw(n, rng)
 
-    monkeypatch.setattr(verify, "_sample_pairs", counting)
-    assert len(check_inequalities([2.0, 3.0, 4.0, 6.0, 10.0], 2000)) == 28
-    assert radii == [6.0]
-    radii.clear()
-    reps = check_inequalities([2.0, 50.0, 3.0], 2000)
-    assert radii == [6.0, verify._radius_exponent(50.0)] and radii[1] < 6.0
-    assert [r.p for r in reps] == [2.0] * 4 + [50.0] * 6 + [3.0] * 6
+    monkeypatch.setattr(verify, "_draw", counting)
+    reps = check_inequalities([2.0, 50.0, 3.0, 100.0, 1.5], 2000)
+    assert draws == [2000]
+    assert [r.p for r in reps] == \
+        [2.0] * 4 + [50.0] * 6 + [3.0] * 6 + [100.0] * 6 + [1.5] * 4
 
 
 def _unblocked(inequality, p, delta, n, seed):
-    """Both checks on full (n, 3) arrays, written out without blocking."""
-    xi, eta = verify._sample_pairs(n, np.random.default_rng(seed),
-                                   rexp=verify._radius_exponent(p))
-    nx, ne = verify._row_norm(xi), verify._row_norm(eta)
-    dp = verify._power(xi, p, nx) - verify._power(eta, p, ne)
-    diff = verify._row_norm(xi - eta)
-    tot = nx + ne
-    keep = (diff > 0) & (tot > 0)
+    """Both checks on the whole draw, written out without blocking."""
+    s, theta = verify._draw(n, np.random.default_rng(seed))
+    t = 1.0 - s
+    h = np.sin(0.5 * theta)**2
+    diff, tot = np.sqrt(s * s + 4.0 * t * h), 1.0 + t
+    with np.errstate(divide="ignore"):
+        lhs, pairing = verify._power_terms(s, t, h, np.log1p(-s), p)
     if inequality == "ineq1":
-        num = verify._row_norm(dp)[keep]
-        den = diff[keep]**(1.0 - delta) * tot[keep]**(p - 2.0 + delta)
+        ratio = lhs / (diff**(1.0 - delta) * tot**(p - 2.0 + delta))
     else:
-        num = diff[keep]**(2.0 + delta) * tot[keep]**(p - 2.0 - delta)
-        den = np.einsum("ij,ij->i", dp, xi - eta)[keep]
-    ratio = num / den
-    return (int(np.sum(keep)), float(np.max(ratio)),
-            int(np.sum(~np.isfinite(ratio))))
+        ratio = diff**(2.0 + delta) * tot**(p - 2.0 - delta) / pairing
+    return n, float(np.max(ratio)), int(np.sum(~np.isfinite(ratio)))
 
 
 @pytest.mark.parametrize("n, block", [(1000, None), (1000, 300),
@@ -183,8 +183,15 @@ def test_sweep_block_boundaries(monkeypatch, n, block):
             _unblocked(r.inequality, r.p, r.delta, n, 2)
 
 
+def _negated_map_terms(s, t, h, log_t, p):
+    """`_power_terms` of Phi(v) = -v: the left side is |xi - eta|, the
+    pairing -|xi - eta|^2."""
+    sq = s * s + 4.0 * t * h
+    return np.sqrt(sq), -sq
+
+
 def test_nonmonotone_map_is_rejected(monkeypatch):
-    monkeypatch.setattr(verify, "_power", lambda v, p, mag: -v)
+    monkeypatch.setattr(verify, "_power_terms", _negated_map_terms)
     with pytest.raises(AssertionError, match="smallest sampled pairing"):
         check_ineq2(3.0, 0.0, 1000)
     with pytest.raises(AssertionError, match="smallest sampled pairing"):
@@ -194,36 +201,100 @@ def test_nonmonotone_map_is_rejected(monkeypatch):
 
 
 def test_smallest_pairing_is_over_the_whole_draw(monkeypatch):
-    # the pairing of -v is -|xi - eta|^2; the streamed sweep must report
-    # its minimum over every block, not that of the first failing block
+    # the streamed sweep must report the smallest pairing over every
+    # block, not that of the first failing block. A pairing of -s h is
+    # 0 at the pinned rows and negative elsewhere, so every block fails,
+    # and its minimum lies past the first block
     block, n = 100, 1000
     monkeypatch.setattr(verify, "_BLOCK_ROWS", block)
-    monkeypatch.setattr(verify, "_power", lambda v, p, mag: -v)
-    xi, eta = verify._sample_pairs(n, np.random.default_rng(0),
-                                   verify._radius_exponent(3.0))
-    pairing = -np.einsum("ij,ij->i", xi - eta, xi - eta)
-    assert np.argmin(pairing) >= block and np.all(pairing[:block] < 0)
+    monkeypatch.setattr(verify, "_power_terms",
+                        lambda s, t, h, log_t, p: (s, -s * h))
+    s, theta = verify._draw(n, np.random.default_rng(0))
+    pairing = -s * np.sin(0.5 * theta)**2
+    assert np.argmin(pairing) >= block and np.all(pairing[:block] <= 0)
     expected = re.escape(f"smallest sampled pairing {pairing.min():.3e}")
-    with pytest.raises(AssertionError, match=expected + "$"):
+    with pytest.raises(AssertionError, match=expected + "$"), \
+            np.errstate(divide="ignore"):       # ineq2 at a 0 pairing
         check_inequalities([3.0], n)
 
 
 def test_violations_count_samples_with_a_non_finite_ratio(monkeypatch):
-    draw = verify._sample_pairs
+    draw = verify._draw
 
-    def pairs(n, rng, rexp=6.0):
-        xi, eta = draw(n, rng, rexp)
-        # both sides of ineq1 underflow to 0 at p = 10: a 0/0 ratio
-        xi[:3] *= 1e-60
-        eta[:3] *= 1e-60
-        return xi, eta
+    def pairs(n, rng):
+        s, theta = draw(n, rng)
+        # xi = eta: both sides of ineq1 vanish, a 0/0 ratio
+        s[5:8] = theta[5:8] = 0.0
+        return s, theta
 
     assert check_ineq1(10.0, 0.0, 1000).violations == 0
-    monkeypatch.setattr(verify, "_sample_pairs", pairs)
+    monkeypatch.setattr(verify, "_draw", pairs)
     with np.errstate(invalid="ignore"):
         r = check_ineq1(10.0, 0.0, 1000)
     assert r.samples == 1000 and r.violations == 3
     assert np.isnan(r.worst_ratio)
+
+
+def _one_pair(monkeypatch, s, theta):
+    """Make every draw the single pair (s, theta)."""
+    monkeypatch.setattr(verify, "_draw",
+                        lambda n, rng: (np.array([s]), np.array([theta])))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 10.0, 100.0])
+def test_reduced_kernel_matches_a_60_digit_oracle(monkeypatch, p):
+    # both ratios of xi = e1, eta = (1 - s)(cos theta, sin theta, 0),
+    # evaluated in 60 digits straight from their 3-D definitions, where
+    # the differences cancel; the reduced kernel must agree to 1e-12
+    import mpmath
+    mp = mpmath.mp.clone()
+    mp.dps = 60
+    values = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.3, 0.9, 1.0)
+    for s in values:
+        for theta in values[1:-1] + (0.0, 2.0, np.pi):
+            if s == 0.0 and theta == 0.0:
+                continue                            # xi = eta
+            t, c = 1 - mp.mpf(s), mp.mpf(theta)
+            eta = (t * mp.cos(c), t * mp.sin(c))
+            T = t ** (p - 1)
+            d = (1 - eta[0], -eta[1])               # xi - eta
+            dp = (1 - T * mp.cos(c), -T * mp.sin(c))    # Phi(xi) - Phi(eta)
+            diff, tot = mp.sqrt(d[0]**2 + d[1]**2), 1 + t
+            lhs = mp.sqrt(dp[0]**2 + dp[1]**2)
+            pairing = dp[0] * d[0] + dp[1] * d[1]
+            _one_pair(monkeypatch, s, theta)
+            for r in check_inequalities([p], 1):
+                if r.inequality == "ineq1":
+                    exact = lhs / (diff**(1 - r.delta)
+                                   * tot**(p - 2 + r.delta))
+                else:
+                    exact = (diff**(2 + r.delta) * tot**(p - 2 - r.delta)
+                             / pairing)
+                assert r.worst_ratio == pytest.approx(float(exact),
+                                                      rel=1e-12), (s, theta, r)
+
+
+def test_reduction_matches_direct_3d_pairs(monkeypatch):
+    # a rotation, a scaling and a swap take any (xi, eta) to the reduced
+    # pair with the same ratios; checked on well-separated random pairs,
+    # where float64 evaluates the 3-D sides without cancellation
+    rng = np.random.default_rng(8)
+    norm = np.linalg.norm
+    for p in (1.5, 3.0, 7.0):
+        for _ in range(20):
+            xi, eta = rng.standard_normal((2, 3)) \
+                * 10.0 ** rng.uniform(-3, 3, (2, 1))
+            dp = norm(xi)**(p - 2.0) * xi - norm(eta)**(p - 2.0) * eta
+            d, tot = xi - eta, norm(xi) + norm(eta)
+            direct = (norm(dp) / (norm(d) * tot**(p - 2.0)),
+                      norm(d)**2 * tot**(p - 2.0) / (dp @ d))
+            small, big = sorted((xi, eta), key=norm)
+            cos = np.clip(big @ small / (norm(big) * norm(small)), -1, 1)
+            _one_pair(monkeypatch, 1.0 - norm(small) / norm(big),
+                      np.arccos(cos))
+            reduced = (check_ineq1(p, 0.0, 1).worst_ratio,
+                       check_ineq2(p, 0.0, 1).worst_ratio)
+            assert reduced == pytest.approx(direct, rel=1e-9)
 
 
 # -- Friedrich constant ------------------------------------------------------
