@@ -35,5 +35,5 @@ print(f"\ndilation x2: C ratio = {c2/c1:.12f} (curl scales as 1/L, so "
       f"the constant scales as L)")
 
 rep4 = friedrich_constant(meshes[:2], 4.0)
-print(f"\np = 4 lower bounds by projected ascent: "
+print(f"\np = 4 lower bounds by inverse power iteration: "
       f"{', '.join('%.5f' % c for c in rep4.constants)}")

@@ -9,32 +9,28 @@ supporting vector-calculus facts (power-map inequalities, Friedrich
 constant, Green identities, scalar potentials).
 """
 
-from .assembly import (EdgeField, NodalField, PExponent, assemble_gradient_map,
+from .assembly import (EdgeField, PExponent, assemble_gradient_map,
                        assemble_jacobian, assemble_load, assemble_residual,
                        edge_interpolate, lp_norm_curl, lp_norm_field, power_map)
 from .helmholtz import DivFreeProjector, edge_mass_matrix
-from .linalg import LinearSolveReport, SparseMatrix, cg
-from .mesh import Mesh, MeshError, build_box_mesh, classify_boundary
+from .linalg import cg
+from .mesh import Mesh, MeshError, build_box_mesh
 from .mms import ManufacturedCase, case_general_p, case_p2_sine, measure_error
 from .solver import SolveConfig, SolveReport, SolverError, energy, solve
 from .verify import (FriedrichReport, InequalityReport, check_green_formulas,
                      check_ineq1, check_ineq2, check_inequalities,
                      default_smooth_pair, extract_scalar_potential,
                      friedrich_constant)
-from .whitney import (QuadratureRule, cell_geometry, quadrature,
-                      triangle_quadrature)
+from .whitney import cell_geometry, quadrature, triangle_quadrature
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EdgeField", "NodalField", "PExponent", "Mesh", "MeshError",
-    "SparseMatrix", "LinearSolveReport", "SolveConfig", "SolveReport",
-    "SolverError", "ManufacturedCase", "InequalityReport", "FriedrichReport",
-    "QuadratureRule", "DivFreeProjector",
-    "build_box_mesh", "classify_boundary", "cell_geometry", "quadrature",
-    "triangle_quadrature",
-    "cg",
-    "power_map", "assemble_residual", "assemble_jacobian",
+    "EdgeField", "PExponent", "Mesh", "MeshError", "SolveConfig",
+    "SolveReport", "SolverError", "ManufacturedCase", "InequalityReport",
+    "FriedrichReport", "DivFreeProjector",
+    "build_box_mesh", "cell_geometry", "quadrature", "triangle_quadrature",
+    "cg", "power_map", "assemble_residual", "assemble_jacobian",
     "assemble_gradient_map", "assemble_load", "edge_interpolate",
     "lp_norm_curl", "lp_norm_field", "edge_mass_matrix",
     "energy", "solve", "case_p2_sine", "case_general_p", "measure_error",

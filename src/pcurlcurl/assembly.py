@@ -34,14 +34,14 @@ _BLOCK_TETS = 8192
 
 @dataclass(frozen=True)
 class PExponent:
-    """Power-law exponent p >= 2, its conjugate q and regularization eps."""
+    """Power-law exponent 2 <= p < inf, its conjugate q and regularization eps."""
 
     p: float
     eps: float = 0.0
 
     def __post_init__(self):
-        if self.p < 2.0:
-            raise ValueError(f"exponent p must be >= 2, got {self.p}")
+        if not 2.0 <= self.p < np.inf:      # NaN fails it too
+            raise ValueError(f"exponent p must be finite and >= 2, got {self.p}")
         if self.eps < 0.0:
             raise ValueError(f"regularization eps must be >= 0, got {self.eps}")
 

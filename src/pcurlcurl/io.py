@@ -73,8 +73,8 @@ _MESH = {
 # solve and converge take the exponent alone: every other solver policy
 # is a constant of `solver`, and the load is case_general_p(p)'s
 _P_TARGET = {
-    "p": (_parse_float, lambda v: v >= 2.0, 2.0,
-          "target exponent (the solver requires p >= 2)"),
+    "p": (_parse_float, lambda v: 2.0 <= v < math.inf, 2.0,
+          "target exponent (the solver requires a finite p >= 2)"),
 }
 
 _LEVELS = {
@@ -84,15 +84,16 @@ _LEVELS = {
 _VERIFY = {
     "seed": (int, _nonneg, 0, "RNG seed"),
     "n_samples": (int, _positive, 1000000, "inequality sample count"),
-    "p_grid": (_parse_floats, lambda v: len(v) > 0 and all(p > 1 for p in v),
-               [2.0, 3.0, 4.0, 6.0, 10.0], "exponents for inequality sweep"),
+    "p_grid": (_parse_floats, lambda v: v and all(1 < p < math.inf for p in v),
+               [2.0, 3.0, 4.0, 6.0, 10.0], "finite exponents > 1 to sweep"),
     "green_levels": (_parse_ints, _levels_ok, [2, 4, 8],
                      "mesh divisions per Green-identity level"),
 }
 
 _FRIEDRICH = {
     "seed": (int, _nonneg, 0, "RNG seed"),
-    "p": (_parse_float, lambda v: v >= 2.0, 2.0, "norm exponent"),
+    "p": (_parse_float, lambda v: 2.0 <= v < math.inf, 2.0,
+          "norm exponent (finite, >= 2)"),
 }
 
 KEY_SPECS = {

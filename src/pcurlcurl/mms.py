@@ -20,8 +20,8 @@ import numpy as np
 from . import whitney
 # _BLOCK_TETS: tets per block of `measure_error`, the block map of
 # `assembly.lp_norm_field`
-from .assembly import (_BLOCK_TETS, EdgeField, _norm_power, local_coeffs,
-                       tet_curls, tet_vertex_vectors)
+from .assembly import (_BLOCK_TETS, EdgeField, PExponent, _norm_power,
+                       local_coeffs, tet_curls, tet_vertex_vectors)
 
 # Tets per chunk of a block's pointwise work: a chunk's (n, nq, 3)
 # temporaries are 0.66 MiB each.
@@ -90,8 +90,7 @@ def case_general_p(p):
     evaluation below takes explicitly.
     """
     p = float(p)
-    if p < 2.0:
-        raise ValueError(f"p must be >= 2, got {p}")
+    PExponent(p)                    # ValueError unless 2 <= p < inf
     if p == 2.0:
         return case_p2_sine()
     s = 0.5 * (p - 2.0)

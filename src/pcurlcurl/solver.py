@@ -59,8 +59,7 @@ from .mesh import Mesh
 
 def default_p_schedule(p_target):
     """Geometric ramp 2, 4, 8, ... capped at p_target."""
-    if p_target < 2.0:
-        raise ValueError("p_target must be >= 2")
+    PExponent(p_target)             # ValueError unless 2 <= p_target < inf
     sched = [2.0]
     while sched[-1] < p_target:
         sched.append(min(2.0 * sched[-1], float(p_target)))
@@ -86,8 +85,7 @@ class SolveConfig:
     newton_tol: ClassVar[float] = NEWTON_TOL
 
     def __post_init__(self):
-        if self.p_target < 2.0:
-            raise ValueError(f"p_target must be >= 2, got {self.p_target}")
+        PExponent(self.p_target)    # ValueError unless 2 <= p_target < inf
 
 
 @dataclass
@@ -143,10 +141,12 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
     """Solve the discrete power-law curl-curl problem.
 
     Args:
-        S: analytic load callable (N,3)->(N,3), or an EdgeField S_h whose
+        S: analytic load callable (N,3)->(N,3); an EdgeField S_h whose
            pairing (S_h, W_i) with each free-edge basis field is the
-           load; its boundary circulations count. Order-2 quadrature
-           integrates that product of Whitney fields exactly.
+           load, its boundary circulations included (order-2 quadrature
+           integrates that product of Whitney fields exactly); or the
+           load vector itself, finite floats over `mesh.free_edges()`,
+           as `assemble_load` returns it.
         initial_guess: optional EdgeField; it is boundary-zeroed before
            use, and the p = 2 stage on `mesh` starts from it. Coarse
            levels start from zero. Its gradient part does not matter:
@@ -163,7 +163,8 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
 
     Raises:
         ValueError: an `EdgeField` load or initial_guess belongs to
-            another mesh.
+            another mesh, or a load vector has the wrong length or a
+            non-finite entry.
     """
     t0 = time.perf_counter()
     if config is None:
@@ -178,8 +179,13 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
     if isinstance(S, EdgeField):
         rule = whitney.quadrature(2)
         load = edge_moments(mesh, rule, eval_field(S, rule))[free]
-    else:
+    elif callable(S):
         load = assemble_load(S, mesh)
+    else:
+        load = np.asarray(S, dtype=float)
+        if load.shape != free.shape or not np.all(np.isfinite(load)):
+            raise ValueError(f"load vector must be {free.size} finite floats, "
+                             f"one per free edge; got shape {load.shape}")
 
     # Remove the load component that pairs with gradients: it cannot be
     # balanced by the curl term, and without it the energy is invariant

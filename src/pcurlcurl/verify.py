@@ -17,9 +17,9 @@ The Friedrich constant — the best bound ||u||_Lp <= C ||curl u||_Lp over
 boundary-constrained divergence-free fields — is computed discretely:
 exactly for p = 2 by a preconditioned LOBPCG block eigensolve of the
 projected curl-curl eigenproblem, and as a certified lower bound for
-p > 2 via projected ascent on the norm ratio. Green's formulas and
-scalar-potential extraction close the loop on the trace and gradient
-structure.
+p > 2 by inverse power iteration on the norm ratio, each step one
+`solve` at p. Green's formulas and scalar-potential extraction close the
+loop on the trace and gradient structure.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import whitney
-from .assembly import (EdgeField, NodalField, PExponent, assemble_residual,
-                       edge_moments, eval_field, local_coeffs, lp_norm_curl)
+from .assembly import (EdgeField, NodalField, PExponent, edge_moments,
+                       eval_field, local_coeffs, lp_norm_curl, lp_norm_field)
 from .helmholtz import DivFreeProjector
 from .linalg import SolverError, cg
 from .mesh import Mesh, boundary_faces
+from .solver import SolveConfig, solve
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +110,7 @@ def check_ineq1(p, delta, n_samples, rng_seed=0):
     exists.
 
     Raises:
-        ValueError: p <= 1, delta out of range or n_samples < 1.
+        ValueError: p outside (1, inf), delta out of range or n_samples < 1.
     """
     return _sweep([("ineq1", p, delta)], n_samples, rng_seed)[0]
 
@@ -126,7 +127,7 @@ def check_ineq2(p, delta, n_samples, rng_seed=0):
 
     Raises:
         AssertionError: if any sampled pairing is nonpositive.
-        ValueError: p <= 1, delta out of range or n_samples < 1.
+        ValueError: p outside (1, inf), delta out of range or n_samples < 1.
     """
     return _sweep([("ineq2", p, delta)], n_samples, rng_seed)[0]
 
@@ -140,8 +141,8 @@ def check_inequalities(p_grid, n_samples, rng_seed=0):
 
     Raises:
         AssertionError: if any sampled ineq2 pairing is nonpositive.
-        ValueError: a p <= 1, or n_samples < 1, where no sample bounds a
-            constant.
+        ValueError: a p outside (1, inf), or n_samples < 1, where no
+            sample bounds a constant.
     """
     rows = [(inequality, p, delta) for p in p_grid
             for inequality in ("ineq1", "ineq2")
@@ -160,8 +161,8 @@ def _delta_grid(p, inequality):
 
 
 def _check_delta(inequality, p, delta):
-    if not p > 1.0:
-        raise ValueError(f"p must exceed 1, got {p}")
+    if not 1.0 < p < np.inf:
+        raise ValueError(f"p must exceed 1 and be finite, got {p}")
     cap = _delta_cap(p, inequality)
     if not 0.0 <= delta <= cap:
         bound = "min(1, p-1)" if inequality == "ineq1" else "max(0, p-2)"
@@ -230,13 +231,17 @@ def _sweep(rows, n_samples, rng_seed):
 # Discrete Friedrich constant
 # ---------------------------------------------------------------------------
 
+# Steps of `_friedrich_inverse` before SolverError (4-8 settle it).
+_INVERSE_BUDGET = 30
+
+
 @dataclass
 class FriedrichReport:
     p: float
     constants: list                 # C_h per level
     extrapolated: float = 0.0
-    lower_bound_only: bool = False  # True for p > 2 (ascent, not eigensolve)
-    # per level, of the p = 2 eigensolve (which also starts the p > 2 ascent)
+    lower_bound_only: bool = False  # True for p > 2 (iterated, not eigensolve)
+    # per level, of the p = 2 eigensolve (which starts the p > 2 iteration)
     iterations: list = field(default_factory=list)         # outer LOBPCG
     linear_iterations: list = field(default_factory=list)  # stiffness CG
 
@@ -256,9 +261,10 @@ def friedrich_constant(meshes, p, seed=0):
     step. The report counts the iterations and the stiffness-CG
     iterations per level.
 
-    p > 2: 150 trial steps of projected gradient ascent on
-    log(||u||_p / ||curl u||_p) started from the p = 2 maximizer; the
-    result is a certified lower bound for C_h.
+    p > 2: inverse power iteration from the p = 2 maximizer, one `solve`
+    at p per step, until an iterate raises the ratio ||u||_p /
+    ||curl u||_p by at most 1e-8 relative (`_friedrich_inverse`); the
+    best ratio seen is a certified lower bound for C_h.
 
     Extrapolation assumes second-order eigenvalue convergence and uses
     the last two levels: C = C_2 + (C_2 - C_1) / (r^2 - 1), where r is
@@ -266,11 +272,13 @@ def friedrich_constant(meshes, p, seed=0):
     last constant when the two sizes are equal.
 
     Raises:
-        ValueError: no mesh is given.
+        ValueError: no mesh is given, or p is not a finite number >= 2.
+        SolverError: an eigensolve or the p > 2 iteration fails.
     """
     meshes = list(meshes)
     if not meshes:
         raise ValueError("friedrich_constant needs at least one mesh")
+    PExponent(p)                    # ValueError unless 2 <= p < inf
     constants = []
     iterations = []
     linear_iterations = []
@@ -278,10 +286,7 @@ def friedrich_constant(meshes, p, seed=0):
         u2, (c2, its, lin) = _friedrich_p2(mesh, seed)
         iterations.append(its)
         linear_iterations.append(lin)
-        if p == 2.0:
-            constants.append(c2)
-        else:
-            constants.append(_friedrich_ascent(u2, p))
+        constants.append(c2 if p == 2.0 else _friedrich_inverse(u2, p))
     extrap = constants[-1]
     if len(constants) >= 2:
         # mesh-size ratio h_prev / h_last, with h the cube root of the
@@ -425,46 +430,37 @@ def _format(values):
     return ", ".join(f"{v:.3e}" for v in values)
 
 
-def _friedrich_ascent(u_start, p):
-    """Projected ascent on the Lp norm ratio; returns a lower bound."""
-    mesh = u_start.mesh
-    proj = DivFreeProjector(mesh)
+def _friedrich_inverse(u2, p):
+    """Best ratio ||u||_Lp / ||curl u||_Lp of inverse power iteration
+    from the p = 2 maximizer u2 (Biezuner, Ercole & Martins, J. Funct.
+    Anal. 257, 2009): with ||u_k||_Lp = 1, `solve` at p gives w with
+    curl(|curl w|^(p-2) curl w) = |u_k|^(p-2) u_k, and u_(k+1) =
+    w / ||w||_Lp has the exact ratio 1 / ||curl u_(k+1)||_Lp, a lower
+    bound for C_h. The ratios rise monotonically at eps = 0 only, so the
+    best is kept; an iterate that raises it by <= 1e-8 relative stops
+    the loop, and SolverError ends it after _INVERSE_BUDGET steps.
+    """
+    mesh = u2.mesh
     free = mesh.free_edges()
-    u = EdgeField(mesh, u_start.coeffs.copy())
-
-    best, grad = _ratio_and_grad(u, p)
-    step = 1.0
-    for _ in range(150):
-        trial = EdgeField(mesh)
-        trial.coeffs[free] = u.coeffs[free] + step * grad / max(np.linalg.norm(grad), 1e-300)
-        trial, _ = proj.project(trial, tol=1e-12)
-        trial.coeffs /= lp_norm_curl(trial, p)
-        r_try, g_try = _ratio_and_grad(trial, p)
-        if r_try > best:
-            u, best, grad = trial, r_try, g_try
-            step *= 1.3
-        else:
-            step *= 0.5
-            if step < 1e-12:
-                break
-    return float(best)
-
-
-def _ratio_and_grad(u, p):
-    """||u||_Lp / ||curl u||_Lp and the gradient of its log in the free
-    coefficients; `assemble_residual` with no load and eps = 0 is the
-    gradient of ||curl u||_p^p / p."""
-    mesh = u.mesh
     rule = whitney.quadrature(4)
-    vals = eval_field(u, rule)                          # (T, nq, 3)
-    mag = np.linalg.norm(vals, axis=2)
-    num = float(np.einsum("t,q,tq->", mesh.geometry.vols, rule.weights,
-                          mag**p) ** (1.0 / p))
-    vals *= np.power(mag, p - 2.0)[:, :, None]
-    grad_num = edge_moments(mesh, rule, vals)[mesh.free_edges()]
-    den = lp_norm_curl(u, p)
-    grad_den = assemble_residual(u, 0.0, PExponent(p))
-    return num / den, grad_num / num**p - grad_den / den**p
+    config = SolveConfig(p_target=p)
+    u = EdgeField(mesh, u2.coeffs / lp_norm_field(u2, p))
+    best = 1.0 / lp_norm_curl(u, p)
+    gains = []
+    for _ in range(_INVERSE_BUDGET):
+        vals = eval_field(u, rule)
+        vals *= (np.linalg.norm(vals, axis=2)**(p - 2.0))[:, :, None]
+        w, _, _ = solve(mesh, edge_moments(mesh, rule, vals)[free], config)
+        u = EdgeField(mesh, w.coeffs / lp_norm_field(w, p))
+        ratio = 1.0 / lp_norm_curl(u, p)
+        gains.append((ratio - best) / best)
+        best = max(best, ratio)
+        if gains[-1] <= 1e-8:
+            return float(best)
+    raise SolverError(
+        f"Friedrich inverse iteration at p = {p} did not settle in "
+        f"{_INVERSE_BUDGET} iterations; last relative increments "
+        f"{_format(gains[-3:])}")
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,9 @@ def test_pexponent_contract():
         PExponent(p=1.5)
     with pytest.raises(ValueError):
         PExponent(p=3.0, eps=-1.0)
+    for p in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="must be finite"):
+            PExponent(p)
 
 
 def test_power_map_values():

@@ -47,6 +47,19 @@ def test_invalid_p_exits_2(tmp_path, capsys):
     assert "p >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("solve", "p", "inf"), ("solve", "p", "nan"), ("converge", "p", "inf"),
+    ("friedrich", "p", "inf"), ("friedrich", "p", "nan"),
+    ("verify", "p_grid", "inf"), ("verify", "p_grid", "3,inf"),
+    ("verify", "p_grid", "nan")])
+def test_non_finite_exponent_exits_2(tmp_path, capsys, command, key, value):
+    out = tmp_path / "x"
+    rc = main([command, "--out_dir", str(out), f"--{key}", value])
+    assert rc == 2
+    assert f"invalid '{key}'" in capsys.readouterr().err
+    assert not (out / "summary.txt").exists()
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     rc = main(["solve", "--out_dir", str(tmp_path / "x"), "--frobnicate", "1"])
     assert rc == 2

@@ -25,7 +25,6 @@ from pcurlcurl.io import write_vtk
 from pcurlcurl.mesh import Mesh, build_box_mesh
 from pcurlcurl.mms import (ManufacturedCase, case_general_p, case_p2_sine,
                            measure_error)
-from pcurlcurl.verify import _ratio_and_grad
 from vtk_reader import assert_same_bits, read_vtk
 
 
@@ -107,26 +106,6 @@ def test_mass_matrix_matches_basis():
     free = mesh.free_edges()
     got = edge_mass_matrix(mesh).toarray()
     assert np.abs(got - expect[np.ix_(free, free)]).max() <= 1e-14 * scale
-
-
-@pytest.mark.parametrize("p", [3.0, 4.0])
-def test_ascent_gradient_matches_central_differences(p):
-    mesh = jittered_mesh(3)
-    free = mesh.free_edges()
-    u = random_field(mesh).zero_boundary()
-    _, grad = _ratio_and_grad(u, p)
-
-    def log_ratio(coeffs):
-        v = EdgeField(mesh, coeffs)
-        return np.log(_ratio_and_grad(v, p)[0])
-
-    rng = np.random.default_rng(5)
-    h = 1e-5
-    for _ in range(4):
-        d = np.zeros(mesh.num_edges)
-        d[free] = rng.standard_normal(free.size)
-        fd = (log_ratio(u.coeffs + h * d) - log_ratio(u.coeffs - h * d)) / (2 * h)
-        assert grad @ d[free] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 def whole_mesh_measure_error(u_h, case):
@@ -293,7 +272,10 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_traced_peaks_stay_below_one_basis_array(tmp_path):
+def test_traced_peaks_stay_below_one_basis_array(monkeypatch, tmp_path):
+    # the worker count sets how many blocks are live at once, so the
+    # bound below holds for this count, not for any machine's CPUs
+    monkeypatch.setattr(mms, "_worker_count", lambda: 2)
     mesh = build_box_mesh((12, 12, 12))
     mesh.geometry
     u = random_field(mesh).zero_boundary()

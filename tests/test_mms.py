@@ -120,6 +120,12 @@ def test_rejects_p_below_2():
         case_general_p(1.9)
 
 
+@pytest.mark.parametrize("p", [float("inf"), float("nan")])
+def test_rejects_non_finite_p(p):
+    with pytest.raises(ValueError, match="finite"):
+        case_general_p(p)
+
+
 def test_measure_error_interpolant_first_order():
     case = case_p2_sine()
     errs = []

@@ -40,6 +40,12 @@ def test_default_p_schedule():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(p_target=1.5)
+    # NaN used to pass as the p = 2 solve, and inf built 1024 stages
+    for p in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="must be finite"):
+            SolveConfig(p_target=p)
+        with pytest.raises(ValueError, match="must be finite"):
+            default_p_schedule(p)
 
 
 def test_p_target_is_the_only_solve_knob():
@@ -222,6 +228,43 @@ def test_edge_field_load_accepted():
     u, _, rep = solve(mesh, S_h, SolveConfig(p_target=2.0))
     assert rep.final_residual <= 1e-9
     assert lp_norm_curl(u, 2.0) > 0.1
+
+
+@pytest.mark.parametrize("p", [2.0, 10.0])
+def test_load_vector_matches_the_callable_load(p):
+    # the assembled vector over the free edges is the third load form;
+    # it takes the callable's path from the strip onward, bit for bit
+    mesh = build_box_mesh((4, 4, 4), extents=(PI, PI, PI))
+    case = case_general_p(p)
+    cfg = SolveConfig(p_target=p)
+    u1, m1, rep1 = solve(mesh, case.load, cfg)
+    load = assemble_load(case.load, mesh)
+    u2, m2, rep2 = solve(mesh, load, cfg)
+    assert np.array_equal(u1.coeffs, u2.coeffs)
+    assert np.array_equal(m1.coeffs, m2.coeffs)
+    assert rep1.load_gradient_norm == rep2.load_gradient_norm
+    assert ([(s.p, s.eps, s.newton_iterations, s.linear_iterations,
+              s.final_residual) for s in rep1.stages]
+            == [(s.p, s.eps, s.newton_iterations, s.linear_iterations,
+                 s.final_residual) for s in rep2.stages])
+    # a list of the same numbers is the same load
+    u3, _, _ = solve(mesh, list(load), cfg)
+    assert np.array_equal(u1.coeffs, u3.coeffs)
+
+
+def test_bad_load_vectors_are_rejected():
+    mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
+    load = assemble_load(case_p2_sine().load, mesh)
+    cfg = SolveConfig(p_target=2.0)
+    for bad in (load[:-1], np.append(load, 0.0), np.zeros(mesh.num_edges),
+                load[None, :], np.float64(1.0)):
+        with pytest.raises(ValueError, match="load vector must be"):
+            solve(mesh, bad, cfg)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = load.copy()
+        bad[3] = value
+        with pytest.raises(ValueError, match="finite floats"):
+            solve(mesh, bad, cfg)
 
 
 def test_newton_matches_projected_gradient_descent():

@@ -114,6 +114,15 @@ def test_delta_range_validation():
         check_inequalities([2.0, 1.0], 10)
 
 
+@pytest.mark.parametrize("p", [float("inf"), -float("inf"), float("nan")])
+def test_non_finite_exponents_are_rejected(p):
+    for check in (check_ineq1, check_ineq2):
+        with pytest.raises(ValueError, match="p must exceed 1"):
+            check(p, 0.0, 10)
+    with pytest.raises(ValueError, match="p must exceed 1"):
+        check_inequalities([2.0, p], 10)
+
+
 def test_empty_draw_is_rejected():
     # no sample, no maximum: an error, not a report of -inf
     for check in (lambda: check_ineq1(3.0, 0.0, 0),
@@ -445,6 +454,62 @@ def test_friedrich_p4_lower_bound_exceeds_start():
     assert rep.lower_bound_only
     assert rep.constants[0] >= start * (1 - 1e-12)
     assert np.isfinite(rep.constants[0])
+
+
+# the projected-ascent lower bounds at 4^3 that the inverse iteration
+# replaced, which stopped short of the maximum
+ASCENT_4_CUBED = {3.0: 0.7485022703198605, 4.0: 0.7926855129821591,
+                  6.0: 0.880677501383879}
+
+
+@pytest.mark.parametrize("p", sorted(ASCENT_4_CUBED))
+def test_friedrich_inverse_iteration_beats_the_ascent(p):
+    mesh = build_box_mesh((4, 4, 4), extents=(PI, PI, PI))
+    rep = friedrich_constant([mesh], p)
+    assert rep.lower_bound_only
+    assert rep.constants[0] >= ASCENT_4_CUBED[p] * (1.0 + 1e-4)
+
+
+@pytest.mark.parametrize("p", [3.0, 6.0])
+def test_friedrich_inverse_iteration_ratios_rise(monkeypatch, p):
+    # every iterate's ratio is 1 / ||curl u||_p of the normalized iterate;
+    # at eps = 0 they rise monotonically, and the solver's eps and
+    # tolerances may take back only rounding
+    ratios = []
+    real = verify.lp_norm_curl
+
+    def recording(u, q):
+        out = real(u, q)
+        ratios.append(1.0 / out)
+        return out
+
+    monkeypatch.setattr(verify, "lp_norm_curl", recording)
+    mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
+    rep = friedrich_constant([mesh], p)
+    assert 3 <= len(ratios) <= 1 + verify._INVERSE_BUDGET
+    for prev, ratio in zip(ratios, ratios[1:]):
+        assert ratio >= prev * (1.0 - 1e-12)
+    assert rep.constants[0] == max(ratios)
+    # it stopped on a gain of at most 1e-8 relative
+    assert ratios[-1] <= ratios[-2] * (1.0 + 1e-8)
+
+
+def test_friedrich_inverse_iteration_budget_raises(monkeypatch):
+    monkeypatch.setattr(verify, "_INVERSE_BUDGET", 1)
+    mesh = build_box_mesh((2, 2, 2), extents=(PI, PI, PI))
+    with pytest.raises(SolverError, match="did not settle in 1 iterations"):
+        friedrich_constant([mesh], 4.0)
+
+
+@pytest.mark.parametrize("p", [1.5, float("inf"), float("nan")])
+def test_friedrich_constant_checks_p_before_any_work(monkeypatch, p):
+    def no_work(*args):
+        raise AssertionError("eigensolve ran before p was checked")
+
+    monkeypatch.setattr(verify, "_friedrich_p2", no_work)
+    mesh = build_box_mesh((2, 2, 2), extents=(PI, PI, PI))
+    with pytest.raises(ValueError, match="p must be finite and >= 2"):
+        friedrich_constant([mesh], p)
 
 
 def test_friedrich_maximizer_is_divergence_free_with_curl():
