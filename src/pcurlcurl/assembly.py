@@ -42,8 +42,9 @@ class PExponent:
     def __post_init__(self):
         if not 2.0 <= self.p < np.inf:      # NaN fails it too
             raise ValueError(f"exponent p must be finite and >= 2, got {self.p}")
-        if self.eps < 0.0:
-            raise ValueError(f"regularization eps must be >= 0, got {self.eps}")
+        if not 0.0 <= self.eps < np.inf:    # NaN fails it too
+            raise ValueError(
+                f"regularization eps must be finite and >= 0, got {self.eps}")
 
     @property
     def q(self):
@@ -262,13 +263,21 @@ def edge_moments(mesh: Mesh, rule, values):
     (i, j) is B_i . grad(lam_j) - B_j . grad(lam_i): the transpose of
     `vertex_vectors`, with no per-point basis array.
     """
+    return np.bincount(mesh.tet_edges.ravel(),
+                       tet_edge_moments(mesh, rule, values).ravel(),
+                       mesh.num_edges)
+
+
+def tet_edge_moments(mesh: Mesh, rule, values, tets=slice(None)):
+    """Signed per-tet terms (n, 6) of `edge_moments` on the tets `tets`,
+    from `values` (n, nq, 3) at their quadrature points."""
     geom = mesh.geometry
-    B = (rule.weights * rule.points.T) @ values         # (T, 4, 3)
-    B *= geom.vols[:, None, None]
-    P = B @ geom.grads.transpose(0, 2, 1)               # P_ij = B_i . grad lam_j
+    B = (rule.weights * rule.points.T) @ values         # (n, 4, 3)
+    B *= geom.vols[tets, None, None]
+    P = B @ geom.grads[tets].transpose(0, 2, 1)         # P_ij = B_i . grad lam_j
     per_edge = P[:, _EDGE_I, _EDGE_J] - P[:, _EDGE_J, _EDGE_I]
-    per_edge *= mesh.tet_edge_signs
-    return np.bincount(mesh.tet_edges.ravel(), per_edge.ravel(), mesh.num_edges)
+    per_edge *= mesh.tet_edge_signs[tets]
+    return per_edge
 
 
 def edge_interpolate(func, mesh: Mesh):

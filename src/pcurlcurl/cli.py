@@ -164,8 +164,8 @@ def cmd_verify(cfg):
 def cmd_friedrich(cfg):
     out = cfg.out_dir()
     cfg.echo(out)
-    meshes = [build_box_mesh((n, n, n), extents=(np.pi, np.pi, np.pi))
-              for n in cfg["levels"]]
+    meshes = (build_box_mesh((n, n, n), extents=(np.pi, np.pi, np.pi))
+              for n in cfg["levels"])
     rep = friedrich_constant(meshes, cfg["p"], seed=cfg["seed"])
     levels = cfg["levels"]
     rows = []
@@ -187,10 +187,13 @@ def cmd_friedrich(cfg):
     lines = ["status = OK",
              f"p = {cfg['p']:.17g}",
              f"constants = {', '.join('%.17g' % c for c in rep.constants)}",
-             f"extrapolated = {rep.extrapolated:.17g}",
-             f"lower_bound_only = {rep.lower_bound_only}",
-             f"total_iterations = {sum(rep.iterations)}",
-             f"total_linear_iterations = {sum(rep.linear_iterations)}"]
+             f"extrapolated = {rep.extrapolated:.17g}"]
+    if rep.lower_bound_only:
+        # lower bounds have no convergence order to extrapolate with
+        lines.append("extrapolation = none, the finest level's lower bound")
+    lines += [f"lower_bound_only = {rep.lower_bound_only}",
+              f"total_iterations = {sum(rep.iterations)}",
+              f"total_linear_iterations = {sum(rep.linear_iterations)}"]
     write_summary(os.path.join(out, "summary.txt"), lines)
     print("\n".join(lines))
     return 0

@@ -9,17 +9,21 @@ t = 1 - s in [0, 1] and theta in [0, pi], and only (s, theta) is drawn.
 On that domain every side of both ratios is a sum of nonnegative terms
 (`_power_terms`), so nothing cancels in float64 and, with |eta| <= |xi|
 = 1, no power overflows. `check_inequalities` sweeps a whole (p, delta)
-grid of both from one draw, streamed over row blocks: the power terms
-are evaluated once per p and block, and each delta costs only 1-D work.
+grid of both from one draw, streamed over row blocks that each draw
+their own rows of it from a jumped-ahead copy of the seeded stream: the
+power terms are evaluated once per p and block, each delta costs only
+1-D work, and the working set is one block's at any sample count.
 `check_ineq1`/`check_ineq2` are single-row calls of the same kernel, so
 every row of a sweep equals the matching single call bit for bit.
 The Friedrich constant — the best bound ||u||_Lp <= C ||curl u||_Lp over
 boundary-constrained divergence-free fields — is computed discretely:
 exactly for p = 2 by a preconditioned LOBPCG block eigensolve of the
-projected curl-curl eigenproblem, and as a certified lower bound for
-p > 2 by inverse power iteration on the norm ratio, each step one
-`solve` at p. Green's formulas and scalar-potential extraction close the
-loop on the trace and gradient structure.
+projected curl-curl eigenproblem, started on nested meshes from the
+prolongated coarse Ritz block, and as a certified lower bound for p > 2
+by inverse power iteration on the norm ratio, each step one `solve` at
+p. The levels are solved one at a time, so a generator of meshes keeps
+one level alive. Green's formulas and scalar-potential extraction close
+the loop on the trace and gradient structure.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import whitney
-from .assembly import (EdgeField, NodalField, PExponent, edge_moments,
-                       eval_field, local_coeffs, lp_norm_curl, lp_norm_field)
+from . import assembly, whitney
+from .assembly import (EdgeField, NodalField, PExponent,
+                       local_coeffs, lp_norm_curl, lp_norm_field,
+                       tet_edge_moments, tet_vertex_vectors)
 from .helmholtz import DivFreeProjector
 from .linalg import SolverError, cg
 from .mesh import Mesh, boundary_faces
@@ -43,6 +48,10 @@ from .solver import SolveConfig, solve
 
 # Rows per block of the streamed sweep in `_sweep`.
 _BLOCK_ROWS = 2**16
+
+# (s, theta) of the first rows of every draw: the antipodal, one-sided
+# (eta = 0) and radial near-equal pairs.
+_PINNED = ((0.0, np.pi), (1.0, 0.0), (1e-12, 0.0))
 
 
 @dataclass
@@ -68,17 +77,39 @@ class InequalityReport:
     violations: int
 
 
-def _draw(n, rng):
-    """n seeded (s, theta) pairs, the first min(3, n) of them pinned."""
+def _draw(n, seed, start, stop):
+    """Rows [start, stop) of n seeded (s, theta) pairs, the first
+    min(3, n) of them pinned.
+
+    The whole draw reads 2n doubles from one PCG64 stream seeded with
+    `seed`, one 64-bit output each: s at outputs 0..n-1, as 1 - random
+    for its first n // 2 rows and 10**uniform(-12, 0) for the rest, then
+    theta at outputs n..2n-1, as pi random and 10**uniform(-12, log10 pi).
+    Each part is drawn from a copy of the seeded stream advanced to its
+    first row's output (O'Neill, PCG, 2014), so rows [start, stop) equal
+    those rows of the whole draw bit for bit, and any split of [0, n)
+    into blocks concatenates to it.
+    """
     half = n // 2
-    s = np.concatenate([1.0 - rng.random(half),          # (0, 1]
-                        10.0 ** rng.uniform(-12.0, 0.0, n - half)])
-    theta = np.concatenate([np.pi * rng.random(half),
-                            10.0 ** rng.uniform(-12.0, np.log10(np.pi),
-                                                n - half)])
-    m = min(3, n)
-    s[:m] = [0.0, 1.0, 1e-12][:m]
-    theta[:m] = [np.pi, 0.0, 0.0][:m]
+
+    def rows(offset, lo, hi, draw):
+        if lo >= hi:
+            return np.empty(0)
+        bits = np.random.PCG64(seed)
+        bits.advance(offset + lo)
+        return draw(np.random.Generator(bits), hi - lo)
+
+    first = (min(start, half), min(stop, half))     # rows of the uniform half
+    rest = (max(start, half), max(stop, half))      # and of the log-uniform one
+    s = np.concatenate([
+        1.0 - rows(0, *first, lambda g, m: g.random(m)),            # (0, 1]
+        10.0 ** rows(0, *rest, lambda g, m: g.uniform(-12.0, 0.0, m))])
+    theta = np.concatenate([
+        np.pi * rows(n, *first, lambda g, m: g.random(m)),
+        10.0 ** rows(n, *rest,
+                     lambda g, m: g.uniform(-12.0, np.log10(np.pi), m))])
+    for i in range(start, min(len(_PINNED), stop)):
+        s[i - start], theta[i - start] = _PINNED[i]
     return s, theta
 
 
@@ -173,13 +204,14 @@ def _check_delta(inequality, p, delta):
 def _sweep(rows, n_samples, rng_seed):
     """Reports for (inequality, p, delta) rows, in row order, from one draw.
 
-    Streamed over blocks of _BLOCK_ROWS rows: each block computes the
-    p-independent sides once, the power terms once per p, and each delta
-    costs only 1-D work. The reports combine per-block maxima, minima and
-    counts, which are exact, so the blocking does not change a bit of any
-    report. Every ratio is >= 0, inf or NaN, and the maxima propagate NaN
-    and inf, so a finite maximum means that every ratio of its row is
-    finite.
+    Streamed over blocks of _BLOCK_ROWS rows: each block draws its own
+    rows of the one draw (`_draw`), computes the p-independent sides
+    once, the power terms once per p, and each delta costs only 1-D
+    work, so the working set is one block's whatever n_samples is. The
+    reports combine per-block maxima, minima and counts, which are exact,
+    so the blocking does not change a bit of any report. Every ratio is
+    >= 0, inf or NaN, and the maxima propagate NaN and inf, so a finite
+    maximum means that every ratio of its row is finite.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
@@ -188,14 +220,16 @@ def _sweep(rows, n_samples, rng_seed):
     by_p = {}                                   # p -> row indices
     for i, (_, p, _) in enumerate(rows):
         by_p.setdefault(p, []).append(i)
-    s_all, theta = _draw(n_samples, np.random.default_rng(rng_seed))
     worst = [-np.inf] * len(rows)
     violations = [0] * len(rows)
     least = dict.fromkeys(by_p, np.inf)         # smallest pairing per p
+    # one seed sequence for every block, so a None seed is one draw too
+    seed = np.random.SeedSequence(rng_seed)
     for b in range(0, n_samples, _BLOCK_ROWS):
-        s = s_all[b:b + _BLOCK_ROWS]
+        s, theta = _draw(n_samples, seed, b,
+                         min(b + _BLOCK_ROWS, n_samples))
         t = 1.0 - s
-        h = np.sin(0.5 * theta[b:b + _BLOCK_ROWS])**2
+        h = np.sin(0.5 * theta)**2
         diff = np.sqrt(s * s + 4.0 * t * h)     # |xi - eta|
         tot = 1.0 + t                           # |xi| + |eta|
         with np.errstate(divide="ignore"):      # log 0 = -inf at eta = 0
@@ -239,15 +273,21 @@ _INVERSE_BUDGET = 30
 class FriedrichReport:
     p: float
     constants: list                 # C_h per level
-    extrapolated: float = 0.0
+    extrapolated: float = 0.0       # Richardson at p = 2, else the last bound
     lower_bound_only: bool = False  # True for p > 2 (iterated, not eigensolve)
-    # per level, of the p = 2 eigensolve (which starts the p > 2 iteration)
+    # per level, of the p = 2 eigensolve (which starts the p > 2 iteration),
+    # the coarse levels solved for its nested start included
     iterations: list = field(default_factory=list)         # outer LOBPCG
     linear_iterations: list = field(default_factory=list)  # stiffness CG
 
 
 def friedrich_constant(meshes, p, seed=0):
     """Best discrete constant in ||u||_Lp <= C ||curl u||_Lp on each mesh.
+
+    `meshes` may be any iterable, a generator included: the levels are
+    solved one at a time, and only their constants, counters, the last
+    two mean tet volumes and the last level's Ritz block outlive a
+    level, so a generator keeps one mesh alive at a time.
 
     p = 2: C_h = 1/sqrt(lambda_min) where lambda_min is the smallest
     curl-curl eigenvalue over discretely divergence-free constrained
@@ -258,41 +298,55 @@ def friedrich_constant(meshes, p, seed=0):
     residual ||K x - lambda M x|| / (lambda ||M x||) <= 1e-8, after at
     most 200 iterations. Only those 3 pairs, while unconverged, get
     search directions; the other 3 columns guard the Rayleigh-Ritz
-    step. The report counts the iterations and the stiffness-CG
-    iterations per level.
+    step. A mesh with a coarse mesh (`Mesh.coarse`) starts from the
+    prolongated Ritz block of its coarse level, solved first the same
+    way, or reused when the previous level has its divisions and box
+    (in levels 4, 8, 12, 8^3 starts from 4^3, and 12^3 from 6^3 and
+    3^3). Only a mesh without a coarse mesh, at the bottom of that
+    recursion or on its own, starts from a random block drawn with
+    `seed`; the constants do not depend on it beyond the eigensolve's
+    tolerance. The report counts, per level, the outer iterations and
+    the stiffness-CG iterations, coarse levels solved for it included;
+    a reused level counts once, at its own level.
 
     p > 2: inverse power iteration from the p = 2 maximizer, one `solve`
     at p per step, until an iterate raises the ratio ||u||_p /
     ||curl u||_p by at most 1e-8 relative (`_friedrich_inverse`); the
     best ratio seen is a certified lower bound for C_h.
 
-    Extrapolation assumes second-order eigenvalue convergence and uses
-    the last two levels: C = C_2 + (C_2 - C_1) / (r^2 - 1), where r is
-    the ratio of their mesh sizes h = cbrt(mean tet volume); it is the
-    last constant when the two sizes are equal.
+    Extrapolation (p = 2 only) assumes second-order eigenvalue
+    convergence and uses the last two levels: C = C_2 + (C_2 - C_1) /
+    (r^2 - 1), where r is the ratio of their mesh sizes h = cbrt(mean
+    tet volume); it is the last constant when the two sizes are equal.
+    For p > 2 (`lower_bound_only`) the constants are lower bounds with
+    no known convergence order, so `extrapolated` is the finest level's
+    bound.
 
     Raises:
         ValueError: no mesh is given, or p is not a finite number >= 2.
         SolverError: an eigensolve or the p > 2 iteration fails.
     """
-    meshes = list(meshes)
-    if not meshes:
-        raise ValueError("friedrich_constant needs at least one mesh")
     PExponent(p)                    # ValueError unless 2 <= p < inf
     constants = []
     iterations = []
     linear_iterations = []
+    vols = []                       # mean tet volume of the last two levels
+    last = None                     # (level key, Ritz block) of the last level
     for mesh in meshes:
-        u2, (c2, its, lin) = _friedrich_p2(mesh, seed)
+        u2, (c2, its, lin), X = _friedrich_p2(mesh, seed, last)
+        last = (_level_key(mesh), X)
         iterations.append(its)
         linear_iterations.append(lin)
         constants.append(c2 if p == 2.0 else _friedrich_inverse(u2, p))
+        vols = [*vols[-1:], mesh.geometry.vols.mean()]
+        del mesh, u2                # free this level before the next is built
+    if not constants:
+        raise ValueError("friedrich_constant needs at least one mesh")
     extrap = constants[-1]
-    if len(constants) >= 2:
+    if p == 2.0 and len(vols) == 2:
         # mesh-size ratio h_prev / h_last, with h the cube root of the
         # mean tet volume: exactly 2 on a doubling of the divisions
-        r = np.cbrt(meshes[-2].geometry.vols.mean()
-                    / meshes[-1].geometry.vols.mean())
+        r = np.cbrt(vols[0] / vols[1])
         if r != 1.0:
             extrap = (constants[-1]
                       + (constants[-1] - constants[-2]) / (r * r - 1.0))
@@ -302,14 +356,28 @@ def friedrich_constant(meshes, p, seed=0):
                            linear_iterations=linear_iterations)
 
 
-def _friedrich_p2(mesh, seed):
+def _level_key(mesh):
+    """Divisions and box of a box mesh: equal keys are the same level."""
+    origin, extents = mesh.box
+    return mesh.divisions, tuple(origin), tuple(extents)
+
+
+def _friedrich_p2(mesh, seed, last=None):
     """Smallest constrained curl-curl eigenvalue by preconditioned LOBPCG.
 
-    Returns the maximizer u and (C_h, outer iterations, stiffness-CG
-    iterations). The lowest cavity eigenvalue has multiplicity 3 in the
-    continuum and splits into a tight discrete cluster, so the pencil
-    (K, M) on the free edges is iterated with a block of 6 from a seeded
-    random start (Knyazev, SIAM J. Sci. Comput. 23, 2001). Each watched
+    Returns the maximizer u, (C_h, outer iterations, stiffness-CG
+    iterations) and the final Ritz block X on the free edges. The
+    lowest cavity eigenvalue has multiplicity 3 in the continuum and
+    splits into a tight discrete cluster, so the pencil (K, M) on the
+    free edges is iterated with a block of 6 (Knyazev, SIAM J. Sci.
+    Comput. 23, 2001). A mesh with a coarse mesh starts from P X_coarse,
+    P = `mesh.prolongation`, by nested iteration (Brandt, McCormick &
+    Ruge, SIAM J. Sci. Stat. Comput. 4, 1983): X_coarse is the Ritz
+    block of `last`, a (key, block) pair, when its key is the coarse
+    level's, and is otherwise solved recursively, its counts added to
+    this level's. Any other mesh starts from a random block drawn with
+    `seed`. Every coarse mesh has 3 or more divisions per axis, so its
+    block has 6 columns too. Each watched
     residual column is preconditioned by a loose CG solve on K (tol 0.1; its
     convergence flag is ignored, as it only preconditions): R = KX - MX
     Theta is orthogonal to the gradients, so CG on the singular K is
@@ -366,9 +434,18 @@ def _friedrich_p2(mesh, seed):
                 f"relative residuals {_format(residuals[:watched])}")
         return B
 
-    rng = np.random.default_rng(seed)
-    X = project_cols(rng.standard_normal((free.size, block)))
-    X = _m_orthonormalize(X, M)
+    iterations = 0
+    coarse = mesh.coarse
+    if coarse is None:
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((free.size, block))
+    elif last is not None and last[0] == _level_key(coarse):
+        X = mesh.prolongation @ last[1]
+    else:
+        _, (_, iterations, linear_iterations), Xc = _friedrich_p2(
+            coarse, seed, last)
+        X = mesh.prolongation @ Xc
+    X = _m_orthonormalize(project_cols(X), M)
     theta, Q = np.linalg.eigh(X.T @ (K @ X))
     X = X @ Q
     P = None
@@ -406,7 +483,8 @@ def _friedrich_p2(mesh, seed):
         P = S[:, block:] @ C[block:]
     u = EdgeField(mesh)
     u.coeffs[free] = X[:, 0]
-    return u, (1.0 / np.sqrt(theta[0]), iteration, linear_iterations)
+    return (u, (1.0 / np.sqrt(theta[0]), iterations + iteration,
+                linear_iterations), X)
 
 
 def _m_orthonormalize(B, M):
@@ -441,16 +519,12 @@ def _friedrich_inverse(u2, p):
     the loop, and SolverError ends it after _INVERSE_BUDGET steps.
     """
     mesh = u2.mesh
-    free = mesh.free_edges()
-    rule = whitney.quadrature(4)
     config = SolveConfig(p_target=p)
     u = EdgeField(mesh, u2.coeffs / lp_norm_field(u2, p))
     best = 1.0 / lp_norm_curl(u, p)
     gains = []
     for _ in range(_INVERSE_BUDGET):
-        vals = eval_field(u, rule)
-        vals *= (np.linalg.norm(vals, axis=2)**(p - 2.0))[:, :, None]
-        w, _, _ = solve(mesh, edge_moments(mesh, rule, vals)[free], config)
+        w, _, _ = solve(mesh, _power_load(u, p), config)
         u = EdgeField(mesh, w.coeffs / lp_norm_field(w, p))
         ratio = 1.0 / lp_norm_curl(u, p)
         gains.append((ratio - best) / best)
@@ -461,6 +535,27 @@ def _friedrich_inverse(u2, p):
         f"Friedrich inverse iteration at p = {p} did not settle in "
         f"{_INVERSE_BUDGET} iterations; last relative increments "
         f"{_format(gains[-3:])}")
+
+
+def _power_load(u, p):
+    """(|u|^(p-2) u, W_e) on the free edges by order-4 quadrature.
+
+    Built over blocks of `assembly._BLOCK_TETS` tets, as `lp_norm_field`
+    is, so no (T, nq, 3) array is made; the per-tet terms are summed
+    into the edges in one pass, as in `edge_moments`.
+    """
+    mesh = u.mesh
+    grads = mesh.geometry.grads
+    rule = whitney.quadrature(4)
+    per_tet = np.empty((mesh.num_tets, 6))
+    for s in range(0, mesh.num_tets, assembly._BLOCK_TETS):
+        tets = slice(s, s + assembly._BLOCK_TETS)
+        vals = rule.points @ tet_vertex_vectors(local_coeffs(u, tets),
+                                                grads[tets])
+        vals *= (np.linalg.norm(vals, axis=2)**(p - 2.0))[:, :, None]
+        per_tet[tets] = tet_edge_moments(mesh, rule, vals, tets)
+    return np.bincount(mesh.tet_edges.ravel(), per_tet.ravel(),
+                       mesh.num_edges)[mesh.free_edges()]
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,9 @@ def test_pexponent_contract():
     for p in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="must be finite"):
             PExponent(p)
+    for eps in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            PExponent(p=4.0, eps=eps)
 
 
 def test_power_map_values():

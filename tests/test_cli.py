@@ -191,6 +191,19 @@ def test_friedrich_order_needs_one_refinement_ratio(tmp_path):
     assert [r["observed_order"] for r in rows] == ["", "", ""]
 
 
+def test_friedrich_above_p2_reports_the_finest_bound(tmp_path):
+    # p > 2 constants are lower bounds: nothing is extrapolated, and the
+    # summary says so
+    out = tmp_path / "f"
+    assert main(["friedrich", "--out_dir", str(out), "--levels", "2,3",
+                 "--p", "4"]) == 0
+    rows = read_csv(out / "friedrich.csv")
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert f"extrapolated = {rows[-1]['C_h']}" in lines
+    assert "extrapolation = none, the finest level's lower bound" in lines
+    assert "lower_bound_only = True" in lines
+
+
 def test_converge_command_monotone_errors(tmp_path):
     out = tmp_path / "c"
     rc = main(["converge", "--out_dir", str(out), "--levels", "2,4"])

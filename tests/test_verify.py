@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,15 @@ from pcurlcurl.verify import (check_green_formulas, check_ineq1, check_ineq2,
                               SmoothFieldPair)
 
 PI = np.pi
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # -- inequalities -----------------------------------------------------------
@@ -153,9 +163,9 @@ def test_sweep_draws_once(monkeypatch):
     draws = []
     draw = verify._draw
 
-    def counting(n, rng):
-        draws.append(n)
-        return draw(n, rng)
+    def counting(n, seed, start, stop):
+        draws.append(stop - start)
+        return draw(n, seed, start, stop)
 
     monkeypatch.setattr(verify, "_draw", counting)
     reps = check_inequalities([2.0, 50.0, 3.0, 100.0, 1.5], 2000)
@@ -166,7 +176,7 @@ def test_sweep_draws_once(monkeypatch):
 
 def _unblocked(inequality, p, delta, n, seed):
     """Both checks on the whole draw, written out without blocking."""
-    s, theta = verify._draw(n, np.random.default_rng(seed))
+    s, theta = verify._draw(n, seed, 0, n)
     t = 1.0 - s
     h = np.sin(0.5 * theta)**2
     diff, tot = np.sqrt(s * s + 4.0 * t * h), 1.0 + t
@@ -190,6 +200,41 @@ def test_sweep_block_boundaries(monkeypatch, n, block):
     for r in check_inequalities([3.0, 10.0], n, rng_seed=2):
         assert (r.samples, r.worst_ratio, r.violations) == \
             _unblocked(r.inequality, r.p, r.delta, n, 2)
+
+
+def _whole_draw(n, seed):
+    """The draw written out in one pass of one generator."""
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    s = np.concatenate([1.0 - rng.random(half),
+                        10.0 ** rng.uniform(-12.0, 0.0, n - half)])
+    theta = np.concatenate([np.pi * rng.random(half),
+                            10.0 ** rng.uniform(-12.0, np.log10(np.pi),
+                                                n - half)])
+    m = min(3, n)
+    s[:m] = [0.0, 1.0, 1e-12][:m]
+    theta[:m] = [np.pi, 0.0, 0.0][:m]
+    return s, theta
+
+
+@pytest.mark.parametrize("n, block", [(1, 1), (2, 1), (1001, 1), (1001, 300),
+                                      (2 * verify._BLOCK_ROWS + 17,
+                                       verify._BLOCK_ROWS + 5)])
+def test_draw_blocks_concatenate_to_the_whole_draw(n, block):
+    for seed in (0, 7):
+        parts = [verify._draw(n, seed, b, min(b + block, n))
+                 for b in range(0, n, block)]
+        s, theta = _whole_draw(n, seed)
+        assert np.concatenate([q[0] for q in parts]).tobytes() == s.tobytes()
+        assert np.concatenate([q[1] for q in parts]).tobytes() == \
+            theta.tobytes()
+
+
+def test_sweep_traced_peak_does_not_grow_with_the_draw():
+    # each block draws its own rows, so the working set is one block's
+    peaks = [traced_peak(lambda: check_inequalities([3.0], n))
+             for n in (2**18, 2**20)]
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def _negated_map_terms(s, t, h, log_t, p):
@@ -218,7 +263,7 @@ def test_smallest_pairing_is_over_the_whole_draw(monkeypatch):
     monkeypatch.setattr(verify, "_BLOCK_ROWS", block)
     monkeypatch.setattr(verify, "_power_terms",
                         lambda s, t, h, log_t, p: (s, -s * h))
-    s, theta = verify._draw(n, np.random.default_rng(0))
+    s, theta = verify._draw(n, 0, 0, n)
     pairing = -s * np.sin(0.5 * theta)**2
     assert np.argmin(pairing) >= block and np.all(pairing[:block] <= 0)
     expected = re.escape(f"smallest sampled pairing {pairing.min():.3e}")
@@ -230,10 +275,12 @@ def test_smallest_pairing_is_over_the_whole_draw(monkeypatch):
 def test_violations_count_samples_with_a_non_finite_ratio(monkeypatch):
     draw = verify._draw
 
-    def pairs(n, rng):
-        s, theta = draw(n, rng)
-        # xi = eta: both sides of ineq1 vanish, a 0/0 ratio
-        s[5:8] = theta[5:8] = 0.0
+    def pairs(n, seed, start, stop):
+        s, theta = draw(n, seed, start, stop)
+        # xi = eta at rows 5, 6 and 7: both sides of ineq1 vanish, a 0/0
+        rows = np.arange(start, stop)
+        hit = (rows >= 5) & (rows < 8)
+        s[hit] = theta[hit] = 0.0
         return s, theta
 
     assert check_ineq1(10.0, 0.0, 1000).violations == 0
@@ -246,8 +293,8 @@ def test_violations_count_samples_with_a_non_finite_ratio(monkeypatch):
 
 def _one_pair(monkeypatch, s, theta):
     """Make every draw the single pair (s, theta)."""
-    monkeypatch.setattr(verify, "_draw",
-                        lambda n, rng: (np.array([s]), np.array([theta])))
+    monkeypatch.setattr(verify, "_draw", lambda n, seed, start, stop:
+                        (np.array([s]), np.array([theta])))
 
 
 @pytest.mark.parametrize("p", [1.5, 2.5, 10.0, 100.0])
@@ -430,6 +477,65 @@ def test_friedrich_extrapolation_follows_the_mesh_size_ratio():
     assert rep.extrapolated == rep.constants[-1]
 
 
+def test_friedrich_p_above_2_does_not_extrapolate_lower_bounds():
+    # the Richardson step assumes a convergence order that lower bounds
+    # do not have; at 2^3, 4^3 and p = 4 it read 0.77151, below both
+    meshes = [build_box_mesh((n, n, n), extents=(PI, PI, PI)) for n in (2, 4)]
+    rep = friedrich_constant(meshes, 4.0)
+    assert rep.lower_bound_only
+    assert rep.extrapolated == rep.constants[-1]
+
+
+def _record_eigensolves(monkeypatch):
+    """(divisions, outer, stiffness-CG iterations) of every LOBPCG run,
+    recursive ones included, in the order they finish."""
+    solved = []
+    real = verify._friedrich_p2
+
+    def recording(mesh, seed, last=None):
+        out = real(mesh, seed, last)
+        solved.append((mesh.divisions, *out[1][1:]))
+        return out
+
+    monkeypatch.setattr(verify, "_friedrich_p2", recording)
+    return solved
+
+
+def test_friedrich_nested_start_reuses_the_previous_level(monkeypatch):
+    # 8^3 starts from its coarse level 4^3, which the call has just
+    # solved: 4^3 runs LOBPCG once, and 8^3 counts only its own work
+    solved = _record_eigensolves(monkeypatch)
+    meshes = [build_box_mesh((n, n, n), extents=(PI, PI, PI)) for n in (4, 8)]
+    rep = friedrich_constant(meshes, 2.0)
+    assert [d for d, _, _ in solved] == [(4, 4, 4), (8, 8, 8)]
+    assert rep.iterations == [its for _, its, _ in solved]
+    assert rep.linear_iterations == [lin for _, _, lin in solved]
+    assert rep.iterations[1] <= 12
+
+
+def test_friedrich_nested_start_counts_the_coarse_levels(monkeypatch):
+    # 12^3 nests through 6^3 and 3^3, which it solves and counts itself
+    solved = _record_eigensolves(monkeypatch)
+    mesh = build_box_mesh((12, 12, 12), extents=(PI, PI, PI))
+    rep = friedrich_constant([mesh], 2.0)
+    assert [d[0] for d, _, _ in solved] == [3, 6, 12]
+    assert rep.iterations == [solved[-1][1]]
+    assert rep.linear_iterations == [solved[-1][2]]
+    # the counts are cumulative down the recursion
+    assert solved[0][1] < solved[1][1] < solved[2][1]
+
+
+def test_friedrich_generator_keeps_one_level_alive():
+    # a level's mesh data is freed before the next level is built, so
+    # levels 4, 8 and 12 peak where 12^3 alone does
+    def levels(*ns):
+        return (build_box_mesh((n, n, n), extents=(PI, PI, PI)) for n in ns)
+
+    alone = traced_peak(lambda: friedrich_constant(levels(12), 2.0))
+    three = traced_peak(lambda: friedrich_constant(levels(4, 8, 12), 2.0))
+    assert three <= 1.1 * alone
+
+
 @pytest.mark.parametrize("meshes", [[], iter(())])
 def test_friedrich_constant_without_meshes_raises_value_error(meshes):
     with pytest.raises(ValueError, match="at least one mesh"):
@@ -448,7 +554,7 @@ def test_friedrich_p4_lower_bound_exceeds_start():
     meshes = [build_box_mesh((2, 2, 2), extents=(PI, PI, PI))]
     from pcurlcurl.assembly import lp_norm_curl, lp_norm_field
     from pcurlcurl.verify import _friedrich_p2
-    u2, _ = _friedrich_p2(meshes[0], seed=0)
+    u2, _, _ = _friedrich_p2(meshes[0], seed=0)
     start = lp_norm_field(u2, 4.0) / lp_norm_curl(u2, 4.0)
     rep = friedrich_constant(meshes, 4.0)
     assert rep.lower_bound_only
@@ -501,6 +607,27 @@ def test_friedrich_inverse_iteration_budget_raises(monkeypatch):
         friedrich_constant([mesh], 4.0)
 
 
+def test_friedrich_power_load_is_built_by_tet_blocks(monkeypatch):
+    # the inverse iteration's load (|u|^(p-2) u, W_e), bit for bit the
+    # whole-mesh quadrature at any block size, and without its arrays
+    from pcurlcurl import assembly, whitney
+    from pcurlcurl.assembly import edge_moments, eval_field
+    mesh = build_box_mesh((12, 12, 12), extents=(PI, PI, PI))
+    u = EdgeField(mesh, np.random.default_rng(3).standard_normal(
+        mesh.num_edges))
+    rule = whitney.quadrature(4)
+    for p in (3.0, 10.0):
+        vals = eval_field(u, rule)
+        vals *= (np.linalg.norm(vals, axis=2)**(p - 2.0))[:, :, None]
+        whole = edge_moments(mesh, rule, vals)[mesh.free_edges()]
+        for block in (1, 1024, mesh.num_tets + 5):
+            monkeypatch.setattr(assembly, "_BLOCK_TETS", block)
+            assert verify._power_load(u, p).tobytes() == whole.tobytes()
+    monkeypatch.setattr(assembly, "_BLOCK_TETS", 1024)
+    whole_mesh_values = vals.nbytes
+    assert traced_peak(lambda: verify._power_load(u, 4.0)) < whole_mesh_values
+
+
 @pytest.mark.parametrize("p", [1.5, float("inf"), float("nan")])
 def test_friedrich_constant_checks_p_before_any_work(monkeypatch, p):
     def no_work(*args):
@@ -516,7 +643,7 @@ def test_friedrich_maximizer_is_divergence_free_with_curl():
     from pcurlcurl.helmholtz import DivFreeProjector
     from pcurlcurl.verify import _friedrich_p2
     mesh = build_box_mesh((2, 2, 2), extents=(PI, PI, PI))
-    u, _ = _friedrich_p2(mesh, seed=0)
+    u, _, _ = _friedrich_p2(mesh, seed=0)
     num = DivFreeProjector(mesh).constraint_norm(u.coeffs)
     assert num <= 1e-8 * np.linalg.norm(u.coeffs)
     assert np.abs(curl_per_tet(u)).max() > 0.01     # gradients are excluded
