@@ -125,8 +125,7 @@ def cmd_verify(cfg):
     seed = cfg["seed"]
     rows = [(r.inequality, r.p, r.delta, r.samples, r.worst_ratio,
              r.violations)
-            for r in check_inequalities(cfg["p_grid"], cfg["n_samples"],
-                                        rng_seed=seed)]
+            for r in check_inequalities(cfg["p_grid"])]
     write_csv(os.path.join(out, "inequalities.csv"),
               ("inequality", "p", "delta", "samples", "worst_ratio",
                "violations"), rows)

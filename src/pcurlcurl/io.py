@@ -82,8 +82,10 @@ _LEVELS = {
 }
 
 _VERIFY = {
-    "seed": (int, _nonneg, 0, "RNG seed"),
-    "n_samples": (int, _positive, 1000000, "inequality sample count"),
+    "seed": (int, _nonneg, 0, "RNG seed of the potential round trip"),
+    "n_samples": (int, _positive, 1000000,
+                  "no longer changes any result (the inequality constants "
+                  "are computed, not sampled); leaves with benchmark v2"),
     "p_grid": (_parse_floats, lambda v: v and all(1 < p < math.inf for p in v),
                [2.0, 3.0, 4.0, 6.0, 10.0], "finite exponents > 1 to sweep"),
     "green_levels": (_parse_ints, _levels_ok, [2, 4, 8],

@@ -1,20 +1,19 @@
 """Numerical certification of the supporting vector-analysis facts.
 
-Two pointwise inequalities for the power map Phi(v) = |v|^(p-2) v are
-certified by seeded sampling (the constants are *estimated* as envelope
-suprema, not proven). Both ratios are invariant under a joint rotation
-and a joint scaling of (xi, eta) and under swapping xi and eta, so every
-pair reduces to xi = e1, eta = t (cos theta, sin theta, 0) with
-t = 1 - s in [0, 1] and theta in [0, pi], and only (s, theta) is drawn.
-On that domain every side of both ratios is a sum of nonnegative terms
-(`_power_terms`), so nothing cancels in float64 and, with |eta| <= |xi|
-= 1, no power overflows. `check_inequalities` sweeps a whole (p, delta)
-grid of both from one draw, streamed over row blocks that each draw
-their own rows of it from a jumped-ahead copy of the seeded stream: the
-power terms are evaluated once per p and block, each delta costs only
-1-D work, and the working set is one block's at any sample count.
-`check_ineq1`/`check_ineq2` are single-row calls of the same kernel, so
-every row of a sweep equals the matching single call bit for bit.
+The constants of two pointwise inequalities for the power map
+Phi(v) = |v|^(p-2) v are computed as suprema of the ratio of their two
+sides. Both ratios are invariant under a joint rotation and a joint
+scaling of (xi, eta) and under swapping xi and eta, so every pair
+reduces to xi = e1, eta = t (cos theta, sin theta, 0) with t = 1 - s in
+[0, 1] and theta in [0, pi]. There every side of both ratios is a sum of
+nonnegative terms (`_power_terms`), so nothing cancels in float64 and,
+with |eta| <= |xi| = 1, no power overflows. At fixed s the maximum over
+theta is at theta = 0 or pi (`_theta_max`); the maximum over s is
+searched on a grid refined around its best cell (`_sweep`). This is not
+yet a rigorous enclosure: the search could miss a narrow peak between
+grid points, and the s -> 0 end, where ineq1 takes its supremum as a
+limit for 2 < p < 3, is reached only down to the grid. Every row of a
+sweep equals the matching `check_ineq1`/`check_ineq2` call bit for bit.
 The Friedrich constant — the best bound ||u||_Lp <= C ||curl u||_Lp over
 boundary-constrained divergence-free fields — is computed discretely:
 exactly for p = 2 by a preconditioned LOBPCG block eigensolve of the
@@ -46,27 +45,26 @@ from .solver import SolveConfig, solve
 # Pointwise vector inequalities for the power map
 # ---------------------------------------------------------------------------
 
-# Rows per block of the streamed sweep in `_sweep`.
-_BLOCK_ROWS = 2**16
-
-# (s, theta) of the first rows of every draw: the antipodal, one-sided
-# (eta = 0) and radial near-equal pairs.
-_PINNED = ((0.0, np.pi), (1.0, 0.0), (1e-12, 0.0))
+# The search over s in `_sweep`: uniform and log-spaced points, then
+# rounds of points across the two cells beside the last round's best;
+# 12 rounds take a uniform cell to the float spacing at s = 1/2.
+_S_GRID = np.union1d(np.linspace(0.0, 1.0, 257), np.logspace(-16.0, 0.0, 129))
+_ROUNDS, _REFINE = 12, 33
 
 
 @dataclass
 class InequalityReport:
     """One row of the inequality sweep.
 
-    `worst_ratio` is the largest sampled ratio of the left side to the
-    right side without its constant, i.e. the sampled envelope constant,
-    over `samples` pairs (xi, eta) in the reduced form of the module
-    docstring: half drawn uniformly in (s, theta), half log-uniformly
-    toward s, theta -> 1e-12, with the antipodal (s = 0, theta = pi),
-    one-sided (eta = 0) and radial near-equal (theta = 0, s = 1e-12)
-    pairs pinned. `violations` counts the samples whose ratio is not
-    finite (a 0/0 at xi = eta), where the sample says nothing about the
-    constant; `worst_ratio` is then inf or NaN.
+    `worst_ratio` is the largest computed ratio of the left side to the
+    right side without its constant, i.e. the envelope constant, in the
+    reduced form of the module docstring: at each of `samples` points s
+    the ratio is maximised over theta exactly (`_theta_max`), and the
+    points are a fixed grid and its refinement around the best cell
+    (`_sweep`). `violations` counts the evaluated pairs whose ratio is
+    not finite, where the kernel says nothing about the constant;
+    `worst_ratio` is then inf or NaN. xi = eta (s = 0, theta = 0) is no
+    pair and is not evaluated.
     """
 
     inequality: str                  # "ineq1" or "ineq2"
@@ -75,42 +73,6 @@ class InequalityReport:
     samples: int
     worst_ratio: float
     violations: int
-
-
-def _draw(n, seed, start, stop):
-    """Rows [start, stop) of n seeded (s, theta) pairs, the first
-    min(3, n) of them pinned.
-
-    The whole draw reads 2n doubles from one PCG64 stream seeded with
-    `seed`, one 64-bit output each: s at outputs 0..n-1, as 1 - random
-    for its first n // 2 rows and 10**uniform(-12, 0) for the rest, then
-    theta at outputs n..2n-1, as pi random and 10**uniform(-12, log10 pi).
-    Each part is drawn from a copy of the seeded stream advanced to its
-    first row's output (O'Neill, PCG, 2014), so rows [start, stop) equal
-    those rows of the whole draw bit for bit, and any split of [0, n)
-    into blocks concatenates to it.
-    """
-    half = n // 2
-
-    def rows(offset, lo, hi, draw):
-        if lo >= hi:
-            return np.empty(0)
-        bits = np.random.PCG64(seed)
-        bits.advance(offset + lo)
-        return draw(np.random.Generator(bits), hi - lo)
-
-    first = (min(start, half), min(stop, half))     # rows of the uniform half
-    rest = (max(start, half), max(stop, half))      # and of the log-uniform one
-    s = np.concatenate([
-        1.0 - rows(0, *first, lambda g, m: g.random(m)),            # (0, 1]
-        10.0 ** rows(0, *rest, lambda g, m: g.uniform(-12.0, 0.0, m))])
-    theta = np.concatenate([
-        np.pi * rows(n, *first, lambda g, m: g.random(m)),
-        10.0 ** rows(n, *rest,
-                     lambda g, m: g.uniform(-12.0, np.log10(np.pi), m))])
-    for i in range(start, min(len(_PINNED), stop)):
-        s[i - start], theta[i - start] = _PINNED[i]
-    return s, theta
 
 
 def _power_terms(s, t, h, log_t, p):
@@ -130,7 +92,50 @@ def _power_terms(s, t, h, log_t, p):
             s * one_minus_T + 2.0 * (t + T) * h)
 
 
-def check_ineq1(p, delta, n_samples, rng_seed=0):
+def _ratio(inequality, p, delta, s, h):
+    """The ratio of `inequality` without its constant, and the pairing
+    (Phi(xi) - Phi(eta)) . (xi - eta), at the reduced pair with
+    s = 1 - |eta| and h = sin^2(theta / 2); the arguments broadcast."""
+    t = 1.0 - s
+    with np.errstate(divide="ignore"):          # log 0 = -inf at eta = 0
+        log_t = np.log1p(-s)
+    lhs, pairing = _power_terms(s, t, h, log_t, p)
+    diff = np.sqrt(s * s + 4.0 * t * h)         # |xi - eta|
+    tot = 1.0 + t                               # |xi| + |eta|
+    if inequality == "ineq1":
+        return lhs / (diff**(1.0 - delta) * tot**(p - 2.0 + delta)), pairing
+    return diff**(2.0 + delta) * tot**(p - 2.0 - delta) / pairing, pairing
+
+
+def _theta_max(inequality, p, delta, s):
+    """The ratio's maximum over theta at each point s, the count of its
+    non-finite values and the smallest pairing, per row.
+
+    p and delta are (rows, 1) columns and s is (rows or 1, points). At
+    fixed s the ratio reads f(h) = (a + b h)^alpha / (c + d h)^beta with
+    nonnegative coefficients:
+
+        ineq1: a = (1-T)^2, b = 4T, c = s^2, d = 4t,
+               alpha = 1/2, beta = (1-delta)/2
+        ineq2: a = s^2, b = 4t, c = s (1-T), d = 2 (t+T),
+               alpha = 1 + delta/2, beta = 1
+
+    Its log-derivative alpha b / (a + b h) - beta d / (c + d h) vanishes
+    at most once, where both terms equal some k, and the second
+    log-derivative there is k^2 (1/beta - 1/alpha) >= 0 (delta >= 0
+    gives alpha >= beta): a minimum, so the maximum over h in [0, 1] is
+    at h = 0 or 1. The h = 0 pair at s = 0 is xi = eta and is dropped.
+    """
+    h = np.array([0.0, 1.0])[:, None, None]
+    with np.errstate(invalid="ignore"):         # 0/0 at xi = eta
+        ratio, pairing = _ratio(inequality, p, delta, s, h)
+    pair = (s > 0.0) | (h > 0.0)
+    return (np.where(pair, ratio, -np.inf).max(axis=0),
+            np.count_nonzero(pair & ~np.isfinite(ratio), axis=(0, 2)),
+            np.where(pair, pairing, np.inf).min(axis=(0, 2)))
+
+
+def check_ineq1(p, delta):
     """Envelope constant for the difference bound on the power map:
 
         | |xi|^(p-2) xi - |eta|^(p-2) eta |
@@ -138,47 +143,50 @@ def check_ineq1(p, delta, n_samples, rng_seed=0):
 
     delta is restricted to [0, min(1, p-1)]: beyond 1 the right side
     vanishes faster than the left as eta -> xi and no finite constant
-    exists.
+    exists. The constant is the ratio's maximum over theta, which is at
+    theta = 0 or pi, searched over s (`_sweep`): computed, not yet a
+    rigorous enclosure, with the s -> 0 end open.
 
     Raises:
-        ValueError: p outside (1, inf), delta out of range or n_samples < 1.
+        ValueError: p outside (1, inf) or delta out of range.
     """
-    return _sweep([("ineq1", p, delta)], n_samples, rng_seed)[0]
+    return _sweep([("ineq1", p, delta)])[0]
 
 
-def check_ineq2(p, delta, n_samples, rng_seed=0):
+def check_ineq2(p, delta):
     """Envelope constant for the monotonicity lower bound:
 
         |xi - eta|^(2+delta) (|xi| + |eta|)^(p-2-delta)
             <= a2 ( |xi|^(p-2) xi - |eta|^(p-2) eta ) . (xi - eta).
 
-    Also certifies strict positivity of the pairing for xi != eta (the
-    power map is strictly monotone). delta in [0, max(0, p-2)] keeps the
-    exponent on the magnitude sum nonnegative for p >= 2.
+    Also checks strict positivity of the pairing at every evaluated pair
+    xi != eta (the power map is strictly monotone). delta in
+    [0, max(0, p-2)] keeps the exponent on the magnitude sum nonnegative
+    for p >= 2. The constant is computed as for `check_ineq1`.
 
     Raises:
-        AssertionError: if any sampled pairing is nonpositive.
-        ValueError: p outside (1, inf), delta out of range or n_samples < 1.
+        AssertionError: if any evaluated pairing is nonpositive.
+        ValueError: p outside (1, inf) or delta out of range.
     """
-    return _sweep([("ineq2", p, delta)], n_samples, rng_seed)[0]
+    return _sweep([("ineq2", p, delta)])[0]
 
 
-def check_inequalities(p_grid, n_samples, rng_seed=0):
+def check_inequalities(p_grid):
     """Both inequalities over p_grid, each at the deltas of `_delta_grid`.
 
     Returns one report per row, ordered by p and, within a p, ineq1 rows
     before ineq2 rows, each by ascending delta. Every row equals the
-    matching `check_ineq1`/`check_ineq2` call: all rows share one draw.
+    matching `check_ineq1`/`check_ineq2` call; the constants are computed
+    as there.
 
     Raises:
-        AssertionError: if any sampled ineq2 pairing is nonpositive.
-        ValueError: a p outside (1, inf), or n_samples < 1, where no
-            sample bounds a constant.
+        AssertionError: if any evaluated ineq2 pairing is nonpositive.
+        ValueError: a p outside (1, inf).
     """
     rows = [(inequality, p, delta) for p in p_grid
             for inequality in ("ineq1", "ineq2")
             for delta in _delta_grid(p, inequality)]
-    return _sweep(rows, n_samples, rng_seed)
+    return _sweep(rows)
 
 
 def _delta_cap(p, inequality):
@@ -201,64 +209,44 @@ def _check_delta(inequality, p, delta):
                          f"= [0, {cap}], got {delta}")
 
 
-def _sweep(rows, n_samples, rng_seed):
-    """Reports for (inequality, p, delta) rows, in row order, from one draw.
+def _sweep(rows):
+    """Reports for (inequality, p, delta) rows, in row order.
 
-    Streamed over blocks of _BLOCK_ROWS rows: each block draws its own
-    rows of the one draw (`_draw`), computes the p-independent sides
-    once, the power terms once per p, and each delta costs only 1-D
-    work, so the working set is one block's whatever n_samples is. The
-    reports combine per-block maxima, minima and counts, which are exact,
-    so the blocking does not change a bit of any report. Every ratio is
+    The rows of one inequality are searched together, one per array row,
+    each in its own elementwise arithmetic. Round 0 evaluates
+    `_theta_max` on `_S_GRID`; each further round evaluates _REFINE
+    points spanning the two cells beside its row's best point of the
+    round before, so the cells shrink 16-fold a round. Every ratio is
     >= 0, inf or NaN, and the maxima propagate NaN and inf, so a finite
-    maximum means that every ratio of its row is finite.
+    maximum means that every evaluated ratio of its row is finite.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
     for inequality, p, delta in rows:
         _check_delta(inequality, p, delta)
-    by_p = {}                                   # p -> row indices
-    for i, (_, p, _) in enumerate(rows):
-        by_p.setdefault(p, []).append(i)
-    worst = [-np.inf] * len(rows)
-    violations = [0] * len(rows)
-    least = dict.fromkeys(by_p, np.inf)         # smallest pairing per p
-    # one seed sequence for every block, so a None seed is one draw too
-    seed = np.random.SeedSequence(rng_seed)
-    for b in range(0, n_samples, _BLOCK_ROWS):
-        s, theta = _draw(n_samples, seed, b,
-                         min(b + _BLOCK_ROWS, n_samples))
-        t = 1.0 - s
-        h = np.sin(0.5 * theta)**2
-        diff = np.sqrt(s * s + 4.0 * t * h)     # |xi - eta|
-        tot = 1.0 + t                           # |xi| + |eta|
-        with np.errstate(divide="ignore"):      # log 0 = -inf at eta = 0
-            log_t = np.log1p(-s)
-        for p, idx in by_p.items():
-            lhs, pairing = _power_terms(s, t, h, log_t, p)
-            least[p] = np.minimum(least[p], np.min(pairing))
-            for i in idx:
-                inequality, _, delta = rows[i]
-                if inequality == "ineq1":
-                    ratio = lhs / (diff**(1.0 - delta)
-                                   * tot**(p - 2.0 + delta))
-                else:
-                    ratio = diff**(2.0 + delta) * tot**(p - 2.0 - delta) \
-                        / pairing
-                top = np.max(ratio)
-                worst[i] = np.maximum(worst[i], top)
-                if not np.isfinite(top):
-                    violations[i] += int(np.count_nonzero(~np.isfinite(ratio)))
-    for p, idx in by_p.items():
-        # NaN > 0 is False, so a NaN pairing fails the test too
-        if any(rows[i][0] == "ineq2" for i in idx) and not least[p] > 0.0:
-            raise AssertionError(
-                f"power-map pairing not strictly positive at p = {p}: "
-                f"smallest sampled pairing {float(least[p]):.3e}")
-    return [InequalityReport(inequality=inequality, p=p, delta=delta,
-                             samples=n_samples, worst_ratio=float(worst[i]),
-                             violations=violations[i])
-            for i, (inequality, p, delta) in enumerate(rows)]
+    reports = {}
+    for inequality in ("ineq1", "ineq2"):
+        idx = [i for i, row in enumerate(rows) if row[0] == inequality]
+        if not idx:
+            continue
+        p, delta = (np.array([[rows[i][k]] for i in idx]) for k in (1, 2))
+        s, worst, bad, least = _S_GRID[None, :], -np.inf, 0, np.inf
+        for _ in range(_ROUNDS + 1):
+            top, n_bad, low = _theta_max(inequality, p, delta, s)
+            worst = np.maximum(worst, top.max(axis=1))
+            bad, least = bad + n_bad, np.minimum(least, low)
+            cell = np.clip(np.argmax(top, axis=1)[:, None] + [-1, 1],
+                           0, top.shape[1] - 1)
+            ends = np.take_along_axis(np.broadcast_to(s, top.shape), cell, 1)
+            s = np.linspace(ends[:, 0], ends[:, 1], _REFINE, axis=1)
+        for i, top, n_bad, low in zip(idx, worst, bad, least):
+            # NaN > 0 is False, so a NaN pairing fails the test too
+            if inequality == "ineq2" and not low > 0.0:
+                raise AssertionError(
+                    f"power-map pairing not strictly positive at p = "
+                    f"{rows[i][1]}: smallest sampled pairing {low:.3e}")
+            reports[i] = InequalityReport(
+                *rows[i], samples=_S_GRID.size + _ROUNDS * _REFINE,
+                worst_ratio=float(top), violations=int(n_bad))
+    return [reports[i] for i in range(len(rows))]
 
 
 # ---------------------------------------------------------------------------

@@ -27,19 +27,17 @@ def report(ok, label):
 
 
 def test_criterion_1_vector_inequalities():
-    n = 1_000_000
-    seed = 2024
     worst = {}
     for p in (2.0, 3.0, 4.0, 6.0, 10.0):
-        r1 = check_ineq1(p, 0.0, n, rng_seed=seed)
-        r2 = check_ineq2(p, 0.0, n, rng_seed=seed)
+        r1 = check_ineq1(p, 0.0)
+        r2 = check_ineq2(p, 0.0)
         assert r1.violations == 0 and r2.violations == 0
         worst[p] = (r1.worst_ratio, r2.worst_ratio)
     a1, a2 = worst[2.0]
     ok = abs(a1 - 1.0) <= 1e-12 and abs(a2 - 1.0) <= 1e-12
     report(ok, "criterion 1: power-map inequality envelopes "
                f"(p=2 gives a1={a1:.15f}, a2={a2:.15f}; zero violations "
-               f"at 1e6 samples for p in 2,3,4,6,10)")
+               f"in the computed suprema for p in 2,3,4,6,10)")
 
 
 def test_criterion_2_discrete_monotonicity():
@@ -50,7 +48,7 @@ def test_criterion_2_discrete_monotonicity():
     n_pairs = 1000
     for p in (2.0, 4.0, 6.0):
         pe = PExponent(p, eps=0.0)
-        a2 = check_ineq2(p, p - 2.0, 1_000_000, rng_seed=11).worst_ratio
+        a2 = check_ineq2(p, p - 2.0).worst_ratio
         margin = []
         for _ in range(n_pairs):
             u = EdgeField(mesh)

@@ -128,7 +128,7 @@ def test_threads_other_than_one_rejected(tmp_path):
 
 def test_verify_command_csv_contract(tmp_path):
     out = tmp_path / "v"
-    rc = main(["verify", "--out_dir", str(out), "--n_samples", "20000",
+    rc = main(["verify", "--out_dir", str(out),
                "--divisions", "2,2,2", "--green_levels", "2",
                "--p_grid", "2,4"])
     assert rc == 0
@@ -142,7 +142,7 @@ def test_verify_command_csv_contract(tmp_path):
 
 def test_verify_seeded_rerun_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    args = ["--n_samples", "5000", "--divisions", "2,2,2",
+    args = ["--divisions", "2,2,2",
             "--green_levels", "2", "--p_grid", "3", "--seed", "9"]
     assert main(["verify", "--out_dir", str(a)] + args) == 0
     assert main(["verify", "--out_dir", str(b)] + args) == 0
@@ -150,17 +150,29 @@ def test_verify_seeded_rerun_identical(tmp_path):
         (b / "inequalities.csv").read_bytes()
 
 
+def test_verify_n_samples_changes_no_result(tmp_path):
+    # the key stays accepted while the benchmark passes it, and changes
+    # nothing: the constants are computed, not sampled
+    a, b = tmp_path / "a", tmp_path / "b"
+    args = ["--divisions", "2,2,2", "--green_levels", "2"]
+    assert main(["verify", "--out_dir", str(a)] + args) == 0
+    assert main(["verify", "--out_dir", str(b), "--n_samples", "2000"]
+                + args) == 0
+    assert (a / "inequalities.csv").read_bytes() == \
+        (b / "inequalities.csv").read_bytes()
+
+
 def test_verify_csv_rows_equal_single_calls(tmp_path):
     from pcurlcurl.verify import check_ineq1, check_ineq2
     out = tmp_path / "v"
-    assert main(["verify", "--out_dir", str(out), "--n_samples", "3000",
+    assert main(["verify", "--out_dir", str(out),
                  "--divisions", "2,2,2", "--green_levels", "2",
                  "--p_grid", "1.2,2,50,3,1.4", "--seed", "4"]) == 0
     rows = read_csv(out / "inequalities.csv")
     assert len(rows) == 24
     for row in rows:
         check = check_ineq1 if row["inequality"] == "ineq1" else check_ineq2
-        r = check(float(row["p"]), float(row["delta"]), 3000, rng_seed=4)
+        r = check(float(row["p"]), float(row["delta"]))
         assert (int(row["samples"]), float(row["worst_ratio"]),
                 int(row["violations"])) == \
             (r.samples, r.worst_ratio, r.violations)
