@@ -239,9 +239,14 @@ def test_non_finite_exponents_are_rejected(p):
         check_inequalities([2.0, p])
 
 
-def test_sweep_equals_single_calls():
+@pytest.mark.parametrize("rounds", [0, 5, None])
+def test_sweep_equals_single_calls(monkeypatch, rounds):
     # at p = 1.2 and 1.4 the ineq1 cap p - 1 is not a round number: the
-    # top delta must be the cap itself, or the sweep rejects its own grid
+    # top delta must be the cap itself, or the sweep rejects its own grid.
+    # Rows searched together equal lone rows at any refinement depth
+    # (None: the default)
+    if rounds is not None:
+        monkeypatch.setattr(verify, "_ROUNDS", rounds)
     grid = [1.2, 1.4, 2, 3, 4, 6, 10, 50]
     reps = check_inequalities(grid)
     assert [(r.inequality, r.p) for r in reps] == [
@@ -254,6 +259,38 @@ def test_sweep_equals_single_calls():
         check = check_ineq1 if r.inequality == "ineq1" else check_ineq2
         assert r == check(r.p, r.delta)
         assert r.violations == 0
+
+
+def test_sweep_draws_once(monkeypatch):
+    # every row of one inequality is searched in the same arrays: one
+    # `_theta_max` call per inequality and round, however many rows
+    calls = []
+    theta_max = verify._theta_max
+
+    def counting(inequality, p, delta, s):
+        calls.append((inequality, p.shape[0]))
+        return theta_max(inequality, p, delta, s)
+
+    monkeypatch.setattr(verify, "_theta_max", counting)
+    reps = check_inequalities([2.0, 50.0, 3.0, 100.0, 1.5])
+    rounds = verify._ROUNDS + 1
+    assert calls == [("ineq1", 15)] * rounds + [("ineq2", 11)] * rounds
+    assert [r.p for r in reps] == \
+        [2.0] * 4 + [50.0] * 6 + [3.0] * 6 + [100.0] * 6 + [1.5] * 4
+
+
+def test_sweep_traced_peak_does_not_grow_with_the_draw(monkeypatch):
+    # the search keeps running maxima, not the points of every round, so
+    # its working set is one round's however many rounds it runs; round 0
+    # is cut to the size of the others, or its working set would hide
+    # that of all the later rounds
+    monkeypatch.setattr(verify, "_S_GRID", np.linspace(0.0, 1.0,
+                                                       verify._REFINE))
+    peaks = []
+    for rounds in (12, 48):
+        monkeypatch.setattr(verify, "_ROUNDS", rounds)
+        peaks.append(traced_peak(lambda: check_inequalities([3.0])))
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def _negated_map_terms(s, t, h, log_t, p):
@@ -271,6 +308,33 @@ def test_nonmonotone_map_is_rejected(monkeypatch):
         check_inequalities([3.0])
     # the difference bound certifies no monotonicity
     assert check_ineq1(3.0, 0.0).violations == 0
+
+
+def test_smallest_pairing_is_over_the_whole_draw(monkeypatch):
+    # the sweep must report the smallest pairing over every round of the
+    # search, not that of round 0. A pairing of -h / (1e-6 + (s - 1/3)^2)
+    # is 0 at theta = 0 and negative at theta = pi, most negative at
+    # s = 1/3, off the s grid; the ratio is best there too, so the
+    # refinement closes in on it
+    lows = []
+    theta_max = verify._theta_max
+
+    def recording(inequality, p, delta, s):
+        top, bad, low = theta_max(inequality, p, delta, s)
+        if inequality == "ineq2":
+            lows.append(low[0])                 # the first row raises
+        return top, bad, low
+
+    monkeypatch.setattr(verify, "_theta_max", recording)
+    monkeypatch.setattr(verify, "_power_terms", lambda s, t, h, log_t, p:
+                        (s, -h / (1e-6 + (s - 1.0 / 3.0)**2)))
+    with pytest.raises(AssertionError) as err, \
+            np.errstate(divide="ignore"):       # ineq2 at a 0 pairing
+        check_inequalities([3.0])
+    assert len(lows) == verify._ROUNDS + 1
+    assert min(lows) < lows[0]
+    assert str(err.value).endswith(
+        f"smallest sampled pairing {min(lows):.3e}")
 
 
 def test_violations_count_samples_with_a_non_finite_ratio(monkeypatch):
