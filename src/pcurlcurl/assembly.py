@@ -20,10 +20,7 @@ import numpy as np
 
 from . import whitney
 from .linalg import SparseMatrix
-from .mesh import LOCAL_EDGES, Mesh
-
-# Local vertex slots (i, j) of each local edge, as index arrays.
-_EDGE_I, _EDGE_J = np.array(LOCAL_EDGES).T
+from .mesh import _EDGE_I, _EDGE_J, Mesh
 
 # Tets per block of the streamed quadrature sums (`lp_norm_field`,
 # `mms.measure_error`): a block's (n, nq, 3) arrays at the order-4 rule
@@ -117,17 +114,16 @@ def curl_per_tet(u: EdgeField, geom=None):
 
 
 def local_coeffs(u: EdgeField, tets=slice(None)):
-    """Coefficients of u signed to each tet's local edges, shape (n, 6).
+    """Coefficients of u on each tet's local edges, shape (n, 6).
 
     `tets` selects the tets (a slice or index array), all by default.
     """
-    mesh = u.mesh
-    return u.coeffs[mesh.tet_edges[tets]] * mesh.tet_edge_signs[tets]
+    return u.coeffs[u.mesh.tet_edges[tets]]
 
 
 def tet_curls(local, curls):
-    """Per-tet curls (n, 3) from signed local coefficients (n, 6) and the
-    tets' unsigned basis curls (n, 6, 3)."""
+    """Per-tet curls (n, 3) from local coefficients (n, 6) and the tets'
+    basis curls (n, 6, 3)."""
     return np.einsum("te,tec->tc", local, curls)
 
 
@@ -144,7 +140,7 @@ def assemble_residual(u: EdgeField, load, p: PExponent):
     geom = mesh.geometry
     g = curl_per_tet(u)
     flux = power_map(g, p) * geom.vols[:, None]
-    per_edge = np.einsum("tc,tec->te", flux, geom.curls) * mesh.tet_edge_signs
+    per_edge = np.einsum("tc,tec->te", flux, geom.curls)
     out = np.bincount(mesh.tet_edges.ravel(), per_edge.ravel(), mesh.num_edges)
     return out[mesh.free_edges()] - load
 
@@ -157,7 +153,7 @@ def assemble_jacobian(u: EdgeField, p: PExponent):
 
     With g the curl on a tet, the power map's derivative is
     D = a I + b g g^T, a = m^((p-2)/2), b = (p-2) m^((p-4)/2) and
-    m = eps^2 + |g|^2. With S the tet's signed basis curls, the element
+    m = eps^2 + |g|^2. With S the tet's basis curls, the element
     block vol S D S^T is then a vol S S^T + w w^T, w = sqrt(b vol) S g:
     the Gram matrix Z Z^T of the (6, 4) matrix Z = [sqrt(a vol) S, w].
     Where m = 0 (eps = 0 on a curl-free tet) the block is zero.
@@ -165,7 +161,7 @@ def assemble_jacobian(u: EdgeField, p: PExponent):
     mesh = u.mesh
     if p.p == 2.0:
         return mesh.stiffness
-    geom, signs = mesh.geometry, mesh.tet_edge_signs
+    geom = mesh.geometry
     g = curl_per_tet(u)
     msq = p.eps**2 + np.sum(g * g, axis=1)
     a = np.zeros_like(msq)
@@ -174,21 +170,20 @@ def assemble_jacobian(u: EdgeField, p: PExponent):
     a[pos] = np.power(msq[pos], 0.5 * (p.p - 2.0))
     b[pos] = (p.p - 2.0) * np.power(msq[pos], 0.5 * (p.p - 4.0))
     Z = np.empty((mesh.num_tets, 6, 4))
-    weights = signs * np.sqrt(a * geom.vols)[:, None]
-    np.multiply(geom.curls, weights[:, :, None], out=Z[:, :, :3])
+    np.multiply(geom.curls, np.sqrt(a * geom.vols)[:, None, None],
+                out=Z[:, :, :3])
     np.matmul(geom.curls, g[:, :, None], out=Z[:, :, 3:])
-    Z[:, :, 3] *= signs * np.sqrt(b * geom.vols)[:, None]
+    Z[:, :, 3] *= np.sqrt(b * geom.vols)[:, None]
     return scatter_blocks(mesh, gram_blocks(Z))
 
 
 def stiffness_blocks(mesh: Mesh):
     """p = 2 curl-curl element blocks vol S S^T, shape (T, 6, 6).
 
-    S (6, 3) holds a tet's basis curls, signed to the global edges.
+    S (6, 3) holds a tet's basis curls.
     """
     geom = mesh.geometry
-    weights = mesh.tet_edge_signs * np.sqrt(geom.vols)[:, None]
-    return gram_blocks(geom.curls * weights[:, :, None])
+    return gram_blocks(geom.curls * np.sqrt(geom.vols)[:, None, None])
 
 
 def gram_blocks(Z):
@@ -269,15 +264,13 @@ def edge_moments(mesh: Mesh, rule, values):
 
 
 def tet_edge_moments(mesh: Mesh, rule, values, tets=slice(None)):
-    """Signed per-tet terms (n, 6) of `edge_moments` on the tets `tets`,
+    """Per-tet terms (n, 6) of `edge_moments` on the tets `tets`,
     from `values` (n, nq, 3) at their quadrature points."""
     geom = mesh.geometry
     B = (rule.weights * rule.points.T) @ values         # (n, 4, 3)
     B *= geom.vols[tets, None, None]
     P = B @ geom.grads[tets].transpose(0, 2, 1)         # P_ij = B_i . grad lam_j
-    per_edge = P[:, _EDGE_I, _EDGE_J] - P[:, _EDGE_J, _EDGE_I]
-    per_edge *= mesh.tet_edge_signs[tets]
-    return per_edge
+    return P[:, _EDGE_I, _EDGE_J] - P[:, _EDGE_J, _EDGE_I]
 
 
 def edge_interpolate(func, mesh: Mesh):
@@ -329,7 +322,7 @@ def vertex_vectors(u: EdgeField):
     """Per-tet vectors A (T, 4, 3) with u = sum_i lam_i A_i on each tet.
 
     A = C grad(lam), where C is the antisymmetric 4 x 4 matrix of the
-    tet's signed local coefficients (C_ij = c_(i,j) for i < j): on a tet
+    tet's local coefficients (C_ij = c_(i,j) for i < j): on a tet
     the Whitney field is linear in the barycentric coordinates, and A_i
     is its value at vertex i.
     """
@@ -337,7 +330,7 @@ def vertex_vectors(u: EdgeField):
 
 
 def tet_vertex_vectors(local, grads):
-    """`vertex_vectors` from signed local coefficients (n, 6) and the
+    """`vertex_vectors` from local coefficients (n, 6) and the
     tets' barycentric gradients (n, 4, 3)."""
     C = np.zeros((local.shape[0], 4, 4))
     C[:, _EDGE_I, _EDGE_J] = local

@@ -165,7 +165,7 @@ def cmd_friedrich(cfg):
     cfg.echo(out)
     meshes = (build_box_mesh((n, n, n), extents=(np.pi, np.pi, np.pi))
               for n in cfg["levels"])
-    rep = friedrich_constant(meshes, cfg["p"], seed=cfg["seed"])
+    rep = friedrich_constant(meshes, cfg["p"])
     levels = cfg["levels"]
     rows = []
     for i, (n, c, its, lin) in enumerate(zip(levels, rep.constants,

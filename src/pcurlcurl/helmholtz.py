@@ -44,11 +44,7 @@ def mass_blocks(mesh: Mesh):
     geom = mesh.geometry
     gram = gram_blocks(geom.grads)                      # (T, 4, 4)
     gram *= geom.vols[:, None, None]
-    blocks = (gram.reshape(-1, 16) @ _MASS_KERNEL).reshape(-1, 6, 6)
-    # int8 signs: their (T, 6, 6) products cost half of int64's
-    signs = mesh.tet_edge_signs.astype(np.int8)
-    blocks *= signs[:, :, None] * signs[:, None, :]
-    return blocks
+    return (gram.reshape(-1, 16) @ _MASS_KERNEL).reshape(-1, 6, 6)
 
 
 def edge_mass_matrix(mesh: Mesh):

@@ -93,7 +93,9 @@ _VERIFY = {
 }
 
 _FRIEDRICH = {
-    "seed": (int, _nonneg, 0, "RNG seed"),
+    "seed": (int, _nonneg, 0,
+             "no longer changes any result (the LOBPCG start has a fixed "
+             "seed); leaves with benchmark v2"),
     "p": (_parse_float, lambda v: 2.0 <= v < math.inf, 2.0,
           "norm exponent (finite, >= 2)"),
 }
@@ -200,9 +202,10 @@ def write_vtk(path, mesh: Mesh, u: EdgeField, name="field"):
 
     Cells carry the (piecewise constant) curl; points carry the field
     reconstructed by averaging each adjacent tet's value at the vertex,
-    which is that tet's vertex vector. Each section is its ASCII header
-    line, one big-endian array (float64 values bit for bit, int32
-    connectivity) and a newline, so reruns are byte-identical.
+    which is that tet's vertex vector. Each cell lists its tet's vertices
+    in positive orientation, as VTK_TETRA requires. Each section is its
+    ASCII header line, one big-endian array (float64 values bit for bit,
+    int32 connectivity) and a newline, so reruns are byte-identical.
 
     Raises:
         ValueError: a vertex index does not fit in int32.
@@ -210,6 +213,12 @@ def write_vtk(path, mesh: Mesh, u: EdgeField, name="field"):
     T, V = mesh.num_tets, mesh.num_vertices
     if T and mesh.tets.max() > np.iinfo(np.int32).max:
         raise ValueError("vertex index does not fit in int32 for VTK CELLS")
+
+    # VTK_TETRA wants positive orientation: swap vertices 1 and 2 of
+    # every negatively oriented tet
+    cells = np.column_stack((np.full(T, 4), mesh.tets))
+    flipped = mesh.geometry.flipped
+    cells[flipped, 2:4] = cells[flipped, 3:1:-1]
 
     # bincount adds each vertex's corners in tet order: a fixed sum order
     idx = mesh.tets.ravel()
@@ -222,8 +231,7 @@ def write_vtk(path, mesh: Mesh, u: EdgeField, name="field"):
         _write_section(fh, f"# vtk DataFile Version 3.0\n{name}\nBINARY\n"
                        f"DATASET UNSTRUCTURED_GRID\nPOINTS {V} double\n",
                        mesh.vertices, ">f8")
-        _write_section(fh, f"CELLS {T} {5 * T}\n",
-                       np.column_stack((np.full(T, 4), mesh.tets)), ">i4")
+        _write_section(fh, f"CELLS {T} {5 * T}\n", cells, ">i4")
         _write_section(fh, f"CELL_TYPES {T}\n", np.full(T, 10), ">i4")
         _write_section(fh, f"CELL_DATA {T}\nVECTORS curl double\n",
                        curl_per_tet(u), ">f8")

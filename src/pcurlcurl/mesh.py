@@ -1,10 +1,12 @@
 """Structured tetrahedral meshes of axis-aligned boxes.
 
 Each grid cube is split into 6 tetrahedra sharing the cube's main diagonal
-(Kuhn split). The split is orientation-uniform: every edge is stored once,
-directed from its lower to its higher global vertex index, so the sign
-relating a tet's local edge direction to the global one is a pure function
-of the vertex ordering.
+(Kuhn split). Every tet stores its vertex indices in ascending order and
+every edge is stored once, directed from its lower to its higher global
+vertex index, so each local edge (i, j), i < j, runs the way its global
+edge does and no orientation sign enters any formula (Rognes, Kirby &
+Logg, SIAM J. Sci. Comput. 31, 2009). A tet's orientation is therefore
+arbitrary; only VTK output needs it (`whitney.CellGeometry.flipped`).
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import scipy.sparse as sp
 
 # Local edges of a tetrahedron (pairs of local vertex slots), fixed order.
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# Local vertex slots (i, j) of each local edge, as index arrays.
+_EDGE_I, _EDGE_J = np.array(LOCAL_EDGES).T
 
 # A box mesh with even divisions has a coarse mesh at half of them, down
 # to this many divisions per axis.
@@ -52,12 +56,10 @@ class Mesh:
 
     Attributes:
         vertices: (V, 3) float array of coordinates.
-        tets: (T, 4) int array of vertex indices, positively oriented.
+        tets: (T, 4) int array of vertex indices, ascending in each row.
         edges: (E, 2) int array, each row (lo, hi) with lo < hi.
         tet_edges: (T, 6) int array of global edge indices, local order
-            per LOCAL_EDGES.
-        tet_edge_signs: (T, 6) int array, +1 where the local direction
-            agrees with the global lo->hi direction, -1 otherwise.
+            per LOCAL_EDGES; each local edge has its global direction.
         boundary_edges: sorted int array of edge indices on the box surface.
         boundary_vertices: sorted int array of vertex indices on the surface.
         box: (origin, extents) pair of float triples.
@@ -86,7 +88,7 @@ class Mesh:
     def __init__(self, vertices, tets, box, divisions=None):
         self.divisions = divisions
         self.vertices = np.asarray(vertices, dtype=float)
-        self.tets = np.asarray(tets, dtype=np.int64)
+        self.tets = np.sort(np.asarray(tets, dtype=np.int64), axis=1)
         self.box = (np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float))
         self._build_edges()
         self.boundary_edges, self.boundary_vertices = classify_boundary(self)
@@ -113,7 +115,7 @@ class Mesh:
         # Lazy: a mesh used only for interpolation or output never pays.
         from . import whitney
         geom = whitney.cell_geometry(self)
-        _read_only(geom.vols, geom.grads, geom.curls)
+        _read_only(geom.vols, geom.grads, geom.curls, geom.flipped)
         return geom
 
     @cached_property
@@ -199,20 +201,13 @@ class Mesh:
     # -- construction helpers ---------------------------------------------
 
     def _build_edges(self):
+        # ascending rows: local edge (a, b), a < b, is its global (lo, hi)
         t = self.tets
-        pairs = np.concatenate([t[:, [a, b]] for a, b in LOCAL_EDGES], axis=0)
-        lo = pairs.min(axis=1)
-        hi = pairs.max(axis=1)
-        key = lo.astype(np.int64) * self.num_vertices + hi
+        key = t[:, _EDGE_I] * self.num_vertices + t[:, _EDGE_J]   # (T, 6)
         uniq, inverse = np.unique(key, return_inverse=True)
         self.edges = np.column_stack([uniq // self.num_vertices,
                                       uniq % self.num_vertices])
-        ntet = self.num_tets
-        self.tet_edges = np.empty((ntet, 6), dtype=np.int64)
-        self.tet_edge_signs = np.empty((ntet, 6), dtype=np.int64)
-        for k, (a, b) in enumerate(LOCAL_EDGES):
-            self.tet_edges[:, k] = inverse[k * ntet:(k + 1) * ntet]
-            self.tet_edge_signs[:, k] = np.where(t[:, a] < t[:, b], 1, -1)
+        self.tet_edges = inverse.reshape(key.shape)
 
 
 def _csr_pattern(mesh):
@@ -311,7 +306,6 @@ def _prolongation(mesh):
     slope = grads @ d[:, :, None]                      # (n, 4, 1): grad lam . d
     vals = np.stack([lam[:, i] * slope[:, j, 0] - lam[:, j] * slope[:, i, 0]
                      for i, j in LOCAL_EDGES], axis=1)
-    vals *= coarse.tet_edge_signs[tet]
 
     position = np.full(coarse.num_edges, -1, dtype=np.int32)
     cfree = coarse.free_edges()
@@ -366,21 +360,13 @@ def build_box_mesh(divisions, origin=(0.0, 0.0, 0.0), extents=(1.0, 1.0, 1.0)):
         c1 = c0 + axes[perm[0]]
         c2 = c1 + axes[perm[1]]
         c3 = c2 + axes[perm[2]]
-        quad = np.stack([vid(c[:, 0], c[:, 1], c[:, 2])
-                         for c in (c0, c1, c2, c3)], axis=1)
-        if _perm_parity(perm) < 0:
-            # Odd axis order flips the orientation; swap two vertices so
-            # every stored tet has positive volume.
-            quad = quad[:, [0, 2, 1, 3]]
-        tets.append(quad)
+        # each step raises a grid index, so the row is ascending; an
+        # odd axis order gives the tet negative orientation
+        tets.append(np.stack([vid(c[:, 0], c[:, 1], c[:, 2])
+                              for c in (c0, c1, c2, c3)], axis=1))
     tets = np.concatenate(tets, axis=0)
 
     return Mesh(vertices, tets, (origin, extents), divisions)
-
-
-def _perm_parity(perm):
-    inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
-    return -1 if inversions % 2 else 1
 
 
 def classify_boundary(mesh):

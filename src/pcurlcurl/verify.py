@@ -256,6 +256,9 @@ def _sweep(rows):
 # Steps of `_friedrich_inverse` before SolverError (4-8 settle it).
 _INVERSE_BUDGET = 30
 
+# Seed of the random LOBPCG start block of a mesh without a coarse mesh.
+_START_SEED = 0
+
 
 @dataclass
 class FriedrichReport:
@@ -269,7 +272,7 @@ class FriedrichReport:
     linear_iterations: list = field(default_factory=list)  # stiffness CG
 
 
-def friedrich_constant(meshes, p, seed=0):
+def friedrich_constant(meshes, p):
     """Best discrete constant in ||u||_Lp <= C ||curl u||_Lp on each mesh.
 
     `meshes` may be any iterable, a generator included: the levels are
@@ -291,11 +294,11 @@ def friedrich_constant(meshes, p, seed=0):
     way, or reused when the previous level has its divisions and box
     (in levels 4, 8, 12, 8^3 starts from 4^3, and 12^3 from 6^3 and
     3^3). Only a mesh without a coarse mesh, at the bottom of that
-    recursion or on its own, starts from a random block drawn with
-    `seed`; the constants do not depend on it beyond the eigensolve's
-    tolerance. The report counts, per level, the outer iterations and
-    the stiffness-CG iterations, coarse levels solved for it included;
-    a reused level counts once, at its own level.
+    recursion or on its own, starts from a random block of the fixed
+    seed `_START_SEED`; the constants do not depend on it beyond the
+    eigensolve's tolerance. The report counts, per level, the outer
+    iterations and the stiffness-CG iterations, coarse levels solved for
+    it included; a reused level counts once, at its own level.
 
     p > 2: inverse power iteration from the p = 2 maximizer, one `solve`
     at p per step, until an iterate raises the ratio ||u||_p /
@@ -321,7 +324,7 @@ def friedrich_constant(meshes, p, seed=0):
     vols = []                       # mean tet volume of the last two levels
     last = None                     # (level key, Ritz block) of the last level
     for mesh in meshes:
-        u2, (c2, its, lin), X = _friedrich_p2(mesh, seed, last)
+        u2, (c2, its, lin), X = _friedrich_p2(mesh, last)
         last = (_level_key(mesh), X)
         iterations.append(its)
         linear_iterations.append(lin)
@@ -350,7 +353,7 @@ def _level_key(mesh):
     return mesh.divisions, tuple(origin), tuple(extents)
 
 
-def _friedrich_p2(mesh, seed, last=None):
+def _friedrich_p2(mesh, last=None):
     """Smallest constrained curl-curl eigenvalue by preconditioned LOBPCG.
 
     Returns the maximizer u, (C_h, outer iterations, stiffness-CG
@@ -364,8 +367,8 @@ def _friedrich_p2(mesh, seed, last=None):
     block of `last`, a (key, block) pair, when its key is the coarse
     level's, and is otherwise solved recursively, its counts added to
     this level's. Any other mesh starts from a random block drawn with
-    `seed`. Every coarse mesh has 3 or more divisions per axis, so its
-    block has 6 columns too. Each watched
+    `_START_SEED`. Every coarse mesh has 3 or more divisions per axis,
+    so its block has 6 columns too. Each watched
     residual column is preconditioned by a loose CG solve on K (tol 0.1; its
     convergence flag is ignored, as it only preconditions): R = KX - MX
     Theta is orthogonal to the gradients, so CG on the singular K is
@@ -425,13 +428,12 @@ def _friedrich_p2(mesh, seed, last=None):
     iterations = 0
     coarse = mesh.coarse
     if coarse is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_START_SEED)
         X = rng.standard_normal((free.size, block))
     elif last is not None and last[0] == _level_key(coarse):
         X = mesh.prolongation @ last[1]
     else:
-        _, (_, iterations, linear_iterations), Xc = _friedrich_p2(
-            coarse, seed, last)
+        _, (_, iterations, linear_iterations), Xc = _friedrich_p2(coarse, last)
         X = mesh.prolongation @ Xc
     X = _m_orthonormalize(project_cols(X), M)
     theta, Q = np.linalg.eigh(X.T @ (K @ X))

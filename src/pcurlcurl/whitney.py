@@ -27,26 +27,33 @@ class CellGeometry:
         vols: (T,) positive tet volumes.
         grads: (T, 4, 3) constant barycentric gradients grad(lam_i).
         curls: (T, 6, 3) constant curls of the 6 local edge functions,
-            unsigned (global orientation signs are applied by callers).
+            which are the global ones: local edges run as their global
+            edges do (see `mesh`).
+        flipped: (T,) bool, True where the tet's vertices, in stored
+            order, are negatively oriented (det [v1-v0, v2-v0, v3-v0]
+            < 0). No formula needs it; VTK output, which requires
+            positive orientation, does.
     """
 
     vols: np.ndarray
     grads: np.ndarray
     curls: np.ndarray
+    flipped: np.ndarray
 
 
 def cell_geometry(mesh):
-    """Precompute volumes, barycentric gradients and basis curls.
+    """Precompute volumes, barycentric gradients, basis curls and the
+    orientation of each tet.
 
     Raises:
-        MeshError: if any tet is degenerate (volume <= 0).
+        MeshError: if any tet is degenerate (zero volume).
     """
     v = mesh.vertices[mesh.tets]                      # (T, 4, 3)
     d = v[:, 1:] - v[:, :1]                           # (T, 3, 3)
     det = np.linalg.det(d)
-    vols = det / 6.0
+    vols = np.abs(det) / 6.0
     if np.any(vols <= 0):
-        raise MeshError("degenerate tetrahedron: non-positive volume")
+        raise MeshError("degenerate tetrahedron: zero volume")
     inv = np.linalg.inv(d)                            # columns are grad lam_1..3
     grads = np.empty((mesh.num_tets, 4, 3))
     grads[:, 1:] = np.transpose(inv, (0, 2, 1))
@@ -54,7 +61,7 @@ def cell_geometry(mesh):
     curls = np.empty((mesh.num_tets, 6, 3))
     for k, (i, j) in enumerate(LOCAL_EDGES):
         curls[:, k] = 2.0 * np.cross(grads[:, i], grads[:, j])
-    return CellGeometry(vols=vols, grads=grads, curls=curls)
+    return CellGeometry(vols=vols, grads=grads, curls=curls, flipped=det < 0)
 
 
 @dataclass(frozen=True)

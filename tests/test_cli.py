@@ -203,6 +203,15 @@ def test_friedrich_order_needs_one_refinement_ratio(tmp_path):
     assert [r["observed_order"] for r in rows] == ["", "", ""]
 
 
+def test_friedrich_seed_changes_nothing(tmp_path):
+    # the key stays accepted, but the eigensolve's start has a fixed seed
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out, seed in ((a, "0"), (b, "7")):
+        assert main(["friedrich", "--out_dir", str(out), "--levels", "2,4",
+                     "--seed", seed]) == 0
+    assert (a / "friedrich.csv").read_bytes() == (b / "friedrich.csv").read_bytes()
+
+
 def test_friedrich_above_p2_reports_the_finest_bound(tmp_path):
     # p > 2 constants are lower bounds: nothing is extrapolated, and the
     # summary says so
@@ -287,7 +296,12 @@ def test_vtk_structure(tmp_path):
     assert vtk.name == vtk.point_data_name == "field"
     assert_same_bits(vtk.points, mesh.vertices)
     assert np.array_equal(vtk.cells[:, 0], np.full(mesh.num_tets, 4))
-    assert np.array_equal(vtk.cells[:, 1:], mesh.tets)
+    # the cube's corner paths c0 -> c3 in axis-permutation order, corner
+    # (i, j, k) numbered 4 i + 2 j + k; the odd orders (0, 2, 1), (1, 0, 2)
+    # and (2, 1, 0) are written (c0, c2, c1, c3), positively oriented
+    assert np.array_equal(vtk.cells[:, 1:], [[0, 4, 6, 7], [0, 5, 4, 7],
+                                             [0, 6, 2, 7], [0, 2, 3, 7],
+                                             [0, 1, 5, 7], [0, 3, 1, 7]])
     assert np.array_equal(vtk.cell_types, np.full(mesh.num_tets, 10))
     assert_same_bits(vtk.cell_data, curl_per_tet(u))
     assert vtk.point_data.shape == (mesh.num_vertices, 3)

@@ -42,10 +42,10 @@ def test_mass_matrix_single_tet_symbolic_oracle():
     # is empty and the all-edge assembly carries the property
     assert edge_mass_matrix(mesh).shape == (0, 0)
     M = dense_mass_all_edges(mesh)
-    # map local edge order to global edge numbering (signs are +1 here
-    # because the single tet is stored with ascending vertices)
+    # map local edge order to global edge numbering: the tet row is
+    # ascending, so every local edge has its global direction
     perm = mesh.tet_edges[0]
-    assert np.all(mesh.tet_edge_signs[0] == 1)
+    assert np.all(np.diff(mesh.tets[0]) > 0)
     assert np.allclose(M[np.ix_(perm, perm)], oracle, atol=1e-15)
 
 

@@ -25,7 +25,7 @@ from pcurlcurl.io import write_vtk
 from pcurlcurl.mesh import Mesh, build_box_mesh
 from pcurlcurl.mms import (ManufacturedCase, case_general_p, case_p2_sine,
                            measure_error)
-from vtk_reader import assert_same_bits, read_vtk
+from vtk_reader import assert_same_bits, cell_volumes, positive_rows, read_vtk
 
 
 def jittered_mesh(n, seed=0):
@@ -43,7 +43,7 @@ def random_field(mesh, seed=1):
 
 
 def local_coeffs(u):
-    return u.coeffs[u.mesh.tet_edges] * u.mesh.tet_edge_signs
+    return u.coeffs[u.mesh.tet_edges]
 
 
 def smooth_load(x):
@@ -80,7 +80,7 @@ def test_load_matches_basis():
     Sq = smooth_load(xq.reshape(-1, 3)).reshape(xq.shape)
     W = eval_basis(geom, rule.points)
     per_edge = np.einsum("q,tqc,tqec->te", rule.weights, Sq, W)
-    per_edge *= geom.vols[:, None] * mesh.tet_edge_signs
+    per_edge *= geom.vols[:, None]
     expect = np.zeros(mesh.num_edges)
     np.add.at(expect, mesh.tet_edges.ravel(), per_edge.ravel())
     expect = expect[mesh.free_edges()]
@@ -94,8 +94,7 @@ def test_mass_matrix_matches_basis():
     rule = whitney.quadrature(2)
     W = eval_basis(geom, rule.points)
     blocks = np.einsum("q,tqec,tqfc->tef", rule.weights, W, W)
-    signs = mesh.tet_edge_signs
-    blocks *= geom.vols[:, None, None] * signs[:, :, None] * signs[:, None, :]
+    blocks *= geom.vols[:, None, None]
     expect = np.zeros((mesh.num_edges, mesh.num_edges))
     e = mesh.tet_edges
     np.add.at(expect, (e[:, :, None], e[:, None, :]), blocks)
@@ -307,6 +306,19 @@ def test_lp_norm_field_traced_peak_does_not_grow_with_the_mesh():
     assert peaks[1] <= 1.1 * peaks[0]
 
 
+def test_vtk_cells_are_positively_oriented(tmp_path):
+    box = build_box_mesh((2, 3, 2), extents=(1.0, 1.3, 0.8))
+    raw = jittered_mesh(2)
+    assert box.geometry.flipped.any() and raw.geometry.flipped.any()
+    for k, mesh in enumerate((box, raw)):
+        path = tmp_path / f"f{k}.vtk"
+        write_vtk(path, mesh, random_field(mesh))
+        vtk = read_vtk(path)
+        vols = cell_volumes(mesh.vertices, vtk.cells[:, 1:])
+        assert np.all(vols > 0)
+        assert np.allclose(vols, mesh.geometry.vols, rtol=1e-12)
+
+
 def test_vtk_matches_arrays_and_basis_average(tmp_path):
     mesh = jittered_mesh(2)
     u = random_field(mesh)
@@ -316,7 +328,7 @@ def test_vtk_matches_arrays_and_basis_average(tmp_path):
     assert vtk.name == vtk.point_data_name == "field"
     assert_same_bits(vtk.points, mesh.vertices)
     assert np.array_equal(vtk.cells, np.column_stack(
-        [np.full(mesh.num_tets, 4), mesh.tets]))
+        [np.full(mesh.num_tets, 4), positive_rows(mesh)]))
     assert np.array_equal(vtk.cell_types, np.full(mesh.num_tets, 10))
     assert_same_bits(vtk.cell_data, curl_per_tet(u))
 

@@ -92,15 +92,34 @@ def test_boundary_vertices_are_endpoints_of_boundary_edges():
 def test_edges_sorted_and_signs_consistent():
     mesh = build_box_mesh((2, 3, 2))
     assert np.all(mesh.edges[:, 0] < mesh.edges[:, 1])
+    # ascending rows: every local edge runs as its global edge does
+    assert np.all(np.diff(mesh.tets, axis=1) > 0)
     from pcurlcurl.mesh import LOCAL_EDGES
     for k, (a, b) in enumerate(LOCAL_EDGES):
         va = mesh.tets[:, a]
         vb = mesh.tets[:, b]
-        expect = np.where(va < vb, 1, -1)
-        assert np.array_equal(mesh.tet_edge_signs[:, k], expect)
         stored = mesh.edges[mesh.tet_edges[:, k]]
         assert np.array_equal(np.minimum(va, vb), stored[:, 0])
         assert np.array_equal(np.maximum(va, vb), stored[:, 1])
+
+
+def test_tet_rows_are_ascending_for_any_input_order():
+    box = build_box_mesh((3, 2, 2), extents=(1.0, 1.3, 0.7))
+    rng = np.random.default_rng(5)
+    shuffled = rng.permuted(box.tets, axis=1)
+    assert not np.array_equal(shuffled, box.tets)
+    raw = Mesh(box.vertices, shuffled, box.box)
+    for mesh in (box, raw):
+        assert np.all(np.diff(mesh.tets, axis=1) > 0)
+    assert np.array_equal(raw.tets, box.tets)
+    assert np.array_equal(raw.edges, box.edges)
+    assert np.array_equal(raw.tet_edges, box.tet_edges)
+    for name in ("vols", "grads", "curls", "flipped"):
+        assert np.array_equal(getattr(raw.geometry, name),
+                              getattr(box.geometry, name))
+    assert np.array_equal(raw.stiffness.indptr, box.stiffness.indptr)
+    assert np.array_equal(raw.stiffness.indices, box.stiffness.indices)
+    assert np.array_equal(raw.stiffness.data, box.stiffness.data)
 
 
 def test_classify_boundary_is_pure():
@@ -161,7 +180,7 @@ def test_geometry_is_cached_and_read_only():
     geom = mesh.geometry
     assert mesh.geometry is geom
     fresh = whitney.cell_geometry(mesh)
-    for name in ("vols", "grads", "curls"):
+    for name in ("vols", "grads", "curls", "flipped"):
         assert np.array_equal(getattr(geom, name), getattr(fresh, name))
         with pytest.raises(ValueError):
             getattr(geom, name)[0] = 0.0

@@ -476,20 +476,12 @@ def test_friedrich_p2_preconditions_only_the_watched_columns(monkeypatch):
     assert 0 < len(calls) <= 3 * rep.iterations[0]
 
 
-@pytest.mark.parametrize("seed", [0, 601])
-def test_friedrich_p2_constants_are_pinned(seed):
+def test_friedrich_p2_constants_are_pinned():
     # the values with all 6 block columns preconditioned, to 1e-12
     meshes = [build_box_mesh((n, n, n), extents=(PI, PI, PI)) for n in (4, 8)]
-    rep = friedrich_constant(meshes, 2.0, seed=seed)
+    rep = friedrich_constant(meshes, 2.0)
     assert rep.constants == pytest.approx([0.72145571687325, 0.71087900502083],
                                           rel=1e-12, abs=0.0)
-
-
-def test_friedrich_p2_seed_independent():
-    mesh = build_box_mesh((4, 4, 4), extents=(PI, PI, PI))
-    c0 = friedrich_constant([mesh], 2.0, seed=0).constants[0]
-    c1 = friedrich_constant([mesh], 2.0, seed=1).constants[0]
-    assert c1 == pytest.approx(c0, rel=1e-12)
 
 
 @pytest.mark.parametrize("output, failure", [
@@ -553,8 +545,8 @@ def _record_eigensolves(monkeypatch):
     solved = []
     real = verify._friedrich_p2
 
-    def recording(mesh, seed, last=None):
-        out = real(mesh, seed, last)
+    def recording(mesh, last=None):
+        out = real(mesh, last)
         solved.append((mesh.divisions, *out[1][1:]))
         return out
 
@@ -615,7 +607,7 @@ def test_friedrich_p4_lower_bound_exceeds_start():
     meshes = [build_box_mesh((2, 2, 2), extents=(PI, PI, PI))]
     from pcurlcurl.assembly import lp_norm_curl, lp_norm_field
     from pcurlcurl.verify import _friedrich_p2
-    u2, _, _ = _friedrich_p2(meshes[0], seed=0)
+    u2, _, _ = _friedrich_p2(meshes[0])
     start = lp_norm_field(u2, 4.0) / lp_norm_curl(u2, 4.0)
     rep = friedrich_constant(meshes, 4.0)
     assert rep.lower_bound_only
@@ -704,7 +696,7 @@ def test_friedrich_maximizer_is_divergence_free_with_curl():
     from pcurlcurl.helmholtz import DivFreeProjector
     from pcurlcurl.verify import _friedrich_p2
     mesh = build_box_mesh((2, 2, 2), extents=(PI, PI, PI))
-    u, _, _ = _friedrich_p2(mesh, seed=0)
+    u, _, _ = _friedrich_p2(mesh)
     num = DivFreeProjector(mesh).constraint_norm(u.coeffs)
     assert num <= 1e-8 * np.linalg.norm(u.coeffs)
     assert np.abs(curl_per_tet(u)).max() > 0.01     # gradients are excluded

@@ -41,6 +41,23 @@ def test_degenerate_tet_rejected():
         whitney.cell_geometry(flat)
 
 
+def test_negatively_oriented_tet_accepted():
+    # orientation enters no formula: the mirror-image vertex order gives
+    # the same volume and the same edge functions, relabelled; only the
+    # flag differs
+    verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
+    box = ((0, 0, 0), (1, 1, 1))
+    right = whitney.cell_geometry(Mesh(verts, np.array([[0, 1, 2, 3]]), box))
+    left = whitney.cell_geometry(Mesh(verts[[0, 2, 1, 3]],
+                                      np.array([[0, 1, 2, 3]]), box))
+    assert right.vols[0] == left.vols[0] == pytest.approx(1.0 / 6.0)
+    assert not right.flipped[0] and left.flipped[0]
+    # swapping vertices 1 and 2 swaps local edges (0, 1) and (0, 2),
+    # (1, 3) and (2, 3), and reverses edge (1, 2)
+    swap, sign = [1, 0, 2, 3, 5, 4], np.array([1, 1, 1, -1, 1, 1])
+    assert np.array_equal(left.curls[0], sign[:, None] * right.curls[0][swap])
+
+
 def test_circulation_normalization():
     """Line integral of W_ij along edge (i->j) is 1, along others 0."""
     mesh = build_box_mesh((1, 1, 1))
@@ -80,7 +97,7 @@ def test_curl_formula_and_gradient_kernel():
     rng = np.random.default_rng(3)
     phi = rng.standard_normal(mesh.num_vertices)
     u = phi[mesh.edges[:, 1]] - phi[mesh.edges[:, 0]]
-    local = u[mesh.tet_edges] * mesh.tet_edge_signs
+    local = u[mesh.tet_edges]
     g = np.einsum("te,tec->tc", local, geom.curls)
     assert np.abs(g).max() < 1e-12
 
@@ -92,7 +109,7 @@ def test_constant_fields_reproduced_exactly():
     coeffs = (mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]) @ c
     rule = whitney.quadrature(2)
     W = eval_basis(geom, rule.points)
-    local = coeffs[mesh.tet_edges] * mesh.tet_edge_signs
+    local = coeffs[mesh.tet_edges]
     vals = np.einsum("te,tqec->tqc", local, W)
     assert np.allclose(vals, c, atol=1e-13)
     g = np.einsum("te,tec->tc", local, geom.curls)

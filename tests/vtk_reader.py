@@ -76,3 +76,18 @@ def assert_same_bits(got, expect):
     expect = np.asarray(expect, dtype=float)
     assert got.shape == expect.shape
     assert np.array_equal(got.astype(float).view(np.int64), expect.view(np.int64))
+
+
+def cell_volumes(points, rows):
+    """Signed volumes det [v1-v0, v2-v0, v3-v0] / 6 of (T, 4) vertex rows."""
+    v = np.asarray(points, dtype=float)[np.asarray(rows)]
+    return np.linalg.det(v[:, 1:] - v[:, :1]) / 6.0
+
+
+def positive_rows(mesh):
+    """The mesh's tet rows with vertices 1 and 2 swapped where the stored
+    order is negatively oriented: the CELLS VTK_TETRA expects."""
+    rows = mesh.tets.copy()
+    flip = cell_volumes(mesh.vertices, rows) < 0
+    rows[flip] = rows[flip][:, [0, 2, 1, 3]]
+    return rows
