@@ -476,12 +476,24 @@ def test_friedrich_p2_preconditions_only_the_watched_columns(monkeypatch):
     assert 0 < len(calls) <= 3 * rep.iterations[0]
 
 
-def test_friedrich_p2_constants_are_pinned():
-    # the values with all 6 block columns preconditioned, to 1e-12
+@pytest.mark.parametrize("seed", [0, 601])
+def test_friedrich_p2_constants_are_pinned(monkeypatch, seed):
+    # the values with all 6 block columns preconditioned, to 1e-12, from
+    # the default start seed and from another one
+    monkeypatch.setattr(verify, "_START_SEED", seed)
     meshes = [build_box_mesh((n, n, n), extents=(PI, PI, PI)) for n in (4, 8)]
     rep = friedrich_constant(meshes, 2.0)
     assert rep.constants == pytest.approx([0.72145571687325, 0.71087900502083],
                                           rel=1e-12, abs=0.0)
+
+
+def test_friedrich_p2_seed_independent(monkeypatch):
+    mesh = build_box_mesh((4, 4, 4), extents=(PI, PI, PI))
+    monkeypatch.setattr(verify, "_START_SEED", 0)
+    c0 = friedrich_constant([mesh], 2.0).constants[0]
+    monkeypatch.setattr(verify, "_START_SEED", 1)
+    c1 = friedrich_constant([mesh], 2.0).constants[0]
+    assert c1 == pytest.approx(c0, rel=1e-12)
 
 
 @pytest.mark.parametrize("output, failure", [
