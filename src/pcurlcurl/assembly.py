@@ -94,12 +94,11 @@ class NodalField:
 def power_map(g, p: PExponent):
     """(eps^2 + |g|^2)^((p-2)/2) g, elementwise over trailing 3-vectors.
 
-    For p = 2 this is the identity regardless of eps. For p > 2 and
+    For p = 2 this is the identity regardless of eps, bit for bit, since
+    x ** 0.0 is 1.0 for every x, 0, inf and NaN included. For p > 2 and
     eps = 0 it is continuous at g = 0 with value 0.
     """
     g = np.asarray(g, dtype=float)
-    if p.p == 2.0:
-        return g.copy()
     msq = p.eps**2 + np.sum(g * g, axis=-1, keepdims=True)
     return np.power(msq, 0.5 * (p.p - 2.0)) * g
 

@@ -52,6 +52,9 @@ def main(argv=None):
     try:
         return handler[args.command](cfg)
     except SolverError as exc:
+        write_summary(os.path.join(cfg.out_dir(), "summary.txt"),
+                      ["status = FAILED (partial outputs only)",
+                       f"reason = {exc}"])
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -79,15 +82,7 @@ def cmd_solve(cfg):
     cfg.echo(out)
     mesh = _mesh_from(cfg)
     case = case_general_p(cfg["p"])
-    try:
-        u, mult, report = solve(mesh, case.load, SolveConfig(p_target=case.p))
-    except SolverError as exc:
-        write_summary(os.path.join(out, "summary.txt"),
-                      ["status = FAILED (partial outputs only)",
-                       f"reason = {exc}"])
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    u, mult, report = solve(mesh, case.load, SolveConfig(p_target=case.p))
     write_vtk(os.path.join(out, "solution.vtk"), mesh, u, name="B")
     rows = []
     for i, s in enumerate(report.stages):

@@ -7,6 +7,10 @@ vertex index, so each local edge (i, j), i < j, runs the way its global
 edge does and no orientation sign enters any formula (Rognes, Kirby &
 Logg, SIAM J. Sci. Comput. 31, 2009). A tet's orientation is therefore
 arbitrary; only VTK output needs it (`whitney.CellGeometry.flipped`).
+
+One rule decides what lies on the boundary: a vertex, edge or tet face
+is on the box surface when all its vertices lie on one of the box's six
+planes (`classify_boundary`, `boundary_faces`).
 """
 
 from __future__ import annotations
@@ -91,10 +95,11 @@ class Mesh:
         self.tets = np.sort(np.asarray(tets, dtype=np.int64), axis=1)
         self.box = (np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float))
         self._build_edges()
-        self.boundary_edges, self.boundary_vertices = classify_boundary(self)
-        self._free_edges = _complement(self.num_edges, self.boundary_edges)
-        self._interior_vertices = _complement(self.num_vertices,
-                                              self.boundary_vertices)
+        on_edge, on_vertex = _on_boundary(self)
+        self.boundary_edges, self.boundary_vertices = (np.flatnonzero(on_edge),
+                                                       np.flatnonzero(on_vertex))
+        self._free_edges, self._interior_vertices = _read_only(
+            np.flatnonzero(~on_edge), np.flatnonzero(~on_vertex))
 
     # -- derived sizes ----------------------------------------------------
 
@@ -246,13 +251,6 @@ def _csr_pattern(mesh):
                                   adj.indices.astype(np.int32, copy=False), slot))
 
 
-def _complement(n, indices):
-    """The integers below n that are not in `indices`, ascending; read-only."""
-    mask = np.ones(n, dtype=bool)
-    mask[indices] = False
-    return _read_only(np.flatnonzero(mask))[0]
-
-
 def _read_only(*items):
     """Mark arrays, and the arrays of CSR matrices, read-only; returns items."""
     for item in items:
@@ -369,67 +367,57 @@ def build_box_mesh(divisions, origin=(0.0, 0.0, 0.0), extents=(1.0, 1.0, 1.0)):
     return Mesh(vertices, tets, (origin, extents), divisions)
 
 
+def _box_planes(mesh):
+    """(V, 6) bool: vertex on the low x, y, z or the high x, y, z box plane."""
+    origin, extents = mesh.box
+    tol = 1e-12 * float(np.max(extents))
+    return np.concatenate([np.abs(mesh.vertices - origin) <= tol,
+                           np.abs(mesh.vertices - (origin + extents)) <= tol], axis=1)
+
+
+def _on_boundary(mesh):
+    """(E,) and (V,) bool masks of the boundary edges and vertices."""
+    planes = _box_planes(mesh)
+    shared = planes[mesh.edges[:, 0]] & planes[mesh.edges[:, 1]]
+    return shared.any(axis=1), planes.any(axis=1)
+
+
 def classify_boundary(mesh):
     """Edges and vertices lying on the surface of the mesh's box.
 
-    A vertex is on the boundary when some coordinate sits at a box face;
-    an edge is on the boundary only when both endpoints share the *same*
-    face plane (an edge crossing the interior between two different faces
-    is not a boundary edge). These edge DoFs are exactly the ones pinned
-    to zero by the tangential boundary condition, since a Whitney field
-    has zero tangential trace iff its circulations vanish on every
+    The box-plane rule decides every boundary query: a vertex is on the
+    boundary when it lies on a box plane, an edge when both endpoints lie
+    on the *same* plane (an edge crossing the interior between two
+    different planes is not a boundary edge), a face (`boundary_faces`)
+    when its three corners do. These edge DoFs are exactly the ones
+    pinned to zero by the tangential boundary condition, since a Whitney
+    field has zero tangential trace iff its circulations vanish on every
     boundary edge.
     """
-    origin, extents = mesh.box
-    lo = origin
-    hi = origin + extents
-    scale = float(np.max(extents))
-    tol = 1e-12 * scale
-    at_lo = np.abs(mesh.vertices - lo) <= tol           # (V, 3)
-    at_hi = np.abs(mesh.vertices - hi) <= tol
-    on_face = np.concatenate([at_lo, at_hi], axis=1)    # (V, 6)
-
-    boundary_vertices = np.flatnonzero(on_face.any(axis=1))
-
-    e_lo = mesh.edges[:, 0]
-    e_hi = mesh.edges[:, 1]
-    shared = on_face[e_lo] & on_face[e_hi]
-    boundary_edges = np.flatnonzero(shared.any(axis=1))
-    return boundary_edges, boundary_vertices
+    return tuple(np.flatnonzero(on) for on in _on_boundary(mesh))
 
 
 def boundary_faces(mesh):
     """Boundary triangles with outward unit normals.
+
+    A tet face is on the box surface exactly when its three corners lie
+    on one box plane (`classify_boundary`), and its outward normal is that
+    plane's: -e_k on a low plane, +e_k on a high one. Each surface
+    triangle is the face of one tet, so it is found once.
 
     Returns:
         faces: (F, 3) vertex indices of triangles on the box surface.
         normals: (F, 3) outward unit normals.
         areas: (F,) triangle areas.
     """
-    local_faces = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-    tris = []
-    opp = []
-    for lf, o in zip(local_faces, range(4)):
-        tris.append(mesh.tets[:, lf])
-        opp.append(mesh.tets[:, o])
-    tris = np.concatenate(tris, axis=0)
-    opp = np.concatenate(opp, axis=0)
-
-    key = np.sort(tris, axis=1)
-    code = (key[:, 0] * mesh.num_vertices + key[:, 1]) * mesh.num_vertices + key[:, 2]
-    order = np.argsort(code, kind="stable")
-    code_sorted = code[order]
-    uniq, counts = np.unique(code_sorted, return_counts=True)
-    first = np.searchsorted(code_sorted, uniq[counts == 1])
-    sel = order[first]
-
-    faces = tris[sel]
-    opposite = opp[sel]
+    bits = 1 << np.arange(6)
+    mask = _box_planes(mesh) @ bits                     # (V,) plane bits
+    tris = mesh.tets[:, list(itertools.combinations(range(4), 3))].reshape(-1, 3)
+    common = mask[tris[:, 0]] & mask[tris[:, 1]] & mask[tris[:, 2]]
+    on = common > 0
+    faces = tris[on]
+    # a face lies on one plane only: corners on two planes would be collinear
+    plane = np.nonzero(common[on, None] & bits)[1]
     p = mesh.vertices[faces]
-    n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    areas = 0.5 * np.linalg.norm(n, axis=1)
-    n = n / (2.0 * areas)[:, None]
-    # Orient away from the tet's interior (the opposite vertex).
-    inward = np.einsum("fi,fi->f", n, mesh.vertices[opposite] - p[:, 0]) > 0
-    n[inward] *= -1.0
-    return faces, n, areas
+    areas = 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
+    return faces, np.vstack([-np.eye(3), np.eye(3)])[plane], areas

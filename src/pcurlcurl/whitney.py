@@ -69,12 +69,11 @@ class QuadratureRule:
     """Simplex quadrature in barycentric coordinates.
 
     Weights are positive and sum to 1; callers scale by the simplex
-    measure. `order` is the polynomial degree integrated exactly.
+    measure.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    order: int
 
 
 def _orbit_s31(a):
@@ -129,7 +128,7 @@ def quadrature(order):
         ])
     else:
         raise ValueError(f"unsupported quadrature order {order}; use 1, 2 or 4")
-    return QuadratureRule(points=pts, weights=wts, order=order)
+    return QuadratureRule(points=pts, weights=wts)
 
 
 def triangle_quadrature(order):
@@ -159,7 +158,7 @@ def triangle_quadrature(order):
         wts = np.concatenate([[9.0 / 40.0], np.full(3, w1), np.full(3, w2)])
     else:
         raise ValueError(f"unsupported triangle quadrature order {order}")
-    return QuadratureRule(points=pts, weights=wts, order=order)
+    return QuadratureRule(points=pts, weights=wts)
 
 
 def gauss_segment(n):

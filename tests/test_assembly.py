@@ -81,6 +81,20 @@ def test_power_map_values():
     assert np.all(D0 == 0.0)
 
 
+def test_power_map_is_the_identity_bit_for_bit_at_p_2():
+    # x ** 0.0 is exactly 1.0 for every x, so p = 2 needs no branch of
+    # its own; |g|^2 overflows to inf for the huge curls, still a factor 1
+    rng = np.random.default_rng(3)
+    curls = [rng.standard_normal((50, 3)), np.zeros((4, 3)),
+             1e-200 * rng.standard_normal((5, 3)),
+             1e200 * rng.standard_normal((5, 3))]
+    for eps in (0.0, 1.0):
+        for g in curls:
+            with np.errstate(over="ignore"):
+                out = power_map(g, PExponent(2.0, eps=eps))
+            assert out.tobytes() == g.tobytes()
+
+
 def test_residual_zero_cases():
     mesh = build_box_mesh((2, 2, 2))
     nfree = mesh.free_edges().size

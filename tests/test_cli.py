@@ -238,15 +238,21 @@ def test_converge_command_monotone_errors(tmp_path):
 
 def test_solver_failure_exits_1_and_flags_partial_output(tmp_path, capsys,
                                                         monkeypatch):
-    # an impossible Newton budget forces a stage failure
+    # an impossible Newton budget forces a stage failure in every command
+    # that solves
     monkeypatch.setattr(solver, "MAX_NEWTON", 1)
-    out = tmp_path / "fail"
-    rc = main(["solve", "--out_dir", str(out), "--divisions", "2,2,2",
-               "--p", "6"])
-    assert rc == 1
-    summary = (out / "summary.txt").read_text()
-    assert "FAILED" in summary
-    assert not (out / "solution.vtk").exists()
+    for argv, output in (
+            (["solve", "--divisions", "2,2,2", "--p", "6"], "solution.vtk"),
+            (["converge", "--levels", "2,4", "--p", "6"], "converge.csv"),
+            (["friedrich", "--p", "4", "--levels", "2"], "friedrich.csv")):
+        out = tmp_path / argv[0]
+        rc = main(argv + ["--out_dir", str(out)])
+        assert rc == 1
+        summary = (out / "summary.txt").read_text()
+        assert "FAILED" in summary
+        assert "reason = " in summary
+        assert "error: " in capsys.readouterr().err
+        assert not (out / output).exists()
 
 
 def test_missing_output_dir_created(tmp_path):

@@ -175,6 +175,65 @@ def test_boundary_faces_close_the_box():
     assert np.allclose(np.abs(normals).max(axis=1), 1.0)
 
 
+def topological_boundary_faces(mesh):
+    """Reference: the tet faces no other tet shares, as sorted vertex
+    triples, with unit normals turned away from the tet's opposite vertex
+    and areas from the cross product."""
+    tris, opposite = [], []
+    for o in range(4):
+        tris.append(np.delete(mesh.tets, o, axis=1))
+        opposite.append(mesh.tets[:, o])
+    tris, opposite = np.concatenate(tris), np.concatenate(opposite)
+    key = np.sort(tris, axis=1)
+    _, first, counts = np.unique(key, axis=0, return_index=True,
+                                 return_counts=True)
+    sel = first[counts == 1]
+    p = mesh.vertices[key[sel]]
+    n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    areas = 0.5 * np.linalg.norm(n, axis=1)
+    n /= (2.0 * areas)[:, None]
+    inward = np.einsum("fi,fi->f", n, mesh.vertices[opposite[sel]] - p[:, 0]) > 0
+    n[inward] *= -1.0
+    return key[sel], n, areas
+
+
+def permuted_raw_mesh():
+    box = build_box_mesh((5, 4, 3), origin=(-1, 0, 2), extents=(2, 1, 3))
+    shuffled = np.random.default_rng(11).permuted(box.tets, axis=1)
+    assert not np.array_equal(shuffled, box.tets)
+    return Mesh(box.vertices, shuffled, box.box)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_box_mesh((5, 4, 3), origin=(-1, 0, 2), extents=(2, 1, 3)),
+    lambda: build_box_mesh((1, 1, 1)),
+    permuted_raw_mesh,
+], ids=["offset-anisotropic", "unit-cube", "raw-permuted"])
+def test_box_plane_faces_match_topological_reference(make):
+    mesh = make()
+    faces, normals, areas = boundary_faces(mesh)
+    ref_faces, ref_normals, ref_areas = topological_boundary_faces(mesh)
+    key = np.sort(faces, axis=1)
+    order = np.lexsort(key.T[::-1])                # ascending triples
+    key, normals, areas = key[order], normals[order], areas[order]
+    assert np.unique(key, axis=0).shape == key.shape       # each face once
+    assert np.array_equal(key, ref_faces)
+    assert np.array_equal(normals, ref_normals)
+    # exactly +-e_k, no tolerance: one unit entry, zeros elsewhere
+    assert np.array_equal(np.sort(np.abs(normals), axis=1),
+                          np.tile([0.0, 0.0, 1.0], (len(normals), 1)))
+    # outward: the face lies on the low plane of axis k for -e_k, on the
+    # high one for +e_k
+    origin, extents = mesh.box
+    axis = np.argmax(np.abs(normals), axis=1)
+    rows = np.arange(len(axis))
+    plane = np.where(normals[rows, axis] < 0, origin[axis],
+                     origin[axis] + extents[axis])
+    coords = mesh.vertices[key][rows, :, axis]          # (F, 3)
+    assert np.allclose(coords, plane[:, None], rtol=0, atol=1e-12)
+    assert np.allclose(areas, ref_areas, rtol=1e-15, atol=0)
+
+
 def test_geometry_is_cached_and_read_only():
     mesh = build_box_mesh((2, 3, 2), extents=(1.0, 2.0, 1.5))
     geom = mesh.geometry
