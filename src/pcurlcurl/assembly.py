@@ -22,10 +22,10 @@ from . import whitney
 from .linalg import SparseMatrix
 from .mesh import _EDGE_I, _EDGE_J, Mesh
 
-# Tets per block of the streamed quadrature sums (`lp_norm_field`,
-# `mms.measure_error`): a block's (n, nq, 3) arrays at the order-4 rule
-# are 2.75 MiB each. At 32^3, 4096 and 8192 time alike; 16384 is ~10%
-# slower.
+# Tets per block of the streamed quadrature sums (`edge_moments`,
+# `lp_norm_field`, `mms.measure_error`): a block's (n, nq, 3) arrays at
+# the order-4 rule are 2.75 MiB each. At 32^3, 4096 and 8192 time alike;
+# 16384 is ~10% slower.
 _BLOCK_TETS = 8192
 
 
@@ -242,34 +242,39 @@ def assemble_load(S, mesh: Mesh):
         S: callable mapping (N, 3) points to (N, 3) vectors.
     """
     rule = whitney.quadrature(4)
-    xq = whitney.quad_points_physical(mesh, rule)       # (T, nq, 3)
-    Sq = np.asarray(S(xq.reshape(-1, 3)), dtype=float).reshape(xq.shape)
-    if not np.all(np.isfinite(Sq)):
-        raise ValueError("load function returned non-finite values")
-    return edge_moments(mesh, rule, Sq)[mesh.free_edges()]
+
+    def values_at(tets):
+        xq = rule.points @ mesh.vertices[mesh.tets[tets]]   # (n, nq, 3)
+        Sq = np.asarray(S(xq.reshape(-1, 3)), dtype=float).reshape(xq.shape)
+        if not np.all(np.isfinite(Sq)):
+            raise ValueError("load function returned non-finite values")
+        return Sq
+
+    return edge_moments(mesh, rule, values_at)
 
 
-def edge_moments(mesh: Mesh, rule, values):
-    """(F, W_e) for every global edge e, shape (E,), by quadrature.
+def edge_moments(mesh: Mesh, rule, values_at):
+    """(F, W_e) for every free edge e, by quadrature over blocks of tets.
 
-    `values` (T, nq, 3) holds F at the points of `rule`. With
+    `values_at(tets)` returns F (n, nq, 3) at the points of `rule` on
+    the tets `tets`, a slice of at most _BLOCK_TETS. With
     B_i = vol sum_q w_q lam_qi F_q, the moment against the local edge
     (i, j) is B_i . grad(lam_j) - B_j . grad(lam_i): the transpose of
-    `vertex_vectors`, with no per-point basis array.
+    `vertex_vectors`, with no per-point basis array. One bincount in tet
+    order sums the (T, 6) per-tet terms, so every block size gives the
+    same bits.
     """
-    return np.bincount(mesh.tet_edges.ravel(),
-                       tet_edge_moments(mesh, rule, values).ravel(),
-                       mesh.num_edges)
-
-
-def tet_edge_moments(mesh: Mesh, rule, values, tets=slice(None)):
-    """Per-tet terms (n, 6) of `edge_moments` on the tets `tets`,
-    from `values` (n, nq, 3) at their quadrature points."""
     geom = mesh.geometry
-    B = (rule.weights * rule.points.T) @ values         # (n, 4, 3)
-    B *= geom.vols[tets, None, None]
-    P = B @ geom.grads[tets].transpose(0, 2, 1)         # P_ij = B_i . grad lam_j
-    return P[:, _EDGE_I, _EDGE_J] - P[:, _EDGE_J, _EDGE_I]
+    wp = rule.weights * rule.points.T                   # (4, nq)
+    per_tet = np.empty((mesh.num_tets, 6))
+    for s in range(0, mesh.num_tets, _BLOCK_TETS):
+        tets = slice(s, s + _BLOCK_TETS)
+        B = wp @ values_at(tets)                        # (n, 4, 3)
+        B *= geom.vols[tets, None, None]
+        P = B @ geom.grads[tets].transpose(0, 2, 1)     # P_ij = B_i . grad lam_j
+        per_tet[tets] = P[:, _EDGE_I, _EDGE_J] - P[:, _EDGE_J, _EDGE_I]
+    return np.bincount(mesh.tet_edges.ravel(), per_tet.ravel(),
+                       mesh.num_edges)[mesh.free_edges()]
 
 
 def edge_interpolate(func, mesh: Mesh):
@@ -299,14 +304,13 @@ def lp_norm_field(u: EdgeField, p):
     Summed over blocks of _BLOCK_TETS tets in block order, so no
     (T, nq, 3) array is made.
     """
-    geom = u.mesh.geometry
+    vols = u.mesh.geometry.vols
     rule = whitney.quadrature(4)
     total = 0.0
     for s in range(0, u.mesh.num_tets, _BLOCK_TETS):
         tets = slice(s, s + _BLOCK_TETS)
-        vals = rule.points @ tet_vertex_vectors(local_coeffs(u, tets),
-                                                geom.grads[tets])
-        total += float(geom.vols[tets] @ (_norm_power(vals, p) @ rule.weights))
+        vals = field_at(u, rule, tets)
+        total += float(vols[tets] @ (_norm_power(vals, p) @ rule.weights))
     return float(total ** (1.0 / p))
 
 
@@ -337,6 +341,7 @@ def tet_vertex_vectors(local, grads):
     return C @ grads
 
 
-def eval_field(u: EdgeField, rule):
-    """Whitney reconstruction of u at quadrature points, (T, nq, 3)."""
-    return rule.points @ vertex_vectors(u)
+def field_at(u: EdgeField, rule, tets):
+    """Whitney reconstruction of u at `rule`'s points on `tets`, (n, nq, 3)."""
+    return rule.points @ tet_vertex_vectors(local_coeffs(u, tets),
+                                            u.mesh.geometry.grads[tets])

@@ -87,11 +87,11 @@ def cmd_solve(cfg):
     rows = []
     for i, s in enumerate(report.stages):
         rows.append((i, "x".join(str(d) for d in s.divisions), s.p, s.eps,
-                     s.newton_iterations, s.final_residual,
-                     s.energy_history[-1]))
+                     s.newton_iterations, s.linear_iterations,
+                     s.final_residual, s.energy_history[-1]))
     write_csv(os.path.join(out, "report.csv"),
-              ("stage", "divisions", "p", "eps", "newton_iter", "residual",
-               "energy"), rows)
+              ("stage", "divisions", "p", "eps", "newton_iter", "linear_iter",
+               "residual", "energy"), rows)
 
     l2, curl_err = measure_error(u, case)
     lines = [
@@ -101,6 +101,7 @@ def cmd_solve(cfg):
         f"edges = {mesh.num_edges}",
         f"stages = {len(report.stages)}",
         f"total_newton_iterations = {report.total_newton_iterations}",
+        f"total_linear_iterations = {report.total_linear_iterations}",
         f"final_relative_residual = {report.final_residual:.17g}",
         f"constraint = {report.constraint:.17g}",
         f"discarded_load_gradient_norm = {report.load_gradient_norm:.17g}",

@@ -85,21 +85,22 @@ class Mesh:
         stiffness: the p = 2 curl-curl stiffness, free x free, exact
             zeros dropped; cached, read-only.
 
-    Instances are immutable by convention; all arrays are views into
-    construction-time buffers and must not be written to.
+    Instances are immutable by convention, and every array above is
+    read-only.
     """
 
     def __init__(self, vertices, tets, box, divisions=None):
         self.divisions = divisions
-        self.vertices = np.asarray(vertices, dtype=float)
+        # a view: np.asarray may return the caller's array, which stays writable
+        self.vertices = np.asarray(vertices, dtype=float).view()
         self.tets = np.sort(np.asarray(tets, dtype=np.int64), axis=1)
-        self.box = (np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float))
+        self.box = tuple(np.array(b, dtype=float) for b in box)
         self._build_edges()
         on_edge, on_vertex = _on_boundary(self)
-        self.boundary_edges, self.boundary_vertices = (np.flatnonzero(on_edge),
-                                                       np.flatnonzero(on_vertex))
-        self._free_edges, self._interior_vertices = _read_only(
-            np.flatnonzero(~on_edge), np.flatnonzero(~on_vertex))
+        (self.boundary_edges, self.boundary_vertices, self._free_edges,
+         self._interior_vertices) = _read_only(*map(np.flatnonzero, (
+             on_edge, on_vertex, ~on_edge, ~on_vertex)))
+        _read_only(self.vertices, self.tets, *self.box, self.edges, self.tet_edges)
 
     # -- derived sizes ----------------------------------------------------
 

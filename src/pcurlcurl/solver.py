@@ -51,7 +51,7 @@ import numpy as np
 from . import whitney
 from .assembly import (EdgeField, PExponent, assemble_jacobian,
                        assemble_load, assemble_residual, curl_per_tet,
-                       edge_moments, eval_field)
+                       edge_moments, field_at)
 from .helmholtz import DivFreeProjector
 from .linalg import SolverError, cg
 from .mesh import Mesh
@@ -163,8 +163,8 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
 
     Raises:
         ValueError: an `EdgeField` load or initial_guess belongs to
-            another mesh, or a load vector has the wrong length or a
-            non-finite entry.
+            another mesh, a load vector has the wrong length, or any
+            form of load has a non-finite value.
     """
     t0 = time.perf_counter()
     if config is None:
@@ -177,8 +177,10 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
     free = mesh.free_edges()
 
     if isinstance(S, EdgeField):
+        if not np.all(np.isfinite(S.coeffs)):
+            raise ValueError("load EdgeField contains non-finite coefficients")
         rule = whitney.quadrature(2)
-        load = edge_moments(mesh, rule, eval_field(S, rule))[free]
+        load = edge_moments(mesh, rule, lambda tets: field_at(S, rule, tets))
     elif callable(S):
         load = assemble_load(S, mesh)
     else:

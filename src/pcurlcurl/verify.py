@@ -31,10 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import assembly, whitney
-from .assembly import (EdgeField, NodalField, PExponent,
-                       local_coeffs, lp_norm_curl, lp_norm_field,
-                       tet_edge_moments, tet_vertex_vectors)
+from . import whitney
+from .assembly import (EdgeField, NodalField, PExponent, edge_moments,
+                       field_at, local_coeffs, lp_norm_curl, lp_norm_field)
 from .helmholtz import DivFreeProjector
 from .linalg import SolverError, cg
 from .mesh import Mesh, boundary_faces
@@ -528,24 +527,16 @@ def _friedrich_inverse(u2, p):
 
 
 def _power_load(u, p):
-    """(|u|^(p-2) u, W_e) on the free edges by order-4 quadrature.
-
-    Built over blocks of `assembly._BLOCK_TETS` tets, as `lp_norm_field`
-    is, so no (T, nq, 3) array is made; the per-tet terms are summed
-    into the edges in one pass, as in `edge_moments`.
-    """
-    mesh = u.mesh
-    grads = mesh.geometry.grads
+    """(|u|^(p-2) u, W_e) on the free edges by order-4 quadrature,
+    streamed over tet blocks by `edge_moments`."""
     rule = whitney.quadrature(4)
-    per_tet = np.empty((mesh.num_tets, 6))
-    for s in range(0, mesh.num_tets, assembly._BLOCK_TETS):
-        tets = slice(s, s + assembly._BLOCK_TETS)
-        vals = rule.points @ tet_vertex_vectors(local_coeffs(u, tets),
-                                                grads[tets])
+
+    def values_at(tets):
+        vals = field_at(u, rule, tets)
         vals *= (np.linalg.norm(vals, axis=2)**(p - 2.0))[:, :, None]
-        per_tet[tets] = tet_edge_moments(mesh, rule, vals, tets)
-    return np.bincount(mesh.tet_edges.ravel(), per_tet.ravel(),
-                       mesh.num_edges)[mesh.free_edges()]
+        return vals
+
+    return edge_moments(u.mesh, rule, values_at)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pcurlcurl import whitney
+from basis_oracle import whole_mesh_edge_moments
+from pcurlcurl import assembly, whitney
 from pcurlcurl.assembly import (EdgeField, PExponent, assemble_gradient_map,
                                 assemble_jacobian, assemble_load,
                                 assemble_residual, curl_per_tet, edge_moments,
-                                edge_interpolate, local_coeffs, lp_norm_curl,
-                                lp_norm_field, power_map, scatter_blocks,
-                                stiffness_blocks)
+                                edge_interpolate, field_at, local_coeffs,
+                                lp_norm_curl, lp_norm_field, power_map,
+                                scatter_blocks, stiffness_blocks,
+                                vertex_vectors)
 from pcurlcurl.helmholtz import edge_mass_matrix
 from pcurlcurl.linalg import cg
 from pcurlcurl.mesh import LOCAL_EDGES, build_box_mesh
+from pcurlcurl.mms import case_general_p
 from pcurlcurl.verify import check_ineq2
 
 PI = np.pi
@@ -243,12 +248,51 @@ def test_load_quadrature_self_convergence():
     rule = whitney.quadrature(2)
     for n in (2, 4):
         mesh = build_box_mesh((n, n, n), extents=(1.0, 1.0, 1.0))
-        xq = whitney.quad_points_physical(mesh, rule)
-        Sq = S(xq.reshape(-1, 3)).reshape(xq.shape)
-        order2 = edge_moments(mesh, rule, Sq)[mesh.free_edges()]
-        d = order2 - assemble_load(S, mesh)
+
+        def order2_values(tets):
+            xq = rule.points @ mesh.vertices[mesh.tets[tets]]
+            return S(xq.reshape(-1, 3)).reshape(xq.shape)
+
+        d = edge_moments(mesh, rule, order2_values) - assemble_load(S, mesh)
         diffs.append(np.linalg.norm(d, np.inf))
     assert diffs[1] < diffs[0] / 3.0
+
+
+@pytest.mark.parametrize("block", [1, 100, 8192])
+def test_streamed_moments_are_the_whole_mesh_formula_bit_for_bit(
+        monkeypatch, block):
+    # 12^3 has 10368 tets: at 8192 the last block is a partial one
+    mesh = build_box_mesh((12, 12, 12), extents=(PI, PI, PI))
+    S = case_general_p(10.0).load
+    rule = whitney.quadrature(4)
+    xq = whitney.quad_points_physical(mesh, rule)
+    load = whole_mesh_edge_moments(
+        mesh, rule, S(xq.reshape(-1, 3)).reshape(xq.shape))
+    u = EdgeField(mesh, np.random.default_rng(5).standard_normal(
+        mesh.num_edges))
+    rule2 = whitney.quadrature(2)
+    field_load = whole_mesh_edge_moments(mesh, rule2,
+                                         rule2.points @ vertex_vectors(u))
+    monkeypatch.setattr(assembly, "_BLOCK_TETS", block)
+    assert assemble_load(S, mesh).tobytes() == load.tobytes()
+    got = edge_moments(mesh, rule2, lambda tets: field_at(u, rule2, tets))
+    assert got.tobytes() == field_load.tobytes()
+
+
+def test_load_traced_peak_stays_below_one_whole_mesh_value_array(monkeypatch):
+    # the whole-mesh load made S at every (T, 14, 3) point at once
+    mesh = build_box_mesh((16, 16, 16), extents=(PI, PI, PI))
+    mesh.geometry
+    S = case_general_p(10.0).load
+    whole_mesh_values = 8 * mesh.num_tets * whitney.quadrature(4).weights.size * 3
+    monkeypatch.setattr(assembly, "_BLOCK_TETS", 1024)
+    tracemalloc.start()
+    try:
+        assemble_load(S, mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole_mesh_values
 
 
 def test_lp_norms():
@@ -358,7 +402,7 @@ def test_scatter_blocks_matches_dense_oracle():
 
 
 def test_every_block_matrix_goes_through_scatter_blocks(monkeypatch):
-    from pcurlcurl import assembly, helmholtz
+    from pcurlcurl import helmholtz
     calls = []
     scatter = assembly.scatter_blocks
 

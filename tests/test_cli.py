@@ -112,10 +112,13 @@ def test_solve_at_p10_continues_to_p10(tmp_path):
     assert int(summary["stages"]) == len(rows)
     mesh = build_box_mesh((6, 6, 6), extents=(np.pi, np.pi, np.pi))
     _, _, rep = solve(mesh, case_general_p(10.0).load, SolveConfig(p_target=10.0))
-    assert [(r["divisions"], float(r["p"]), int(r["newton_iter"]))
-            for r in rows] == \
-        [("x".join(map(str, s.divisions)), s.p, s.newton_iterations)
-         for s in rep.stages]
+    assert [(r["divisions"], float(r["p"]), int(r["newton_iter"]),
+             int(r["linear_iter"])) for r in rows] == \
+        [("x".join(map(str, s.divisions)), s.p, s.newton_iterations,
+          s.linear_iterations) for s in rep.stages]
+    assert all(int(r["linear_iter"]) > 0 for r in rows)
+    assert int(summary["total_linear_iterations"]) == \
+        rep.total_linear_iterations == sum(int(r["linear_iter"]) for r in rows)
     assert {r["divisions"] for r in rows} == {"3x3x3", "6x6x6"}
     assert [r["energy"] for r in rows] == \
         ["%.17g" % s.energy_history[-1] for s in rep.stages]

@@ -19,7 +19,7 @@ import pytest
 from basis_oracle import eval_basis
 from pcurlcurl import assembly, mms, whitney
 from pcurlcurl.assembly import (EdgeField, assemble_load, curl_per_tet,
-                                eval_field, lp_norm_field)
+                                lp_norm_field, vertex_vectors)
 from pcurlcurl.helmholtz import edge_mass_matrix, mass_blocks
 from pcurlcurl.io import write_vtk
 from pcurlcurl.mesh import Mesh, build_box_mesh
@@ -67,7 +67,7 @@ def test_eval_field_matches_basis(order):
     W = eval_basis(mesh.geometry, rule.points).reshape(
         mesh.num_tets, rule.weights.size, 6, 3)
     expect = np.einsum("te,tqec->tqc", local_coeffs(u), W)
-    got = eval_field(u, rule)
+    got = rule.points @ vertex_vectors(u)
     assert got.shape == expect.shape
     assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
@@ -113,7 +113,7 @@ def whole_mesh_measure_error(u_h, case):
     geom = mesh.geometry
     rule = whitney.quadrature(4)
     xq = whitney.quad_points_physical(mesh, rule)
-    err = eval_field(u_h, rule)
+    err = rule.points @ vertex_vectors(u_h)
     err -= np.asarray(case.u_exact(xq.reshape(-1, 3))).reshape(xq.shape)
     sq = np.einsum("tqc,tqc->tq", err, err)
     l2 = np.sqrt(np.einsum("t,q,tq->", geom.vols, rule.weights, sq))
@@ -247,7 +247,7 @@ print(started, threading.active_count())
 def whole_mesh_lp_norm_field(u, p):
     """`lp_norm_field` as one pass over (T, nq, 3) arrays of the whole mesh."""
     rule = whitney.quadrature(4)
-    mag = np.linalg.norm(eval_field(u, rule), axis=2)
+    mag = np.linalg.norm(rule.points @ vertex_vectors(u), axis=2)
     total = np.einsum("t,q,tq->", u.mesh.geometry.vols, rule.weights, mag**p)
     return float(total ** (1.0 / p))
 
@@ -281,7 +281,7 @@ def test_traced_peaks_stay_below_one_basis_array(monkeypatch, tmp_path):
     rule = whitney.quadrature(4)
     basis_bytes = 8 * mesh.num_tets * rule.weights.size * 6 * 3
     corner_bytes = 8 * mesh.num_tets * 4 * 6 * 3
-    assert traced_peak(lambda: eval_field(u, rule)) < basis_bytes
+    assert traced_peak(lambda: rule.points @ vertex_vectors(u)) < basis_bytes
     assert traced_peak(lambda: measure_error(u, case_p2_sine())) < basis_bytes
     assert traced_peak(lambda: write_vtk(tmp_path / "f.vtk", mesh, u)) < corner_bytes
     # measure_error streams over tet blocks: its peak does not grow with T

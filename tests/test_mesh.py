@@ -139,6 +139,15 @@ def test_index_sets_are_stored_read_only_complements():
         assert get() is got
         assert not got.flags.writeable
         assert np.array_equal(got, np.setdiff1d(np.arange(n), boundary))
+    # so is every array the mesh is built from or derives at construction
+    for arr in (mesh.vertices, mesh.tets, mesh.edges, mesh.tet_edges,
+                mesh.boundary_edges, mesh.boundary_vertices, *mesh.box):
+        assert not arr.flags.writeable
+    # a caller's own float64 arrays are frozen in a view, not in place
+    vertices, origin = mesh.vertices.copy(), np.array([-1.0, 0.0, 2.0])
+    raw = Mesh(vertices, mesh.tets, (origin, np.array([2.0, 1.0, 3.0])))
+    assert vertices.flags.writeable and origin.flags.writeable
+    assert not raw.vertices.flags.writeable and not raw.box[0].flags.writeable
 
 
 @pytest.mark.parametrize("divisions,extents", [

@@ -265,6 +265,14 @@ def test_bad_load_vectors_are_rejected():
         bad[3] = value
         with pytest.raises(ValueError, match="finite floats"):
             solve(mesh, bad, cfg)
+    # an EdgeField load is checked before its moments are computed, on
+    # a free edge and on a boundary edge (the load pairs with both)
+    for edge in (mesh.free_edges()[3], mesh.boundary_edges[3]):
+        for value in (np.nan, np.inf):
+            bad = EdgeField(mesh)
+            bad.coeffs[edge] = value
+            with pytest.raises(ValueError, match="load EdgeField"):
+                solve(mesh, bad, cfg)
 
 
 def test_newton_matches_projected_gradient_descent():

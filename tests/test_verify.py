@@ -675,16 +675,17 @@ def test_friedrich_inverse_iteration_budget_raises(monkeypatch):
 def test_friedrich_power_load_is_built_by_tet_blocks(monkeypatch):
     # the inverse iteration's load (|u|^(p-2) u, W_e), bit for bit the
     # whole-mesh quadrature at any block size, and without its arrays
+    from basis_oracle import whole_mesh_edge_moments
     from pcurlcurl import assembly, whitney
-    from pcurlcurl.assembly import edge_moments, eval_field
+    from pcurlcurl.assembly import vertex_vectors
     mesh = build_box_mesh((12, 12, 12), extents=(PI, PI, PI))
     u = EdgeField(mesh, np.random.default_rng(3).standard_normal(
         mesh.num_edges))
     rule = whitney.quadrature(4)
     for p in (3.0, 10.0):
-        vals = eval_field(u, rule)
+        vals = rule.points @ vertex_vectors(u)
         vals *= (np.linalg.norm(vals, axis=2)**(p - 2.0))[:, :, None]
-        whole = edge_moments(mesh, rule, vals)[mesh.free_edges()]
+        whole = whole_mesh_edge_moments(mesh, rule, vals)
         for block in (1, 1024, mesh.num_tets + 5):
             monkeypatch.setattr(assembly, "_BLOCK_TETS", block)
             assert verify._power_load(u, p).tobytes() == whole.tobytes()
