@@ -220,8 +220,9 @@ def write_vtk(path, mesh: Mesh, u: EdgeField, name="field"):
     flipped = mesh.geometry.flipped
     cells[flipped, 2:4] = cells[flipped, 3:1:-1]
 
-    # bincount adds each vertex's corners in tet order: a fixed sum order
-    idx = mesh.tets.ravel()
+    # bincount adds each vertex's corners in tet order: a fixed sum order.
+    # It copies a read-only index array on every call, so copy it once.
+    idx = mesh.tets.ravel().copy()
     at_corners = vertex_vectors(u).reshape(-1, 3)
     point_vals = np.stack([np.bincount(idx, at_corners[:, k], V)
                            for k in range(3)], axis=1)

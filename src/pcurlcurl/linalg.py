@@ -13,6 +13,7 @@ magnitude near degenerate points and leaves no headroom for float32.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,10 @@ class SolverError(RuntimeError):
     """A solve that did not converge: a Krylov stall, line search or Newton."""
 
 
+# Terms of the delayed Hestenes-Stiefel estimate behind cg's energy stop.
+ENERGY_DELAY = 4
+
+
 @dataclass
 class LinearSolveReport:
     iterations: int
@@ -32,7 +37,7 @@ class LinearSolveReport:
     converged: bool
 
 
-def cg(A, b, tol=1e-10, max_iter=None, diag=None):
+def cg(A, b, tol=1e-10, max_iter=None, diag=None, energy_tol=None):
     """Conjugate gradients for SPD (or consistent SPSD) systems.
 
     Starts from x = 0 and terminates when ||Ax - b|| <= tol * ||b||.
@@ -41,6 +46,17 @@ def cg(A, b, tol=1e-10, max_iter=None, diag=None):
     is preconditioned by D^-1 (Jacobi); the stopping test stays on the
     unpreconditioned residual. Without `diag` the plain recurrence runs
     unchanged.
+
+    `energy_tol` = eta, when given, also stops (converged) once the last
+    d = ENERGY_DELAY terms alpha_j r_j.z_j sum to at most eta^2 times all
+    of them. From x = 0 the terms of steps 1..k sum to
+    ||x*||_A^2 - ||x* - x_k||_A^2, so the last d of them are
+    ||x* - x_{k-d}||_A^2 - ||x* - x_k||_A^2: an estimate of the squared
+    energy-norm error of x_{k-d}, tight once CG converges, while the
+    returned x_k is closer still (Hestenes & Stiefel 1952; Strakos &
+    Tichy, ETNA 13, 2002). The total estimates ||x*||_A^2. The residual
+    test stays, so this stop only ends CG earlier; without it the loop
+    runs unchanged.
     """
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
@@ -63,9 +79,16 @@ def cg(A, b, tol=1e-10, max_iter=None, diag=None):
     res = bnorm
     p = r.copy() if dinv is None else dinv * r
     rho = r @ p
+    if energy_tol is not None:
+        # the last ENERGY_DELAY terms alpha_j rho_j, and all of them summed
+        window, energy_sq = deque(maxlen=ENERGY_DELAY), 0.0
+        tol_sq = energy_tol * energy_tol
     for k in range(1, max_iter + 1):
         Ap = A @ p
         alpha = rho / (p @ Ap)
+        if energy_tol is not None:
+            window.append(alpha * rho)
+            energy_sq += window[-1]
         x += alpha * p
         r -= alpha * Ap
         if dinv is None:
@@ -76,7 +99,9 @@ def cg(A, b, tol=1e-10, max_iter=None, diag=None):
             z = dinv * r
             rho_new = r @ z
             res = np.sqrt(r @ r)
-        if res <= tol * bnorm:
+        if res <= tol * bnorm or (
+                energy_tol is not None and len(window) == ENERGY_DELAY
+                and sum(window) <= tol_sq * energy_sq):
             return x, LinearSolveReport(k, res / bnorm, True)
         p = z + (rho_new / rho) * p
         rho = rho_new

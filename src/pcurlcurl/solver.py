@@ -33,11 +33,18 @@ mesh (`Mesh.coarse`) solves there first, from zero, recursively; its
 answer, moved onto the fine mesh exactly by `Mesh.prolongation`, starts
 the one p stage that runs on the fine mesh after the fine p = 2 stage
 (nested iteration; Bank & Rose, Math. Comp. 39, 1982). The full p ramp
-runs only on the coarsest level. The nodal multiplier is recovered once
-at the end from the gradient part of the final residual. It is the
-multiplier of the load-projected problem, so it is zero up to rounding
-for every load, compatible or not: the discarded gradient part of the
-load is reported instead.
+runs only on the coarsest level. Every Newton CG runs to LINEAR_TOL on
+its residual, except in that one nested stage: there the first step and
+each step after a full step may stop early on CG's own estimate of its
+energy-norm error, to the forcing term min(FORCING_MAX, ||r|| / ||load||)
+(inexact affine-conjugate Newton; Deuflhard, 2004, sec. 2.3). Its start
+is already close, so the inexact steps keep the exact steps' Newton
+count; the ramp and the p = 2 stages, which start far off, stay exact,
+because there loose steps cost more Newton steps than they save in CG.
+The nodal multiplier is recovered once at the end from the gradient
+part of the final residual. It is the multiplier of the load-projected
+problem, so it is zero up to rounding for every load, compatible or
+not: the discarded gradient part of the load is reported instead.
 """
 
 from __future__ import annotations
@@ -69,6 +76,7 @@ def default_p_schedule(p_target):
 NEWTON_TOL = 1e-9         # stop a stage at ||r|| / ||load|| <= NEWTON_TOL
 MAX_NEWTON = 50           # Newton steps per stage before SolverError
 LINEAR_TOL = 1e-11        # Newton CG and final projection relative tolerance
+FORCING_MAX = 1e-2        # largest energy-norm forcing term of an inexact step
 LS_BACKTRACK = 0.5        # line-search step reduction per rejected trial
 LS_MAX = 30               # rejected trials before the line search fails
 
@@ -254,7 +262,8 @@ def _nested_solve(u, load, p_target, stages):
         if coarse is not None:      # the one stage starts from P uc
             u = u_coarse
         u = EdgeField(mesh, _ray_factor(u, load, pexp) * u.coeffs)
-        u, r, rec = _newton_stage(u, load, load_scale, pexp)
+        u, r, rec = _newton_stage(u, load, load_scale, pexp,
+                                  inexact=coarse is not None)
         stages.append(rec)
     return u, r
 
@@ -287,8 +296,19 @@ def _ray_factor(u, load, pexp):
     return hi / gmax
 
 
-def _newton_stage(u, load, load_scale, pexp):
-    """Run damped Newton at fixed (p, eps); returns (u, residual, record)."""
+def _newton_stage(u, load, load_scale, pexp, inexact=False):
+    """Run damped Newton at fixed (p, eps); returns (u, residual, record).
+
+    Each step's CG runs to LINEAR_TOL on its residual. With `inexact`,
+    the first step and every step after an accepted full step (t = 1)
+    may also stop once CG's estimate of its energy-norm error is below
+    eta_k = min(FORCING_MAX, ||r_k|| / ||load||) of the step's energy norm:
+    an affine-conjugate inexact Newton step (Deuflhard, *Newton Methods
+    for Nonlinear Problems*, 2004, sec. 2.3), whose forcing shrinks with
+    the residual, so the stage still ends quadratically. A damped step
+    signals that the iterate is far from the minimizer, and the step
+    after it is exact.
+    """
     mesh = u.mesh
     free = mesh.free_edges()
     proj = DivFreeProjector(mesh)
@@ -305,6 +325,7 @@ def _newton_stage(u, load, load_scale, pexp):
     bulk, pairing = _energy_terms(u, load, pexp)
     rec.energy_history.append(float(bulk - pairing))
 
+    full_step = inexact             # the first step counts as after one
     while np.linalg.norm(r) > NEWTON_TOL * denom:
         if rec.newton_iterations == MAX_NEWTON:
             raise SolverError(
@@ -326,7 +347,10 @@ def _newton_stage(u, load, load_scale, pexp):
         # CG stops relative to ||r||: from a start far above the load
         # scale, tighten it so one step can reach NEWTON_TOL * denom.
         tol = LINEAR_TOL * min(1.0, denom / np.linalg.norm(r))
-        du, lin = cg(A, b, tol=tol, max_iter=20 * free.size, diag=diag)
+        eta = (min(FORCING_MAX, np.linalg.norm(r) / denom) if full_step
+               else None)
+        du, lin = cg(A, b, tol=tol, max_iter=20 * free.size, diag=diag,
+                     energy_tol=eta)
         rec.linear_iterations += lin.iterations
         # An inexact step still makes Newton progress as long as it
         # carries real information (forcing-term argument); the line
@@ -365,6 +389,7 @@ def _newton_stage(u, load, load_scale, pexp):
                 f"decrease)")
 
         u = u_try
+        full_step = inexact and t == 1.0
         bulk, pairing = terms
         r = assemble_residual(u, load, pexp)
         rec.energy_history.append(J_try)

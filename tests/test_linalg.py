@@ -150,6 +150,29 @@ def test_cg_jacobi_unconverged_reports_its_iterate():
         assert rep.relative_residual == pytest.approx(true, rel=1e-6)
 
 
+@pytest.mark.parametrize("jacobi", [False, True])
+def test_cg_energy_stop_bounds_the_energy_error(jacobi):
+    # the energy stop ends CG once its delayed estimate of the A-norm
+    # error is eta of the solution's A-norm: checked against the dense
+    # solution, and against the residual-only run of the same system
+    A, b = _scaled_spd(60, 6)
+    Ad = A.toarray()
+    diag = A.diagonal() if jacobi else None
+    x_star = np.linalg.solve(Ad, b)
+    x_norm = np.sqrt(x_star @ (Ad @ x_star))
+    _, rep_res = cg(A, b, tol=1e-12, max_iter=20000, diag=diag)
+    counts = []
+    for eta in (1e-6, 1e-4, 1e-2):
+        x, rep = cg(A, b, tol=1e-12, max_iter=20000, diag=diag,
+                    energy_tol=eta)
+        e = x - x_star
+        assert rep.converged
+        assert np.sqrt(e @ (Ad @ e)) <= 10.0 * eta * x_norm
+        assert rep.iterations <= rep_res.iterations
+        counts.append(rep.iterations)
+    assert counts[0] > counts[1] > counts[2]
+
+
 def test_cg_rejects_bad_jacobi_diagonal():
     A = tridiag_laplacian(4)
     for d in (np.zeros(4), np.array([1.0, -1.0, 1.0, 1.0]),

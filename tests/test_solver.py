@@ -585,8 +585,37 @@ def test_p10_zero_start_counters_at_6_cubed():
     assert [s.p for s in fine] == [2.0, 10.0]
     assert sum(s.newton_iterations for s in fine) == 9
     fine_cg = sum(s.linear_iterations for s in fine)
-    assert abs(fine_cg - 1202) <= 0.01 * 1202
+    assert abs(fine_cg - 627) <= 0.01 * 627
     assert rep.total_newton_iterations == 30
+
+
+@pytest.mark.parametrize("n, p, nested", [(6, 10.0, True), (3, 10.0, False),
+                                          (4, 100.0, False), (6, 4.0, False)])
+def test_only_the_nested_stage_takes_inexact_steps(monkeypatch, n, p, nested):
+    # an energy-norm forcing term reaches Newton's CG only in the p_target
+    # stage that starts from the prolongated coarse answer; the p = 2
+    # stages, the coarsest ramp and one-level solves run exact CG
+    etas = []
+    real = solver.cg
+
+    def recording(A, b, **kw):
+        etas.append(kw.get("energy_tol"))
+        return real(A, b, **kw)
+
+    monkeypatch.setattr(solver, "cg", recording)
+    mesh = build_box_mesh((n, n, n), extents=(PI, PI, PI))
+    _, _, rep = solve(mesh, case_general_p(p).load, SolveConfig(p_target=p))
+    assert len(etas) == rep.total_newton_iterations
+    k = rep.total_newton_iterations - rep.stages[-1].newton_iterations
+    assert all(eta is None for eta in etas[:k])
+    assert rep.stages[-1].divisions == (n, n, n)
+    assert (rep.stages[0].divisions != (n, n, n)) == nested
+    if nested:
+        assert etas[k] == solver.FORCING_MAX
+        assert all(0 < eta <= solver.FORCING_MAX
+                   for eta in etas[k:] if eta is not None)
+    else:
+        assert all(eta is None for eta in etas[k:])
 
 
 def test_answer_does_not_depend_on_the_p_schedule(monkeypatch):
