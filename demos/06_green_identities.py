@@ -25,7 +25,7 @@ print(f"{'n':>3} {'div residual':>14} {'ratio':>7} {'curl residual':>14} {'ratio
 prev = None
 for n in (2, 4, 8, 16):
     mesh = build_box_mesh((n, n, n), extents=(PI, PI, PI))
-    rd, rc = check_green_formulas(mesh, pair, 4)
+    rd, rc = check_green_formulas(mesh, pair)
     t1 = f"{prev[0]/rd:7.1f}" if prev else "      -"
     t2 = f"{prev[1]/rc:7.1f}" if prev else "      -"
     print(f"{n:3d} {rd:14.3e} {t1} {rc:14.3e} {t2}")

@@ -5,7 +5,7 @@ Usage:
 
 `solve` and `converge` solve the manufactured problem case_general_p(p)
 (the p = 2 sine case at p = 2); the exponent p is their only solver
-input, since every tolerance and budget is a constant of `solver`.
+input, since every tolerance and budget is a module constant.
 
 Every run echoes its effective configuration into the output directory,
 so results are reproducible from that file alone. Exit codes: 0 success,
@@ -130,7 +130,7 @@ def cmd_verify(cfg):
     green_rows = []
     for n_div in cfg["green_levels"]:
         mesh = _mesh_from(cfg, divisions=(n_div, n_div, n_div))
-        rd, rc = check_green_formulas(mesh, pair, 4)
+        rd, rc = check_green_formulas(mesh, pair)
         green_rows.append((n_div, rd, rc))
     write_csv(os.path.join(out, "green.csv"),
               ("divisions", "div_residual", "curl_residual"), green_rows)

@@ -16,6 +16,8 @@ from .assembly import (EdgeField, NodalField, assemble_gradient_map,
 from .linalg import SolverError, cg
 from .mesh import LOCAL_EDGES, Mesh
 
+POTENTIAL_TOL = 1e-13     # relative CG tolerance of every G^T M G solve
+
 
 def _mass_kernel():
     """Fixed (16, 36) map from a tet's Gram matrix to its mass block.
@@ -76,11 +78,11 @@ class DivFreeProjector:
         self.mesh = mesh
         self.M, self.G, self.Gt, self.GtMG = mesh.projector_matrices
 
-    def project(self, u: EdgeField, tol=1e-12):
-        """Split u into (u0, phi) with G^T M u0 = 0 up to solver tolerance.
+    def project(self, u: EdgeField):
+        """Split u into (u0, phi) with G^T M u0 = 0 up to POTENTIAL_TOL.
 
         A pure gradient goes wholly into phi and a divergence-free input
-        comes back unchanged, up to the CG tolerance; the curl is kept
+        comes back unchanged, up to POTENTIAL_TOL; the curl is kept
         exactly, since curl(G phi) = 0 holds edge by edge.
 
         Raises:
@@ -90,18 +92,18 @@ class DivFreeProjector:
         if u.mesh is not self.mesh:
             raise ValueError("edge field belongs to another mesh")
         x = self._free_coeffs(u.coeffs)
-        phi = self._potential(self.Gt @ (self.M @ x), tol)
+        phi = self._potential(self.Gt @ (self.M @ x))
         coeffs = u.coeffs.copy()
         coeffs[self.mesh.free_edges()] = x - self.G @ phi
         return EdgeField(self.mesh, coeffs), self._nodal(phi)
 
-    def strip_gradient(self, b, tol):
+    def strip_gradient(self, b):
         """Remove the gradient part of b, a functional on the free edges.
 
         Returns (b - M G phi, phi) with G^T M G phi = G^T b; the result
         vanishes on every gradient of an interior potential.
         """
-        phi = self._potential(self.Gt @ b, tol)
+        phi = self._potential(self.Gt @ b)
         return b - self.M @ (self.G @ phi), self._nodal(phi)
 
     def constraint_norm(self, coeffs):
@@ -118,8 +120,8 @@ class DivFreeProjector:
             raise ValueError("edge field has a nonzero boundary circulation")
         return coeffs[self.mesh.free_edges()]
 
-    def _potential(self, rhs, tol):
-        phi, rep = cg(self.GtMG, rhs, tol=tol)
+    def _potential(self, rhs):
+        phi, rep = cg(self.GtMG, rhs, tol=POTENTIAL_TOL)
         if not rep.converged:
             raise SolverError(
                 f"G^T M G potential CG stalled at relative residual "

@@ -22,7 +22,8 @@ system. The step differs from the constrained Newton step only by a
 gradient, so a plain backtracking line search on J guarantees descent.
 Newton never projects its iterates: the constraint is imposed once, by
 `DivFreeProjector.project` on the answer. Every G^T M G solve belongs to
-the projector; this module runs only the Newton CG on the Jacobian.
+the projector, at its one tolerance `helmholtz.POTENTIAL_TOL`; this
+module runs only the Newton CG on the Jacobian, to LINEAR_TOL.
 
 Large p is reached by geometric continuation in p after a p = 2 stage
 from the given start. Each later stage solves at one eps, set from the
@@ -55,10 +56,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import whitney
 from .assembly import (EdgeField, PExponent, assemble_jacobian,
-                       assemble_load, assemble_residual, curl_per_tet,
-                       edge_moments, field_at)
+                       assemble_load, assemble_residual, curl_per_tet)
 from .helmholtz import DivFreeProjector
 from .linalg import SolverError, cg
 from .mesh import Mesh
@@ -75,7 +74,7 @@ def default_p_schedule(p_target):
 
 NEWTON_TOL = 1e-9         # stop a stage at ||r|| / ||load|| <= NEWTON_TOL
 MAX_NEWTON = 50           # Newton steps per stage before SolverError
-LINEAR_TOL = 1e-11        # Newton CG and final projection relative tolerance
+LINEAR_TOL = 1e-11        # Newton CG relative tolerance
 FORCING_MAX = 1e-2        # largest energy-norm forcing term of an inexact step
 LS_BACKTRACK = 0.5        # line-search step reduction per rejected trial
 LS_MAX = 30               # rejected trials before the line search fails
@@ -133,28 +132,23 @@ def energy(u: EdgeField, load, p: PExponent):
     Uses the same regularized integrand as the residual, so its Gateaux
     derivative is exactly assemble_residual.
     """
-    bulk, pairing = _energy_terms(u, load, p)
-    return float(bulk - pairing)
+    bulk, _ = _bulk_energy(curl_per_tet(u), u.mesh.geometry.vols, p)
+    return float(bulk - load @ u.coeffs[u.mesh.free_edges()])
 
 
-def _energy_terms(u, load, p):
-    """The two terms of the energy: the bulk integral and the load pairing."""
-    g = curl_per_tet(u)
-    msq = p.eps**2 + np.sum(g * g, axis=1)
-    bulk = np.sum(u.mesh.geometry.vols * np.power(msq, 0.5 * p.p)) / p.p
-    return bulk, load @ u.coeffs[u.mesh.free_edges()]
+def _bulk_energy(g, vols, p):
+    """(1/p) int (eps^2 + |g|^2)^(p/2) and |g|^2 for the per-tet curls g."""
+    gsq = np.einsum("tc,tc->t", g, g)      # twice as fast as a row sum
+    return np.sum(vols * np.power(p.eps**2 + gsq, 0.5 * p.p)) / p.p, gsq
 
 
 def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
     """Solve the discrete power-law curl-curl problem.
 
     Args:
-        S: analytic load callable (N,3)->(N,3); an EdgeField S_h whose
-           pairing (S_h, W_i) with each free-edge basis field is the
-           load, its boundary circulations included (order-2 quadrature
-           integrates that product of Whitney fields exactly); or the
-           load vector itself, finite floats over `mesh.free_edges()`,
-           as `assemble_load` returns it.
+        S: analytic load callable (N,3)->(N,3), or the load vector
+           itself, finite floats over `mesh.free_edges()`, as
+           `assemble_load` returns it.
         initial_guess: optional EdgeField; it is boundary-zeroed before
            use, and the p = 2 stage on `mesh` starts from it. Coarse
            levels start from zero. Its gradient part does not matter:
@@ -162,34 +156,26 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
 
     Returns:
         (u, multiplier, SolveReport). u satisfies the boundary invariant
-        and the divergence constraint up to the linear tolerance. The
-        multiplier belongs to the load-projected problem, so it is zero
-        up to rounding even for incompatible loads, whose gradient part
-        is reported as `SolveReport.load_gradient_norm`. The report's
+        and the divergence constraint up to `helmholtz.POTENTIAL_TOL`.
+        The multiplier belongs to the load-projected problem, so it is
+        zero up to rounding even for incompatible loads, whose gradient
+        part is reported as `SolveReport.load_gradient_norm`. The report's
         `stages` lists every level's stages, coarsest first, each with
         its mesh's `divisions`, and its totals sum all levels.
 
     Raises:
-        ValueError: an `EdgeField` load or initial_guess belongs to
-            another mesh, a load vector has the wrong length, or any
-            form of load has a non-finite value.
+        ValueError: initial_guess belongs to another mesh, or a load
+            vector has the wrong length or a non-finite value.
     """
     t0 = time.perf_counter()
     if config is None:
         config = SolveConfig()
-    if isinstance(S, EdgeField) and S.mesh is not mesh:
-        raise ValueError("load belongs to another mesh")
     if initial_guess is not None and initial_guess.mesh is not mesh:
         raise ValueError("initial_guess belongs to another mesh")
     proj = DivFreeProjector(mesh)
     free = mesh.free_edges()
 
-    if isinstance(S, EdgeField):
-        if not np.all(np.isfinite(S.coeffs)):
-            raise ValueError("load EdgeField contains non-finite coefficients")
-        rule = whitney.quadrature(2)
-        load = edge_moments(mesh, rule, lambda tets: field_at(S, rule, tets))
-    elif callable(S):
+    if callable(S):
         load = assemble_load(S, mesh)
     else:
         load = np.asarray(S, dtype=float)
@@ -201,7 +187,7 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
     # balanced by the curl term, and without it the energy is invariant
     # under u -> u + G phi, so Newton's right-hand sides stay consistent.
     report = SolveReport()
-    clean, _ = proj.strip_gradient(load, 1e-13)
+    clean, _ = proj.strip_gradient(load)
     report.load_gradient_norm = float(np.linalg.norm(load - clean))
     load = clean
 
@@ -213,14 +199,14 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
 
     # Neither J nor the residual sees the gradient part that the start and
     # the steps leave in u, so the constraint is imposed here, once.
-    u, _ = proj.project(u, tol=LINEAR_TOL)
+    u, _ = proj.project(u)
     uf = u.coeffs[free]
     un = float(np.sqrt(uf @ (proj.M @ uf)))
     report.constraint = proj.constraint_norm(u.coeffs) / un if un else 0.0
 
     # The multiplier balances the gradient part of the final residual:
     # M G phi = -r tested against gradients gives G^T M G phi = -G^T r.
-    _, multiplier = proj.strip_gradient(-r, LINEAR_TOL)
+    _, multiplier = proj.strip_gradient(-r)
     report.wall_time = time.perf_counter() - t0
     return u, multiplier, report
 
@@ -308,6 +294,10 @@ def _newton_stage(u, load, load_scale, pexp, inexact=False):
     the residual, so the stage still ends quadratically. A damped step
     signals that the iterate is far from the minimizer, and the step
     after it is exact.
+
+    Above p = 2 the line search halves from t0 = min(1, max|curl u| /
+    max|curl du|), since a step can be ~1e10 times longer than u (on a
+    (1, 1, 5) box); the quadratic p = 2 energy takes t0 = 1, exact.
     """
     mesh = u.mesh
     free = mesh.free_edges()
@@ -320,9 +310,11 @@ def _newton_stage(u, load, load_scale, pexp, inexact=False):
     denom = load_scale or max(res0, np.finfo(float).tiny)
     rec = StageRecord(p=pexp.p, eps=pexp.eps, newton_iterations=0,
                       final_residual=res0 / denom, divisions=mesh.divisions)
-    # The energy's two terms at the current iterate: J and its rounding
-    # floor both come from them.
-    bulk, pairing = _energy_terms(u, load, pexp)
+    # The curls and the energy's two terms at the current iterate: J and
+    # its rounding floor both come from them.
+    vols, g = mesh.geometry.vols, curl_per_tet(u)
+    bulk, gsq = _bulk_energy(g, vols, pexp)
+    pairing = load @ u.coeffs[free]
     rec.energy_history.append(float(bulk - pairing))
 
     full_step = inexact             # the first step counts as after one
@@ -343,7 +335,7 @@ def _newton_stage(u, load, load_scale, pexp, inexact=False):
         # it only if the right-hand side has no gradient part, and the
         # leftover of the load projection alone is enough to stall it
         # once Newton has reduced the residual to that level.
-        b, _ = proj.strip_gradient(-r, 1e-14)
+        b, _ = proj.strip_gradient(-r)
         # CG stops relative to ||r||: from a start far above the load
         # scale, tighten it so one step can reach NEWTON_TOL * denom.
         tol = LINEAR_TOL * min(1.0, denom / np.linalg.norm(r))
@@ -367,17 +359,21 @@ def _newton_stage(u, load, load_scale, pexp, inexact=False):
         # full Newton steps it cannot measure. It is relative to J's own
         # terms, so it scales with the energy on every box and load.
         J_floor = 64.0 * np.finfo(float).eps * (bulk + abs(pairing))
-        t = 1.0
+        step = EdgeField(mesh)
+        step.coeffs[free] = du
+        dg, dpairing = curl_per_tet(step), float(load @ du)
+        gmax, dmax = gsq.max(), np.einsum("tc,tc->t", dg, dg).max()
+        bounded = pexp.p > 2.0 and gmax > 0.0 and dmax > 0.0
+        t = min(1.0, np.sqrt(gmax / dmax)) if bounded else 1.0
         accepted = False
         for _ in range(LS_MAX + 1):
-            trial = u.coeffs.copy()
-            trial[free] += t * du
-            u_try = EdgeField(mesh, trial)
+            g_try = g + t * dg
             # At large p a long trial step can overflow J to inf, which
             # rejects it like any other increase.
             with np.errstate(over="ignore"):
-                terms = _energy_terms(u_try, load, pexp)
-            J_try = float(terms[0] - terms[1])
+                bulk_try, gsq_try = _bulk_energy(g_try, vols, pexp)
+            pairing_try = pairing + t * dpairing
+            J_try = float(bulk_try - pairing_try)
             if J_try <= J0 + 1e-4 * t * min(slope, 0.0) + J_floor:
                 accepted = True
                 break
@@ -388,9 +384,9 @@ def _newton_stage(u, load, load_scale, pexp, inexact=False):
                 f"Newton iteration {rec.newton_iterations} (energy cannot "
                 f"decrease)")
 
-        u = u_try
+        u = EdgeField(mesh, u.coeffs + t * step.coeffs)
         full_step = inexact and t == 1.0
-        bulk, pairing = terms
+        g, gsq, bulk, pairing = g_try, gsq_try, bulk_try, pairing_try
         r = assemble_residual(u, load, pexp)
         rec.energy_history.append(J_try)
 

@@ -404,7 +404,7 @@ def _friedrich_p2(mesh, last=None):
         for j in range(X.shape[1]):
             u = EdgeField(mesh)
             u.coeffs[free] = X[:, j]
-            u, _ = proj.project(u, tol=1e-13)
+            u, _ = proj.project(u)
             out[:, j] = u.coeffs[free]
         return out
 
@@ -610,16 +610,16 @@ def default_smooth_pair(a=0.3, b=0.9):
                            grad_v=grad_v, w=w, curl_w=curl_w)
 
 
-def check_green_formulas(mesh: Mesh, pair: SmoothFieldPair, quad_order=4):
+def check_green_formulas(mesh: Mesh, pair: SmoothFieldPair):
     """Residuals of the two Green identities under quadrature.
 
         div : (u, grad v) + (div u, v)  = surface integral of (n.u) v
         curl: (curl u, w) - (u, curl w) = surface integral of (n x u).w
 
-    Both sides are integrated with rules of the given order; residuals
-    shrink at the quadrature rate under refinement.
+    Both sides use the order-4 tet and triangle rules (exact through
+    degree 5); residuals shrink at the quadrature rate under refinement.
     """
-    rule = whitney.quadrature(quad_order)
+    rule = whitney.quadrature(4)
     xq = whitney.quad_points_physical(mesh, rule).reshape(-1, 3)
     wvol = np.repeat(mesh.geometry.vols[:, None], rule.weights.size, axis=1) \
         * rule.weights[None, :]
@@ -629,7 +629,7 @@ def check_green_formulas(mesh: Mesh, pair: SmoothFieldPair, quad_order=4):
         return float(wvol @ values)
 
     faces, normals, areas = boundary_faces(mesh)
-    tri_rule = whitney.triangle_quadrature(min(quad_order, 4))
+    tri_rule = whitney.triangle_quadrature(4)
     pv = mesh.vertices[faces]                           # (F, 3, 3)
     xs = np.einsum("qi,fix->fqx", tri_rule.points, pv).reshape(-1, 3)
     wsurf = (areas[:, None] * tri_rule.weights[None, :]).ravel()

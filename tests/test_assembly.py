@@ -494,7 +494,8 @@ def test_unused_options_stay_removed():
     # parameters
     import inspect
     from pcurlcurl.mms import measure_error
-    from pcurlcurl.verify import extract_scalar_potential, friedrich_constant
+    from pcurlcurl.verify import (check_green_formulas,
+                                  extract_scalar_potential, friedrich_constant)
 
     def names(fn):
         return list(inspect.signature(fn).parameters)
@@ -505,3 +506,4 @@ def test_unused_options_stay_removed():
     assert names(friedrich_constant) == ["meshes", "p"]
     assert names(assemble_load) == ["S", "mesh"]
     assert names(extract_scalar_potential) == ["u"]
+    assert names(check_green_formulas) == ["mesh", "pair"]

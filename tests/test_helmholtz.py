@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from pcurlcurl import whitney
+from pcurlcurl import helmholtz, whitney
 from pcurlcurl.assembly import (EdgeField, assemble_gradient_map, curl_per_tet,
-                                edge_interpolate)
+                                edge_interpolate, edge_moments, field_at)
 from pcurlcurl.helmholtz import DivFreeProjector, edge_mass_matrix, mass_blocks
 from pcurlcurl.mesh import LOCAL_EDGES, Mesh, build_box_mesh
+from pcurlcurl.mms import case_general_p
 from pcurlcurl.solver import SolveConfig, solve
+from pcurlcurl.verify import friedrich_constant
 
 
 def dense_mass_all_edges(mesh):
@@ -77,7 +79,7 @@ def test_projection_kills_gradients():
     G = assemble_gradient_map(mesh)
     psi = rng.standard_normal(G.shape[1])
     u = EdgeField(mesh, G @ psi)
-    u0, phi = DivFreeProjector(mesh).project(u, tol=1e-13)
+    u0, phi = DivFreeProjector(mesh).project(u)
     assert np.linalg.norm(u0.coeffs) <= 1e-10 * np.linalg.norm(u.coeffs)
     assert np.allclose(phi.coeffs[mesh.interior_vertices()], psi, atol=1e-10)
 
@@ -88,8 +90,8 @@ def test_projection_idempotent():
     proj = DivFreeProjector(mesh)
     u = EdgeField(mesh)
     u.coeffs[mesh.free_edges()] = rng.standard_normal(mesh.free_edges().size)
-    u0, _ = proj.project(u, tol=1e-12)
-    again, phi = proj.project(u0, tol=1e-12)
+    u0, _ = proj.project(u)
+    again, phi = proj.project(u0)
     scale = np.linalg.norm(u0.coeffs)
     assert np.linalg.norm(again.coeffs - u0.coeffs) <= 1e-10 * scale
     assert np.linalg.norm(phi.coeffs) <= 1e-10 * scale
@@ -100,13 +102,13 @@ def test_strip_gradient_removes_exactly_m_g_phi_and_is_idempotent():
     proj = DivFreeProjector(mesh)
     free = mesh.free_edges()
     b = np.random.default_rng(6).standard_normal(free.size)
-    b0, phi = proj.strip_gradient(b, 1e-14)
+    b0, phi = proj.strip_gradient(b)
     g = proj.M @ (proj.G @ phi.coeffs[mesh.interior_vertices()])
     assert np.abs(b - b0 - g).max() <= 1e-14 * np.abs(b).max()
     assert np.all(phi.coeffs[mesh.boundary_vertices] == 0.0)
     # the cleaned functional pairs to zero with every interior gradient
     assert np.linalg.norm(proj.G.T @ b0) <= 1e-12 * np.linalg.norm(b)
-    again, phi2 = proj.strip_gradient(b0, 1e-14)
+    again, phi2 = proj.strip_gradient(b0)
     assert np.linalg.norm(again - b0) <= 1e-12 * np.linalg.norm(b0)
     assert np.linalg.norm(phi2.coeffs) <= 1e-10 * np.linalg.norm(phi.coeffs)
 
@@ -116,7 +118,7 @@ def test_projection_constraint_reduction():
     rng = np.random.default_rng(3)
     proj = DivFreeProjector(mesh)
     u = EdgeField(mesh, rng.standard_normal(mesh.num_edges)).zero_boundary()
-    u0, _ = proj.project(u, tol=1e-12)
+    u0, _ = proj.project(u)
     before = proj.constraint_norm(u.coeffs)
     after = proj.constraint_norm(u0.coeffs)
     assert after <= 1e-10 * before
@@ -127,7 +129,7 @@ def test_projection_energy_split_and_curl_invariance():
     rng = np.random.default_rng(4)
     proj = DivFreeProjector(mesh)
     u = EdgeField(mesh, rng.standard_normal(mesh.num_edges)).zero_boundary()
-    u0, phi = proj.project(u, tol=1e-13)
+    u0, phi = proj.project(u)
     M, free = proj.M, mesh.free_edges()
     g = proj.G @ phi.coeffs[mesh.interior_vertices()]
     total = u.coeffs[free] @ (M @ u.coeffs[free])
@@ -168,22 +170,47 @@ def test_projector_rejects_a_nonzero_boundary_circulation():
 
 
 @pytest.mark.parametrize("n", [3, 6])
-def test_edge_field_load_matches_all_edge_mass_pairing(n, monkeypatch):
-    # an EdgeField load pairs with the free-edge basis through all of its
-    # coefficients, boundary circulations included: (M_all S)[free]
+def test_edge_field_load_matches_all_edge_mass_pairing(n):
+    # the moments (S, W_i) of a Whitney field, the load form of the
+    # Friedrich iteration's |u|^(p-2) u, pair with the free-edge basis
+    # through all of its coefficients, boundary circulations included:
+    # (M_all S)[free], exactly, since the order-4 rule integrates W . W
     mesh = build_box_mesh((n, n, n))
     S = edge_interpolate(lambda x: np.column_stack(
         [np.cos(x[:, 1]), np.sin(x[:, 2]), np.cos(x[:, 0])]), mesh)
     assert np.abs(S.coeffs[mesh.boundary_edges]).max() > 0.1
     expect = (dense_mass_all_edges(mesh) @ S.coeffs)[mesh.free_edges()]
-    seen = []
-    real = DivFreeProjector.strip_gradient
+    rule = whitney.quadrature(4)
+    got = edge_moments(mesh, rule, lambda tets: field_at(S, rule, tets))
+    assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
-    def recording(self, b, tol):
-        seen.append(b.copy())
-        return real(self, b, tol)
+def test_projector_methods_take_no_tolerance():
+    # the projector owns its accuracy: every G^T M G solve runs to
+    # POTENTIAL_TOL, and no caller passes a tolerance of its own
+    import inspect
 
-    # the load is the first functional the solve cleans
-    monkeypatch.setattr(DivFreeProjector, "strip_gradient", recording)
-    solve(mesh, S, SolveConfig())
-    assert np.abs(seen[0] - expect).max() <= 1e-14 * np.abs(expect).max()
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(DivFreeProjector.project) == ["self", "u"]
+    assert names(DivFreeProjector.strip_gradient) == ["self", "b"]
+
+
+def test_every_potential_solve_runs_at_potential_tol(monkeypatch):
+    # the load strip, each Newton right-hand side, the answer's
+    # projection, the multiplier and the Friedrich column projections
+    tols = []
+    real = helmholtz.cg
+
+    def recording(A, b, **kw):
+        tols.append(kw["tol"])
+        return real(A, b, **kw)
+
+    monkeypatch.setattr(helmholtz, "cg", recording)
+    mesh = build_box_mesh((4, 4, 4), extents=(np.pi,) * 3)
+    _, _, rep = solve(mesh, case_general_p(10.0).load,
+                      SolveConfig(p_target=10.0))
+    assert len(tols) == rep.total_newton_iterations + 3
+    friedrich_constant([build_box_mesh((3, 3, 3))], 2.0)
+    assert len(tols) > rep.total_newton_iterations + 3
+    assert set(tols) == {helmholtz.POTENTIAL_TOL}

@@ -178,7 +178,7 @@ def test_box_dilation_keeps_newton_counts_and_scales_curl():
         assert np.abs(curl - scale * ref).max() <= 1e-12 * scale * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("p, counts", [(4.0, [1, 7]), (10.0, [1, 7, 7, 6])])
+@pytest.mark.parametrize("p, counts", [(4.0, [1, 6]), (10.0, [1, 7, 7, 6])])
 def test_axis_permutation_maps_each_tet_curl(p, counts):
     # the Kuhn mesh maps onto itself under each axis permutation Q, and
     # with the load S'(x) = Q S(Q^T x) the curl on a tet is
@@ -219,20 +219,20 @@ def test_uniqueness_from_different_initial_guesses():
     assert lp_norm_curl(diff, 4.0) <= 1e-6
 
 
-def test_edge_field_load_accepted():
-    # an EdgeField source acts through its mass pairing
-    mesh = build_box_mesh((2, 2, 2), extents=(PI, PI, PI))
+def test_edge_field_load_fails_loudly():
+    # a load is a callable or a load vector; an EdgeField, of this mesh
+    # or another, is neither, and numpy refuses it as a vector
     from pcurlcurl.assembly import edge_interpolate
-    case = case_p2_sine()
-    S_h = edge_interpolate(case.load, mesh)
-    u, _, rep = solve(mesh, S_h, SolveConfig(p_target=2.0))
-    assert rep.final_residual <= 1e-9
-    assert lp_norm_curl(u, 2.0) > 0.1
+    mesh = build_box_mesh((2, 2, 2), extents=(PI, PI, PI))
+    for other in (mesh, build_box_mesh((3, 3, 3), extents=(PI, PI, PI))):
+        with pytest.raises(TypeError):
+            solve(mesh, edge_interpolate(case_p2_sine().load, other),
+                  SolveConfig(p_target=2.0))
 
 
 @pytest.mark.parametrize("p", [2.0, 10.0])
 def test_load_vector_matches_the_callable_load(p):
-    # the assembled vector over the free edges is the third load form;
+    # the assembled vector over the free edges is the second load form;
     # it takes the callable's path from the strip onward, bit for bit
     mesh = build_box_mesh((4, 4, 4), extents=(PI, PI, PI))
     case = case_general_p(p)
@@ -265,14 +265,6 @@ def test_bad_load_vectors_are_rejected():
         bad[3] = value
         with pytest.raises(ValueError, match="finite floats"):
             solve(mesh, bad, cfg)
-    # an EdgeField load is checked before its moments are computed, on
-    # a free edge and on a boundary edge (the load pairs with both)
-    for edge in (mesh.free_edges()[3], mesh.boundary_edges[3]):
-        for value in (np.nan, np.inf):
-            bad = EdgeField(mesh)
-            bad.coeffs[edge] = value
-            with pytest.raises(ValueError, match="load EdgeField"):
-                solve(mesh, bad, cfg)
 
 
 def test_newton_matches_projected_gradient_descent():
@@ -286,7 +278,7 @@ def test_newton_matches_projected_gradient_descent():
     proj = DivFreeProjector(mesh)
     free = mesh.free_edges()
     case = case_general_p(4.0)
-    load, _ = proj.strip_gradient(assemble_load(case.load, mesh), 1e-13)
+    load, _ = proj.strip_gradient(assemble_load(case.load, mesh))
     u_newton, _, rep = solve(mesh, case.load, SolveConfig(p_target=4.0))
     pe = PExponent(4.0, eps=rep.stages[-1].eps)
 
@@ -301,7 +293,7 @@ def test_newton_matches_projected_gradient_descent():
         while True:
             trial = EdgeField(mesh, u.coeffs.copy())
             trial.coeffs[free] -= alpha * r
-            trial, _ = proj.project(trial, tol=1e-12)
+            trial, _ = proj.project(trial)
             J_try = energy(trial, load, pe)
             if J_try <= J - 1e-4 * alpha * gnorm**2 or alpha < 1e-14:
                 break
@@ -397,7 +389,7 @@ def test_consistent_rhs_removes_exactly_the_gradient_kernel():
     Q, _ = np.linalg.qr(Gfree.toarray())               # basis of range(G_free)
     b = np.random.default_rng(3).standard_normal(free.size)
     assert np.linalg.norm(Q.T @ b) >= 0.1 * np.linalg.norm(b)
-    bc, _ = proj.strip_gradient(b, 1e-14)
+    bc, _ = proj.strip_gradient(b)
     assert np.linalg.norm(Q.T @ bc) <= 1e-13 * np.linalg.norm(bc)
 
     tol = solver.LINEAR_TOL
@@ -434,7 +426,7 @@ def test_gradient_shift_invariance(p):
     u_shift = EdgeField(mesh, u_ref.coeffs + shift)
 
     proj = DivFreeProjector(mesh)
-    load, _ = proj.strip_gradient(assemble_load(case.load, mesh), 1e-13)
+    load, _ = proj.strip_gradient(assemble_load(case.load, mesh))
     pe = PExponent(p, eps=rep_ref.stages[-1].eps)
     r0 = assemble_residual(u_ref, load, pe)
     r1 = assemble_residual(u_shift, load, pe)
@@ -539,7 +531,7 @@ def test_stalled_gradient_solve_raises_solver_error(monkeypatch):
     u = EdgeField(mesh, np.random.default_rng(2).standard_normal(
         mesh.num_edges)).zero_boundary()
     with pytest.raises(SolverError, match="after 1 iterations"):
-        DivFreeProjector(mesh).project(u, tol=1e-12)
+        DivFreeProjector(mesh).project(u)
     with pytest.raises(SolverError, match="after 1 iterations"):
         solve(mesh, case_general_p(4.0).load, SolveConfig(p_target=4.0))
 
@@ -554,7 +546,7 @@ def test_final_residual_is_relative_to_the_load():
     guess = EdgeField(mesh, rng.standard_normal(mesh.num_edges))
     u, _, rep = solve(mesh, case.load, cfg, initial_guess=guess)
     load, _ = DivFreeProjector(mesh).strip_gradient(
-        assemble_load(case.load, mesh), 1e-13)
+        assemble_load(case.load, mesh))
     r = assemble_residual(u, load, PExponent(2.0, eps=rep.stages[-1].eps))
     assert np.linalg.norm(r) <= solver.NEWTON_TOL * np.linalg.norm(load)
 
@@ -587,6 +579,33 @@ def test_p10_zero_start_counters_at_6_cubed():
     fine_cg = sum(s.linear_iterations for s in fine)
     assert abs(fine_cg - 627) <= 0.01 * 627
     assert rep.total_newton_iterations == 30
+    assert rep.constraint <= 1e-12
+
+
+def test_p2_stage_takes_one_full_step_from_random_starts():
+    # the p = 2 energy is quadratic, so the full Newton step is its exact
+    # line minimizer, and a random start takes one step, undamped
+    mesh = build_box_mesh((6, 6, 6), extents=(PI, PI, PI))
+    load = case_general_p(2.0).load
+    for k in range(1, 5):
+        rng = np.random.default_rng([12001, k])
+        guess = EdgeField(mesh, rng.standard_normal(mesh.num_edges))
+        _, _, rep = solve(mesh, load, SolveConfig(p_target=2.0),
+                          initial_guess=guess)
+        assert [s.newton_iterations for s in rep.stages] == [1]
+
+
+def test_long_box_solves_at_p10():
+    # on a (1, 1, 5) box the first step of the nested p = 10 stage is
+    # ~1e10 times longer than the iterate, beyond 30 halvings from t = 1;
+    # the first trial, bounded by max|curl u| / max|curl du|, reaches it
+    mesh = build_box_mesh((6, 6, 6), extents=(1.0, 1.0, 5.0))
+    _, _, rep = solve(mesh, case_general_p(10.0).load,
+                      SolveConfig(p_target=10.0))
+    assert rep.final_residual <= solver.NEWTON_TOL
+    assert [s.divisions for s in rep.stages][-2:] == [(6, 6, 6)] * 2
+    assert rep.total_newton_iterations == 37
+    assert rep.constraint <= 1e-12
 
 
 @pytest.mark.parametrize("n, p, nested", [(6, 10.0, True), (3, 10.0, False),
@@ -713,7 +732,7 @@ def test_nested_p100_at_6_cubed(monkeypatch):
     assert len(rep_one.stages) == 7
     assert rep.stages[-1].eps == rep_one.stages[-1].eps
     load, _ = DivFreeProjector(one).strip_gradient(
-        assemble_load(case.load, one), 1e-13)
+        assemble_load(case.load, one))
     pexp = PExponent(100.0, eps=rep_one.stages[-1].eps)
     j_one = solver.energy(u_one, load, pexp)
     j_nested = solver.energy(EdgeField(one, u_nested.coeffs), load, pexp)
@@ -817,19 +836,6 @@ def test_fields_of_another_mesh_are_rejected():
                   initial_guess=EdgeField(other))
         with pytest.raises(ValueError, match="another mesh"):
             DivFreeProjector(mesh).project(EdgeField(other))
-
-
-def test_load_of_another_mesh_is_rejected():
-    # an EdgeField load is paired with the basis of its own mesh, so on
-    # another mesh, even one of the same grid, it is an error, not a solve
-    from pcurlcurl.assembly import edge_interpolate
-    mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
-    load = case_p2_sine().load
-    for other in (build_box_mesh((3, 3, 3), extents=(2 * PI,) * 3),
-                  build_box_mesh((2, 2, 2), extents=(PI, PI, PI))):
-        with pytest.raises(ValueError, match="load belongs to another mesh"):
-            solve(mesh, edge_interpolate(load, other),
-                  SolveConfig(p_target=2.0))
 
 
 def test_one_cell_geometry_per_mesh(monkeypatch, tmp_path):

@@ -730,7 +730,7 @@ def test_green_constant_fields_exact():
         w=lambda x: np.broadcast_to(cw, x.shape).copy(),
         curl_w=lambda x: np.zeros_like(x),
     )
-    rd, rc = check_green_formulas(mesh, pair, 2)
+    rd, rc = check_green_formulas(mesh, pair)
     assert rd <= 1e-12
     assert rc <= 1e-12
 
@@ -749,7 +749,7 @@ def test_green_divergence_theorem_pair():
     )
     for n in (2, 4):
         mesh = build_box_mesh((n, n, n), extents=(PI, PI, PI))
-        rd, _ = check_green_formulas(mesh, pair, 4)
+        rd, _ = check_green_formulas(mesh, pair)
         assert rd <= 1e-3        # in fact quadrature-exact
         assert rd <= 1e-10 * PI**3
 
@@ -776,7 +776,7 @@ def test_green_curl_identity_with_vanishing_tangential_trace():
     prev = None
     for n in (2, 4):
         mesh = build_box_mesh((n, n, n), extents=(PI, PI, PI))
-        _, rc = check_green_formulas(mesh, pair, 4)
+        _, rc = check_green_formulas(mesh, pair)
         if prev is not None:
             assert rc < prev / 4.0
         prev = rc
@@ -788,7 +788,7 @@ def test_green_residuals_converge():
     prev = None
     for n in (2, 4, 8):
         mesh = build_box_mesh((n, n, n), extents=(PI, PI, PI))
-        rd, rc = check_green_formulas(mesh, pair, 4)
+        rd, rc = check_green_formulas(mesh, pair)
         if prev is not None:
             assert rd <= prev[0] / 4.0
             assert rc <= prev[1] / 4.0
