@@ -220,14 +220,13 @@ def test_uniqueness_from_different_initial_guesses():
 
 
 def test_edge_field_load_fails_loudly():
-    # a load is a callable or a load vector; an EdgeField, of this mesh
-    # or another, is neither, and numpy refuses it as a vector
+    # a load is a callable or a load vector; an EdgeField is neither,
+    # and numpy refuses it as a vector
     from pcurlcurl.assembly import edge_interpolate
     mesh = build_box_mesh((2, 2, 2), extents=(PI, PI, PI))
-    for other in (mesh, build_box_mesh((3, 3, 3), extents=(PI, PI, PI))):
-        with pytest.raises(TypeError):
-            solve(mesh, edge_interpolate(case_p2_sine().load, other),
-                  SolveConfig(p_target=2.0))
+    with pytest.raises(TypeError):
+        solve(mesh, edge_interpolate(case_p2_sine().load, mesh),
+              SolveConfig(p_target=2.0))
 
 
 @pytest.mark.parametrize("p", [2.0, 10.0])
@@ -836,6 +835,23 @@ def test_fields_of_another_mesh_are_rejected():
                   initial_guess=EdgeField(other))
         with pytest.raises(ValueError, match="another mesh"):
             DivFreeProjector(mesh).project(EdgeField(other))
+
+
+def test_load_of_another_mesh_is_rejected():
+    # a load made on another mesh, even one of the same grid, is an
+    # error, not a solve: its vector has the wrong length, and an
+    # EdgeField is no load form at all
+    from pcurlcurl.assembly import edge_interpolate
+    mesh = build_box_mesh((3, 3, 3), extents=(PI, PI, PI))
+    load = case_p2_sine().load
+    cfg = SolveConfig(p_target=2.0)
+    for other in (build_box_mesh((3, 3, 3), extents=(2 * PI,) * 3),
+                  build_box_mesh((2, 2, 2), extents=(PI, PI, PI))):
+        with pytest.raises(TypeError):
+            solve(mesh, edge_interpolate(load, other), cfg)
+    with pytest.raises(ValueError, match="load vector must be"):
+        solve(mesh, assemble_load(load, build_box_mesh(
+            (2, 2, 2), extents=(PI, PI, PI))), cfg)
 
 
 def test_one_cell_geometry_per_mesh(monkeypatch, tmp_path):
