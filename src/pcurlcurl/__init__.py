@@ -21,7 +21,7 @@ from .verify import (FriedrichReport, InequalityReport, check_green_formulas,
                      check_ineq1, check_ineq2, check_inequalities,
                      default_smooth_pair, extract_scalar_potential,
                      friedrich_constant)
-from .whitney import cell_geometry, quadrature, triangle_quadrature
+from .whitney import cell_geometry
 
 __version__ = "0.1.0"
 
@@ -29,10 +29,9 @@ __all__ = [
     "EdgeField", "PExponent", "Mesh", "MeshError", "SolveConfig",
     "SolveReport", "SolverError", "ManufacturedCase", "InequalityReport",
     "FriedrichReport", "DivFreeProjector",
-    "build_box_mesh", "cell_geometry", "quadrature", "triangle_quadrature",
-    "cg", "power_map", "assemble_residual", "assemble_jacobian",
-    "assemble_gradient_map", "assemble_load", "edge_interpolate",
-    "lp_norm_curl", "lp_norm_field", "edge_mass_matrix",
+    "build_box_mesh", "cell_geometry", "cg", "power_map", "assemble_residual",
+    "assemble_jacobian", "assemble_gradient_map", "assemble_load",
+    "edge_interpolate", "lp_norm_curl", "lp_norm_field", "edge_mass_matrix",
     "energy", "solve", "case_p2_sine", "case_general_p", "measure_error",
     "check_ineq1", "check_ineq2", "check_inequalities", "friedrich_constant",
     "check_green_formulas", "default_smooth_pair", "extract_scalar_potential",

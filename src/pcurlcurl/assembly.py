@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import whitney
 from .linalg import SparseMatrix
 from .mesh import _EDGE_I, _EDGE_J, Mesh
+from .whitney import GAUSS_SEGMENT, TET_RULE
 
 # Tets per block of the streamed quadrature sums (`edge_moments`,
 # `lp_norm_field`, `mms.measure_error`): a block's (n, nq, 3) arrays at
-# the order-4 rule are 2.75 MiB each. At 32^3, 4096 and 8192 time alike;
+# `TET_RULE` are 2.75 MiB each. At 32^3, 4096 and 8192 time alike;
 # 16384 is ~10% slower.
 _BLOCK_TETS = 8192
 
@@ -71,9 +71,6 @@ class EdgeField:
         c = self.coeffs.copy()
         c[self.mesh.boundary_edges] = 0.0
         return EdgeField(self.mesh, c)
-
-    def boundary_ok(self, tol=0.0):
-        return np.all(np.abs(self.coeffs[self.mesh.boundary_edges]) <= tol)
 
 
 @dataclass
@@ -236,28 +233,26 @@ def assemble_gradient_map(mesh: Mesh):
 
 
 def assemble_load(S, mesh: Mesh):
-    """(S, W_i) over free edges by order-4 quadrature for an analytic S.
+    """(S, W_i) over free edges by `TET_RULE` quadrature for an analytic S.
 
     Args:
         S: callable mapping (N, 3) points to (N, 3) vectors.
     """
-    rule = whitney.quadrature(4)
-
     def values_at(tets):
-        xq = rule.points @ mesh.vertices[mesh.tets[tets]]   # (n, nq, 3)
+        xq = TET_RULE.points @ mesh.vertices[mesh.tets[tets]]   # (n, nq, 3)
         Sq = np.asarray(S(xq.reshape(-1, 3)), dtype=float).reshape(xq.shape)
         if not np.all(np.isfinite(Sq)):
             raise ValueError("load function returned non-finite values")
         return Sq
 
-    return edge_moments(mesh, rule, values_at)
+    return edge_moments(mesh, values_at)
 
 
-def edge_moments(mesh: Mesh, rule, values_at):
+def edge_moments(mesh: Mesh, values_at):
     """(F, W_e) for every free edge e, by quadrature over blocks of tets.
 
-    `values_at(tets)` returns F (n, nq, 3) at the points of `rule` on
-    the tets `tets`, a slice of at most _BLOCK_TETS. With
+    `values_at(tets)` returns F (n, nq, 3) at the points of `TET_RULE`
+    on the tets `tets`, a slice of at most _BLOCK_TETS. With
     B_i = vol sum_q w_q lam_qi F_q, the moment against the local edge
     (i, j) is B_i . grad(lam_j) - B_j . grad(lam_i): the transpose of
     `vertex_vectors`, with no per-point basis array. One bincount in tet
@@ -265,7 +260,7 @@ def edge_moments(mesh: Mesh, rule, values_at):
     same bits.
     """
     geom = mesh.geometry
-    wp = rule.weights * rule.points.T                   # (4, nq)
+    wp = TET_RULE.weights * TET_RULE.points.T           # (4, nq)
     per_tet = np.empty((mesh.num_tets, 6))
     for s in range(0, mesh.num_tets, _BLOCK_TETS):
         tets = slice(s, s + _BLOCK_TETS)
@@ -283,7 +278,7 @@ def edge_interpolate(func, mesh: Mesh):
     u_e = int_edge func . t ds, evaluated by 4-point Gauss quadrature
     along each straight edge.
     """
-    t, w = whitney.gauss_segment(4)
+    t, w = GAUSS_SEGMENT.points, GAUSS_SEGMENT.weights
     a = mesh.vertices[mesh.edges[:, 0]]
     b = mesh.vertices[mesh.edges[:, 1]]
     tang = b - a                                        # lo -> hi, length included
@@ -299,18 +294,17 @@ def lp_norm_curl(u: EdgeField, p):
 
 
 def lp_norm_field(u: EdgeField, p):
-    """||u||_Lp by order-4 quadrature of the Whitney reconstruction.
+    """||u||_Lp by `TET_RULE` quadrature of the Whitney reconstruction.
 
     Summed over blocks of _BLOCK_TETS tets in block order, so no
     (T, nq, 3) array is made.
     """
     vols = u.mesh.geometry.vols
-    rule = whitney.quadrature(4)
     total = 0.0
     for s in range(0, u.mesh.num_tets, _BLOCK_TETS):
         tets = slice(s, s + _BLOCK_TETS)
-        vals = field_at(u, rule, tets)
-        total += float(vols[tets] @ (_norm_power(vals, p) @ rule.weights))
+        vals = field_at(u, tets)
+        total += float(vols[tets] @ (_norm_power(vals, p) @ TET_RULE.weights))
     return float(total ** (1.0 / p))
 
 
@@ -341,7 +335,8 @@ def tet_vertex_vectors(local, grads):
     return C @ grads
 
 
-def field_at(u: EdgeField, rule, tets):
-    """Whitney reconstruction of u at `rule`'s points on `tets`, (n, nq, 3)."""
-    return rule.points @ tet_vertex_vectors(local_coeffs(u, tets),
-                                            u.mesh.geometry.grads[tets])
+def field_at(u: EdgeField, tets):
+    """Whitney reconstruction of u at `TET_RULE`'s points on `tets`,
+    (n, nq, 3)."""
+    return TET_RULE.points @ tet_vertex_vectors(local_coeffs(u, tets),
+                                                u.mesh.geometry.grads[tets])

@@ -49,14 +49,19 @@ def main(argv=None):
 
     handler = {"solve": cmd_solve, "verify": cmd_verify,
                "friedrich": cmd_friedrich, "converge": cmd_converge}
+    out = cfg.out_dir()
+    cfg.echo(out)
+    summary = os.path.join(out, "summary.txt")
     try:
-        return handler[args.command](cfg)
+        lines = ["status = OK"] + handler[args.command](cfg, out)
     except SolverError as exc:
-        write_summary(os.path.join(cfg.out_dir(), "summary.txt"),
-                      ["status = FAILED (partial outputs only)",
-                       f"reason = {exc}"])
+        write_summary(summary, ["status = FAILED (partial outputs only)",
+                                f"reason = {exc}"])
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    write_summary(summary, lines)
+    print("\n".join(lines))
+    return 0
 
 
 def _pair_overrides(tokens):
@@ -77,9 +82,7 @@ def _mesh_from(cfg, divisions=None):
                           origin=cfg["box_origin"], extents=cfg["box_extents"])
 
 
-def cmd_solve(cfg):
-    out = cfg.out_dir()
-    cfg.echo(out)
+def cmd_solve(cfg, out):
     mesh = _mesh_from(cfg)
     case = case_general_p(cfg["p"])
     u, mult, report = solve(mesh, case.load, SolveConfig(p_target=case.p))
@@ -94,8 +97,7 @@ def cmd_solve(cfg):
                "residual", "energy"), rows)
 
     l2, curl_err = measure_error(u, case)
-    lines = [
-        "status = OK",
+    return [
         f"case = {case.name}",
         f"divisions = {','.join(str(d) for d in cfg['divisions'])}",
         f"edges = {mesh.num_edges}",
@@ -110,14 +112,9 @@ def cmd_solve(cfg):
         f"error_curl_lp = {curl_err:.17g}",
         f"wall_time_s = {report.wall_time:.3f}",
     ]
-    write_summary(os.path.join(out, "summary.txt"), lines)
-    print("\n".join(lines))
-    return 0
 
 
-def cmd_verify(cfg):
-    out = cfg.out_dir()
-    cfg.echo(out)
+def cmd_verify(cfg, out):
     seed = cfg["seed"]
     rows = [(r.inequality, r.p, r.delta, r.samples, r.worst_ratio,
              r.violations)
@@ -147,18 +144,12 @@ def cmd_verify(cfg):
     diffs = phi.coeffs[mesh.edges[:, 1]] - phi.coeffs[mesh.edges[:, 0]]
     round_trip = float(np.abs(diffs - grad_field.coeffs).max())
 
-    lines = ["status = OK",
-             f"inequality_rows = {len(rows)}",
-             f"total_violations = {sum(r[-1] for r in rows)}",
-             f"potential_round_trip_max_err = {round_trip:.17g}"]
-    write_summary(os.path.join(out, "summary.txt"), lines)
-    print("\n".join(lines))
-    return 0
+    return [f"inequality_rows = {len(rows)}",
+            f"total_violations = {sum(r[-1] for r in rows)}",
+            f"potential_round_trip_max_err = {round_trip:.17g}"]
 
 
-def cmd_friedrich(cfg):
-    out = cfg.out_dir()
-    cfg.echo(out)
+def cmd_friedrich(cfg, out):
     meshes = (build_box_mesh((n, n, n), extents=(np.pi, np.pi, np.pi))
               for n in cfg["levels"])
     rep = friedrich_constant(meshes, cfg["p"])
@@ -179,28 +170,18 @@ def cmd_friedrich(cfg):
     write_csv(os.path.join(out, "friedrich.csv"),
               ("level", "divisions", "h", "C_h", "observed_order",
                "iterations", "linear_iterations"), rows)
-    lines = ["status = OK",
-             f"p = {cfg['p']:.17g}",
+    lines = [f"p = {cfg['p']:.17g}",
              f"constants = {', '.join('%.17g' % c for c in rep.constants)}",
              f"extrapolated = {rep.extrapolated:.17g}"]
     if rep.lower_bound_only:
         # lower bounds have no convergence order to extrapolate with
         lines.append("extrapolation = none, the finest level's lower bound")
-    lines += [f"lower_bound_only = {rep.lower_bound_only}",
-              f"total_iterations = {sum(rep.iterations)}",
-              f"total_linear_iterations = {sum(rep.linear_iterations)}"]
-    write_summary(os.path.join(out, "summary.txt"), lines)
-    print("\n".join(lines))
-    return 0
+    return lines + [f"lower_bound_only = {rep.lower_bound_only}",
+                    f"total_iterations = {sum(rep.iterations)}",
+                    f"total_linear_iterations = {sum(rep.linear_iterations)}"]
 
 
-def cmd_converge(cfg):
-    if len(cfg["levels"]) < 2:      # one level has no error to compare
-        print("error: invalid 'levels': converge needs at least two",
-              file=sys.stderr)
-        return 2
-    out = cfg.out_dir()
-    cfg.echo(out)
+def cmd_converge(cfg, out):
     case = case_general_p(cfg["p"])
     config = SolveConfig(p_target=case.p)
     rows = []
@@ -219,14 +200,11 @@ def cmd_converge(cfg):
     write_csv(os.path.join(out, "converge.csv"),
               ("level", "divisions", "h", "l2_error", "curl_lp_error",
                "l2_order", "curl_order", "residual"), rows)
-    lines = ["status = OK", f"case = {case.name}",
-             f"levels = {','.join(str(n) for n in cfg['levels'])}",
-             "errors_decreasing = %s" % all(
-                 rows[i][3] >= rows[i + 1][3] and rows[i][4] >= rows[i + 1][4]
-                 for i in range(len(rows) - 1))]
-    write_summary(os.path.join(out, "summary.txt"), lines)
-    print("\n".join(lines))
-    return 0
+    return [f"case = {case.name}",
+            f"levels = {','.join(str(n) for n in cfg['levels'])}",
+            "errors_decreasing = %s" % all(
+                rows[i][3] >= rows[i + 1][3] and rows[i][4] >= rows[i + 1][4]
+                for i in range(len(rows) - 1))]
 
 
 if __name__ == "__main__":

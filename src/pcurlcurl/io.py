@@ -81,6 +81,12 @@ _LEVELS = {
     "levels": (_parse_ints, _levels_ok, [2, 4, 8], "mesh divisions per level"),
 }
 
+# one level has no error to compare
+_CONVERGE_LEVELS = {
+    "levels": (_parse_ints, lambda v: len(v) >= 2 and _levels_ok(v), [2, 4, 8],
+               "mesh divisions per level, at least two"),
+}
+
 _VERIFY = {
     "seed": (int, _nonneg, 0, "RNG seed of the potential round trip"),
     "n_samples": (int, _positive, 1000000,
@@ -104,7 +110,7 @@ KEY_SPECS = {
     "solve": {**_COMMON, **_MESH, **_P_TARGET},
     "verify": {**_COMMON, **_MESH, **_VERIFY},
     "friedrich": {**_COMMON, **_FRIEDRICH, **_LEVELS},
-    "converge": {**_COMMON, **_P_TARGET, **_LEVELS},
+    "converge": {**_COMMON, **_P_TARGET, **_CONVERGE_LEVELS},
 }
 
 

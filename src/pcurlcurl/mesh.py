@@ -10,7 +10,7 @@ arbitrary; only VTK output needs it (`whitney.CellGeometry.flipped`).
 
 One rule decides what lies on the boundary: a vertex, edge or tet face
 is on the box surface when all its vertices lie on one of the box's six
-planes (`classify_boundary`, `boundary_faces`).
+planes (`_on_boundary`, `boundary_faces`).
 """
 
 from __future__ import annotations
@@ -377,14 +377,8 @@ def _box_planes(mesh):
 
 
 def _on_boundary(mesh):
-    """(E,) and (V,) bool masks of the boundary edges and vertices."""
-    planes = _box_planes(mesh)
-    shared = planes[mesh.edges[:, 0]] & planes[mesh.edges[:, 1]]
-    return shared.any(axis=1), planes.any(axis=1)
-
-
-def classify_boundary(mesh):
-    """Edges and vertices lying on the surface of the mesh's box.
+    """(E,) and (V,) bool masks of the edges and vertices lying on the
+    surface of the mesh's box.
 
     The box-plane rule decides every boundary query: a vertex is on the
     boundary when it lies on a box plane, an edge when both endpoints lie
@@ -395,14 +389,16 @@ def classify_boundary(mesh):
     field has zero tangential trace iff its circulations vanish on every
     boundary edge.
     """
-    return tuple(np.flatnonzero(on) for on in _on_boundary(mesh))
+    planes = _box_planes(mesh)
+    shared = planes[mesh.edges[:, 0]] & planes[mesh.edges[:, 1]]
+    return shared.any(axis=1), planes.any(axis=1)
 
 
 def boundary_faces(mesh):
     """Boundary triangles with outward unit normals.
 
     A tet face is on the box surface exactly when its three corners lie
-    on one box plane (`classify_boundary`), and its outward normal is that
+    on one box plane (`_on_boundary`), and its outward normal is that
     plane's: -e_k on a low plane, +e_k on a high one. Each surface
     triangle is the face of one tet, so it is found once.
 

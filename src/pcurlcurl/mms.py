@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import whitney
 # _BLOCK_TETS: tets per block of `measure_error`, the block map of
 # `assembly.lp_norm_field`
 from .assembly import (_BLOCK_TETS, EdgeField, PExponent, _norm_power,
                        local_coeffs, tet_curls, tet_vertex_vectors)
+from .whitney import TET_RULE
 
 # Tets per chunk of a block's pointwise work: a chunk's (n, nq, 3)
 # temporaries are 0.66 MiB each.
@@ -119,7 +119,7 @@ def case_general_p(p):
 
 
 def measure_error(u_h: EdgeField, case: ManufacturedCase):
-    """(||u_h - u*||_L2, ||curl u_h - curl u*||_Lp) by order-4 quadrature.
+    """(||u_h - u*||_L2, ||curl u_h - curl u*||_Lp) by `TET_RULE` quadrature.
 
     The tets are split into blocks of _BLOCK_TETS: each block evaluates
     u_h, its curl, u* and curl u* at its own quadrature points and
@@ -138,7 +138,7 @@ def measure_error(u_h: EdgeField, case: ManufacturedCase):
     mesh.geometry                   # built here, not by each worker at once
     blocks = [slice(s, s + _BLOCK_TETS)
               for s in range(0, mesh.num_tets, _BLOCK_TETS)]
-    args = (u_h, case, whitney.quadrature(4))
+    args = (u_h, case)
     workers = min(_worker_count(), len(blocks))
     if workers < 2:
         sums = [_block_sums(*args, tets) for tets in blocks]
@@ -167,7 +167,7 @@ def _worker_count():
     return min(cpus, _MAX_WORKERS)
 
 
-def _block_sums(u_h, case, rule, tets):
+def _block_sums(u_h, case, tets):
     """`measure_error`'s sums of |u_h - u*|^2 and |curl(u_h - u*)|^p
     over the tets `tets` (a slice).
 
@@ -181,7 +181,7 @@ def _block_sums(u_h, case, rule, tets):
     mesh = u_h.mesh
     geom = mesh.geometry
     vols = geom.vols[tets]
-    n, nq = vols.size, rule.weights.size
+    n, nq = vols.size, TET_RULE.weights.size
     local = local_coeffs(u_h, tets)
     corners, grads = mesh.tets[tets], geom.grads[tets]
     curls = tet_curls(local, geom.curls[tets])
@@ -190,16 +190,17 @@ def _block_sums(u_h, case, rule, tets):
     powers = np.empty((n, nq))
     chunks = [slice(s, s + _CHUNK_TETS) for s in range(0, n, _CHUNK_TETS)]
     for c in chunks:
-        np.matmul(rule.points, mesh.vertices[corners[c]], out=xq[c])
-        np.matmul(rule.points, tet_vertex_vectors(local[c], grads[c]), out=diff[c])
+        np.matmul(TET_RULE.points, mesh.vertices[corners[c]], out=xq[c])
+        np.matmul(TET_RULE.points, tet_vertex_vectors(local[c], grads[c]),
+                  out=diff[c])
         diff[c] -= _at_points(case.u_exact, xq[c])
         powers[c] = _norm_power(diff[c], 2.0)
-    sq = float(vols @ (powers @ rule.weights))
+    sq = float(vols @ (powers @ TET_RULE.weights))
     for c in chunks:
         diff[c] = _at_points(case.curl_exact, xq[c])
         diff[c] -= curls[c, None, :]
         powers[c] = _norm_power(diff[c], case.p)
-    return sq, float(vols @ (powers @ rule.weights))
+    return sq, float(vols @ (powers @ TET_RULE.weights))
 
 
 def _at_points(f, x):

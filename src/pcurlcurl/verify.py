@@ -31,13 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import whitney
 from .assembly import (EdgeField, NodalField, PExponent, edge_moments,
                        field_at, local_coeffs, lp_norm_curl, lp_norm_field)
 from .helmholtz import DivFreeProjector
 from .linalg import SolverError, cg
 from .mesh import Mesh, boundary_faces
 from .solver import SolveConfig, solve
+from .whitney import TET_RULE, TRIANGLE_RULE
 
 
 # ---------------------------------------------------------------------------
@@ -527,16 +527,14 @@ def _friedrich_inverse(u2, p):
 
 
 def _power_load(u, p):
-    """(|u|^(p-2) u, W_e) on the free edges by order-4 quadrature,
+    """(|u|^(p-2) u, W_e) on the free edges by `TET_RULE` quadrature,
     streamed over tet blocks by `edge_moments`."""
-    rule = whitney.quadrature(4)
-
     def values_at(tets):
-        vals = field_at(u, rule, tets)
+        vals = field_at(u, tets)
         vals *= (np.linalg.norm(vals, axis=2)**(p - 2.0))[:, :, None]
         return vals
 
-    return edge_moments(u.mesh, rule, values_at)
+    return edge_moments(u.mesh, values_at)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +559,7 @@ class SmoothFieldPair:
     curl_w: callable
 
 
-def default_smooth_pair(a=0.3, b=0.9):
+def default_smooth_pair():
     """Exponential-trigonometric fields with nonzero boundary traces.
 
     Frequencies are deliberately incommensurate with the box period: for
@@ -569,6 +567,7 @@ def default_smooth_pair(a=0.3, b=0.9):
     spectrally (all error terms cancel), which would hide the quadrature
     rate the residuals are meant to expose.
     """
+    a, b = 0.3, 0.9                 # growth rate, frequency
 
     def u(x):
         return np.column_stack([
@@ -616,24 +615,20 @@ def check_green_formulas(mesh: Mesh, pair: SmoothFieldPair):
         div : (u, grad v) + (div u, v)  = surface integral of (n.u) v
         curl: (curl u, w) - (u, curl w) = surface integral of (n x u).w
 
-    Both sides use the order-4 tet and triangle rules (exact through
-    degree 5); residuals shrink at the quadrature rate under refinement.
+    Both sides use `TET_RULE` and `TRIANGLE_RULE` (exact through degree
+    5); residuals shrink at the quadrature rate under refinement.
     """
-    rule = whitney.quadrature(4)
-    xq = whitney.quad_points_physical(mesh, rule).reshape(-1, 3)
-    wvol = np.repeat(mesh.geometry.vols[:, None], rule.weights.size, axis=1) \
-        * rule.weights[None, :]
-    wvol = wvol.ravel()
+    xq = (TET_RULE.points @ mesh.vertices[mesh.tets]).reshape(-1, 3)
+    wvol = (mesh.geometry.vols[:, None] * TET_RULE.weights[None, :]).ravel()
 
     def vol_int(values):
         return float(wvol @ values)
 
     faces, normals, areas = boundary_faces(mesh)
-    tri_rule = whitney.triangle_quadrature(4)
     pv = mesh.vertices[faces]                           # (F, 3, 3)
-    xs = np.einsum("qi,fix->fqx", tri_rule.points, pv).reshape(-1, 3)
-    wsurf = (areas[:, None] * tri_rule.weights[None, :]).ravel()
-    nrep = np.repeat(normals, tri_rule.weights.size, axis=0)
+    xs = np.einsum("qi,fix->fqx", TRIANGLE_RULE.points, pv).reshape(-1, 3)
+    wsurf = (areas[:, None] * TRIANGLE_RULE.weights[None, :]).ravel()
+    nrep = np.repeat(normals, TRIANGLE_RULE.weights.size, axis=0)
 
     u_vol = pair.u(xq)
     lhs_div = vol_int(np.einsum("ij,ij->i", u_vol, pair.grad_v(xq))

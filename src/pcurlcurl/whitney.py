@@ -6,8 +6,8 @@ lam_j grad(lam_i), normalized so its circulation along edge i->j is 1 and
 constant per tet. That constancy matters for cost: any integrand built
 solely from curls of edge fields is piecewise constant, so the 1-point
 rule integrates the nonlinear residual and Jacobian curl terms *exactly*;
-quadrature order only matters for mass/load terms and non-polynomial
-field norms.
+quadrature matters only for mass/load terms and non-polynomial field
+norms, which all use the one degree-5 rule per simplex defined here.
 """
 
 from __future__ import annotations
@@ -69,11 +69,15 @@ class QuadratureRule:
     """Simplex quadrature in barycentric coordinates.
 
     Weights are positive and sum to 1; callers scale by the simplex
-    measure.
+    measure. The arrays are read-only: every caller shares one rule.
     """
 
     points: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        self.points.flags.writeable = False
+        self.weights.flags.writeable = False
 
 
 def _orbit_s31(a):
@@ -95,78 +99,45 @@ def _orbit_s22(a):
     return np.array(pts)
 
 
-def quadrature(order):
-    """Symmetric positive-weight tetrahedron rules.
-
-    order 1: centroid; order 2: 4 points; order 4: 14 points (the rule is
-    actually exact through degree 5 — the minimal 11-point degree-4 rule
-    carries a negative weight, which would break positivity of quadrature
-    norms and mass matrices, so the positive 14-point rule is used).
-
-    Raises:
-        ValueError: unsupported order.
-    """
-    if order == 1:
-        pts = np.full((1, 4), 0.25)
-        wts = np.array([1.0])
-    elif order == 2:
-        a = (5.0 - np.sqrt(5.0)) / 20.0
-        pts = _orbit_s31(a)
-        wts = np.full(4, 0.25)
-    elif order == 4:
-        # Degree-5 moment equations solved to machine precision; exactness
-        # is pinned by the factorial moment formula in the test suite.
-        pts = np.vstack([
-            _orbit_s31(0.31088591926329934),
-            _orbit_s31(0.092735250310890249),
-            _orbit_s22(0.045503704125654659),
-        ])
-        wts = np.concatenate([
-            np.full(4, 0.11268792571800983),
-            np.full(4, 0.073493043116359957),
-            np.full(6, 0.042546020777086767),
-        ])
-    else:
-        raise ValueError(f"unsupported quadrature order {order}; use 1, 2 or 4")
-    return QuadratureRule(points=pts, weights=wts)
+def _orbit_s21(a):
+    b = 1.0 - 2.0 * a
+    return np.array([[b, a, a], [a, b, a], [a, a, b]])
 
 
-def triangle_quadrature(order):
-    """Symmetric positive-weight triangle rules (barycentric, weights sum 1).
+# The symmetric positive 14-point tet rule, exact through degree 5 (the
+# minimal 11-point degree-4 rule carries a negative weight, which would
+# break positivity of quadrature norms and mass matrices). Its degree-5
+# moment equations are solved to machine precision; exactness is pinned
+# by the factorial moment formula in the test suite.
+TET_RULE = QuadratureRule(
+    points=np.vstack([
+        _orbit_s31(0.31088591926329934),
+        _orbit_s31(0.092735250310890249),
+        _orbit_s22(0.045503704125654659),
+    ]),
+    weights=np.concatenate([
+        np.full(4, 0.11268792571800983),
+        np.full(4, 0.073493043116359957),
+        np.full(6, 0.042546020777086767),
+    ]))
 
-    order 1: centroid; order 2: 3 edge midpoints; order 4: the classical
-    7-point degree-5 rule.
-    """
-    if order == 1:
-        pts = np.full((1, 3), 1.0 / 3.0)
-        wts = np.array([1.0])
-    elif order == 2:
-        pts = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
-        wts = np.full(3, 1.0 / 3.0)
-    elif order == 4:
-        s = np.sqrt(15.0)
-        a1 = (6.0 - s) / 21.0
-        a2 = (6.0 + s) / 21.0
-        w1 = (155.0 - s) / 1200.0
-        w2 = (155.0 + s) / 1200.0
+# The classical symmetric 7-point triangle rule, exact through degree 5.
+_S15 = np.sqrt(15.0)
+TRIANGLE_RULE = QuadratureRule(
+    points=np.vstack([np.full((1, 3), 1.0 / 3.0),
+                      _orbit_s21((6.0 - _S15) / 21.0),
+                      _orbit_s21((6.0 + _S15) / 21.0)]),
+    weights=np.concatenate([[9.0 / 40.0],
+                            np.full(3, (155.0 - _S15) / 1200.0),
+                            np.full(3, (155.0 + _S15) / 1200.0)]))
 
-        def orbit(a):
-            b = 1.0 - 2.0 * a
-            return np.array([[b, a, a], [a, b, a], [a, a, b]])
-
-        pts = np.vstack([np.full((1, 3), 1.0 / 3.0), orbit(a1), orbit(a2)])
-        wts = np.concatenate([[9.0 / 40.0], np.full(3, w1), np.full(3, w2)])
-    else:
-        raise ValueError(f"unsupported triangle quadrature order {order}")
-    return QuadratureRule(points=pts, weights=wts)
-
-
-def gauss_segment(n):
-    """Gauss-Legendre nodes/weights on [0, 1] (for edge circulations)."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def quad_points_physical(mesh, rule):
-    """Physical coordinates of quadrature points, shape (T, nq, 3)."""
-    return rule.points @ mesh.vertices[mesh.tets]
+# 4-point Gauss-Legendre rule on [0, 1] for edge circulations: `points`
+# holds the parameter t along the edge, not barycentric coordinates. The
+# values are numpy's `leggauss(4)` mapped to [0, 1], written out because
+# computing them at import runs a LAPACK eigensolve that costs 0.7 MiB
+# of resident memory.
+GAUSS_SEGMENT = QuadratureRule(
+    points=np.array([0.06943184420297371, 0.33000947820757187,
+                     0.6699905217924281, 0.9305681557970262]),
+    weights=np.array([0.17392742256872679, 0.3260725774312732,
+                      0.3260725774312732, 0.17392742256872679]))

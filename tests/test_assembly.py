@@ -244,16 +244,18 @@ def test_load_quadrature_self_convergence():
     S = lambda x: np.column_stack([np.sin(1.1 * x[:, 1]),
                                    np.cos(0.9 * x[:, 2]),
                                    np.sin(x[:, 0] + 0.3)])
+    # the symmetric 4-point degree-2 tet rule
+    a = (5.0 - np.sqrt(5.0)) / 20.0
+    rule = whitney.QuadratureRule(
+        points=np.where(np.eye(4, dtype=bool), 1.0 - 3.0 * a, a),
+        weights=np.full(4, 0.25))
     diffs = []
-    rule = whitney.quadrature(2)
     for n in (2, 4):
         mesh = build_box_mesh((n, n, n), extents=(1.0, 1.0, 1.0))
-
-        def order2_values(tets):
-            xq = rule.points @ mesh.vertices[mesh.tets[tets]]
-            return S(xq.reshape(-1, 3)).reshape(xq.shape)
-
-        d = edge_moments(mesh, rule, order2_values) - assemble_load(S, mesh)
+        xq = rule.points @ mesh.vertices[mesh.tets]
+        order2 = whole_mesh_edge_moments(
+            mesh, rule, S(xq.reshape(-1, 3)).reshape(xq.shape))
+        d = order2 - assemble_load(S, mesh)
         diffs.append(np.linalg.norm(d, np.inf))
     assert diffs[1] < diffs[0] / 3.0
 
@@ -264,18 +266,17 @@ def test_streamed_moments_are_the_whole_mesh_formula_bit_for_bit(
     # 12^3 has 10368 tets: at 8192 the last block is a partial one
     mesh = build_box_mesh((12, 12, 12), extents=(PI, PI, PI))
     S = case_general_p(10.0).load
-    rule = whitney.quadrature(4)
-    xq = whitney.quad_points_physical(mesh, rule)
+    rule = whitney.TET_RULE
+    xq = rule.points @ mesh.vertices[mesh.tets]
     load = whole_mesh_edge_moments(
         mesh, rule, S(xq.reshape(-1, 3)).reshape(xq.shape))
     u = EdgeField(mesh, np.random.default_rng(5).standard_normal(
         mesh.num_edges))
-    rule2 = whitney.quadrature(2)
-    field_load = whole_mesh_edge_moments(mesh, rule2,
-                                         rule2.points @ vertex_vectors(u))
+    field_load = whole_mesh_edge_moments(mesh, rule,
+                                         rule.points @ vertex_vectors(u))
     monkeypatch.setattr(assembly, "_BLOCK_TETS", block)
     assert assemble_load(S, mesh).tobytes() == load.tobytes()
-    got = edge_moments(mesh, rule2, lambda tets: field_at(u, rule2, tets))
+    got = edge_moments(mesh, lambda tets: field_at(u, tets))
     assert got.tobytes() == field_load.tobytes()
 
 
@@ -284,7 +285,7 @@ def test_load_traced_peak_stays_below_one_whole_mesh_value_array(monkeypatch):
     mesh = build_box_mesh((16, 16, 16), extents=(PI, PI, PI))
     mesh.geometry
     S = case_general_p(10.0).load
-    whole_mesh_values = 8 * mesh.num_tets * whitney.quadrature(4).weights.size * 3
+    whole_mesh_values = 8 * mesh.num_tets * whitney.TET_RULE.weights.size * 3
     monkeypatch.setattr(assembly, "_BLOCK_TETS", 1024)
     tracemalloc.start()
     try:
@@ -489,12 +490,12 @@ def test_jacobian_matches_einsum_and_dense_oracles(p):
 
 
 def test_unused_options_stay_removed():
-    # quadrature orders, Gauss points, Friedrich iteration budgets and
-    # potential-check tolerances that no caller set are constants, not
-    # parameters
+    # quadrature rules and orders, Gauss points, Friedrich iteration
+    # budgets, potential-check tolerances and smooth-pair coefficients
+    # that no caller set are constants, not parameters
     import inspect
     from pcurlcurl.mms import measure_error
-    from pcurlcurl.verify import (check_green_formulas,
+    from pcurlcurl.verify import (check_green_formulas, default_smooth_pair,
                                   extract_scalar_potential, friedrich_constant)
 
     def names(fn):
@@ -507,3 +508,12 @@ def test_unused_options_stay_removed():
     assert names(assemble_load) == ["S", "mesh"]
     assert names(extract_scalar_potential) == ["u"]
     assert names(check_green_formulas) == ["mesh", "pair"]
+    assert names(edge_moments) == ["mesh", "values_at"]
+    assert names(field_at) == ["u", "tets"]
+    assert names(default_smooth_pair) == []
+    # one rule per simplex: no order to choose
+    import pcurlcurl
+    for name in ("quadrature", "triangle_quadrature", "gauss_segment",
+                 "quad_points_physical"):
+        assert not hasattr(pcurlcurl, name)
+        assert not hasattr(whitney, name)

@@ -143,7 +143,7 @@ def test_projection_preserves_boundary_invariant():
     rng = np.random.default_rng(5)
     u = EdgeField(mesh, rng.standard_normal(mesh.num_edges)).zero_boundary()
     u0, _ = DivFreeProjector(mesh).project(u)
-    assert u0.boundary_ok(tol=0.0)
+    assert not u0.coeffs[mesh.boundary_edges].any()
 
 
 def test_projector_gtmg_matches_all_edge_oracle():
@@ -180,8 +180,7 @@ def test_edge_field_load_matches_all_edge_mass_pairing(n):
         [np.cos(x[:, 1]), np.sin(x[:, 2]), np.cos(x[:, 0])]), mesh)
     assert np.abs(S.coeffs[mesh.boundary_edges]).max() > 0.1
     expect = (dense_mass_all_edges(mesh) @ S.coeffs)[mesh.free_edges()]
-    rule = whitney.quadrature(4)
-    got = edge_moments(mesh, rule, lambda tets: field_at(S, rule, tets))
+    got = edge_moments(mesh, lambda tets: field_at(S, tets))
     assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
 def test_projector_methods_take_no_tolerance():

@@ -59,15 +59,23 @@ def test_eval_basis_validates_points():
         eval_basis(geom, [-0.1, 0.6, 0.3, 0.2])
 
 
+# barycentric point sets: the centroid, the 4 points of the degree-2 tet
+# rule, and the points of `TET_RULE`
+_A2 = (5.0 - np.sqrt(5.0)) / 20.0
+POINT_SETS = {1: np.full((1, 4), 0.25),
+              2: np.where(np.eye(4, dtype=bool), 1.0 - 3.0 * _A2, _A2),
+              4: whitney.TET_RULE.points}
+
+
 @pytest.mark.parametrize("order", [1, 2, 4])
 def test_eval_field_matches_basis(order):
     mesh = jittered_mesh(3)
     u = random_field(mesh)
-    rule = whitney.quadrature(order)
-    W = eval_basis(mesh.geometry, rule.points).reshape(
-        mesh.num_tets, rule.weights.size, 6, 3)
+    points = POINT_SETS[order]
+    W = eval_basis(mesh.geometry, points).reshape(
+        mesh.num_tets, points.shape[0], 6, 3)
     expect = np.einsum("te,tqec->tqc", local_coeffs(u), W)
-    got = rule.points @ vertex_vectors(u)
+    got = points @ vertex_vectors(u)
     assert got.shape == expect.shape
     assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
@@ -75,8 +83,8 @@ def test_eval_field_matches_basis(order):
 def test_load_matches_basis():
     mesh = jittered_mesh(3)
     geom = mesh.geometry
-    rule = whitney.quadrature(4)
-    xq = whitney.quad_points_physical(mesh, rule)
+    rule = whitney.TET_RULE
+    xq = rule.points @ mesh.vertices[mesh.tets]
     Sq = smooth_load(xq.reshape(-1, 3)).reshape(xq.shape)
     W = eval_basis(geom, rule.points)
     per_edge = np.einsum("q,tqc,tqec->te", rule.weights, Sq, W)
@@ -91,7 +99,7 @@ def test_load_matches_basis():
 def test_mass_matrix_matches_basis():
     mesh = jittered_mesh(3)
     geom = mesh.geometry
-    rule = whitney.quadrature(2)
+    rule = whitney.TET_RULE         # exact for the degree-2 products W . W
     W = eval_basis(geom, rule.points)
     blocks = np.einsum("q,tqec,tqfc->tef", rule.weights, W, W)
     blocks *= geom.vols[:, None, None]
@@ -111,8 +119,8 @@ def whole_mesh_measure_error(u_h, case):
     """`measure_error` as one pass over (T, nq, 3) arrays of the whole mesh."""
     mesh = u_h.mesh
     geom = mesh.geometry
-    rule = whitney.quadrature(4)
-    xq = whitney.quad_points_physical(mesh, rule)
+    rule = whitney.TET_RULE
+    xq = rule.points @ mesh.vertices[mesh.tets]
     err = rule.points @ vertex_vectors(u_h)
     err -= np.asarray(case.u_exact(xq.reshape(-1, 3))).reshape(xq.shape)
     sq = np.einsum("tqc,tqc->tq", err, err)
@@ -127,10 +135,9 @@ def whole_mesh_measure_error(u_h, case):
 
 def block_order_measure_error(u_h, case):
     """`measure_error` with its block sums added by a plain loop in block order."""
-    rule = whitney.quadrature(4)
     sq = lp = 0.0
     for s in range(0, u_h.mesh.num_tets, mms._BLOCK_TETS):
-        block = mms._block_sums(u_h, case, rule, slice(s, s + mms._BLOCK_TETS))
+        block = mms._block_sums(u_h, case, slice(s, s + mms._BLOCK_TETS))
         sq += block[0]
         lp += block[1]
     return float(np.sqrt(sq)), float(lp ** (1.0 / case.p))
@@ -202,7 +209,7 @@ def test_measure_error_raises_a_block_error_and_joins_its_workers(monkeypatch):
     u = random_field(mesh)
     monkeypatch.setattr(mms, "_BLOCK_TETS", 1)
     monkeypatch.setattr(mms, "_worker_count", lambda: 2)
-    third = whitney.quadrature(4).points @ mesh.vertices[mesh.tets[2]]
+    third = whitney.TET_RULE.points @ mesh.vertices[mesh.tets[2]]
     calls = []
 
     def u_exact(x):
@@ -246,7 +253,7 @@ print(started, threading.active_count())
 
 def whole_mesh_lp_norm_field(u, p):
     """`lp_norm_field` as one pass over (T, nq, 3) arrays of the whole mesh."""
-    rule = whitney.quadrature(4)
+    rule = whitney.TET_RULE
     mag = np.linalg.norm(rule.points @ vertex_vectors(u), axis=2)
     total = np.einsum("t,q,tq->", u.mesh.geometry.vols, rule.weights, mag**p)
     return float(total ** (1.0 / p))
@@ -278,7 +285,7 @@ def test_traced_peaks_stay_below_one_basis_array(monkeypatch, tmp_path):
     mesh = build_box_mesh((12, 12, 12))
     mesh.geometry
     u = random_field(mesh).zero_boundary()
-    rule = whitney.quadrature(4)
+    rule = whitney.TET_RULE
     basis_bytes = 8 * mesh.num_tets * rule.weights.size * 6 * 3
     corner_bytes = 8 * mesh.num_tets * 4 * 6 * 3
     assert traced_peak(lambda: rule.points @ vertex_vectors(u)) < basis_bytes

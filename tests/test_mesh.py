@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from pcurlcurl import whitney
-from pcurlcurl.mesh import (Mesh, MeshError, boundary_faces, build_box_mesh,
-                            classify_boundary)
+from pcurlcurl.mesh import Mesh, MeshError, boundary_faces, build_box_mesh
 from pcurlcurl.assembly import (EdgeField, assemble_gradient_map,
                                 curl_per_tet, scatter_blocks, stiffness_blocks)
 
@@ -120,13 +119,6 @@ def test_tet_rows_are_ascending_for_any_input_order():
     assert np.array_equal(raw.stiffness.indptr, box.stiffness.indptr)
     assert np.array_equal(raw.stiffness.indices, box.stiffness.indices)
     assert np.array_equal(raw.stiffness.data, box.stiffness.data)
-
-
-def test_classify_boundary_is_pure():
-    mesh = build_box_mesh((2, 2, 2), origin=(-1, 0, 2), extents=(2, 1, 3))
-    be, bv = classify_boundary(mesh)
-    assert np.array_equal(be, mesh.boundary_edges)
-    assert np.array_equal(bv, mesh.boundary_vertices)
 
 
 def test_index_sets_are_stored_read_only_complements():

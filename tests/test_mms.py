@@ -188,8 +188,8 @@ def test_exact_field_l2_norm_quadrature_sanity():
     case = case_p2_sine()
     mesh = build_box_mesh((4, 4, 4), extents=(PI, PI, PI))
     geom = whitney.cell_geometry(mesh)
-    rule = whitney.quadrature(4)
-    xq = whitney.quad_points_physical(mesh, rule).reshape(-1, 3)
+    rule = whitney.TET_RULE
+    xq = (rule.points @ mesh.vertices[mesh.tets]).reshape(-1, 3)
     vals = np.sum(case.u_exact(xq)**2, axis=1).reshape(mesh.num_tets, -1)
     total = np.einsum("t,q,tq->", geom.vols, rule.weights, vals)
     assert total == pytest.approx(PI**3 / 4.0, rel=1e-6)

@@ -124,7 +124,7 @@ def test_descent_constraint_and_multiplier():
     assert answer_constraint(u) <= 1e-8
     un = np.linalg.norm(u.coeffs)
     assert np.linalg.norm(mult.coeffs) <= 1e-8 * un
-    assert u.boundary_ok(tol=0.0)
+    assert not u.coeffs[mesh.boundary_edges].any()
 
 
 def test_solution_satisfies_discrete_weak_form():
@@ -352,7 +352,7 @@ def test_anisotropic_box_solve():
     assert rep.final_residual <= 1e-9
     assert rep.constraint <= 1e-8
     assert answer_constraint(u) <= 1e-8
-    assert u.boundary_ok(tol=0.0)
+    assert not u.coeffs[mesh.boundary_edges].any()
 
 
 def test_newton_budget_exhaustion_raises(monkeypatch):
@@ -604,6 +604,17 @@ def test_long_box_solves_at_p10():
     assert rep.final_residual <= solver.NEWTON_TOL
     assert [s.divisions for s in rep.stages][-2:] == [(6, 6, 6)] * 2
     assert rep.total_newton_iterations == 37
+    assert rep.constraint <= 1e-12
+
+
+def test_long_box_solves_at_p10_on_12_cubed():
+    # the same box one level finer: three nested levels, each reached
+    mesh = build_box_mesh((12, 12, 12), extents=(1.0, 1.0, 5.0))
+    _, _, rep = solve(mesh, case_general_p(10.0).load,
+                      SolveConfig(p_target=10.0))
+    assert rep.final_residual <= solver.NEWTON_TOL
+    assert [s.divisions for s in rep.stages][-2:] == [(12, 12, 12)] * 2
+    assert rep.total_newton_iterations == 61
     assert rep.constraint <= 1e-12
 
 

@@ -681,7 +681,7 @@ def test_friedrich_power_load_is_built_by_tet_blocks(monkeypatch):
     mesh = build_box_mesh((12, 12, 12), extents=(PI, PI, PI))
     u = EdgeField(mesh, np.random.default_rng(3).standard_normal(
         mesh.num_edges))
-    rule = whitney.quadrature(4)
+    rule = whitney.TET_RULE
     for p in (3.0, 10.0):
         vals = rule.points @ vertex_vectors(u)
         vals *= (np.linalg.norm(vals, axis=2)**(p - 2.0))[:, :, None]

@@ -62,7 +62,10 @@ def test_circulation_normalization():
     """Line integral of W_ij along edge (i->j) is 1, along others 0."""
     mesh = build_box_mesh((1, 1, 1))
     geom = whitney.cell_geometry(mesh)
-    t, w = whitney.gauss_segment(4)
+    t, w = whitney.GAUSS_SEGMENT.points, whitney.GAUSS_SEGMENT.weights
+    x, wx = np.polynomial.legendre.leggauss(4)
+    assert t.tobytes() == (0.5 * (x + 1.0)).tobytes()
+    assert w.tobytes() == (0.5 * wx).tobytes()
     verts = mesh.vertices[mesh.tets]
     for k, (a, b) in enumerate(LOCAL_EDGES):
         # barycentric path along the edge a->b
@@ -107,8 +110,7 @@ def test_constant_fields_reproduced_exactly():
     geom = whitney.cell_geometry(mesh)
     c = np.array([0.4, -1.1, 2.2])
     coeffs = (mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]) @ c
-    rule = whitney.quadrature(2)
-    W = eval_basis(geom, rule.points)
+    W = eval_basis(geom, whitney.TET_RULE.points)
     local = coeffs[mesh.tet_edges]
     vals = np.einsum("te,tqec->tqc", local, W)
     assert np.allclose(vals, c, atol=1e-13)
@@ -116,25 +118,23 @@ def test_constant_fields_reproduced_exactly():
     assert np.abs(g).max() < 1e-12
 
 
-@pytest.mark.parametrize("order", [1, 2, 4])
-def test_quadrature_weights(order):
-    rule = whitney.quadrature(order)
+def test_quadrature_weights():
+    rule = whitney.TET_RULE
     assert np.all(rule.weights > 0)
     assert np.isclose(rule.weights.sum(), 1.0, rtol=1e-14)
     assert np.all(rule.points >= 0) and np.all(rule.points <= 1)
     assert np.allclose(rule.points.sum(axis=1), 1.0, atol=1e-14)
 
 
-@pytest.mark.parametrize("order,degree", [(1, 1), (2, 2), (4, 5)])
-def test_quadrature_moment_exactness(order, degree):
-    rule = whitney.quadrature(order)
+def test_quadrature_moment_exactness():
+    rule = whitney.TET_RULE
     vol = 1.0 / 6.0  # reference tet
-    for total in range(degree + 1):
+    for total in range(6):
         for alpha in _compositions(total, 4):
             approx = vol * np.sum(
                 rule.weights * np.prod(rule.points ** np.array(alpha), axis=1))
             exact = barycentric_moment(alpha, vol)
-            assert abs(approx - exact) <= 1e-15, (order, alpha)
+            assert abs(approx - exact) <= 1e-15, alpha
 
 
 def _compositions(total, parts):
@@ -149,7 +149,7 @@ def _compositions(total, parts):
 def test_order2_integrates_lam0_lam1_to_1_over_120():
     # classic check: on the reference tet (volume 1/6) the product of two
     # distinct barycentrics integrates to 1/120
-    rule = whitney.quadrature(2)
+    rule = whitney.TET_RULE
     val = (1.0 / 6.0) * np.sum(rule.weights * rule.points[:, 0] * rule.points[:, 1])
     assert abs(val - 1.0 / 120.0) < 1e-16
     # Monte Carlo cross-check of the moment formula itself
@@ -159,20 +159,24 @@ def test_order2_integrates_lam0_lam1_to_1_over_120():
     assert abs(mc - 1.0 / 120.0) < 2e-5
 
 
-def test_unsupported_orders_rejected():
-    with pytest.raises(ValueError):
-        whitney.quadrature(3)
-    with pytest.raises(ValueError):
-        whitney.triangle_quadrature(7)
+def test_rules_are_read_only():
+    # every caller shares the module's rules, so none may change them
+    for rule in (whitney.TET_RULE, whitney.TRIANGLE_RULE,
+                 whitney.GAUSS_SEGMENT):
+        assert not rule.points.flags.writeable
+        assert not rule.weights.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        whitney.TET_RULE.points[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        whitney.TRIANGLE_RULE.weights[:] = 0.0
 
 
-@pytest.mark.parametrize("order,degree", [(1, 1), (2, 2), (4, 5)])
-def test_triangle_quadrature_exactness(order, degree):
-    rule = whitney.triangle_quadrature(order)
+def test_triangle_quadrature_exactness():
+    rule = whitney.TRIANGLE_RULE
     assert np.all(rule.weights > 0)
     assert np.isclose(rule.weights.sum(), 1.0, rtol=1e-14)
     area = 0.5  # reference triangle
-    for total in range(degree + 1):
+    for total in range(6):
         for alpha in _compositions(total, 3):
             approx = area * np.sum(
                 rule.weights * np.prod(rule.points ** np.array(alpha), axis=1))
@@ -180,4 +184,4 @@ def test_triangle_quadrature_exactness(order, degree):
             for a in alpha:
                 num *= math.factorial(a)
             exact = 2.0 * area * num / math.factorial(total + 2)
-            assert abs(approx - exact) <= 1e-15, (order, alpha)
+            assert abs(approx - exact) <= 1e-15, alpha
