@@ -10,6 +10,9 @@ constant, the first integral is evaluated *exactly* tet by tet with no
 quadrature; only load and mass terms need a rule. The eps term is a
 regularization of the pure power law |g|^(p-2) g: without it the Jacobian
 vanishes on tets where the curl does, which stalls Newton for p > 2.
+
+The law is stated once, in `PExponent.weight`. The residual and the
+Jacobian see u only through its per-tet curls, so they take those.
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ class PExponent:
     @property
     def q(self):
         return self.p / (self.p - 1.0)
+
+    def weight(self, gsq):
+        """(eps^2 + gsq)^((p-2)/2) at gsq = |g|^2, the one statement of the
+        law: flux weight * g, energy density weight * (eps^2 + gsq) / p."""
+        return np.power(self.eps**2 + gsq, 0.5 * (self.p - 2.0))
 
 
 @dataclass
@@ -96,8 +104,7 @@ def power_map(g, p: PExponent):
     eps = 0 it is continuous at g = 0 with value 0.
     """
     g = np.asarray(g, dtype=float)
-    msq = p.eps**2 + np.sum(g * g, axis=-1, keepdims=True)
-    return np.power(msq, 0.5 * (p.p - 2.0)) * g
+    return p.weight(np.sum(g * g, axis=-1, keepdims=True)) * g
 
 
 def curl_per_tet(u: EdgeField, geom=None):
@@ -123,48 +130,42 @@ def tet_curls(local, curls):
     return np.einsum("te,tec->tc", local, curls)
 
 
-def assemble_residual(u: EdgeField, load, p: PExponent):
+def assemble_residual(mesh: Mesh, g, load, p: PExponent):
     """Residual over free edges: power-law curl term minus the load.
 
-    `load` is the assembled load vector over free edges (see
-    assemble_load). The curl term is integrated exactly (piecewise
+    `g` is `curl_per_tet(u)` and `load` the load vector over free edges
+    (see assemble_load). The curl term is integrated exactly (piecewise
     constant integrand, see module docstring).
     """
-    if not np.all(np.isfinite(u.coeffs)):
-        raise ValueError("edge field contains non-finite coefficients")
-    mesh = u.mesh
+    if not np.all(np.isfinite(g)):
+        raise ValueError("edge field has non-finite curls")
     geom = mesh.geometry
-    g = curl_per_tet(u)
     flux = power_map(g, p) * geom.vols[:, None]
     per_edge = np.einsum("tc,tec->te", flux, geom.curls)
     out = np.bincount(mesh.tet_edges.ravel(), per_edge.ravel(), mesh.num_edges)
     return out[mesh.free_edges()] - load
 
 
-def assemble_jacobian(u: EdgeField, p: PExponent):
-    """Gateaux derivative of the residual, CSR over free x free edges.
+def assemble_jacobian(mesh: Mesh, g, p: PExponent):
+    """Gateaux derivative of the residual at curls g, CSR over free edges.
 
     Symmetric positive semidefinite for p >= 2. At p = 2 it does not
-    depend on u and is `mesh.stiffness`, shared and read-only.
+    depend on g and is `mesh.stiffness`, shared and read-only.
 
     With g the curl on a tet, the power map's derivative is
-    D = a I + b g g^T, a = m^((p-2)/2), b = (p-2) m^((p-4)/2) and
+    D = a I + b g g^T, a = p.weight(|g|^2), b = (p-2) a / m and
     m = eps^2 + |g|^2. With S the tet's basis curls, the element
     block vol S D S^T is then a vol S S^T + w w^T, w = sqrt(b vol) S g:
     the Gram matrix Z Z^T of the (6, 4) matrix Z = [sqrt(a vol) S, w].
     Where m = 0 (eps = 0 on a curl-free tet) the block is zero.
     """
-    mesh = u.mesh
     if p.p == 2.0:
         return mesh.stiffness
     geom = mesh.geometry
-    g = curl_per_tet(u)
-    msq = p.eps**2 + np.sum(g * g, axis=1)
-    a = np.zeros_like(msq)
-    b = np.zeros_like(msq)
-    pos = msq > 0.0
-    a[pos] = np.power(msq[pos], 0.5 * (p.p - 2.0))
-    b[pos] = (p.p - 2.0) * np.power(msq[pos], 0.5 * (p.p - 4.0))
+    gsq = np.sum(g * g, axis=1)
+    a = p.weight(gsq)                   # 0 where m = 0, since p > 2
+    m = p.eps**2 + gsq
+    b = np.divide((p.p - 2.0) * a, m, out=np.zeros_like(m), where=m > 0.0)
     Z = np.empty((mesh.num_tets, 6, 4))
     np.multiply(geom.curls, np.sqrt(a * geom.vols)[:, None, None],
                 out=Z[:, :, :3])

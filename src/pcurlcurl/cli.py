@@ -10,7 +10,7 @@ input, since every tolerance and budget is a module constant.
 Every run echoes its effective configuration into the output directory,
 so results are reproducible from that file alone. Exit codes: 0 success,
 1 solver/runtime failure (partial outputs are flagged in the summary),
-2 configuration error.
+2 configuration error (a `MeshError` in a command is one, also flagged).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .assembly import EdgeField, assemble_gradient_map
 from .io import ConfigError, RunConfig, write_csv, write_summary, write_vtk
-from .mesh import build_box_mesh
+from .mesh import MeshError, build_box_mesh
 from .mms import case_general_p, measure_error
 from .solver import SolveConfig, SolverError, solve
 from .verify import (check_green_formulas, check_inequalities,
@@ -54,11 +54,11 @@ def main(argv=None):
     summary = os.path.join(out, "summary.txt")
     try:
         lines = ["status = OK"] + handler[args.command](cfg, out)
-    except SolverError as exc:
+    except (SolverError, MeshError) as exc:
         write_summary(summary, ["status = FAILED (partial outputs only)",
                                 f"reason = {exc}"])
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, MeshError) else 1
     write_summary(summary, lines)
     print("\n".join(lines))
     return 0

@@ -43,10 +43,6 @@ def _parse_ints(s):
     return [int(tok) for tok in str(s).split(",") if tok.strip()]
 
 
-def _positive(x):
-    return x > 0
-
-
 def _nonneg(x):
     return x >= 0
 
@@ -63,11 +59,12 @@ _COMMON = {
 _MESH = {
     "divisions": (_parse_ints, lambda v: len(v) == 3 and all(d >= 1 for d in v),
                   [4, 4, 4], "grid divisions nx,ny,nz"),
-    "box_origin": (_parse_floats, lambda v: len(v) == 3, [0.0, 0.0, 0.0],
-                   "box origin"),
+    "box_origin": (_parse_floats,
+                   lambda v: len(v) == 3 and all(map(math.isfinite, v)),
+                   [0.0, 0.0, 0.0], "box origin, finite"),
     "box_extents": (_parse_floats,
-                    lambda v: len(v) == 3 and all(e > 0 for e in v),
-                    [math.pi, math.pi, math.pi], "box extents"),
+                    lambda v: len(v) == 3 and all(0 < e < math.inf for e in v),
+                    [math.pi, math.pi, math.pi], "box extents, finite and > 0"),
 }
 
 # solve and converge take the exponent alone: every other solver policy
@@ -89,7 +86,7 @@ _CONVERGE_LEVELS = {
 
 _VERIFY = {
     "seed": (int, _nonneg, 0, "RNG seed of the potential round trip"),
-    "n_samples": (int, _positive, 1000000,
+    "n_samples": (int, lambda v: v > 0, 1000000,
                   "no longer changes any result (the inequality constants "
                   "are computed, not sampled); leaves with benchmark v2"),
     "p_grid": (_parse_floats, lambda v: v and all(1 < p < math.inf for p in v),

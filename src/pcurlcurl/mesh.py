@@ -326,15 +326,17 @@ def build_box_mesh(divisions, origin=(0.0, 0.0, 0.0), extents=(1.0, 1.0, 1.0)):
     edge set. Output is deterministic for fixed input.
 
     Raises:
-        MeshError: on non-positive divisions or extents.
+        MeshError: on non-positive divisions or extents, or a non-finite box.
     """
     divisions = tuple(int(d) for d in divisions)
     origin = np.asarray(origin, dtype=float)
     extents = np.asarray(extents, dtype=float)
     if len(divisions) != 3 or any(d < 1 for d in divisions):
         raise MeshError(f"divisions must be three positive integers, got {divisions}")
-    if extents.shape != (3,) or np.any(extents <= 0):
+    if extents.shape != (3,) or not np.all(extents > 0):    # NaN fails it
         raise MeshError(f"extents must be three positive lengths, got {extents}")
+    if not np.all(np.isfinite([origin, extents, origin + extents])):
+        raise MeshError(f"box must be finite, got {origin} + {extents}")
 
     nx, ny, nz = divisions
     xs = origin[0] + extents[0] * np.arange(nx + 1) / nx

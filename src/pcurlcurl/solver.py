@@ -139,7 +139,7 @@ def energy(u: EdgeField, load, p: PExponent):
 def _bulk_energy(g, vols, p):
     """(1/p) int (eps^2 + |g|^2)^(p/2) and |g|^2 for the per-tet curls g."""
     gsq = np.einsum("tc,tc->t", g, g)      # twice as fast as a row sum
-    return np.sum(vols * np.power(p.eps**2 + gsq, 0.5 * p.p)) / p.p, gsq
+    return np.sum(vols * p.weight(gsq) * (p.eps**2 + gsq)) / p.p, gsq
 
 
 def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
@@ -266,11 +266,10 @@ def _ray_factor(u, load, pexp):
     if gmax == 0.0 or pull <= 0.0:
         return 1.0
     g, pull = g / gmax, pull / gmax
-    vols, p, eps = u.mesh.geometry.vols, pexp.p, pexp.eps
+    vols, p = u.mesh.geometry.vols, pexp.p
 
     def slope(s):        # dJ/dc / gmax at c = s / gmax
-        w = (eps * eps + (s * g)**2)**(0.5 * p - 1.0)
-        return s * np.sum(vols * w * g * g) - pull
+        return s * np.sum(vols * pexp.weight((s * g)**2) * g * g) - pull
 
     hi = (pull / np.sum(vols * g**p))**(1.0 / (p - 1.0))
     lo = hi
@@ -303,16 +302,16 @@ def _newton_stage(u, load, load_scale, pexp, inexact=False):
     free = mesh.free_edges()
     proj = DivFreeProjector(mesh)
 
-    r = assemble_residual(u, load, pexp)
+    # The curls of the iterate: the residual, the Jacobian, J and its
+    # rounding floor all come from them, and each step gathers only du's.
+    vols, g = mesh.geometry.vols, curl_per_tet(u)
+    r = assemble_residual(mesh, g, load, pexp)
     res0 = float(np.linalg.norm(r))
     # Relative to the load, so the reported residual means the same from
     # every start; a zero load falls back to the initial residual.
     denom = load_scale or max(res0, np.finfo(float).tiny)
     rec = StageRecord(p=pexp.p, eps=pexp.eps, newton_iterations=0,
                       final_residual=res0 / denom, divisions=mesh.divisions)
-    # The curls and the energy's two terms at the current iterate: J and
-    # its rounding floor both come from them.
-    vols, g = mesh.geometry.vols, curl_per_tet(u)
     bulk, gsq = _bulk_energy(g, vols, pexp)
     pairing = load @ u.coeffs[free]
     rec.energy_history.append(float(bulk - pairing))
@@ -325,7 +324,7 @@ def _newton_stage(u, load, load_scale, pexp, inexact=False):
                 f"relative residual {np.linalg.norm(r) / denom:.3e} after "
                 f"{MAX_NEWTON} steps")
         rec.newton_iterations += 1
-        A = assemble_jacobian(u, pexp)
+        A = assemble_jacobian(mesh, g, pexp)
         diag = A.diagonal()
         if not np.all(diag > 0):
             raise SolverError(
@@ -387,7 +386,7 @@ def _newton_stage(u, load, load_scale, pexp, inexact=False):
         u = EdgeField(mesh, u.coeffs + t * step.coeffs)
         full_step = inexact and t == 1.0
         g, gsq, bulk, pairing = g_try, gsq_try, bulk_try, pairing_try
-        r = assemble_residual(u, load, pexp)
+        r = assemble_residual(mesh, g, load, pexp)
         rec.energy_history.append(J_try)
 
     rec.final_residual = float(np.linalg.norm(r)) / denom

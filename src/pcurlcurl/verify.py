@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (EdgeField, NodalField, PExponent, edge_moments,
-                       field_at, local_coeffs, lp_norm_curl, lp_norm_field)
+                       field_at, local_coeffs, lp_norm_curl, lp_norm_field,
+                       power_map)
 from .helmholtz import DivFreeProjector
 from .linalg import SolverError, cg
 from .mesh import Mesh, boundary_faces
@@ -529,12 +530,8 @@ def _friedrich_inverse(u2, p):
 def _power_load(u, p):
     """(|u|^(p-2) u, W_e) on the free edges by `TET_RULE` quadrature,
     streamed over tet blocks by `edge_moments`."""
-    def values_at(tets):
-        vals = field_at(u, tets)
-        vals *= (np.linalg.norm(vals, axis=2)**(p - 2.0))[:, :, None]
-        return vals
-
-    return edge_moments(u.mesh, values_at)
+    pexp = PExponent(p)
+    return edge_moments(u.mesh, lambda tets: power_map(field_at(u, tets), pexp))
 
 
 # ---------------------------------------------------------------------------
@@ -663,9 +660,9 @@ def extract_scalar_potential(u: EdgeField):
     check is relative to the same scale, so it holds at any magnitude.
 
     Raises:
-        ValueError: a face circulation above 1e-12, or a closure
-            violation above 1e-10, times the largest coefficient (input
-            not a gradient field).
+        ValueError: a non-finite coefficient, or a face circulation
+            above 1e-12, or a closure violation above 1e-10, times the
+            largest coefficient (input not a gradient field).
     """
     mesh = u.mesh
     c = local_coeffs(u)                                 # along local lo -> hi
@@ -673,7 +670,9 @@ def extract_scalar_potential(u: EdgeField):
     circ = c[:, [0, 0, 1, 3]] + c[:, [3, 4, 5, 5]] - c[:, [1, 2, 2, 4]]
     worst = float(np.abs(circ).max(initial=0.0))
     scale = float(np.abs(u.coeffs).max(initial=0.0))
-    if worst > 1e-12 * scale:
+    if not np.isfinite(scale):
+        raise ValueError("field has non-finite coefficients")
+    if not worst <= 1e-12 * scale:      # NaN fails it too
         raise ValueError(
             f"field is not curl-free: max face circulation {worst:.3e} "
             f"against coefficient scale {scale:.3e}")
@@ -691,7 +690,7 @@ def extract_scalar_potential(u: EdgeField):
 
     closure = np.abs(phi[hi] - phi[lo] - u.coeffs)
     worst = float(closure[~tree_edge].max(initial=0.0))
-    if worst > 1e-10 * scale:
+    if not worst <= 1e-10 * scale:
         raise ValueError(
             f"closure violation {worst:.3e} on non-tree edges: "
             f"input is not a gradient field")

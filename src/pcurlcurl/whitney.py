@@ -52,7 +52,7 @@ def cell_geometry(mesh):
     d = v[:, 1:] - v[:, :1]                           # (T, 3, 3)
     det = np.linalg.det(d)
     vols = np.abs(det) / 6.0
-    if np.any(vols <= 0):
+    if not np.all(vols > 0):        # NaN fails it too
         raise MeshError("degenerate tetrahedron: zero volume")
     inv = np.linalg.inv(d)                            # columns are grad lam_1..3
     grads = np.empty((mesh.num_tets, 4, 3))

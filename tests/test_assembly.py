@@ -105,15 +105,16 @@ def test_residual_zero_cases():
     nfree = mesh.free_edges().size
     zero_load = np.zeros(nfree)
     u = EdgeField(mesh)
-    assert np.all(assemble_residual(u, zero_load, PExponent(3.0)) == 0.0)
+    assert np.all(assemble_residual(u.mesh, curl_per_tet(u), zero_load,
+                                    PExponent(3.0)) == 0.0)
     rng = np.random.default_rng(0)
     load = rng.standard_normal(nfree)
-    r = assemble_residual(u, load, PExponent(4.0))
+    r = assemble_residual(u.mesh, curl_per_tet(u), load, PExponent(4.0))
     assert np.allclose(r, -load)
     with pytest.raises(ValueError):
         bad = EdgeField(mesh)
         bad.coeffs[0] = np.inf
-        assemble_residual(bad, zero_load, PExponent(2.0))
+        assemble_residual(bad.mesh, curl_per_tet(bad), zero_load, PExponent(2.0))
 
 
 def test_residual_p2_equals_stiffness_action():
@@ -122,7 +123,7 @@ def test_residual_p2_equals_stiffness_action():
     u = random_free_field(mesh, rng)
     free = mesh.free_edges()
     load = rng.standard_normal(free.size)
-    r = assemble_residual(u, load, PExponent(2.0))
+    r = assemble_residual(u.mesh, curl_per_tet(u), load, PExponent(2.0))
     K = scatter_blocks(mesh, stiffness_blocks(mesh))
     expect = K @ u.coeffs[free] - load
     assert np.abs(r - expect).max() < 1e-12 * max(np.abs(expect).max(), 1)
@@ -132,7 +133,7 @@ def test_jacobian_p2_is_stiffness():
     mesh = build_box_mesh((2, 2, 2))
     rng = np.random.default_rng(2)
     u = random_free_field(mesh, rng)
-    J = assemble_jacobian(u, PExponent(2.0))
+    J = assemble_jacobian(u.mesh, curl_per_tet(u), PExponent(2.0))
     free = mesh.free_edges()
     K = dense_all_edges(mesh, stiffness_blocks(mesh))[np.ix_(free, free)]
     assert np.abs(J.toarray() - K).max() < 1e-13 * np.abs(K).max()
@@ -142,7 +143,7 @@ def test_jacobian_symmetry():
     mesh = build_box_mesh((2, 2, 2))
     rng = np.random.default_rng(3)
     u = random_free_field(mesh, rng)
-    J = assemble_jacobian(u, PExponent(6.0, eps=0.01))
+    J = assemble_jacobian(u.mesh, curl_per_tet(u), PExponent(6.0, eps=0.01))
     assert abs(J - J.T).max() <= 1e-12 * abs(J).max()
 
 
@@ -152,7 +153,7 @@ def test_jacobian_zero_at_degenerate_point():
     phi = rng.standard_normal(mesh.interior_vertices().size)
     G = assemble_gradient_map(mesh)
     u = EdgeField(mesh, G @ phi)       # curl-free everywhere
-    J = assemble_jacobian(u, PExponent(4.0, eps=0.0))
+    J = assemble_jacobian(u.mesh, curl_per_tet(u), PExponent(4.0, eps=0.0))
     assert J.nnz == 0 or abs(J).max() < 1e-24
 
 
@@ -165,13 +166,14 @@ def test_jacobian_matches_finite_differences():
     h = 1e-5
     for _ in range(5):
         u = random_free_field(mesh, rng)
-        J = assemble_jacobian(u, pe)
+        J = assemble_jacobian(u.mesh, curl_per_tet(u), pe)
         d = rng.standard_normal(free.size)
         up = EdgeField(mesh, u.coeffs.copy())
         um = EdgeField(mesh, u.coeffs.copy())
         up.coeffs[free] += h * d
         um.coeffs[free] -= h * d
-        fd = (assemble_residual(up, load, pe) - assemble_residual(um, load, pe)) / (2 * h)
+        fd = (assemble_residual(up.mesh, curl_per_tet(up), load, pe)
+              - assemble_residual(um.mesh, curl_per_tet(um), load, pe)) / (2 * h)
         Jd = J @ d
         assert np.linalg.norm(fd - Jd) <= 1e-6 * np.linalg.norm(Jd)
 
@@ -211,8 +213,8 @@ def test_gradient_shift_invariance_of_residual():
     shifted = EdgeField(mesh, u.coeffs + G @ phi)
     load = np.zeros(mesh.free_edges().size)
     for pe in (PExponent(2.0), PExponent(4.0, eps=0.05)):
-        r1 = assemble_residual(u, load, pe)
-        r2 = assemble_residual(shifted, load, pe)
+        r1 = assemble_residual(u.mesh, curl_per_tet(u), load, pe)
+        r2 = assemble_residual(shifted.mesh, curl_per_tet(shifted), load, pe)
         assert np.abs(r1 - r2).max() < 1e-11 * max(np.abs(r1).max(), 1)
 
 
@@ -341,8 +343,8 @@ def test_discrete_monotonicity(p):
         u = random_free_field(mesh, rng)
         v = random_free_field(mesh, rng)
         du = u.coeffs[mesh.free_edges()] - v.coeffs[mesh.free_edges()]
-        pairing = (assemble_residual(u, load, pe)
-                   - assemble_residual(v, load, pe)) @ du
+        pairing = (assemble_residual(u.mesh, curl_per_tet(u), load, pe)
+                   - assemble_residual(v.mesh, curl_per_tet(v), load, pe)) @ du
         diff = EdgeField(mesh, u.coeffs - v.coeffs)
         lower = lp_norm_curl(diff, p) ** p / a2
         assert pairing > 0.0
@@ -374,7 +376,8 @@ def test_discrete_stability_dual_norm_proxy():
     for _ in range(10):
         u = random_free_field(mesh, rng)
         v = random_free_field(mesh, rng)
-        r = assemble_residual(u, load, pe) - assemble_residual(v, load, pe)
+        r = (assemble_residual(u.mesh, curl_per_tet(u), load, pe)
+             - assemble_residual(v.mesh, curl_per_tet(v), load, pe))
         diff = EdgeField(mesh, u.coeffs - v.coeffs)
         denom = graph_norm(diff) * (graph_norm(u) + graph_norm(v)) ** (p - 2.0)
         ratios.append(dual_norm(r) / denom)
@@ -382,7 +385,8 @@ def test_discrete_stability_dual_norm_proxy():
         c = 3.7
         uc = EdgeField(mesh, c * u.coeffs)
         vc = EdgeField(mesh, c * v.coeffs)
-        rc = assemble_residual(uc, load, pe) - assemble_residual(vc, load, pe)
+        rc = (assemble_residual(uc.mesh, curl_per_tet(uc), load, pe)
+              - assemble_residual(vc.mesh, curl_per_tet(vc), load, pe))
         dc = EdgeField(mesh, uc.coeffs - vc.coeffs)
         denc = graph_norm(dc) * (graph_norm(uc) + graph_norm(vc)) ** (p - 2.0)
         assert dual_norm(rc) / denc == pytest.approx(ratios[-1], rel=1e-6)
@@ -417,8 +421,9 @@ def test_every_block_matrix_goes_through_scatter_blocks(monkeypatch):
     mesh = build_box_mesh((2, 2, 2))
     u = random_free_field(mesh, np.random.default_rng(12))
     n = mesh.free_edges().size
-    for build in (lambda: assemble_jacobian(u, PExponent(2.0)),
-                  lambda: assemble_jacobian(u, PExponent(4.0, eps=0.1)),
+    g = curl_per_tet(u)
+    for build in (lambda: assemble_jacobian(mesh, g, PExponent(2.0)),
+                  lambda: assemble_jacobian(mesh, g, PExponent(4.0, eps=0.1)),
                   lambda: edge_mass_matrix(mesh)):
         calls.clear()
         build()
@@ -480,7 +485,7 @@ def test_jacobian_matches_einsum_and_dense_oracles(p):
         blocks = jacobian_einsum_oracle(u, pe)
         dense = dense_all_edges(mesh, blocks)[np.ix_(free, free)]
         oracle = scatter_blocks(mesh, blocks).toarray()
-        got = assemble_jacobian(u, pe).toarray()
+        got = assemble_jacobian(u.mesh, curl_per_tet(u), pe).toarray()
         assert np.all(np.isfinite(got))
         scale = max(np.abs(dense).max(), np.finfo(float).tiny)
         assert np.abs(got - dense).max() <= 1e-14 * scale

@@ -60,6 +60,31 @@ def test_non_finite_exponent_exits_2(tmp_path, capsys, command, key, value):
     assert not (out / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("solve", "box_origin", "nan,0,0"), ("solve", "box_origin", "0,inf,0"),
+    ("verify", "box_extents", "inf,1,1"), ("verify", "box_extents", "nan,1,1")])
+def test_non_finite_box_exits_2(tmp_path, capsys, command, key, value):
+    out = tmp_path / "x"
+    rc = main([command, "--out_dir", str(out), f"--{key}", value])
+    assert rc == 2
+    assert f"invalid '{key}'" in capsys.readouterr().err
+    assert not (out / "summary.txt").exists()
+
+
+def test_mesh_error_in_a_command_exits_2_with_a_summary(tmp_path, capsys):
+    # a valid config whose tet volumes underflow to 0: the mesh fault
+    # ends like any other failure, as a configuration error
+    out = tmp_path / "x"
+    rc = main(["solve", "--out_dir", str(out), "--divisions", "2,2,2",
+               "--box_extents", "1e-200,1e-200,1e-200"])
+    assert rc == 2
+    assert "degenerate tetrahedron" in capsys.readouterr().err
+    summary = (out / "summary.txt").read_text()
+    assert "status = FAILED" in summary
+    assert "reason = degenerate tetrahedron" in summary
+    assert (out / "config_used.txt").exists()
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     rc = main(["solve", "--out_dir", str(tmp_path / "x"), "--frobnicate", "1"])
     assert rc == 2

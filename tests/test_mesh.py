@@ -153,6 +153,20 @@ def test_rejects_bad_input(divisions, extents):
         build_box_mesh(divisions, extents=extents)
 
 
+@pytest.mark.parametrize("origin,extents", [
+    ((np.nan, 0, 0), (1, 1, 1)),
+    ((0, -np.inf, 0), (1, 1, 1)),
+    ((0, 0, 0), (np.inf, 1, 1)),
+    ((0, 0, 0), (np.nan, 1, 1)),
+    ((1e308, 0, 0), (1e308, 1, 1)),         # the far corner overflows
+])
+def test_rejects_a_non_finite_box(origin, extents):
+    # NaN passes `extents <= 0`, and a non-finite box gives NaN volumes
+    # (extents (inf, 1, 1) even a mesh with no free edge)
+    with pytest.raises(MeshError), np.errstate(over="ignore"):
+        build_box_mesh((2, 2, 2), origin=origin, extents=extents)
+
+
 def test_orientation_consistency_symmetric_stiffness():
     # a well-defined global circulation DoF makes the p=2 curl-curl
     # form symmetric to machine precision

@@ -89,7 +89,7 @@ def test_energy_gradient_is_residual():
         up.coeffs[free] += h * v
         um.coeffs[free] -= h * v
         fd = (energy(up, load, pe) - energy(um, load, pe)) / (2 * h)
-        rv = assemble_residual(u, load, pe) @ v
+        rv = assemble_residual(u.mesh, curl_per_tet(u), load, pe) @ v
         assert fd == pytest.approx(rv, rel=1e-6)
 
 
@@ -285,7 +285,7 @@ def test_newton_matches_projected_gradient_descent():
     alpha = 1.0
     J = energy(u, load, pe)
     for _ in range(4000):
-        r = assemble_residual(u, load, pe)
+        r = assemble_residual(u.mesh, curl_per_tet(u), load, pe)
         gnorm = np.linalg.norm(r)
         if gnorm < 1e-8:
             break
@@ -376,7 +376,7 @@ def test_consistent_rhs_removes_exactly_the_gradient_kernel():
     free = mesh.free_edges()
     proj = DivFreeProjector(mesh)
     Gfree = proj.G
-    A = assemble_jacobian(EdgeField(mesh), PExponent(2.0))
+    A = assemble_jacobian(mesh, curl_per_tet(EdgeField(mesh)), PExponent(2.0))
     dense = A.toarray()
     # the p = 2 Jacobian is singular, and its kernel is exactly the
     # gradients of interior potentials
@@ -427,8 +427,8 @@ def test_gradient_shift_invariance(p):
     proj = DivFreeProjector(mesh)
     load, _ = proj.strip_gradient(assemble_load(case.load, mesh))
     pe = PExponent(p, eps=rep_ref.stages[-1].eps)
-    r0 = assemble_residual(u_ref, load, pe)
-    r1 = assemble_residual(u_shift, load, pe)
+    r0 = assemble_residual(u_ref.mesh, curl_per_tet(u_ref), load, pe)
+    r1 = assemble_residual(u_shift.mesh, curl_per_tet(u_shift), load, pe)
     assert np.linalg.norm(r1 - r0) <= 1e-12 * np.linalg.norm(load)
     J0, J1 = energy(u_ref, load, pe), energy(u_shift, load, pe)
     assert abs(J1 - J0) <= 1e-12 * abs(J0)
@@ -546,7 +546,8 @@ def test_final_residual_is_relative_to_the_load():
     u, _, rep = solve(mesh, case.load, cfg, initial_guess=guess)
     load, _ = DivFreeProjector(mesh).strip_gradient(
         assemble_load(case.load, mesh))
-    r = assemble_residual(u, load, PExponent(2.0, eps=rep.stages[-1].eps))
+    r = assemble_residual(mesh, curl_per_tet(u), load,
+                          PExponent(2.0, eps=rep.stages[-1].eps))
     assert np.linalg.norm(r) <= solver.NEWTON_TOL * np.linalg.norm(load)
 
 
@@ -825,13 +826,33 @@ def test_one_stiffness_build_per_mesh(monkeypatch):
     friedrich_constant([mesh], 2.0)
     assert len(calls) == 2
     K = mesh.stiffness
-    assert assemble_jacobian(EdgeField(mesh), PExponent(2.0)) is K
+    zero_curls = curl_per_tet(EdgeField(mesh))
+    assert assemble_jacobian(mesh, zero_curls, PExponent(2.0)) is K
     assert np.all(K.data != 0.0)
     assert K.nnz < mesh.free_pattern.indices.size
     for arr in (K.data, K.indices, K.indptr):
         assert not arr.flags.writeable
     full = scatter_blocks(mesh, stiffness_blocks(mesh))
     assert np.array_equal(K.toarray(), full.toarray())
+
+
+def test_newton_gathers_the_curls_of_each_iterate_once(monkeypatch):
+    # the residual and the Jacobian take the curls the line search
+    # accepted, so a Newton step gathers only du's; each stage adds at
+    # most three (its start and the two ray factors of its eps and start)
+    from pcurlcurl import assembly
+    calls = []
+    tet_curls = assembly.tet_curls
+
+    def counting(local, curls):
+        calls.append(local.shape[0])
+        return tet_curls(local, curls)
+
+    monkeypatch.setattr(assembly, "tet_curls", counting)
+    mesh = build_box_mesh((6, 6, 6), extents=(PI, PI, PI))
+    _, _, rep = solve(mesh, case_general_p(10.0).load,
+                      SolveConfig(p_target=10.0))
+    assert len(calls) <= rep.total_newton_iterations + 3 * len(rep.stages)
 
 
 def test_fields_of_another_mesh_are_rejected():

@@ -677,14 +677,13 @@ def test_friedrich_power_load_is_built_by_tet_blocks(monkeypatch):
     # whole-mesh quadrature at any block size, and without its arrays
     from basis_oracle import whole_mesh_edge_moments
     from pcurlcurl import assembly, whitney
-    from pcurlcurl.assembly import vertex_vectors
+    from pcurlcurl.assembly import PExponent, power_map, vertex_vectors
     mesh = build_box_mesh((12, 12, 12), extents=(PI, PI, PI))
     u = EdgeField(mesh, np.random.default_rng(3).standard_normal(
         mesh.num_edges))
     rule = whitney.TET_RULE
     for p in (3.0, 10.0):
-        vals = rule.points @ vertex_vectors(u)
-        vals *= (np.linalg.norm(vals, axis=2)**(p - 2.0))[:, :, None]
+        vals = power_map(rule.points @ vertex_vectors(u), PExponent(p))
         whole = whole_mesh_edge_moments(mesh, rule, vals)
         for block in (1, 1024, mesh.num_tets + 5):
             monkeypatch.setattr(assembly, "_BLOCK_TETS", block)
@@ -837,6 +836,18 @@ def test_potential_zero_field():
     mesh = build_box_mesh((2, 2, 2))
     phi = extract_scalar_potential(EdgeField(mesh))
     assert np.all(phi.coeffs == 0.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_potential_rejects_a_non_finite_coefficient(value):
+    # `worst > tol` is False for NaN, and one inf makes the scale inf, so
+    # neither tolerance check alone rejects such a field
+    mesh = build_box_mesh((2, 2, 2))
+    G = assemble_gradient_map(mesh)
+    u = EdgeField(mesh, G @ np.random.default_rng(2).standard_normal(G.shape[1]))
+    u.coeffs[mesh.free_edges()[3]] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        extract_scalar_potential(u)
 
 
 def test_potential_rejects_fields_with_curl():

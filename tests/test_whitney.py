@@ -41,6 +41,14 @@ def test_degenerate_tet_rejected():
         whitney.cell_geometry(flat)
 
 
+def test_nan_volume_rejected():
+    # NaN passes `vols <= 0`, so the check is written as `vols > 0`
+    verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0, np.nan]])
+    nan_tet = Mesh(verts, np.array([[0, 1, 2, 3]]), ((0, 0, 0), (1, 1, 1)))
+    with pytest.raises(MeshError), np.errstate(invalid="ignore"):
+        whitney.cell_geometry(nan_tet)
+
+
 def test_negatively_oriented_tet_accepted():
     # orientation enters no formula: the mirror-image vertex order gives
     # the same volume and the same edge functions, relabelled; only the
