@@ -31,6 +31,10 @@ from .whitney import GAUSS_SEGMENT, TET_RULE
 # 16384 is ~10% slower.
 _BLOCK_TETS = 8192
 
+# Row k sends local coefficient c_k of edge (i, j) to C_ij = c_k and
+# C_ji = -c_k of the flattened antisymmetric 4 x 4 matrix C.
+_SIGNS = np.eye(16)[4 * _EDGE_I + _EDGE_J] - np.eye(16)[4 * _EDGE_J + _EDGE_I]
+
 
 @dataclass(frozen=True)
 class PExponent:
@@ -330,10 +334,7 @@ def vertex_vectors(u: EdgeField):
 def tet_vertex_vectors(local, grads):
     """`vertex_vectors` from local coefficients (n, 6) and the
     tets' barycentric gradients (n, 4, 3)."""
-    C = np.zeros((local.shape[0], 4, 4))
-    C[:, _EDGE_I, _EDGE_J] = local
-    C[:, _EDGE_J, _EDGE_I] = -local
-    return C @ grads
+    return (local @ _SIGNS).reshape(-1, 4, 4) @ grads
 
 
 def field_at(u: EdgeField, tets):

@@ -5,6 +5,12 @@ G^T M u0 = 0 with M the edge mass matrix. The splitting is M-orthogonal
 regardless of the exponent p of the surrounding problem — the constraint
 in the weak problem is linear, so any fixed pairing yields a valid
 complement, and the L2 one makes the projection an SPD nodal solve.
+
+The solve is direct: G phi interpolates grad phi_h, so G^T M G is the P1
+stiffness, and on a Kuhn box mesh, whose tets are path simplices
+(orthoscheme), that is the 7-point Laplacian sum_axis c_axis
+tridiag(-1, 2, -1), c_x = h_y h_z / h_x and cyclic. Sine matrices
+diagonalize it (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).
 """
 
 from __future__ import annotations
@@ -13,10 +19,7 @@ import numpy as np
 
 from .assembly import (EdgeField, NodalField, assemble_gradient_map,
                        gram_blocks, scatter_blocks)
-from .linalg import SolverError, cg
-from .mesh import LOCAL_EDGES, Mesh
-
-POTENTIAL_TOL = 1e-13     # relative CG tolerance of every G^T M G solve
+from .mesh import LOCAL_EDGES, Mesh, MeshError
 
 
 def _mass_kernel():
@@ -55,35 +58,47 @@ def edge_mass_matrix(mesh: Mesh):
 
 
 def _projector_matrices(mesh):
-    """Build `mesh.projector_matrices`: M, G, G^T and G^T M G."""
-    M = edge_mass_matrix(mesh)
+    """Build `mesh.projector_matrices`: M, G, G^T, the eigenvalues of
+    G^T M G on the interior grid and one sine matrix per axis."""
+    if mesh.divisions is None:
+        raise MeshError("the Helmholtz projector needs a build_box_mesh mesh")
+    d = np.array(mesh.divisions)
+    h, ks = mesh.box[1] / d, [np.arange(1, n) for n in d]
+    # j k mod 2 d keeps each sine's argument below 2 pi; 4 sin(x/2)^2 is
+    # 2 - 2 cos(x) without the cancellation
+    sines = [np.sqrt(2 / n) * np.sin(np.pi * (np.outer(k, k) % (2 * n)) / n)
+             for n, k in zip(d, ks)]
+    lam = [4 * np.sin(0.5 * np.pi * k / n) ** 2 * h[a - 2] * h[a - 1] / h[a]
+           for a, (n, k) in enumerate(zip(d, ks))]
     G = assemble_gradient_map(mesh)[mesh.free_edges()]
-    Gt = G.T.tocsr()
-    return M, G, Gt, Gt @ (M @ G)
+    return (edge_mass_matrix(mesh), G, G.T.tocsr(),
+            lam[0][:, None, None] + lam[1][:, None] + lam[2], *sines)
 
 
 class DivFreeProjector:
-    """M, G, G^T and G^T M G; the one solver of G^T M G phi = G^T b.
+    """M, G and G^T; the one solver of G^T M G phi = G^T b.
 
     M is the free x free mass matrix and G the free rows of the gradient
     map: a boundary edge's row of G is empty, so G^T M G is the same as
-    over all edges. The four matrices are `mesh.projector_matrices`,
-    built once per mesh and shared, read-only, by every projector of that
-    mesh. `project` splits edge fields and `constraint_norm` measures
-    them; both take fields with zero boundary circulations, the only
-    fields the M block pairs. `strip_gradient` cleans functionals.
+    over all edges. With the `sines` and G^T M G's eigenvalues `eig`,
+    they are `mesh.projector_matrices`, built once per mesh (which needs
+    `divisions`, or raises MeshError) and shared, read-only, by every
+    projector of that mesh. `project` splits edge fields and
+    `constraint_norm` measures them; both take fields with zero boundary
+    circulations, the only fields the M block pairs. `strip_gradient`
+    cleans functionals.
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.M, self.G, self.Gt, self.GtMG = mesh.projector_matrices
+        self.M, self.G, self.Gt, self.eig, *self.sines = mesh.projector_matrices
 
     def project(self, u: EdgeField):
-        """Split u into (u0, phi) with G^T M u0 = 0 up to POTENTIAL_TOL.
+        """Split u into (u0, phi) with G^T M u0 = 0 up to rounding.
 
         A pure gradient goes wholly into phi and a divergence-free input
-        comes back unchanged, up to POTENTIAL_TOL; the curl is kept
-        exactly, since curl(G phi) = 0 holds edge by edge.
+        comes back unchanged, up to rounding; the curl is kept exactly,
+        since curl(G phi) = 0 holds edge by edge.
 
         Raises:
             ValueError: u belongs to another mesh or has a nonzero
@@ -121,12 +136,15 @@ class DivFreeProjector:
         return coeffs[self.mesh.free_edges()]
 
     def _potential(self, rhs):
-        phi, rep = cg(self.GtMG, rhs, tol=POTENTIAL_TOL)
-        if not rep.converged:
-            raise SolverError(
-                f"G^T M G potential CG stalled at relative residual "
-                f"{rep.relative_residual:.3e} after {rep.iterations} iterations")
-        return phi
+        """S(x)S(x)S (S(x)S(x)S rhs / eig): interior vertices ascend in C
+        order over the interior grid, and each S is its own inverse."""
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("right-hand side contains non-finite entries")
+        (sx, sy, sz), (a, b, c) = self.sines, self.eig.shape
+
+        def sine(x):
+            return (sy @ (sx @ x.reshape(a, b * c)).reshape(a, b, c)) @ sz
+        return sine(sine(rhs) / self.eig).ravel()
 
     def _nodal(self, phi_int):
         phi = np.zeros(self.mesh.num_vertices)

@@ -80,8 +80,9 @@ class Mesh:
         prolongation: the free x free matrix P (fine rows, coarse
             columns) that carries a coarse edge field onto this mesh
             exactly, None without a coarse mesh; cached, read-only.
-        projector_matrices: M, G, G^T and G^T M G of the Helmholtz
-            projector, built by `helmholtz`; cached, read-only.
+        projector_matrices: M, G, G^T, the eigenvalues of G^T M G and
+            the sine matrices of the Helmholtz projector, built by
+            `helmholtz` (MeshError without `divisions`); cached, read-only.
         stiffness: the p = 2 curl-curl stiffness, free x free, exact
             zeros dropped; cached, read-only.
 
@@ -326,7 +327,8 @@ def build_box_mesh(divisions, origin=(0.0, 0.0, 0.0), extents=(1.0, 1.0, 1.0)):
     edge set. Output is deterministic for fixed input.
 
     Raises:
-        MeshError: on non-positive divisions or extents, or a non-finite box.
+        MeshError: on non-positive divisions or extents, or a non-finite
+            box or cell volume.
     """
     divisions = tuple(int(d) for d in divisions)
     origin = np.asarray(origin, dtype=float)
@@ -335,8 +337,11 @@ def build_box_mesh(divisions, origin=(0.0, 0.0, 0.0), extents=(1.0, 1.0, 1.0)):
         raise MeshError(f"divisions must be three positive integers, got {divisions}")
     if extents.shape != (3,) or not np.all(extents > 0):    # NaN fails it
         raise MeshError(f"extents must be three positive lengths, got {extents}")
-    if not np.all(np.isfinite([origin, extents, origin + extents])):
-        raise MeshError(f"box must be finite, got {origin} + {extents}")
+    with np.errstate(over="ignore"):
+        cell = np.prod(extents / divisions)
+        if not np.all(np.isfinite([*origin, *extents, *(origin + extents), cell])):
+            raise MeshError(f"box and cell volume must be finite, got "
+                            f"{origin} + {extents} in {divisions} cells")
 
     nx, ny, nz = divisions
     xs = origin[0] + extents[0] * np.arange(nx + 1) / nx

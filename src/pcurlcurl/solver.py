@@ -22,8 +22,8 @@ system. The step differs from the constrained Newton step only by a
 gradient, so a plain backtracking line search on J guarantees descent.
 Newton never projects its iterates: the constraint is imposed once, by
 `DivFreeProjector.project` on the answer. Every G^T M G solve belongs to
-the projector, at its one tolerance `helmholtz.POTENTIAL_TOL`; this
-module runs only the Newton CG on the Jacobian, to LINEAR_TOL.
+the projector, which solves directly; this module runs only the Newton
+CG on the Jacobian, to LINEAR_TOL.
 
 Large p is reached by geometric continuation in p after a p = 2 stage
 from the given start. Each later stage solves at one eps, set from the
@@ -156,7 +156,7 @@ def solve(mesh: Mesh, S, config: SolveConfig = None, initial_guess=None):
 
     Returns:
         (u, multiplier, SolveReport). u satisfies the boundary invariant
-        and the divergence constraint up to `helmholtz.POTENTIAL_TOL`.
+        and the divergence constraint up to rounding.
         The multiplier belongs to the load-projected problem, so it is
         zero up to rounding even for incompatible loads, whose gradient
         part is reported as `SolveReport.load_gradient_norm`. The report's

@@ -85,6 +85,16 @@ def test_mesh_error_in_a_command_exits_2_with_a_summary(tmp_path, capsys):
     assert (out / "config_used.txt").exists()
 
 
+def test_overflowing_cell_volume_exits_2_with_a_summary(tmp_path, capsys):
+    # each extent is finite, but the cell volume (5e149)^3 overflows
+    out = tmp_path / "x"
+    rc = main(["solve", "--out_dir", str(out), "--divisions", "2,2,2",
+               "--box_extents", "1e150,1e150,1e150"])
+    assert rc == 2
+    assert "cell volume" in capsys.readouterr().err
+    assert "status = FAILED" in (out / "summary.txt").read_text()
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     rc = main(["solve", "--out_dir", str(tmp_path / "x"), "--frobnicate", "1"])
     assert rc == 2

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from pcurlcurl import helmholtz, whitney
+from pcurlcurl import whitney
 from pcurlcurl.assembly import (EdgeField, assemble_gradient_map, curl_per_tet,
                                 edge_interpolate, edge_moments, field_at)
 from pcurlcurl.helmholtz import DivFreeProjector, edge_mass_matrix, mass_blocks
-from pcurlcurl.mesh import LOCAL_EDGES, Mesh, build_box_mesh
+from pcurlcurl.mesh import LOCAL_EDGES, Mesh, MeshError, build_box_mesh
 from pcurlcurl.mms import case_general_p
 from pcurlcurl.solver import SolveConfig, solve
 from pcurlcurl.verify import friedrich_constant
@@ -146,14 +146,34 @@ def test_projection_preserves_boundary_invariant():
     assert not u0.coeffs[mesh.boundary_edges].any()
 
 
-def test_projector_gtmg_matches_all_edge_oracle():
-    # a boundary edge's row of G is empty, so the free x free M and the
-    # free rows of G give the all-edge G^T M G
-    mesh = build_box_mesh((3, 3, 3))
+@pytest.mark.parametrize("divisions, origin, extents", [
+    ((3, 3, 3), (0, 0, 0), (1, 1, 1)),
+    ((5, 4, 3), (-1, 0, 2), (2, 1, 3)),
+    ((6, 6, 6), (0, 0, 0), (1, 1, 5)),
+    ((2, 2, 2), (0, 0, 0), (1, 1, 1)),
+    ((1, 1, 1), (0, 0, 0), (1, 1, 1)),
+], ids=["3x3x3", "5x4x3-offset", "6x6x6-long", "2x2x2", "1x1x1"])
+def test_sine_solve_matches_all_edge_oracle(divisions, origin, extents):
+    # a boundary edge's row of G is empty, so the potential of the free
+    # x free M and the free rows of G solves the all-edge G^T M G system
+    mesh = build_box_mesh(divisions, origin, extents)
     G = assemble_gradient_map(mesh).toarray()
     oracle = G.T @ dense_mass_all_edges(mesh) @ G
-    got = DivFreeProjector(mesh).GtMG.toarray()
-    assert np.abs(got - oracle).max() <= 1e-15 * np.abs(oracle).max()
+    b = np.zeros(mesh.num_edges)
+    free = mesh.free_edges()
+    b[free] = np.random.default_rng(7).standard_normal(free.size)
+    _, phi = DivFreeProjector(mesh).strip_gradient(b[free])
+    rhs = G.T @ b
+    res = oracle @ phi.coeffs[mesh.interior_vertices()] - rhs
+    assert np.linalg.norm(res) <= 1e-13 * np.linalg.norm(rhs)
+    assert not phi.coeffs[mesh.boundary_vertices].any()
+
+
+def test_raw_array_mesh_projector_raises_mesh_error():
+    box = build_box_mesh((3, 3, 3))
+    raw = Mesh(box.vertices, box.tets, box.box)
+    with pytest.raises(MeshError, match="build_box_mesh"):
+        DivFreeProjector(raw)
 
 
 def test_projector_rejects_a_nonzero_boundary_circulation():
@@ -184,8 +204,7 @@ def test_edge_field_load_matches_all_edge_mass_pairing(n):
     assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
 def test_projector_methods_take_no_tolerance():
-    # the projector owns its accuracy: every G^T M G solve runs to
-    # POTENTIAL_TOL, and no caller passes a tolerance of its own
+    # every G^T M G solve is direct, so no caller passes a tolerance
     import inspect
 
     def names(fn):
@@ -195,21 +214,23 @@ def test_projector_methods_take_no_tolerance():
     assert names(DivFreeProjector.strip_gradient) == ["self", "b"]
 
 
-def test_every_potential_solve_runs_at_potential_tol(monkeypatch):
+def test_every_potential_solve_is_an_exact_sine_solve(monkeypatch):
     # the load strip, each Newton right-hand side, the answer's
     # projection, the multiplier and the Friedrich column projections
-    tols = []
-    real = helmholtz.cg
+    exact = []
+    real = DivFreeProjector._potential
 
-    def recording(A, b, **kw):
-        tols.append(kw["tol"])
-        return real(A, b, **kw)
+    def recording(self, rhs):
+        phi = real(self, rhs)
+        res = self.Gt @ (self.M @ (self.G @ phi)) - rhs
+        exact.append(np.linalg.norm(res) <= 1e-13 * np.linalg.norm(rhs))
+        return phi
 
-    monkeypatch.setattr(helmholtz, "cg", recording)
+    monkeypatch.setattr(DivFreeProjector, "_potential", recording)
     mesh = build_box_mesh((4, 4, 4), extents=(np.pi,) * 3)
     _, _, rep = solve(mesh, case_general_p(10.0).load,
                       SolveConfig(p_target=10.0))
-    assert len(tols) == rep.total_newton_iterations + 3
+    assert len(exact) == rep.total_newton_iterations + 3
     friedrich_constant([build_box_mesh((3, 3, 3))], 2.0)
-    assert len(tols) > rep.total_newton_iterations + 3
-    assert set(tols) == {helmholtz.POTENTIAL_TOL}
+    assert len(exact) > rep.total_newton_iterations + 3
+    assert all(exact)

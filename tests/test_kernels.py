@@ -22,7 +22,7 @@ from pcurlcurl.assembly import (EdgeField, assemble_load, curl_per_tet,
                                 lp_norm_field, vertex_vectors)
 from pcurlcurl.helmholtz import edge_mass_matrix, mass_blocks
 from pcurlcurl.io import write_vtk
-from pcurlcurl.mesh import Mesh, build_box_mesh
+from pcurlcurl.mesh import _EDGE_I, _EDGE_J, Mesh, build_box_mesh
 from pcurlcurl.mms import (ManufacturedCase, case_general_p, case_p2_sine,
                            measure_error)
 from vtk_reader import assert_same_bits, cell_volumes, positive_rows, read_vtk
@@ -49,6 +49,19 @@ def local_coeffs(u):
 def smooth_load(x):
     return np.column_stack([np.sin(x[:, 1]) * x[:, 2], np.cos(x[:, 0] + x[:, 2]),
                             x[:, 0] * x[:, 1] - 0.3])
+
+
+def test_vertex_vectors_sign_product_is_the_index_form_bit_for_bit():
+    # C built by one (6, 16) product of +-1 and 0 against C built by
+    # assigning c and -c to the (i, j) and (j, i) slots of each local edge
+    mesh = jittered_mesh(3)
+    local = local_coeffs(random_field(mesh))
+    C = np.zeros((local.shape[0], 4, 4))
+    C[:, _EDGE_I, _EDGE_J] = local
+    C[:, _EDGE_J, _EDGE_I] = -local
+    assert np.array_equal((local @ assembly._SIGNS).reshape(-1, 4, 4), C)
+    grads = mesh.geometry.grads
+    assert np.array_equal(assembly.tet_vertex_vectors(local, grads), C @ grads)
 
 
 def test_eval_basis_validates_points():
