@@ -155,9 +155,9 @@ def cmd_friedrich(cfg, out):
     rep = friedrich_constant(meshes, cfg["p"])
     levels = cfg["levels"]
     rows = []
-    for i, (n, c, its, lin) in enumerate(zip(levels, rep.constants,
-                                             rep.iterations,
-                                             rep.linear_iterations)):
+    for i, (n, c, its, lin, steps) in enumerate(zip(
+            levels, rep.constants, rep.iterations, rep.linear_iterations,
+            rep.inverse_steps)):
         order = ""
         # an order needs one refinement ratio r = n_i / n_(i-1) = n_(i-1) / n_(i-2)
         one_ratio = i >= 2 and levels[i - 1]**2 == n * levels[i - 2]
@@ -166,10 +166,10 @@ def cmd_friedrich(cfg, out):
             e1 = abs(c - rep.constants[i - 1])
             if e1 > 0:
                 order = "%.17g" % (np.log2(e0 / e1) / np.log2(n / levels[i - 1]))
-        rows.append((i + 1, n, np.pi / n, c, order, its, lin))
+        rows.append((i + 1, n, np.pi / n, c, order, its, lin, steps))
     write_csv(os.path.join(out, "friedrich.csv"),
               ("level", "divisions", "h", "C_h", "observed_order",
-               "iterations", "linear_iterations"), rows)
+               "iterations", "linear_iterations", "inverse_steps"), rows)
     lines = [f"p = {cfg['p']:.17g}",
              f"constants = {', '.join('%.17g' % c for c in rep.constants)}",
              f"extrapolated = {rep.extrapolated:.17g}"]
@@ -178,7 +178,8 @@ def cmd_friedrich(cfg, out):
         lines.append("extrapolation = none, the finest level's lower bound")
     return lines + [f"lower_bound_only = {rep.lower_bound_only}",
                     f"total_iterations = {sum(rep.iterations)}",
-                    f"total_linear_iterations = {sum(rep.linear_iterations)}"]
+                    f"total_linear_iterations = {sum(rep.linear_iterations)}",
+                    f"total_inverse_steps = {sum(rep.inverse_steps)}"]
 
 
 def cmd_converge(cfg, out):

@@ -270,6 +270,8 @@ class FriedrichReport:
     # the coarse levels solved for its nested start included
     iterations: list = field(default_factory=list)         # outer LOBPCG
     linear_iterations: list = field(default_factory=list)  # stiffness CG
+    # per level, the `solve` calls of the p > 2 inverse iteration; 0 at p = 2
+    inverse_steps: list = field(default_factory=list)
 
 
 def friedrich_constant(meshes, p):
@@ -303,7 +305,8 @@ def friedrich_constant(meshes, p):
     p > 2: inverse power iteration from the p = 2 maximizer, one `solve`
     at p per step, until an iterate raises the ratio ||u||_p /
     ||curl u||_p by at most 1e-8 relative (`_friedrich_inverse`); the
-    best ratio seen is a certified lower bound for C_h.
+    best ratio seen is a certified lower bound for C_h. The report
+    counts these steps per level in `inverse_steps` (0 at p = 2).
 
     Extrapolation (p = 2 only) assumes second-order eigenvalue
     convergence and uses the last two levels: C = C_2 + (C_2 - C_1) /
@@ -321,6 +324,7 @@ def friedrich_constant(meshes, p):
     constants = []
     iterations = []
     linear_iterations = []
+    inverse_steps = []
     vols = []                       # mean tet volume of the last two levels
     last = None                     # (level key, Ritz block) of the last level
     for mesh in meshes:
@@ -328,7 +332,9 @@ def friedrich_constant(meshes, p):
         last = (_level_key(mesh), X)
         iterations.append(its)
         linear_iterations.append(lin)
-        constants.append(c2 if p == 2.0 else _friedrich_inverse(u2, p))
+        c, steps = (c2, 0) if p == 2.0 else _friedrich_inverse(u2, p)
+        constants.append(c)
+        inverse_steps.append(steps)
         vols = [*vols[-1:], mesh.geometry.vols.mean()]
         del mesh, u2                # free this level before the next is built
     if not constants:
@@ -344,7 +350,8 @@ def friedrich_constant(meshes, p):
     return FriedrichReport(p=float(p), constants=constants,
                            extrapolated=float(extrap),
                            lower_bound_only=(p != 2.0), iterations=iterations,
-                           linear_iterations=linear_iterations)
+                           linear_iterations=linear_iterations,
+                           inverse_steps=inverse_steps)
 
 
 def _level_key(mesh):
@@ -378,17 +385,24 @@ def _friedrich_p2(mesh, last=None):
     space. The basis follows Hetmaniuk & Lehoucq (J. Comput. Phys. 218,
     2006): W is M-orthogonalized against X, P against [X, W], twice each,
     and each block is M-orthonormalized on its own, so the Rayleigh-Ritz
-    step on [X, W, P] is a standard symmetric eigenproblem. The iteration
+    step on [X, W, P] is a standard symmetric eigenproblem. Every block
+    carries its K- and M-image, and each small coefficient matrix that
+    changes a block changes its images too, so an outer iteration forms
+    just 2 sparse block products, K W and M W. The iteration
     stops when the 3 lowest ("watched") Ritz pairs have
     ||K x - theta M x|| <= 1e-8 theta ||M x||, so only their columns
     get search directions in W and P, and only while their residual is
     above that tolerance (soft locking); the other 3 columns stay in X
-    as guard vectors of the Rayleigh-Ritz step. K is `mesh.stiffness`,
-    and M is the projector's mass matrix.
+    as guard vectors of the Rayleigh-Ritz step. The test reads the
+    carried images, which drift (Duersch, Shao, Yang & Gu, SIAM J. Sci.
+    Comput. 40, 2018), so before it stops it is repeated on freshly
+    formed K X and M X, and a failure there iterates on from those.
+    K is `mesh.stiffness`, and M is the projector's mass matrix.
 
     Raises:
-        SolverError: no stop within 200 iterations, or a basis block
-            that lost rank; the message carries the residuals.
+        SolverError: no stop within 200 iterations, a basis block that
+            lost rank (the message carries the residuals), or a watched
+            Ritz value that is not positive and finite.
     """
     proj = DivFreeProjector(mesh)
     free = mesh.free_edges()
@@ -400,30 +414,60 @@ def _friedrich_p2(mesh, last=None):
     watched = min(3, block)
     linear_iterations = 0
 
-    def project_cols(X):
+    def project_rows(X):
         out = np.empty_like(X)
-        for j in range(X.shape[1]):
+        for j, x in enumerate(X):
             u = EdgeField(mesh)
-            u.coeffs[free] = X[:, j]
+            u.coeffs[free] = x
             u, _ = proj.project(u)
-            out[:, j] = u.coeffs[free]
+            out[j] = u.coeffs[free]
         return out
 
     def precondition(R):
         nonlocal linear_iterations
         W = np.empty_like(R)
-        for j in range(R.shape[1]):
-            W[:, j], rep = cg(K, R[:, j], tol=0.1)
+        for j, r in enumerate(R):
+            W[j], rep = cg(K, r, tol=0.1)
             linear_iterations += rep.iterations
-        return project_cols(W)
+        return project_rows(W)
 
-    def m_orthonormal(B, iteration, residuals):
-        B = _m_orthonormalize(B, M)
-        if B is None:
+    def images(j, k):
+        KS[j:k], MS[j:k] = (K @ S[j:k].T).T, (M @ S[j:k].T).T
+
+    def m_orthonormal(j, k, iteration, residuals):
+        # rows j:k, M-orthogonalized against the rows before them twice,
+        # then M-orthonormalized
+        for _ in range(2):
+            C = S[j:k] @ MS[:j].T
+            for B in Z:
+                B[j:k] -= C @ B[:j]
+        T = _m_orthonormalize(S[j:k].T, MS[j:k].T)
+        if T is None:
             raise SolverError(
                 f"LOBPCG basis lost rank after {iteration} iterations; "
                 f"relative residuals {_format(residuals[:watched])}")
-        return B
+        for B in Z:
+            B[j:k] = T.T @ B[j:k]
+
+    def rayleigh_ritz(m):
+        # Ritz values of the basis S[:m]; its Ritz block X = S[:m] C goes
+        # to rows :block and P = S[block:m] C[block:] after it
+        H = S[:m] @ KS[:m].T
+        w, C = np.linalg.eigh(0.5 * (H + H.T))
+        C = C[:, :block]
+        for B in Z:
+            B[:block], B[block:2 * block] = (C.T @ B[:m],
+                                             C[block:].T @ B[block:m])
+        return w[:block]
+
+    def residuals(iteration):
+        if not np.all((theta[:watched] > 0) & (theta[:watched] < np.inf)):
+            raise SolverError(
+                f"LOBPCG Ritz values {_format(theta[:watched])} after "
+                f"{iteration} iterations are not positive and finite")
+        R = KS[:block] - theta[:, None] * MS[:block]
+        return R, (np.linalg.norm(R, axis=1)
+                   / (theta * np.linalg.norm(MS[:block], axis=1)))
 
     iterations = 0
     coarse = mesh.coarse
@@ -435,16 +479,25 @@ def _friedrich_p2(mesh, last=None):
     else:
         _, (_, iterations, linear_iterations), Xc = _friedrich_p2(coarse, last)
         X = mesh.prolongation @ Xc
-    X = _m_orthonormalize(project_cols(X), M)
-    theta, Q = np.linalg.eigh(X.T @ (K @ X))
-    X = X @ Q
-    P = None
+    # the basis [X, W, P] in the rows of S, its K-image in KS and its
+    # M-image in MS; W and P have at most `watched` rows, block <= 2 watched.
+    # Three arrays, not one (3, k, n) array, which raised the peak RSS of
+    # `friedrich 4,8,12` by 1-2 MiB
+    Z = S, KS, MS = [np.empty((block + 2 * watched, free.size))
+                     for _ in range(3)]
+    S[:block] = project_rows(X.T)
+    images(0, block)
+    m_orthonormal(0, block, 0, np.full(watched, np.inf))
+    theta = rayleigh_ritz(block)
+    p_rows = 0                      # rows of P, none before the first step
     for iteration in range(201):
-        KX, MX = K @ X, M @ X
-        R = KX - MX * theta
-        res = np.linalg.norm(R, axis=0) / (theta * np.linalg.norm(MX, axis=0))
+        R, res = residuals(iteration)
         if np.all(res[:watched] <= 1e-8):
-            break
+            # the carried images drift: stop only on fresh products
+            images(0, block)
+            R, res = residuals(iteration)
+            if np.all(res[:watched] <= 1e-8):
+                break
         if iteration == 200:
             raise SolverError(
                 f"LOBPCG did not converge in 200 iterations; relative "
@@ -456,34 +509,31 @@ def _friedrich_p2(mesh, last=None):
         # they stay in X for the Rayleigh-Ritz step only
         active = res > 1e-8
         active[watched:] = False
-        W = precondition(R[:, active])
-        for _ in range(2):
-            W -= X @ (X.T @ (M @ W))
-        blocks = [X, m_orthonormal(W, iteration, res)]
-        if P is not None:
-            P = P[:, active]
-            for _ in range(2):
-                for B in blocks:
-                    P -= B @ (B.T @ (M @ P))
-            blocks.append(m_orthonormal(P, iteration, res))
-        S = np.hstack(blocks)
-        w, C = np.linalg.eigh(S.T @ (K @ S))
-        theta, C = w[:block], C[:, :block]
-        X = S @ C
-        P = S[:, block:] @ C[block:]
+        w_end = block + np.count_nonzero(active)
+        if p_rows:                  # P keeps its active rows, after W's
+            p_rows = w_end - block
+            for B in Z:
+                B[w_end:w_end + p_rows] = B[block:2 * block][active]
+        S[block:w_end] = precondition(R[active])
+        images(block, w_end)
+        m_orthonormal(block, w_end, iteration, res)
+        if p_rows:
+            m_orthonormal(w_end, w_end + p_rows, iteration, res)
+        theta = rayleigh_ritz(w_end + p_rows)
+        p_rows = block
     u = EdgeField(mesh)
-    u.coeffs[free] = X[:, 0]
+    u.coeffs[free] = S[0]
     return (u, (1.0 / np.sqrt(theta[0]), iterations + iteration,
-                linear_iterations), X)
+                linear_iterations), S[:block].T.copy())
 
 
-def _m_orthonormalize(B, M):
-    """B with M-orthonormal columns spanning the same space, or None.
+def _m_orthonormalize(B, MB):
+    """The k x k map T that makes B T M-orthonormal, or None; MB = M B.
 
     Cholesky QR on the Gram matrix after scaling its diagonal to 1; None
     when a column vanishes or the Gram matrix is not positive definite.
     """
-    gram = B.T @ (M @ B)
+    gram = B.T @ MB
     d = np.sqrt(np.diag(gram))
     if not np.all(d > 0):
         return None
@@ -491,7 +541,7 @@ def _m_orthonormalize(B, M):
         L = np.linalg.cholesky(gram / np.outer(d, d))
     except np.linalg.LinAlgError:
         return None
-    return np.linalg.solve(L, (B / d).T).T
+    return np.linalg.inv(L).T / d[:, None]
 
 
 def _format(values):
@@ -507,20 +557,21 @@ def _friedrich_inverse(u2, p):
     bound for C_h. The ratios rise monotonically at eps = 0 only, so the
     best is kept; an iterate that raises it by <= 1e-8 relative stops
     the loop, and SolverError ends it after _INVERSE_BUDGET steps.
+    Returns the best ratio and the number of steps (`solve` calls).
     """
     mesh = u2.mesh
     config = SolveConfig(p_target=p)
     u = EdgeField(mesh, u2.coeffs / lp_norm_field(u2, p))
     best = 1.0 / lp_norm_curl(u, p)
     gains = []
-    for _ in range(_INVERSE_BUDGET):
+    for step in range(1, _INVERSE_BUDGET + 1):
         w, _, _ = solve(mesh, _power_load(u, p), config)
         u = EdgeField(mesh, w.coeffs / lp_norm_field(w, p))
         ratio = 1.0 / lp_norm_curl(u, p)
         gains.append((ratio - best) / best)
         best = max(best, ratio)
         if gains[-1] <= 1e-8:
-            return float(best)
+            return float(best), step
     raise SolverError(
         f"Friedrich inverse iteration at p = {p} did not settle in "
         f"{_INVERSE_BUDGET} iterations; last relative increments "

@@ -263,6 +263,24 @@ def test_friedrich_above_p2_reports_the_finest_bound(tmp_path):
     assert "lower_bound_only = True" in lines
 
 
+def test_friedrich_counts_the_inverse_steps(tmp_path):
+    # each p > 2 level's inverse iteration takes 1 to _INVERSE_BUDGET
+    # solves; the CSV column and the summary total report them, and the
+    # p = 2 eigensolve takes none
+    from pcurlcurl.verify import _INVERSE_BUDGET, friedrich_constant
+    out = tmp_path / "f"
+    assert main(["friedrich", "--out_dir", str(out), "--levels", "2,3",
+                 "--p", "4"]) == 0
+    steps = [int(r["inverse_steps"]) for r in read_csv(out / "friedrich.csv")]
+    meshes = [build_box_mesh((n, n, n), extents=(np.pi, np.pi, np.pi))
+              for n in (2, 3)]
+    assert steps == friedrich_constant(meshes, 4.0).inverse_steps
+    assert all(1 <= s <= _INVERSE_BUDGET for s in steps)
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert f"total_inverse_steps = {sum(steps)}" in lines
+    assert friedrich_constant(meshes[:1], 2.0).inverse_steps == [0]
+
+
 def test_converge_command_monotone_errors(tmp_path):
     out = tmp_path / "c"
     rc = main(["converge", "--out_dir", str(out), "--levels", "2,4"])

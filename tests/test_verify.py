@@ -487,6 +487,92 @@ def test_friedrich_p2_constants_are_pinned(monkeypatch, seed):
                                           rel=1e-12, abs=0.0)
 
 
+# measured with extents (1, 1, 1): the block is below 6, fewer than 3
+# columns are watched, and P may stay empty
+TINY_BOXES = {(1, 1, 1): 0.223606797749979, (2, 1, 1): 0.215322391260063,
+              (2, 2, 1): 0.28705975042726695, (2, 2, 2): 0.24208296698281598,
+              (3, 1, 1): 0.21611766897686654, (3, 3, 1): 0.29390610232099457}
+
+
+@pytest.mark.parametrize("divisions", sorted(TINY_BOXES))
+def test_friedrich_p2_tiny_meshes_are_pinned(divisions):
+    mesh = build_box_mesh(divisions, extents=(1.0, 1.0, 1.0))
+    rep = friedrich_constant([mesh], 2.0)
+    assert rep.constants[0] == pytest.approx(TINY_BOXES[divisions],
+                                             rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("divisions, extents", [
+    ((4, 4, 4), (PI, PI, PI)), ((8, 8, 8), (PI, PI, PI)),
+    ((5, 4, 3), (2.0, 1.0, 3.0))])
+def test_friedrich_p2_returned_block_meets_the_stop_test_afresh(divisions,
+                                                                extents):
+    # the LOBPCG updates K X and M X instead of forming them, so the
+    # returned Ritz block is checked on freshly formed products; 8^3
+    # starts from its 4^3 level
+    from pcurlcurl.helmholtz import DivFreeProjector
+    mesh = build_box_mesh(divisions, extents=extents)
+    _, _, X = verify._friedrich_p2(mesh)
+    proj = DivFreeProjector(mesh)
+    KX, MX = mesh.stiffness @ X, proj.M @ X
+    theta = np.einsum("ij,ij->j", X, KX)        # X is M-orthonormal
+    res = (np.linalg.norm(KX - MX * theta, axis=0)
+           / (theta * np.linalg.norm(MX, axis=0)))
+    assert np.all(res[:3] <= 1.05e-8)
+    assert np.linalg.norm(proj.Gt @ MX) <= 1e-12 * np.linalg.norm(MX)
+
+
+class _CountingMatrix:
+    """A sparse matrix that logs each product with a block (2-D) operand."""
+
+    def __init__(self, A, log):
+        self.A, self.log = A, log
+
+    def __matmul__(self, x):
+        if np.ndim(x) == 2:
+            self.log.append(x.shape)
+        return self.A @ x
+
+
+def test_friedrich_p2_forms_two_block_products_per_iteration(monkeypatch):
+    # K W and M W only: every other image is carried through the small
+    # coefficient matrices; each eigensolve forms K X and M X at its start
+    # and again for its exit test. 8^3 solves 4^3 first: two eigensolves
+    from pcurlcurl.helmholtz import DivFreeProjector
+    from pcurlcurl.mesh import Mesh
+    products = []
+    stiffness = Mesh.__dict__["stiffness"]
+
+    def counting_stiffness(mesh):
+        return _CountingMatrix(stiffness.__get__(mesh, Mesh), products)
+
+    monkeypatch.setattr(Mesh, "stiffness", property(counting_stiffness))
+
+    class CountingProjector(DivFreeProjector):
+        def __init__(self, mesh):
+            super().__init__(mesh)
+            self.M = _CountingMatrix(self.M, products)
+
+    monkeypatch.setattr(verify, "DivFreeProjector", CountingProjector)
+    mesh = build_box_mesh((8, 8, 8), extents=(PI, PI, PI))
+    rep = friedrich_constant([mesh], 2.0)
+    assert rep.iterations[0] > 0
+    assert len(products) <= 2 * rep.iterations[0] + 2 * 4
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_friedrich_p2_without_projection_raises(monkeypatch, n):
+    # without the projection the gradient kernel of K enters the basis,
+    # and its Ritz values are zero to rounding, some of them negative: a
+    # negative one passed the stop test and returned a NaN constant
+    from pcurlcurl.helmholtz import DivFreeProjector
+    monkeypatch.setattr(DivFreeProjector, "project",
+                        lambda self, u: (u, None))
+    mesh = build_box_mesh((n, n, n))
+    with pytest.raises(SolverError):
+        friedrich_constant([mesh], 2.0)
+
+
 def test_friedrich_p2_seed_independent(monkeypatch):
     mesh = build_box_mesh((4, 4, 4), extents=(PI, PI, PI))
     monkeypatch.setattr(verify, "_START_SEED", 0)
